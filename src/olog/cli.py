@@ -28,6 +28,12 @@ class _Out:
         if not self.quiet and self.fmt == "text":
             print(text)
 
+    def diagnostics(self, diags):
+        """Parse errors always reach stderr; warnings only without --quiet."""
+        for d in diags:
+            if d.severity == dsl.ERROR or not self.quiet:
+                print(d, file=sys.stderr)
+
     def verdict(self, record: dict, text: str):
         if self.fmt == "json":
             print(json.dumps(record, sort_keys=True))
@@ -40,25 +46,20 @@ def _fail_usage(message: str) -> int:
     return 2
 
 
-def _load_spec(path: str) -> tuple[Specification | None, int]:
+def _load_spec(path: str, out: _Out) -> tuple[Specification | None, int]:
     try:
         text = FsPath(path).read_text(encoding="utf-8")
     except OSError as exc:
         return None, _fail_usage(f"cannot read '{path}': {exc}")
     spec, diags = dsl.parse_olog(text, path)
-    for d in diags:
-        if d.severity == dsl.ERROR or not _QUIET:
-            print(d, file=sys.stderr)
+    out.diagnostics(diags)
     if spec is None:
         return None, 2
     return spec, 0
 
 
-_QUIET = False
-
-
 def _cmd_check(args, out: _Out) -> int:
-    spec, rc = _load_spec(args.olog)
+    spec, rc = _load_spec(args.olog, out)
     if spec is None:
         return rc
     problems = validate_specification(spec) + sketch.validate_decls(spec)
@@ -74,7 +75,7 @@ def _cmd_check(args, out: _Out) -> int:
 
 
 def _cmd_entail(args, out: _Out) -> int:
-    spec, rc = _load_spec(args.olog)
+    spec, rc = _load_spec(args.olog, out)
     if spec is None:
         return rc
     try:
@@ -151,7 +152,7 @@ def _emit_sketch_checks(results, out: _Out) -> bool:
 
 
 def _cmd_validate(args, out: _Out) -> int:
-    spec, rc = _load_spec(args.olog)
+    spec, rc = _load_spec(args.olog, out)
     if spec is None:
         return rc
     try:
@@ -181,7 +182,7 @@ def _cmd_synth(args, out: _Out) -> int:
     they may be missing from the data directory; every other table must load
     cleanly. Writes the affected tables.
     """
-    spec, rc = _load_spec(args.olog)
+    spec, rc = _load_spec(args.olog, out)
     if spec is None:
         return rc
     decls = [x for x in spec.sketch if getattr(x, "target", None) == args.decl]
@@ -228,7 +229,7 @@ def _csv_cell(cell: str) -> str:
 
 
 def _cmd_sqlgen(args, out: _Out) -> int:
-    spec, rc = _load_spec(args.olog)
+    spec, rc = _load_spec(args.olog, out)
     if spec is None:
         return rc
     payload = sqlgen.emit_ddl(spec)
@@ -248,11 +249,11 @@ def _cmd_sqlgen(args, out: _Out) -> int:
     return 0
 
 
-def _load_morphism(args) -> tuple:
-    src, rc = _load_spec(args.source)
+def _load_morphism(args, out: _Out) -> tuple:
+    src, rc = _load_spec(args.source, out)
     if src is None:
         return None, None, None, rc
-    tgt, rc = _load_spec(args.target)
+    tgt, rc = _load_spec(args.target, out)
     if tgt is None:
         return None, None, None, rc
     try:
@@ -278,7 +279,7 @@ def _write_olog(spec: Specification, out_path: str | None, out: _Out) -> int:
 
 
 def _cmd_flow(args, out: _Out) -> int:
-    h, src, tgt, rc = _load_morphism(args)
+    h, src, tgt, rc = _load_morphism(args, out)
     if h is None:
         return rc
     if args.direction == "dir":
@@ -291,7 +292,7 @@ def _cmd_flow(args, out: _Out) -> int:
 
 
 def _cmd_morphism_check(args, out: _Out) -> int:
-    h, src, tgt, rc = _load_morphism(args)
+    h, src, tgt, rc = _load_morphism(args, out)
     if h is None:
         return rc
     ok, offenders = flow.is_spec_morphism(h, src, tgt, args.bound)
@@ -307,16 +308,14 @@ def _cmd_morphism_check(args, out: _Out) -> int:
     return 0 if ok else 1
 
 
-def _load_system(args):
+def _load_system(args, out: _Out):
     sysm, diags = dsl.parse_system(args.system, args.bound)
-    for d in diags:
-        if d.severity == dsl.ERROR or not _QUIET:
-            print(d, file=sys.stderr)
+    out.diagnostics(diags)
     return sysm
 
 
 def _cmd_fuse(args, out: _Out) -> int:
-    sysm = _load_system(args)
+    sysm = _load_system(args, out)
     if sysm is None:
         return 2
     fused = system.fusion(sysm, args.bound)
@@ -324,7 +323,7 @@ def _cmd_fuse(args, out: _Out) -> int:
 
 
 def _cmd_consequence(args, out: _Out) -> int:
-    sysm = _load_system(args)
+    sysm = _load_system(args, out)
     if sysm is None:
         return 2
     outdir = FsPath(args.out_dir)
@@ -337,7 +336,7 @@ def _cmd_consequence(args, out: _Out) -> int:
 
 
 def _cmd_lot(args, out: _Out) -> int:
-    spec, rc = _load_spec(args.olog)
+    spec, rc = _load_spec(args.olog, out)
     if spec is None:
         return rc
     try:
@@ -352,7 +351,7 @@ def _cmd_lot(args, out: _Out) -> int:
             adds = [dsl.parse_fact_text(f, spec.graph) for f in args.add]
             result = flow.lot_revise(spec, dels, adds)
         else:  # analogy
-            tgt, rc = _load_spec(args.target)
+            tgt, rc = _load_spec(args.target, out)
             if tgt is None:
                 return rc
             try:
@@ -468,13 +467,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    global _QUIET
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    _QUIET = args.quiet
     out = _Out(args.format, args.quiet)
     try:
         return args.fn(args, out)

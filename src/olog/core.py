@@ -272,6 +272,46 @@ def enumerate_paths(graph: Graph, max_len: int, source: str | None = None) -> tu
     return tuple(dict.fromkeys(out))
 
 
+class UnionFind:
+    """Disjoint sets over a fixed universe with full path compression.
+
+    The root of every class is its least member under ``key`` (natural order
+    when ``key`` is None), so representatives do not depend on union order.
+    """
+
+    __slots__ = ("parent", "key")
+
+    def __init__(self, items, key=None):
+        self.parent = {x: x for x in items}
+        self.key = key
+
+    def find(self, x):
+        p = self.parent
+        root = x
+        while p[root] != root:
+            root = p[root]
+        while p[x] != root:
+            p[x], x = root, p[x]
+        return root
+
+    def union(self, a, b) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        key = self.key
+        if (rb < ra) if key is None else (key(rb) < key(ra)):
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        return True
+
+    def classes(self) -> dict:
+        """Members per root, both in the order the universe was given."""
+        groups: dict = {}
+        for x in self.parent:
+            groups.setdefault(self.find(x), []).append(x)
+        return groups
+
+
 def relation_to_span(
     graph: Graph, name: str, legs: Sequence[tuple[str, str]]
 ) -> tuple[Graph, TypeNode]:

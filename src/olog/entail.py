@@ -18,6 +18,7 @@ from .core import (
     Graph,
     Path,
     Specification,
+    UnionFind,
     enumerate_paths,
     fact_errors,
     format_fact,
@@ -52,32 +53,6 @@ def enumerate_equations(graph: Graph, bound: int) -> tuple[Fact, ...]:
             for rhs in group:
                 out.append(Fact(lhs, rhs))
     return tuple(sorted(out))
-
-
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        p = self.parent
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, a, b) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        # Keep the canonical (shortest, then lexicographic) member as root.
-        if _canon_key(rb) < _canon_key(ra):
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return True
 
 
 def _canon_key(path: Path):
@@ -137,7 +112,7 @@ def saturate(spec: Specification, bound: int = DEFAULT_BOUND) -> Congruence:
     g = spec.graph
     universe = enumerate_paths(g, bound)
     in_universe = set(universe)
-    uf = _UnionFind(universe)
+    uf = UnionFind(universe, key=_canon_key)
 
     for fact in spec.facts:
         if fact.lhs not in in_universe or fact.rhs not in in_universe:
@@ -159,10 +134,7 @@ def saturate(spec: Specification, bound: int = DEFAULT_BOUND) -> Congruence:
     changed = True
     while changed:
         changed = False
-        groups: dict[Path, list[Path]] = {}
-        for p in universe:
-            groups.setdefault(uf.find(p), []).append(p)
-        for rep, members in groups.items():
+        for rep, members in uf.classes().items():
             if len(members) < 2:
                 continue
             rep_tgt = targets[rep]
@@ -180,12 +152,9 @@ def saturate(spec: Specification, bound: int = DEFAULT_BOUND) -> Congruence:
                     if uf.union(pre_m, pre_r):
                         changed = True
 
-    groups2: dict[Path, list[Path]] = {}
-    for p in universe:
-        groups2.setdefault(uf.find(p), []).append(p)
     classes = tuple(
         tuple(sorted(members, key=_canon_key))
-        for _, members in sorted(groups2.items(), key=lambda kv: _canon_key(kv[0]))
+        for _, members in sorted(uf.classes().items(), key=lambda kv: _canon_key(kv[0]))
     )
     return Congruence(graph=g, bound=bound, classes=classes)
 

@@ -23,14 +23,12 @@ class KeyDiagram:
     """Finite key set per type plus a total key function per aspect.
 
     Treated as immutable after construction; helpers that "modify" a diagram
-    return a new one.
+    return a new one. Equality compares contents; like its mappings, a
+    diagram is not hashable.
     """
 
     sets: Mapping[str, frozenset[str]]
     funcs: Mapping[str, Mapping[str, str]]
-
-    def __hash__(self):  # mappings are not hashable; identity is fine here
-        return id(self)
 
 
 def key_diagram(sets: Mapping[str, object], funcs: Mapping[str, Mapping[str, str]]) -> KeyDiagram:
@@ -39,32 +37,6 @@ def key_diagram(sets: Mapping[str, object], funcs: Mapping[str, Mapping[str, str
         sets={t: frozenset(ks) for t, ks in sets.items()},
         funcs={a: dict(f) for a, f in funcs.items()},
     )
-
-
-def diagram_errors(d: KeyDiagram, graph: Graph) -> list[str]:
-    """Totality and key-closure problems of ``d`` over ``graph``."""
-    problems: list[str] = []
-    for t in graph.types:
-        if t.id not in d.sets:
-            problems.append(f"no key set for type '{t.id}'")
-    for a in graph.aspects:
-        fn = d.funcs.get(a.id)
-        if fn is None:
-            problems.append(f"no function for aspect '{a.id}'")
-            continue
-        src_keys = d.sets.get(a.src, frozenset())
-        tgt_keys = d.sets.get(a.tgt, frozenset())
-        for k in sorted(src_keys):
-            if k not in fn:
-                problems.append(f"aspect '{a.id}' undefined at key '{k}'")
-            elif fn[k] not in tgt_keys:
-                problems.append(
-                    f"aspect '{a.id}' sends '{k}' to '{fn[k]}', "
-                    f"which is not a key of '{a.tgt}'"
-                )
-        for k in sorted(set(fn) - set(src_keys)):
-            problems.append(f"aspect '{a.id}' defined at stray key '{k}'")
-    return problems
 
 
 def load_tables(

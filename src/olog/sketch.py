@@ -22,6 +22,7 @@ from .core import (
     Graph,
     Path,
     Specification,
+    UnionFind,
     compose_paths,
     format_fact,
     format_path,
@@ -378,46 +379,21 @@ def check_coproduct(d: KeyDiagram, decl: CoproductDecl) -> CheckResult:
     return CheckResult("coproduct", decl.target, True)
 
 
-class _MiniUF:
-    def __init__(self):
-        self.parent: dict[str, str] = {}
-
-    def add(self, x: str):
-        self.parent.setdefault(x, x)
-
-    def find(self, x: str) -> str:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: str, b: str):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
 def _pushout_classes(d: KeyDiagram, decl: PushoutDecl) -> dict[str, list[str]]:
     """Quotient the tagged union of the legs by the span identifications."""
     (tb, ab), (tc, ac) = decl.leg_b, decl.leg_c
     pf, pg = decl.span
-    uf = _MiniUF()
-    for k in sorted(d.sets.get(tb, frozenset())):
-        uf.add(encode_tagged(ab, k))
-    for k in sorted(d.sets.get(tc, frozenset())):
-        uf.add(encode_tagged(ac, k))
+    uf = UnionFind(
+        [encode_tagged(ab, k) for k in sorted(d.sets.get(tb, frozenset()))]
+        + [encode_tagged(ac, k) for k in sorted(d.sets.get(tc, frozenset()))]
+    )
     apex = pf.source
     for akey in sorted(d.sets.get(apex, frozenset())):
         uf.union(
             encode_tagged(ab, eval_path(d, pf, akey)),
             encode_tagged(ac, eval_path(d, pg, akey)),
         )
-    classes: dict[str, list[str]] = {}
-    for member in uf.parent:
-        classes.setdefault(uf.find(member), []).append(member)
-    return {rep: sorted(members) for rep, members in classes.items()}
+    return {rep: sorted(members) for rep, members in uf.classes().items()}
 
 
 def check_pushout(d: KeyDiagram, decl: PushoutDecl) -> CheckResult:

@@ -12,9 +12,19 @@ the fused facts back down to each node.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping
 
-from .core import Aspect, Fact, Graph, Path, Specification, TypeNode, format_fact
+from .core import (
+    Aspect,
+    Fact,
+    Graph,
+    Path,
+    Specification,
+    TypeNode,
+    UnionFind,
+    format_fact,
+)
 from .entail import DEFAULT_BOUND, enumerate_equations, saturate
 from .errors import GraphMismatchError, OlogError, UnsupportedLinkError
 from .flow import (
@@ -52,9 +62,20 @@ class DistributedSystem:
 
 @dataclass(frozen=True)
 class InformationSystem:
+    """Specifications over a shape, with a constraint morphism per edge.
+
+    ``specs`` and ``constraints`` are read-only copies of the given mappings,
+    so the bounds at which :func:`validate_system` has passed stay valid.
+    """
+
     shape: Shape
     specs: Mapping[str, Specification]
     constraints: Mapping[str, GraphMorphism]
+
+    def __post_init__(self):
+        object.__setattr__(self, "specs", MappingProxyType(dict(self.specs)))
+        object.__setattr__(self, "constraints", MappingProxyType(dict(self.constraints)))
+        object.__setattr__(self, "_passed_bounds", set())
 
     def distributed(self) -> DistributedSystem:
         return DistributedSystem(
@@ -76,7 +97,12 @@ class SystemMorphism:
 
 
 def validate_system(sys: InformationSystem, bound: int = DEFAULT_BOUND) -> list[str]:
-    """Structural problems plus constraint edges that fail entailment preservation."""
+    """Structural problems plus constraint edges that fail entailment preservation.
+
+    A system that passed at a bound is not checked again at that bound.
+    """
+    if bound in sys._passed_bounds:
+        return []
     problems: list[str] = []
     for n in sys.shape.nodes:
         if n not in sys.specs:
@@ -98,32 +124,24 @@ def validate_system(sys: InformationSystem, bound: int = DEFAULT_BOUND) -> list[
                 problems.append(
                     f"edge '{eid}': fact {format_fact(f)} is not preserved"
                 )
+    if not problems:
+        sys._passed_bounds.add(bound)
     return problems
-
-
-class _TagUF:
-    def __init__(self):
-        self.parent: dict[tuple[str, str], tuple[str, str]] = {}
-
-    def add(self, x: tuple[str, str]):
-        self.parent.setdefault(x, x)
-
-    def find(self, x: tuple[str, str]) -> tuple[str, str]:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: tuple[str, str], b: tuple[str, str]):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
 
 
 def _core_id(tag: tuple[str, str]) -> str:
     return f"{tag[0]}__{tag[1]}"
+
+
+def _core_classes(uf: UnionFind) -> tuple[dict, dict]:
+    """Core id per tag, and the member tags per core id."""
+    core_id: dict[tuple[str, str], str] = {}
+    members: dict[str, list[tuple[str, str]]] = {}
+    for tag in uf.parent:
+        cid = _core_id(uf.find(tag))
+        core_id[tag] = cid
+        members.setdefault(cid, []).append(tag)
+    return core_id, members
 
 
 def optimal_channel(ds: DistributedSystem) -> Channel:
@@ -144,13 +162,8 @@ def optimal_channel(ds: DistributedSystem) -> Channel:
                     f"{len(img.edges)}; the core colimit needs single-aspect images"
                 )
 
-    types_uf, aspects_uf = _TagUF(), _TagUF()
-    for n in ds.shape.nodes:
-        g = ds.graphs[n]
-        for t in g.types:
-            types_uf.add((n, t.id))
-        for a in g.aspects:
-            aspects_uf.add((n, a.id))
+    types_uf = UnionFind((n, t.id) for n in ds.shape.nodes for t in ds.graphs[n].types)
+    aspects_uf = UnionFind((n, a.id) for n in ds.shape.nodes for a in ds.graphs[n].aspects)
     for eid, src, tgt in ds.shape.edges:
         h = ds.links[eid]
         for tid, img in h.type_map.items():
@@ -158,21 +171,8 @@ def optimal_channel(ds: DistributedSystem) -> Channel:
         for aid, img in h.aspect_map.items():
             aspects_uf.union((src, aid), (tgt, img.edges[0]))
 
-    type_class: dict[tuple[str, str], str] = {}
-    type_members: dict[str, list[tuple[str, str]]] = {}
-    for tag in types_uf.parent:
-        rep = types_uf.find(tag)
-        cid = _core_id(rep)
-        type_class[tag] = cid
-        type_members.setdefault(cid, []).append(tag)
-
-    aspect_class: dict[tuple[str, str], str] = {}
-    aspect_members: dict[str, list[tuple[str, str]]] = {}
-    for tag in aspects_uf.parent:
-        rep = aspects_uf.find(tag)
-        cid = _core_id(rep)
-        aspect_class[tag] = cid
-        aspect_members.setdefault(cid, []).append(tag)
+    type_class, type_members = _core_classes(types_uf)
+    aspect_class, aspect_members = _core_classes(aspects_uf)
 
     core_types = []
     for cid, members in sorted(type_members.items()):
@@ -213,31 +213,26 @@ def optimal_channel(ds: DistributedSystem) -> Channel:
     return Channel(core=core, links=links)
 
 
+def _same_maps(h: GraphMorphism, k: GraphMorphism) -> bool:
+    """Do two morphisms agree on every type and aspect image?"""
+    return dict(h.type_map) == dict(k.type_map) and dict(h.aspect_map) == dict(k.aspect_map)
+
+
 def check_channel_cover(ds: DistributedSystem, ch: Channel) -> tuple[bool, tuple[str, ...]]:
     """Does the channel respect every constraint edge (link factors through it)?"""
-    violations = []
-    for eid, src, tgt in ds.shape.edges:
-        through = compose_morphisms(ds.links[eid], ch.links[tgt])
-        direct = ch.links[src]
-        if (
-            dict(through.type_map) != dict(direct.type_map)
-            or dict(through.aspect_map) != dict(direct.aspect_map)
-        ):
-            violations.append(eid)
+    violations = [
+        eid
+        for eid, src, tgt in ds.shape.edges
+        if not _same_maps(compose_morphisms(ds.links[eid], ch.links[tgt]), ch.links[src])
+    ]
     return (not violations, tuple(violations))
 
 
 def check_refinement(h: GraphMorphism, frm: Channel, to: Channel) -> bool:
     """Is ``h`` a core map making the finer channel factor the coarser one?"""
-    for n, link in frm.links.items():
-        through = compose_morphisms(link, h)
-        direct = to.links[n]
-        if (
-            dict(through.type_map) != dict(direct.type_map)
-            or dict(through.aspect_map) != dict(direct.aspect_map)
-        ):
-            return False
-    return True
+    return all(
+        _same_maps(compose_morphisms(link, h), to.links[n]) for n, link in frm.links.items()
+    )
 
 
 def induced_refinement(optimal: Channel, other: Channel) -> GraphMorphism:
@@ -269,12 +264,8 @@ def induced_refinement(optimal: Channel, other: Channel) -> GraphMorphism:
     )
 
 
-def fusion(sys: InformationSystem, bound: int = DEFAULT_BOUND) -> Specification:
-    """One specification for the whole system: every node's facts on the core.
-
-    Validates the system first (every constraint must preserve entailment at
-    the given bound).
-    """
+def _fuse(sys: InformationSystem, bound: int) -> tuple[Channel, Specification]:
+    """Validate the system, then build its optimal channel and the fusion on it."""
     problems = validate_system(sys, bound)
     if problems:
         raise OlogError("invalid information system: " + "; ".join(problems))
@@ -282,9 +273,18 @@ def fusion(sys: InformationSystem, bound: int = DEFAULT_BOUND) -> Specification:
     facts: set[Fact] = set()
     for n in sys.shape.nodes:
         facts.update(dir_flow(channel.links[n], sys.specs[n].facts))
-    return Specification(
+    return channel, Specification(
         graph=channel.core, facts=tuple(sorted(facts)), name="fusion"
     )
+
+
+def fusion(sys: InformationSystem, bound: int = DEFAULT_BOUND) -> Specification:
+    """One specification for the whole system: every node's facts on the core.
+
+    Validates the system first (every constraint must preserve entailment at
+    the given bound).
+    """
+    return _fuse(sys, bound)[1]
 
 
 def system_consequence(
@@ -297,8 +297,7 @@ def system_consequence(
     to single aspects, so translation preserves path length and no candidate
     overflows the bound.
     """
-    fused = fusion(sys, bound)
-    channel = optimal_channel(sys.distributed())
+    channel, fused = _fuse(sys, bound)
     cong = saturate(fused, bound)
     out: dict[str, Specification] = {}
     for n in sys.shape.nodes:
@@ -334,10 +333,7 @@ def check_system_morphism(
     for eid, src, tgt in sys1.shape.edges:
         left = compose_morphisms(sys1.constraints[eid], theta.components[tgt])
         right = compose_morphisms(theta.components[src], sys2.constraints[eid])
-        if (
-            dict(left.type_map) != dict(right.type_map)
-            or dict(left.aspect_map) != dict(right.aspect_map)
-        ):
+        if not _same_maps(left, right):
             violations.append(f"edge '{eid}': naturality fails")
     for n in sys1.shape.nodes:
         ok, offenders = is_spec_morphism(

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import shutil
 
+from olog import system
 from olog.cli import main
 
 from .conftest import FIXTURES
@@ -293,3 +294,32 @@ def test_entail_json_report_fields(capsys):
         "status": "entailed",
         "witness": "mother",
     }
+
+
+def test_quiet_hides_parse_warnings(tmp_path, capsys):
+    lint = tmp_path / "lint.olog"
+    lint.write_text('olog Lint {\n  type t "thing"\n}\n')
+    for quiet in (False, True, False):
+        argv = ["check", lint] + (["--quiet"] if quiet else [])
+        code, _, err = run(capsys, *argv)
+        assert code == 0
+        assert ("style lint label-article" in err) is not quiet
+
+
+def test_consequence_validates_and_builds_the_channel_once(tmp_path, capsys, monkeypatch):
+    calls = {"is_spec_morphism": 0, "optimal_channel": 0}
+
+    def counting(name):
+        real = getattr(system, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(system, name, wrapper)
+
+    counting("is_spec_morphism")
+    counting("optimal_channel")
+    code, _, _ = run(capsys, "consequence", FIXTURES / "w.osys", "--out-dir", tmp_path)
+    assert code == 0
+    assert calls == {"is_spec_morphism": 4, "optimal_channel": 1}

@@ -11,6 +11,7 @@ from olog.core import (
     Path,
     Specification,
     TypeNode,
+    UnionFind,
     compose_paths,
     enumerate_paths,
     identity_path,
@@ -22,6 +23,7 @@ from olog.errors import CompositionError, OlogError
 
 from .conftest import load_olog
 from . import strategies as sts
+from .oracles import TagPartition
 
 
 def test_compose_concatenates(family_spec):
@@ -195,3 +197,29 @@ def test_enumerate_paths_deterministic_and_bounded(employee_spec):
     # every enumerated path is well formed
     for p in once:
         path_target(g, p)
+
+
+# --- union-find ----------------------------------------------------------------
+
+_tags = st.tuples(st.sampled_from("abc"), st.sampled_from(["x", "y", "z_", "_w"]))
+
+
+@pytest.mark.parametrize("key", [None, lambda t: (t[1], t[0])], ids=["natural", "keyed"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_union_find_matches_tag_partition(key, data):
+    tags = data.draw(st.lists(_tags, min_size=1, max_size=12, unique=True))
+    unions = data.draw(
+        st.lists(st.tuples(st.sampled_from(tags), st.sampled_from(tags)), max_size=15)
+    )
+    uf, oracle = UnionFind(tags, key=key), TagPartition()
+    for t in tags:
+        oracle.add(t)
+    for a, b in unions:
+        uf.union(a, b)
+        oracle.union(a, b)
+    classes = uf.classes()
+    assert {frozenset(m) for m in classes.values()} == oracle.classes()
+    for root, members in classes.items():
+        assert root == min(members, key=key)
+        assert all(uf.find(m) == root for m in members)

@@ -186,3 +186,11 @@ def test_load_rejects_misordered_columns(tmp_path, family_spec):
     with pytest.raises(InstanceLoadError) as exc:
         load_instances(tmp_path, family_spec)
     assert any("expected" in m and "person.csv" in m for m in exc.value.problems)
+
+
+def test_equal_key_diagrams_are_equal_and_unhashable():
+    a = key_diagram({"t": ["k"]}, {"f": {"k": "k"}})
+    b = key_diagram({"t": ["k"]}, {"f": {"k": "k"}})
+    assert a == b and a is not b
+    with pytest.raises(TypeError):
+        hash(a)

@@ -464,3 +464,18 @@ def test_system_consequence_is_per_node_inverse_flow(span_system):
     out = system_consequence(span_system, bound)
     for node in span_system.shape.nodes:
         assert out[node].facts == inv_flow(channel.links[node], fused.facts, bound)
+
+
+def test_system_mappings_are_read_only(w_system):
+    with pytest.raises(TypeError):
+        w_system.specs["extra"] = w_system.specs["portal"]
+    with pytest.raises(TypeError):
+        w_system.constraints["al"] = w_system.constraints["pl"]
+
+
+def test_system_copies_the_given_mappings(span_system):
+    specs = dict(span_system.specs)
+    sysm = InformationSystem(span_system.shape, specs, span_system.constraints)
+    del specs["left"]
+    assert "left" in sysm.specs
+    assert validate_system(sysm, 4) == []
