@@ -55,6 +55,23 @@ def enumerate_equations(graph: Graph, bound: int) -> tuple[Fact, ...]:
     return tuple(sorted(out))
 
 
+def _pairs_within(graph: Graph, keyed) -> tuple[Fact, ...]:
+    """Every ordered pair of parallel paths that share a key, sorted.
+
+    ``keyed`` yields (path, key) pairs, one per path. The answer is
+    :func:`enumerate_equations` filtered to the pairs with equal keys, but
+    it is built group by group, so its cost follows the pairs emitted.
+    """
+    groups: dict = {}
+    group_of: dict[Path, list[Path]] = {}
+    for p, key in keyed:
+        group = group_of[p] = groups.setdefault((p.source, path_target(graph, p), key), [])
+        group.append(p)
+    for group in groups.values():
+        group.sort()
+    return tuple(Fact(p, q) for p in sorted(group_of) for q in group_of[p])
+
+
 def _canon_key(path: Path):
     return (len(path.edges), path.edges, path.source)
 
@@ -189,8 +206,7 @@ def consequence(spec: Specification, bound: int = DEFAULT_BOUND) -> tuple[Fact, 
     everything derivable from them inside the bounded universe.
     """
     cong = saturate(spec, bound)
-    out = [f for f in enumerate_equations(spec.graph, bound) if cong.same(f.lhs, f.rhs)]
-    return tuple(out)
+    return _pairs_within(spec.graph, ((p, i) for i, cls in enumerate(cong.classes) for p in cls))
 
 
 def spec_leq(e1: Specification, e2: Specification, bound: int = DEFAULT_BOUND) -> bool:

@@ -19,12 +19,21 @@ from .core import (
     Graph,
     Path,
     Specification,
+    enumerate_paths,
     fact_errors,
     format_fact,
     path_errors,
     path_target,
 )
-from .entail import DEFAULT_BOUND, ENTAILED, enumerate_equations, entails_in, saturate
+from .entail import (
+    DEFAULT_BOUND,
+    ENTAILED,
+    Congruence,
+    _check_bound,
+    _pairs_within,
+    entails_in,
+    saturate,
+)
 from .errors import BoundExceededError, GraphMismatchError, LotError, MorphismError
 from .instances import KeyDiagram, eval_path
 
@@ -133,24 +142,30 @@ def inv_flow(
 ) -> tuple[Fact, ...]:
     """Source facts whose translations are entailed by the target fact set.
 
-    Candidates range over the source universe up to ``bound``. Entailment on
-    the far side runs at ``target_bound`` (defaulting to ``bound``); when the
+    Source equations range over paths up to ``bound``. Entailment on the far
+    side runs at ``target_bound`` (defaulting to ``bound``); when the
     morphism maps aspects to longer paths, give the target side proportionally
-    more room, otherwise candidates whose translations overflow cannot be
+    more room, otherwise equations whose translations overflow cannot be
     decided and are omitted, consistent with verdicts never overclaiming at a
     finite bound.
     """
     tb = bound if target_bound is None else target_bound
     target_spec = Specification(graph=h.tgt, facts=tuple(target_facts))
-    cong = saturate(target_spec, tb)
-    out = []
-    for fact in enumerate_equations(h.src, bound):
-        img = translate_fact(h, fact)
-        if len(img.lhs) > tb or len(img.rhs) > tb:
-            continue
-        if cong.same(img.lhs, img.rhs):
-            out.append(fact)
-    return tuple(out)
+    return _flow_back(h, saturate(target_spec, tb), bound)
+
+
+def _flow_back(h: GraphMorphism, cong: Congruence, bound: int) -> tuple[Fact, ...]:
+    """Source equations up to ``bound`` whose translations ``cong`` identifies.
+
+    Source paths are grouped by the class of their translation; a path whose
+    translation is longer than ``cong.bound`` joins no group.
+    """
+    keyed = []
+    for p in enumerate_paths(h.src, _check_bound(bound)):
+        img = translate_path(h, p)
+        if len(img) <= cong.bound:
+            keyed.append((p, cong.representative(img)))
+    return _pairs_within(h.src, keyed)
 
 
 def pullback_instances(h: GraphMorphism, d2: KeyDiagram) -> KeyDiagram:

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from pathlib import Path as FsPath
 from typing import Mapping
 
-from .core import Fact, Graph, Path, Specification
+from .core import Fact, Graph, Path, Specification, enumerate_paths
 from .errors import EvaluationError, InstanceLoadError
-from .entail import enumerate_equations
+from .entail import _check_bound, _pairs_within
 
 
 @dataclass(frozen=True, eq=True)
@@ -81,7 +81,7 @@ def load_tables(
             sets[t.id] = frozenset()
             continue
         present = header[1:]
-        keys: list[str] = []
+        keys: set[str] = set()
         for lineno, row in enumerate(rows[1:], start=2):
             if not row or all(cell == "" for cell in row):
                 continue
@@ -98,7 +98,7 @@ def load_tables(
             if key in keys:
                 problems.append(f"table '{table.name}': duplicate Id '{key}'")
                 continue
-            keys.append(key)
+            keys.add(key)
             for col, aid in enumerate(present, start=1):
                 cell = row[col]
                 if cell == "":
@@ -205,8 +205,13 @@ def intent(d: KeyDiagram, graph: Graph, bound: int) -> tuple[Fact, ...]:
     A diagram models a specification exactly when the specification's bounded
     facts are contained in this set.
     """
-    out = []
-    for fact in enumerate_equations(graph, bound):
-        if satisfies_fact(d, fact).satisfied:
-            out.append(fact)
-    return tuple(out)
+    # Two parallel paths agree exactly when their value vectors over the
+    # source's sorted keys agree; each vector is one step from its prefix's.
+    vectors: dict[Path, tuple[str, ...]] = {}
+    for p in enumerate_paths(graph, _check_bound(bound)):
+        if p.edges:
+            prefix = vectors[Path(p.source, p.edges[:-1])]
+            vectors[p] = tuple(map(d.funcs[p.edges[-1]].__getitem__, prefix)) if prefix else ()
+        else:
+            vectors[p] = tuple(sorted(d.sets.get(p.source, frozenset())))
+    return _pairs_within(graph, vectors.items())

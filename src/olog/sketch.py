@@ -406,7 +406,7 @@ def check_pushout(d: KeyDiagram, decl: PushoutDecl) -> CheckResult:
         tagged_val[encode_tagged(ac, k)] = d.funcs[ac][k]
 
     classes = _pushout_classes(d, decl)
-    induced: dict[str, str] = {}
+    class_of: dict[str, str] = {}  # target key -> the class the induced map sends to it
     for rep, members in sorted(classes.items()):
         values = sorted({tagged_val[m] for m in members})
         if len(values) > 1:
@@ -415,14 +415,13 @@ def check_pushout(d: KeyDiagram, decl: PushoutDecl) -> CheckResult:
                 f"identified keys {members} land on distinct targets {values}",
             )
         val = values[0]
-        if val in induced.values():
-            other = next(r for r, v in induced.items() if v == val)
+        if val in class_of:
             return CheckResult(
                 "pushout", decl.target, False,
-                f"distinct classes '{other}' and '{rep}' both map to '{val}'",
+                f"distinct classes '{class_of[val]}' and '{rep}' both map to '{val}'",
             )
-        induced[rep] = val
-    uncovered = set(d.sets.get(decl.target, frozenset())) - set(induced.values())
+        class_of[val] = rep
+    uncovered = set(d.sets.get(decl.target, frozenset())) - class_of.keys()
     if uncovered:
         return CheckResult(
             "pushout", decl.target, False,

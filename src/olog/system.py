@@ -25,14 +25,14 @@ from .core import (
     UnionFind,
     format_fact,
 )
-from .entail import DEFAULT_BOUND, enumerate_equations, saturate
+from .entail import DEFAULT_BOUND, saturate
 from .errors import GraphMismatchError, OlogError, UnsupportedLinkError
 from .flow import (
     GraphMorphism,
+    _flow_back,
     compose_morphisms,
     dir_flow,
     is_spec_morphism,
-    translate_fact,
 )
 
 
@@ -133,15 +133,35 @@ def _core_id(tag: tuple[str, str]) -> str:
     return f"{tag[0]}__{tag[1]}"
 
 
-def _core_classes(uf: UnionFind) -> tuple[dict, dict]:
-    """Core id per tag, and the member tags per core id."""
-    core_id: dict[tuple[str, str], str] = {}
-    members: dict[str, list[tuple[str, str]]] = {}
-    for tag in uf.parent:
-        cid = _core_id(uf.find(tag))
-        core_id[tag] = cid
-        members.setdefault(cid, []).append(tag)
-    return core_id, members
+def _core_classes(*ufs: UnionFind) -> list[tuple[dict, dict]]:
+    """Core id per tag and the member tags per core id, for each union-find.
+
+    A class is named by its least tag. Distinct tags can join to one name
+    (``("a_", "b")`` and ``("a", "_b")`` both give ``a___b``); then each later
+    class in tag order, types before aspects, takes the first ``_2``, ``_3``,
+    ... suffix that names no other class, so ids are distinct across all the
+    union-finds and every name that is not contested stays as it is.
+    """
+    classes = [uf.classes() for uf in ufs]
+    taken = {_core_id(root) for groups in classes for root in groups}
+    used: set[str] = set()
+    out = []
+    for groups in classes:
+        core_id: dict[tuple[str, str], str] = {}
+        members: dict[str, list[tuple[str, str]]] = {}
+        for root in sorted(groups):
+            cid = base = _core_id(root)
+            if base in used:
+                n = 2
+                while f"{base}_{n}" in taken:
+                    n += 1
+                cid = f"{base}_{n}"
+                taken.add(cid)
+            used.add(cid)
+            members[cid] = groups[root]
+            core_id.update(dict.fromkeys(groups[root], cid))
+        out.append((core_id, members))
+    return out
 
 
 def optimal_channel(ds: DistributedSystem) -> Channel:
@@ -149,9 +169,10 @@ def optimal_channel(ds: DistributedSystem) -> Channel:
 
     Types and aspects of all node graphs are tagged by node and quotiented by
     the link identifications; the class id is the least (node, id) tag joined
-    with a double underscore, so cores print deterministically and survive a
-    round trip through the text format. Links whose aspect images are not
-    single aspects cannot be quotiented and are rejected.
+    with a double underscore, suffixed only where two classes would share it,
+    so cores print deterministically and survive a round trip through the
+    text format. Links whose aspect images are not single aspects cannot be
+    quotiented and are rejected.
     """
     for eid, src, tgt in ds.shape.edges:
         h = ds.links[eid]
@@ -171,8 +192,9 @@ def optimal_channel(ds: DistributedSystem) -> Channel:
         for aid, img in h.aspect_map.items():
             aspects_uf.union((src, aid), (tgt, img.edges[0]))
 
-    type_class, type_members = _core_classes(types_uf)
-    aspect_class, aspect_members = _core_classes(aspects_uf)
+    (type_class, type_members), (aspect_class, aspect_members) = _core_classes(
+        types_uf, aspects_uf
+    )
 
     core_types = []
     for cid, members in sorted(type_members.items()):
@@ -294,21 +316,17 @@ def system_consequence(
 
     Every node receives the bounded equations of its own language whose
     translations onto the core are entailed by the fusion. Links send aspects
-    to single aspects, so translation preserves path length and no candidate
-    overflows the bound.
+    to single aspects, so translation preserves path length and no path's
+    translation overflows the bound.
     """
     channel, fused = _fuse(sys, bound)
     cong = saturate(fused, bound)
-    out: dict[str, Specification] = {}
-    for n in sys.shape.nodes:
-        g = sys.specs[n].graph
-        facts = []
-        for fact in enumerate_equations(g, bound):
-            img = translate_fact(channel.links[n], fact)
-            if cong.same(img.lhs, img.rhs):
-                facts.append(fact)
-        out[n] = Specification(graph=g, facts=tuple(facts), name=n)
-    return out
+    return {
+        n: Specification(
+            graph=sys.specs[n].graph, facts=_flow_back(channel.links[n], cong, bound), name=n
+        )
+        for n in sys.shape.nodes
+    }
 
 
 def check_system_morphism(

@@ -3,12 +3,19 @@
 These deliberately avoid the library's union-find saturation: the equation
 oracle applies the inference rules directly to a set of ordered pairs until
 nothing new appears, and the colimit oracle quotients tagged vocabularies
-with its own tiny union-find. Slow and obvious beats fast and clever here.
+with its own tiny union-find. The ``*_by_pairs`` oracles are the candidate
+loops the library answered with before it emitted equations class by class:
+they test every parallel pair from ``enumerate_equations``. Slow and obvious
+beats fast and clever here.
 """
 
 from __future__ import annotations
 
-from olog.core import Fact, Graph, Path, enumerate_paths, path_target
+from olog.core import Fact, Graph, Path, Specification, enumerate_paths, path_target
+from olog.entail import enumerate_equations, saturate
+from olog.flow import translate_fact
+from olog.instances import satisfies_fact
+from olog.system import fusion, optimal_channel
 
 
 def naive_consequence(graph: Graph, facts, bound: int) -> set[Fact]:
@@ -59,6 +66,54 @@ def naive_consequence(graph: Graph, facts, bound: int) -> set[Fact]:
             changed = True
 
     return {Fact(a, b) for a, b in pairs}
+
+
+def consequence_by_pairs(spec: Specification, bound: int) -> tuple[Fact, ...]:
+    """``entail.consequence`` as every candidate pair tested against the classes."""
+    cong = saturate(spec, bound)
+    out = [f for f in enumerate_equations(spec.graph, bound) if cong.same(f.lhs, f.rhs)]
+    return tuple(out)
+
+
+def intent_by_pairs(d, graph: Graph, bound: int) -> tuple[Fact, ...]:
+    """``instances.intent`` as every candidate pair checked key by key."""
+    out = []
+    for fact in enumerate_equations(graph, bound):
+        if satisfies_fact(d, fact).satisfied:
+            out.append(fact)
+    return tuple(out)
+
+
+def inv_flow_by_pairs(h, target_facts, bound: int, target_bound: int | None = None):
+    """``flow.inv_flow`` as every candidate pair translated and decided."""
+    tb = bound if target_bound is None else target_bound
+    target_spec = Specification(graph=h.tgt, facts=tuple(target_facts))
+    cong = saturate(target_spec, tb)
+    out = []
+    for fact in enumerate_equations(h.src, bound):
+        img = translate_fact(h, fact)
+        if len(img.lhs) > tb or len(img.rhs) > tb:
+            continue
+        if cong.same(img.lhs, img.rhs):
+            out.append(fact)
+    return tuple(out)
+
+
+def system_consequence_by_pairs(sys, bound: int) -> dict[str, Specification]:
+    """``system.system_consequence`` as every candidate pair per node."""
+    fused = fusion(sys, bound)
+    channel = optimal_channel(sys.distributed())
+    cong = saturate(fused, bound)
+    out: dict[str, Specification] = {}
+    for n in sys.shape.nodes:
+        g = sys.specs[n].graph
+        facts = []
+        for fact in enumerate_equations(g, bound):
+            img = translate_fact(channel.links[n], fact)
+            if cong.same(img.lhs, img.rhs):
+                facts.append(fact)
+        out[n] = Specification(graph=g, facts=tuple(facts), name=n)
+    return out
 
 
 class TagPartition:

@@ -1,0 +1,225 @@
+"""The library answers from classes: each function against its candidate-pair loop.
+
+``consequence``, ``intent``, ``inv_flow`` and ``system_consequence`` group
+paths into classes and emit the pairs within each group. The oracles in
+``tests/oracles.py`` test every candidate pair instead. Results must be the
+same tuple, order included, and an error must be the same error.
+"""
+
+from __future__ import annotations
+
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from olog import dsl
+from olog.core import Aspect, Fact, Graph, Path, Specification, TypeNode, path_target
+from olog.entail import consequence
+from olog.flow import GraphMorphism, dir_flow, inv_flow
+from olog.instances import KeyDiagram, intent
+from olog.system import InformationSystem, Shape, system_consequence
+
+from . import strategies as sts
+from .conftest import FIXTURES
+from .oracles import (
+    consequence_by_pairs,
+    intent_by_pairs,
+    inv_flow_by_pairs,
+    system_consequence_by_pairs,
+)
+
+SETTINGS = settings(max_examples=150, deadline=None)
+
+
+def outcome(fn, *args, **kwargs):
+    """The result of a call, or the type and message of what it raised."""
+    try:
+        return ("ok", fn(*args, **kwargs))
+    except Exception as exc:  # compared, not handled
+        return ("raised", type(exc), str(exc))
+
+
+# --- consequence --------------------------------------------------------------
+
+
+@SETTINGS
+@given(st.data())
+def test_consequence_matches_pair_loop(data):
+    g = data.draw(sts.graphs())
+    spec = data.draw(sts.specs_on(g, max_facts=4, max_len=3))
+    bound = data.draw(st.integers(1, 3))
+    assert outcome(consequence, spec, bound) == outcome(consequence_by_pairs, spec, bound)
+
+
+def test_consequence_pairs_only_parallel_paths():
+    # Saturation merges the sides of a fact without checking that they are
+    # parallel; the equations emitted still are, as the candidate loop's were.
+    g = Graph(types=(TypeNode("a", "an a"), TypeNode("b", "a b")))
+    spec = Specification(graph=g, facts=(Fact(Path("a"), Path("b")),))
+    got = consequence(spec, 2)
+    assert got == consequence_by_pairs(spec, 2)
+    assert got == (Fact(Path("a"), Path("a")), Fact(Path("b"), Path("b")))
+
+
+# --- intent -------------------------------------------------------------------
+
+
+@SETTINGS
+@given(st.data())
+def test_intent_matches_pair_loop(data):
+    g = data.draw(sts.graphs())
+    d = data.draw(sts.key_diagrams_on(g, max_keys=3))
+    bound = data.draw(st.integers(1, 3))
+    assert outcome(intent, d, g, bound) == outcome(intent_by_pairs, d, g, bound)
+
+
+def test_intent_with_empty_key_sets_matches_pair_loop():
+    g = Graph(
+        types=(TypeNode("a", "an a"), TypeNode("b", "a b")),
+        aspects=(Aspect("f", "a", "b", "has"), Aspect("g", "a", "b", "has"),
+                 Aspect("s", "b", "b", "has")),
+    )
+    d = KeyDiagram(
+        sets={"a": frozenset(), "b": frozenset({"b0", "b1"})},
+        funcs={"f": {}, "g": {}, "s": {"b0": "b1", "b1": "b1"}},
+    )
+    got = intent(d, g, 3)
+    assert got == intent_by_pairs(d, g, 3)
+    # every parallel pair out of the empty type holds vacuously
+    assert Fact(Path("a", ("f",)), Path("a", ("g",))) in got
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_intent_rejects_the_same_bounds(family_spec, family_data, bound):
+    g = family_spec.graph
+    assert outcome(intent, family_data, g, bound) == outcome(
+        intent_by_pairs, family_data, g, bound
+    )
+    assert outcome(intent, family_data, g, bound)[0] == "raised"
+
+
+# --- inverse flow -------------------------------------------------------------
+
+
+@SETTINGS
+@given(st.data())
+def test_inv_flow_matches_pair_loop(data):
+    h = data.draw(sts.morphisms(max_image_len=2))
+    target = data.draw(sts.specs_on(h.tgt, max_facts=3, max_len=2))
+    bound = data.draw(st.integers(1, 3))
+    tb = data.draw(st.one_of(st.none(), st.integers(1, 4)))
+    got = outcome(inv_flow, h, target.facts, bound, target_bound=tb)
+    assert got == outcome(inv_flow_by_pairs, h, target.facts, bound, target_bound=tb)
+
+
+def _collapse():
+    """Two source types onto one: ``f`` goes to the loop ``x``, ``g`` and ``k``
+    to the identity, so paths that are not parallel in the source translate
+    into one target class."""
+    src = Graph(
+        types=(TypeNode("A", "an a"), TypeNode("B", "a b")),
+        aspects=(Aspect("f", "A", "B", "has"), Aspect("g", "A", "A", "has"),
+                 Aspect("k", "A", "A", "has"), Aspect("m", "B", "A", "has")),
+    )
+    tgt = Graph(types=(TypeNode("X", "an x"),), aspects=(Aspect("x", "X", "X", "has"),))
+    return GraphMorphism(
+        src=src,
+        tgt=tgt,
+        type_map={"A": "X", "B": "X"},
+        aspect_map={"f": Path("X", ("x",)), "g": Path("X"), "k": Path("X"),
+                    "m": Path("X", ("x",))},
+    )
+
+
+@pytest.mark.parametrize("target_bound", [None, 1, 2, 4])
+@pytest.mark.parametrize("bound", [1, 2, 3])
+def test_inv_flow_non_injective_identity_images_and_short_target_bound(bound, target_bound):
+    h = _collapse()
+    target_facts = (Fact(Path("X", ("x", "x")), Path("X", ("x",))),)
+    got = outcome(inv_flow, h, target_facts, bound, target_bound=target_bound)
+    assert got == outcome(inv_flow_by_pairs, h, target_facts, bound, target_bound=target_bound)
+    if got[0] == "ok":
+        assert all(
+            f.lhs.source == f.rhs.source
+            and path_target(h.src, f.lhs) == path_target(h.src, f.rhs)
+            for f in got[1]
+        )
+
+
+def test_inv_flow_identity_images_give_equations():
+    h = _collapse()
+    got = inv_flow(h, (), 2)
+    assert Fact(Path("A", ("g",)), Path("A")) in got
+    assert Fact(Path("A", ("g", "k")), Path("A", ("k",))) in got
+    # f and g translate into one class but are not parallel in the source
+    assert Fact(Path("A", ("f",)), Path("A", ("g",))) not in got
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_inv_flow_rejects_the_same_bounds(bound):
+    h = _collapse()
+    assert outcome(inv_flow, h, (), bound, target_bound=2) == outcome(
+        inv_flow_by_pairs, h, (), bound, target_bound=2
+    )
+
+
+# --- system consequence -------------------------------------------------------
+
+
+@st.composite
+def two_node_systems(draw):
+    """A system ``s -> t`` whose link sends aspects to single aspects, with the
+    translated source facts declared on ``t`` so the edge preserves them."""
+    h = draw(sts.morphisms(max_image_len=1))
+    kept = tuple(a for a in h.src.aspects if len(h.aspect_map[a.id]) == 1)
+    h = GraphMorphism(
+        src=Graph(types=h.src.types, aspects=kept),
+        tgt=h.tgt,
+        type_map=h.type_map,
+        aspect_map={a.id: h.aspect_map[a.id] for a in kept},
+    )
+    s = draw(sts.specs_on(h.src, max_facts=2, max_len=2))
+    t = draw(sts.specs_on(h.tgt, max_facts=2, max_len=2))
+    t = Specification(graph=h.tgt, facts=t.facts + dir_flow(h, s.facts), name="t")
+    return InformationSystem(
+        shape=Shape(("s", "t"), (("e", "s", "t"),)),
+        specs={"s": Specification(graph=h.src, facts=s.facts, name="s"), "t": t},
+        constraints={"e": h},
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(two_node_systems(), st.integers(2, 3))
+def test_system_consequence_matches_pair_loop(sysm, bound):
+    assert outcome(system_consequence, sysm, bound) == outcome(
+        system_consequence_by_pairs, sysm, bound
+    )
+
+
+@pytest.mark.parametrize("name", ["w.osys", "span.osys", "constant.osys", "discrete.osys"])
+@pytest.mark.parametrize("bound", [3, 4, 5])
+def test_system_consequence_on_fixtures_matches_pair_loop(name, bound):
+    sysm, diags = dsl.parse_system(FIXTURES / name, bound=bound)
+    assert sysm is not None, [str(d) for d in diags]
+    assert system_consequence(sysm, bound) == system_consequence_by_pairs(sysm, bound)
+
+
+# --- no way back to the candidate loops ----------------------------------------
+
+
+def test_no_function_tests_candidate_pairs(monkeypatch, family_spec, family_data):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_equations called")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "olog" and hasattr(module, "enumerate_equations"):
+            monkeypatch.setattr(module, "enumerate_equations", refuse)
+    g = family_spec.graph
+    consequence(family_spec, 3)
+    intent(family_data, g, 3)
+    inv_flow(_collapse(), (), 3, target_bound=2)
+    sysm, diags = dsl.parse_system(FIXTURES / "w.osys", bound=4)
+    assert sysm is not None, [str(d) for d in diags]
+    system_consequence(sysm, 4)

@@ -340,6 +340,28 @@ def test_pushout_detects_bad_target():
     assert not res.passed and "distinct targets" in res.witness
 
 
+def test_pushout_names_the_first_class_on_a_shared_target():
+    g, decl = shoulder_world()
+    sets = {"sh": ["s1"], "torso": ["s1", "t1"], "arm": ["s1", "a1"], "ta": ["x", "y", "z"]}
+    funcs = {"st": {"s1": "s1"}, "sa": {"s1": "s1"}}
+    # classes in rep order: inia:a1, inia:s1 (glued to init:s1), init:t1
+    d = key_diagram(sets, {**funcs, "it": {"s1": "x", "t1": "y"}, "ia": {"s1": "x", "a1": "y"}})
+    res = check_pushout(d, decl)
+    assert not res.passed
+    assert res.witness == "distinct classes 'inia:a1' and 'init:t1' both map to 'y'"
+    d = key_diagram(sets, {**funcs, "it": {"s1": "x", "t1": "y"}, "ia": {"s1": "x", "a1": "x"}})
+    res = check_pushout(d, decl)
+    assert res.witness == "distinct classes 'inia:a1' and 'inia:s1' both map to 'x'"
+    d = key_diagram(sets, {**funcs, "it": {"s1": "x", "t1": "y"}, "ia": {"s1": "x", "a1": "z"}})
+    assert check_pushout(d, decl).passed
+    d = key_diagram(
+        {**sets, "ta": ["x", "y", "z", "w"]},
+        {**funcs, "it": {"s1": "x", "t1": "y"}, "ia": {"s1": "x", "a1": "z"}},
+    )
+    res = check_pushout(d, decl)
+    assert res.witness == "target key 'w' is not reached from either leg"
+
+
 def test_injective_surjective_checks():
     g = Graph(
         types=(TypeNode("woman", "a woman"), TypeNode("person", "a person")),

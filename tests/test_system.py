@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from olog import dsl
-from olog.core import Fact, Path, Specification, format_fact
+from olog.core import Aspect, Fact, Graph, Path, Specification, TypeNode, format_fact
 from olog.entail import consequence
 from olog.errors import OlogError, UnsupportedLinkError
 from olog.flow import GraphMorphism, graph_morphism, identity_morphism
@@ -125,6 +125,55 @@ def test_optimal_channel_rejects_path_valued_links(span_system):
     )
     with pytest.raises(UnsupportedLinkError):
         optimal_channel(broken)
+
+
+def _discrete(graphs):
+    from olog.system import DistributedSystem, Shape
+
+    return DistributedSystem(shape=Shape(tuple(graphs)), graphs=graphs, links={})
+
+
+def _link_classes(ch):
+    """Node tags grouped by the core type, and the core aspect, they are sent to."""
+    types, aspects = {}, {}
+    for n, link in ch.links.items():
+        for tid, cid in link.type_map.items():
+            types.setdefault(cid, set()).add((n, tid))
+        for aid, cpath in link.aspect_map.items():
+            aspects.setdefault(cpath.edges[0], set()).add((n, aid))
+    return {frozenset(c) for c in types.values()}, {frozenset(c) for c in aspects.values()}
+
+
+def test_core_ids_stay_distinct_when_tags_join_to_one_name():
+    ds = _discrete(
+        {
+            "a_": Graph(types=(TypeNode("b", "a b"),)),
+            "a": Graph(types=(TypeNode("_b", "a b"),)),
+        }
+    )
+    ch = optimal_channel(ds)
+    assert [t.id for t in ch.core.types] == ["a___b", "a___b_2"]
+    assert ch.links["a"].type_map == {"_b": "a___b"}
+    assert ch.links["a_"].type_map == {"b": "a___b_2"}
+    assert _link_classes(ch) == colimit_classes(ds)
+
+
+def test_core_id_suffix_skips_the_names_of_other_classes():
+    # ("a", "_b_2") keeps its own name, so the second "a___b" class takes
+    # "_3"; the aspect ("a", "_x") may not take the name of the type ("a_", "x").
+    ds = _discrete(
+        {
+            "a": Graph(
+                types=(TypeNode("_b", "a b"), TypeNode("_b_2", "a b")),
+                aspects=(Aspect("_x", "_b", "_b", "has"),),
+            ),
+            "a_": Graph(types=(TypeNode("b", "a b"), TypeNode("x", "an x"))),
+        }
+    )
+    ch = optimal_channel(ds)
+    assert [t.id for t in ch.core.types] == ["a___b", "a___b_2", "a___b_3", "a___x"]
+    assert [(a.id, a.src, a.tgt) for a in ch.core.aspects] == [("a___x_2", "a___b", "a___b")]
+    assert _link_classes(ch) == colimit_classes(ds)
 
 
 # --- covering and refinement ----------------------------------------------------
