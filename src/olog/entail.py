@@ -121,9 +121,10 @@ def saturate(spec: Specification, bound: int = DEFAULT_BOUND) -> Congruence:
 
     Closure rules: reflexivity, symmetry, transitivity, composition of equal
     pairs, and composition with an arbitrary path on the left or right, all
-    restricted to paths of length <= bound. A declared fact with a side longer
-    than the bound is a hard error (silently dropping it would make every
-    downstream comparison unsound).
+    restricted to paths of length <= bound. A declared fact that is not a
+    well-formed pair of parallel paths, or has a side longer than the bound,
+    is a hard error (silently dropping it would make every downstream
+    comparison unsound).
     """
     _check_bound(bound)
     g = spec.graph
@@ -132,6 +133,9 @@ def saturate(spec: Specification, bound: int = DEFAULT_BOUND) -> Congruence:
     uf = UnionFind(universe, key=_canon_key)
 
     for fact in spec.facts:
+        errs = fact_errors(g, fact)
+        if errs:
+            raise OlogError(f"declared fact {format_fact(fact)}: {errs[0]}")
         if fact.lhs not in in_universe or fact.rhs not in in_universe:
             raise BoundExceededError(
                 f"declared fact '{format_fact(fact)}' has a side longer than bound {bound}",

@@ -113,6 +113,8 @@ def load_tables(
         if a.id in optional_aspects:
             continue
         tgt_keys = sets.get(a.tgt, frozenset())
+        if tgt_keys.issuperset(funcs[a.id].values()):
+            continue
         for k, v in sorted(funcs[a.id].items()):
             if v not in tgt_keys:
                 problems.append(

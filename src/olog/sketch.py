@@ -336,15 +336,27 @@ def check_product(d: KeyDiagram, decl: ProductDecl) -> CheckResult:
     return _bijection_onto("product", decl.target, got, want)
 
 
-def check_pullback(d: KeyDiagram, decl: PullbackDecl) -> CheckResult:
-    (tb, ab), (tc, ac) = decl.leg_b, decl.leg_c
+def _pullback_pairs(d: KeyDiagram, decl: PullbackDecl) -> list[tuple[str, str]]:
+    """The pairs (b, c) of leg keys that agree along the cospan, sorted.
+
+    A hash join on the cospan value: each key of either leg is evaluated
+    once, so the cost is |B| + |C| + pairs, not |B|·|C|. With an empty leg
+    nothing is evaluated.
+    """
+    bs = sorted(d.sets.get(decl.leg_b[0], frozenset()))
+    cs = sorted(d.sets.get(decl.leg_c[0], frozenset()))
+    if not bs or not cs:
+        return []
     pf, pg = decl.cospan
-    want = {
-        (b, c)
-        for b in sorted(d.sets.get(tb, frozenset()))
-        for c in sorted(d.sets.get(tc, frozenset()))
-        if eval_path(d, pf, b) == eval_path(d, pg, c)
-    }
+    bucket: dict[str, list[str]] = {}
+    for c in cs:
+        bucket.setdefault(eval_path(d, pg, c), []).append(c)
+    return [(b, c) for b in bs for c in bucket.get(eval_path(d, pf, b), ())]
+
+
+def check_pullback(d: KeyDiagram, decl: PullbackDecl) -> CheckResult:
+    ab, ac = decl.leg_b[1], decl.leg_c[1]
+    want = set(_pullback_pairs(d, decl))
     got = _tupling(d, decl.target, [ab, ac])
     return _bijection_onto("pullback", decl.target, got, want)
 
@@ -543,19 +555,15 @@ def synthesize(decl: SketchDecl, d: KeyDiagram) -> KeyDiagram:
         for _, aid in factors:
             funcs.setdefault(aid, {})
     elif isinstance(decl, PullbackDecl):
-        (tb, ab), (tc, ac) = decl.leg_b, decl.leg_c
-        pf, pg = decl.cospan
+        proj_b = funcs.setdefault(decl.leg_b[1], {})
+        proj_c = funcs.setdefault(decl.leg_c[1], {})
         keys = []
-        for b in sorted(d.sets.get(tb, frozenset())):
-            for c in sorted(d.sets.get(tc, frozenset())):
-                if eval_path(d, pf, b) == eval_path(d, pg, c):
-                    key = encode_tuple((b, c))
-                    keys.append(key)
-                    funcs.setdefault(ab, {})[key] = b
-                    funcs.setdefault(ac, {})[key] = c
+        for b, c in _pullback_pairs(d, decl):
+            key = encode_tuple((b, c))
+            keys.append(key)
+            proj_b[key] = b
+            proj_c[key] = c
         sets[decl.target] = frozenset(keys)
-        funcs.setdefault(ab, {})
-        funcs.setdefault(ac, {})
     elif isinstance(decl, (EmptyDecl, CoproductDecl)):
         summands = decl.summands if isinstance(decl, CoproductDecl) else ()
         keys = []

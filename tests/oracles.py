@@ -5,16 +5,20 @@ oracle applies the inference rules directly to a set of ordered pairs until
 nothing new appears, and the colimit oracle quotients tagged vocabularies
 with its own tiny union-find. The ``*_by_pairs`` oracles are the candidate
 loops the library answered with before it emitted equations class by class:
-they test every parallel pair from ``enumerate_equations``. Slow and obvious
-beats fast and clever here.
+they test every parallel pair from ``enumerate_equations``. The pullback
+oracles are the loops over every (b, c) pair of leg keys that the library
+used before it joined the legs on the cospan value. Slow and obvious beats
+fast and clever here.
 """
 
 from __future__ import annotations
 
 from olog.core import Fact, Graph, Path, Specification, enumerate_paths, path_target
 from olog.entail import enumerate_equations, saturate
+from olog.errors import SynthesisError
 from olog.flow import translate_fact
-from olog.instances import satisfies_fact
+from olog.instances import KeyDiagram, eval_path, satisfies_fact
+from olog.sketch import CheckResult, _bijection_onto, _tupling, encode_tuple
 from olog.system import fusion, optimal_channel
 
 
@@ -114,6 +118,44 @@ def system_consequence_by_pairs(sys, bound: int) -> dict[str, Specification]:
                 facts.append(fact)
         out[n] = Specification(graph=g, facts=tuple(facts), name=n)
     return out
+
+
+def check_pullback_by_pairs(d, decl) -> CheckResult:
+    """``sketch.check_pullback`` as every pair of leg keys tested."""
+    (tb, ab), (tc, ac) = decl.leg_b, decl.leg_c
+    pf, pg = decl.cospan
+    want = {
+        (b, c)
+        for b in sorted(d.sets.get(tb, frozenset()))
+        for c in sorted(d.sets.get(tc, frozenset()))
+        if eval_path(d, pf, b) == eval_path(d, pg, c)
+    }
+    got = _tupling(d, decl.target, [ab, ac])
+    return _bijection_onto("pullback", decl.target, got, want)
+
+
+def synthesize_pullback_by_pairs(decl, d) -> KeyDiagram:
+    """``sketch.synthesize`` on a pullback as every pair of leg keys tested."""
+    if d.sets.get(decl.target):
+        raise SynthesisError(
+            f"target '{decl.target}' is already populated; refusing to overwrite"
+        )
+    sets = {k: v for k, v in d.sets.items()}
+    funcs = {k: dict(v) for k, v in d.funcs.items()}
+    (tb, ab), (tc, ac) = decl.leg_b, decl.leg_c
+    pf, pg = decl.cospan
+    keys = []
+    for b in sorted(d.sets.get(tb, frozenset())):
+        for c in sorted(d.sets.get(tc, frozenset())):
+            if eval_path(d, pf, b) == eval_path(d, pg, c):
+                key = encode_tuple((b, c))
+                keys.append(key)
+                funcs.setdefault(ab, {})[key] = b
+                funcs.setdefault(ac, {})[key] = c
+    sets[decl.target] = frozenset(keys)
+    funcs.setdefault(ab, {})
+    funcs.setdefault(ac, {})
+    return KeyDiagram(sets=sets, funcs=funcs)
 
 
 class TagPartition:

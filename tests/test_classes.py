@@ -4,29 +4,38 @@
 paths into classes and emit the pairs within each group. The oracles in
 ``tests/oracles.py`` test every candidate pair instead. Results must be the
 same tuple, order included, and an error must be the same error.
+
+``check_pullback`` and pullback synthesis join the legs on the cospan value;
+their oracles test every pair of leg keys. Results must be equal and an
+error must be of the same type (which bad key is met first may differ).
 """
 
 from __future__ import annotations
 
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from olog import dsl
+from olog import dsl, sketch
 from olog.core import Aspect, Fact, Graph, Path, Specification, TypeNode, path_target
 from olog.entail import consequence
+from olog.errors import OlogError
 from olog.flow import GraphMorphism, dir_flow, inv_flow
 from olog.instances import KeyDiagram, intent
+from olog.sketch import PullbackDecl, check_pullback, synthesize
 from olog.system import InformationSystem, Shape, system_consequence
 
 from . import strategies as sts
 from .conftest import FIXTURES
 from .oracles import (
+    check_pullback_by_pairs,
     consequence_by_pairs,
     intent_by_pairs,
     inv_flow_by_pairs,
+    synthesize_pullback_by_pairs,
     system_consequence_by_pairs,
 )
 
@@ -54,13 +63,14 @@ def test_consequence_matches_pair_loop(data):
 
 
 def test_consequence_pairs_only_parallel_paths():
-    # Saturation merges the sides of a fact without checking that they are
-    # parallel; the equations emitted still are, as the candidate loop's were.
+    # Saturation refuses a declared fact whose sides are not parallel, so no
+    # class can pair non-parallel paths; both answers raise the same error.
     g = Graph(types=(TypeNode("a", "an a"), TypeNode("b", "a b")))
     spec = Specification(graph=g, facts=(Fact(Path("a"), Path("b")),))
-    got = consequence(spec, 2)
-    assert got == consequence_by_pairs(spec, 2)
-    assert got == (Fact(Path("a"), Path("a")), Fact(Path("b"), Path("b")))
+    got = outcome(consequence, spec, 2)
+    assert got == outcome(consequence_by_pairs, spec, 2)
+    assert got[:2] == ("raised", OlogError)
+    assert "id(a) = id(b)" in got[2]
 
 
 # --- intent -------------------------------------------------------------------
@@ -204,6 +214,163 @@ def test_system_consequence_on_fixtures_matches_pair_loop(name, bound):
     sysm, diags = dsl.parse_system(FIXTURES / name, bound=bound)
     assert sysm is not None, [str(d) for d in diags]
     assert system_consequence(sysm, bound) == system_consequence_by_pairs(sysm, bound)
+
+
+# --- pullbacks ----------------------------------------------------------------
+
+# Cospan shapes: (aspects as (id, src, tgt), leg types, cospan paths).
+PULLBACK_SHAPES = {
+    "direct": (
+        (("f", "B", "D"), ("g", "C", "D")),
+        ("B", "C"),
+        (Path("B", ("f",)), Path("C", ("g",))),
+    ),
+    "multi-edge": (
+        (("f1", "B", "M"), ("f2", "M", "D"), ("g1", "C", "N"), ("g2", "N", "D")),
+        ("B", "C"),
+        (Path("B", ("f1", "f2")), Path("C", ("g1", "g2"))),
+    ),
+    "identity": (
+        (("f", "B", "C"),),
+        ("B", "C"),
+        (Path("B", ("f",)), Path("C")),
+    ),
+    "diagonal": ((), ("B", "B"), (Path("B"), Path("B"))),
+    "kernel pair": (
+        (("f", "B", "D"),),
+        ("B", "B"),
+        (Path("B", ("f",)), Path("B", ("f",))),
+    ),
+}
+
+
+def _eval(funcs, path, key):
+    for eid in path.edges:
+        key = funcs[eid][key]
+    return key
+
+
+@st.composite
+def pullback_worlds(draw):
+    """A pullback declaration ``T`` over a random cospan, with a diagram whose
+    ``T`` rows are the matching pairs with some missing, extra and duplicated,
+    and the same diagram with ``T`` empty (rarely populated) for synthesis.
+
+    One world in five has partial aspect functions or values outside the
+    next type's keys, so evaluating a leg can fail."""
+    shape = draw(st.sampled_from(sorted(PULLBACK_SHAPES)))
+    aspects, (tb, tc), cospan = PULLBACK_SHAPES[shape]
+    types = sorted({tb, tc} | {t for _, s_, t_ in aspects for t in (s_, t_)})
+    sets = {}
+    for t in types:
+        n = draw(st.integers(0, 3 if t in ("D", "M", "N") else 5))
+        sets[t] = [f"{t.lower()}{i}" for i in range(n)]
+    broken = draw(st.integers(0, 4)) == 0
+    funcs: dict[str, dict[str, str]] = {}
+    for aid, src, tgt in aspects:
+        funcs[aid] = {}
+        for k in sets[src]:
+            if broken and draw(st.booleans()):
+                if draw(st.booleans()):
+                    funcs[aid][k] = "stray"
+                continue
+            if sets[tgt]:
+                funcs[aid][k] = draw(st.sampled_from(sets[tgt]))
+    pf, pg = cospan
+    pairs = [(b, c) for b in sets[tb] for c in sets[tc]]
+    try:
+        rows = [(b, c) for b, c in pairs if _eval(funcs, pf, b) == _eval(funcs, pg, c)]
+    except KeyError:
+        rows = []
+    if rows:
+        dropped = draw(st.sets(st.sampled_from(range(len(rows))), max_size=2))
+        rows = [r for i, r in enumerate(rows) if i not in dropped]
+    if pairs:
+        rows += draw(st.lists(st.sampled_from(pairs), max_size=2))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=2))
+    rows = draw(st.permutations(rows))
+    keys = [f"t{i}" for i in range(len(rows))]
+    funcs["qb"] = {k: b for k, (b, _) in zip(keys, rows)}
+    funcs["qc"] = {k: c for k, (_, c) in zip(keys, rows)}
+    decl = PullbackDecl("T", (tb, "qb"), (tc, "qc"), cospan)
+    frozen = {t: frozenset(ks) for t, ks in sets.items()}
+    checked = KeyDiagram(sets={**frozen, "T": frozenset(keys)}, funcs=funcs)
+    target = frozenset(keys) if draw(st.integers(0, 9)) == 0 else frozenset()
+    empty = KeyDiagram(
+        sets={**frozen, "T": target}, funcs={**funcs, "qb": {}, "qc": {}}
+    )
+    return decl, checked, empty
+
+
+def typed_outcome(fn, *args):
+    """Like :func:`outcome`, but an error is compared by type only."""
+    got = outcome(fn, *args)
+    return got[:2] if got[0] == "raised" else got
+
+
+@SETTINGS
+@given(pullback_worlds())
+def test_check_pullback_matches_pair_loop(world):
+    decl, d, _ = world
+    assert typed_outcome(check_pullback, d, decl) == typed_outcome(
+        check_pullback_by_pairs, d, decl
+    )
+
+
+@SETTINGS
+@given(pullback_worlds())
+def test_synthesize_pullback_matches_pair_loop(world):
+    decl, _, d = world
+    got = typed_outcome(synthesize, decl, d)
+    assert got == typed_outcome(synthesize_pullback_by_pairs, decl, d)
+    if got[0] == "ok":
+        want = synthesize_pullback_by_pairs(decl, d)
+        for aid in ("qb", "qc"):
+            assert list(got[1].funcs[aid].items()) == list(want.funcs[aid].items())
+        assert check_pullback(got[1], decl).passed
+
+
+def _count_evaluations(fn, *args) -> int:
+    calls = []
+
+    def counting(d, path, key):
+        calls.append(key)
+        return real(d, path, key)
+
+    real = sketch.eval_path
+    with mock.patch.object(sketch, "eval_path", counting):
+        outcome(fn, *args)
+    return len(calls)
+
+
+@SETTINGS
+@given(pullback_worlds())
+def test_pullback_evaluates_each_leg_key_at_most_once(world):
+    decl, checked, empty = world
+    n_b, n_c = (len(checked.sets[t]) for t in (decl.leg_b[0], decl.leg_c[0]))
+    budget = n_b + n_c if n_b and n_c else 0
+    assert _count_evaluations(check_pullback, checked, decl) <= budget
+    assert _count_evaluations(synthesize, decl, empty) <= budget
+
+
+def test_pullback_evaluations_follow_legs_not_leg_pairs():
+    decl = PullbackDecl(
+        "T", ("B", "qb"), ("C", "qc"), (Path("B", ("f",)), Path("C", ("g",)))
+    )
+    bs, cs, ds = ([f"{p}{i}" for i in range(n)] for p, n in (("b", 200), ("c", 300), ("d", 10)))
+    sets = {"B": frozenset(bs), "C": frozenset(cs), "D": frozenset(ds), "T": frozenset()}
+    funcs = {
+        "f": {b: ds[i % 10] for i, b in enumerate(bs)},
+        "g": {c: ds[i % 10] for i, c in enumerate(cs)},
+        "qb": {}, "qc": {},
+    }
+    d = KeyDiagram(sets=sets, funcs=funcs)
+    assert _count_evaluations(synthesize, decl, d) == 500
+    full = synthesize(decl, d)
+    assert len(full.sets["T"]) == 200 * 300 // 10
+    assert _count_evaluations(check_pullback, full, decl) == 500
+    assert check_pullback(full, decl) == check_pullback_by_pairs(full, decl)
 
 
 # --- no way back to the candidate loops ----------------------------------------

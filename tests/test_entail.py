@@ -4,7 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from olog.core import Fact, Graph, Path, Specification, TypeNode, identity_path
+from olog.core import (
+    Aspect,
+    Fact,
+    Graph,
+    Path,
+    Specification,
+    TypeNode,
+    format_fact,
+    identity_path,
+)
 from olog.entail import (
     ENTAILED,
     NOT_DERIVABLE,
@@ -14,7 +23,7 @@ from olog.entail import (
     saturate,
     spec_leq,
 )
-from olog.errors import BoundExceededError, GraphMismatchError
+from olog.errors import BoundExceededError, GraphMismatchError, OlogError
 from olog.instances import satisfies_fact
 
 from . import strategies as sts
@@ -95,6 +104,27 @@ def test_saturate_rejects_oversized_fact(family_spec):
     with pytest.raises(BoundExceededError) as exc:
         saturate(spec, 1)
     assert exc.value.fact == big
+
+
+@pytest.mark.parametrize(
+    "lhs, rhs, reason",
+    [
+        (Path("a"), Path("a", ("f",)), "end at different types"),
+        (Path("b"), Path("a", ("f",)), "start at different types"),
+        (Path("a", ("g",)), Path("a", ("f",)), "unknown aspect 'g'"),
+    ],
+)
+def test_saturate_rejects_ill_formed_fact(lhs, rhs, reason):
+    g = Graph(
+        types=(TypeNode("a", "an a"), TypeNode("b", "a b")),
+        aspects=(Aspect("f", "a", "b", "has"),),
+    )
+    bad = Fact(lhs, rhs)
+    spec = Specification(graph=g, facts=(bad,))
+    with pytest.raises(OlogError, match=reason) as exc:
+        saturate(spec, 2)
+    assert format_fact(bad) in str(exc.value)
+    assert not isinstance(exc.value, BoundExceededError)
 
 
 # --- entails ----------------------------------------------------------------

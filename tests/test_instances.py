@@ -12,6 +12,7 @@ from olog.instances import (
     intent,
     key_diagram,
     load_instances,
+    load_tables,
     satisfies_fact,
     satisfies_spec,
 )
@@ -46,6 +47,25 @@ def test_load_dangling_key(tmp_path, employee_spec):
         load_instances(tmp_path, employee_spec)
     msg = str(exc.value)
     assert "zz9" in msg and "employee.csv" in msg and "works_in" in msg
+
+
+def test_load_lists_dangling_keys_in_key_order(tmp_path, employee_spec):
+    # works_in still hits every department, and the problems follow the
+    # sorted row keys, not the file order.
+    import shutil
+
+    for f in (FIXTURES / "data_employee").iterdir():
+        shutil.copy(f, tmp_path / f.name)
+    table = tmp_path / "employee.csv"
+    table.write_text(
+        table.read_text() + "104,David,Hilbert,103,zz9\n100,David,Hilbert,103,aa1\n"
+    )
+    _, problems = load_tables(tmp_path, employee_spec)
+    assert problems == [
+        f"dangling key: table 'employee.csv' row '{k}' column 'works_in' "
+        f"refers to '{v}', not an Id of 'department.csv'"
+        for k, v in (("100", "aa1"), ("104", "zz9"))
+    ]
 
 
 def test_load_reports_missing_and_malformed(tmp_path, family_spec):

@@ -1,12 +1,40 @@
 from __future__ import annotations
 
 import re
+import sqlite3
+from contextlib import closing
+
+import pytest
 
 from olog.core import Graph, Specification
 from olog.sqlgen import emit_ddl, emit_inserts
 
-from .conftest import FIXTURES
+from .conftest import FIXTURES, load_data, load_olog
 from .oracles import simulate_foreign_keys
+
+# Every fixture olog with each data set that loads under it.
+DATA_SETS = [
+    ("duck.olog", "data_duck"),
+    ("employee.olog", "data_employee"),
+    ("factorial.olog", "data_factorial"),
+    ("factorial.olog", "data_factorial_triangle"),
+    ("family.olog", "data_family"),
+    ("family.olog", "data_family_mutated"),
+    ("metric.olog", "data_metric"),
+]
+
+
+def sqlite_commit(con: sqlite3.Connection, ddl: str, inserts: str) -> None:
+    """Create the schema and insert the rows in one transaction, with foreign
+    keys enforced. The schemas have foreign-key cycles, so the checks are
+    deferred to the commit, which raises on a violation."""
+    con.execute("PRAGMA foreign_keys=ON")
+    con.executescript(ddl)
+    con.executescript(f"BEGIN;\nPRAGMA defer_foreign_keys=ON;\n{inserts}COMMIT;\n")
+
+
+def in_memory_sqlite():
+    return closing(sqlite3.connect(":memory:", isolation_level=None))
 
 
 def test_employee_ddl_matches_golden(employee_spec):
@@ -69,3 +97,24 @@ def test_fk_simulator_catches_breakage(employee_spec, employee_data):
     sql = emit_ddl(employee_spec) + "\n" + emit_inserts(employee_spec, employee_data)
     broken = sql.replace("VALUES ('q10', 'Sales', '101')", "VALUES ('q10', 'Sales', '999')")
     assert simulate_foreign_keys(broken)
+
+
+@pytest.mark.parametrize("olog_name, data_name", DATA_SETS)
+def test_inserts_commit_in_sqlite_with_foreign_keys(olog_name, data_name):
+    spec = load_olog(olog_name)
+    d = load_data(data_name, spec)
+    with in_memory_sqlite() as con:
+        sqlite_commit(con, emit_ddl(spec), emit_inserts(spec, d))
+        assert con.execute("PRAGMA foreign_keys").fetchone() == (1,)
+        assert con.execute("PRAGMA foreign_key_check").fetchall() == []
+        for t in spec.graph.types:
+            count = con.execute(f"SELECT COUNT(*) FROM {t.id}").fetchone()[0]
+            assert count == len(d.sets[t.id])
+
+
+def test_sqlite_rejects_broken_foreign_key(employee_spec, employee_data):
+    inserts = emit_inserts(employee_spec, employee_data)
+    broken = inserts.replace("VALUES ('q10', 'Sales', '101')", "VALUES ('q10', 'Sales', '999')")
+    assert broken != inserts
+    with in_memory_sqlite() as con, pytest.raises(sqlite3.IntegrityError):
+        sqlite_commit(con, emit_ddl(employee_spec), broken)
