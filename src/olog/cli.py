@@ -190,6 +190,16 @@ def _cmd_synth(args, out: _Out) -> int:
         return _fail_usage(f"no sketch declaration targets '{args.decl}'")
     decl = decls[0]
     generated = frozenset(sketch.synthesized_aspects(decl))
+    ungenerated = [
+        a.id for a in spec.graph.aspects_from.get(decl.target, ()) if a.id not in generated
+    ]
+    if ungenerated:
+        print(
+            f"cannot synthesize '{decl.target}': aspects not generated by the "
+            f"declaration: {', '.join(ungenerated)}",
+            file=sys.stderr,
+        )
+        return 1
     d, problems = instances.load_tables(
         args.data, spec,
         optional_types=frozenset({decl.target}),
@@ -249,18 +259,18 @@ def _cmd_sqlgen(args, out: _Out) -> int:
     return 0
 
 
-def _load_morphism(args, out: _Out) -> tuple:
-    src, rc = _load_spec(args.source, out)
+def _load_morphism(source: str, target: str, morphism: str, out: _Out) -> tuple:
+    src, rc = _load_spec(source, out)
     if src is None:
         return None, None, None, rc
-    tgt, rc = _load_spec(args.target, out)
+    tgt, rc = _load_spec(target, out)
     if tgt is None:
         return None, None, None, rc
     try:
-        text = FsPath(args.morphism).read_text(encoding="utf-8")
+        text = FsPath(morphism).read_text(encoding="utf-8")
     except OSError as exc:
-        return None, None, None, _fail_usage(f"cannot read '{args.morphism}': {exc}")
-    h, diags = dsl.parse_morphism(text, src, tgt, args.morphism)
+        return None, None, None, _fail_usage(f"cannot read '{morphism}': {exc}")
+    h, diags = dsl.parse_morphism(text, src, tgt, morphism)
     for d in diags:
         print(d, file=sys.stderr)
     if h is None:
@@ -279,7 +289,7 @@ def _write_olog(spec: Specification, out_path: str | None, out: _Out) -> int:
 
 
 def _cmd_flow(args, out: _Out) -> int:
-    h, src, tgt, rc = _load_morphism(args, out)
+    h, src, tgt, rc = _load_morphism(args.source, args.target, args.morphism, out)
     if h is None:
         return rc
     if args.direction == "dir":
@@ -292,7 +302,7 @@ def _cmd_flow(args, out: _Out) -> int:
 
 
 def _cmd_morphism_check(args, out: _Out) -> int:
-    h, src, tgt, rc = _load_morphism(args, out)
+    h, src, tgt, rc = _load_morphism(args.source, args.target, args.morphism, out)
     if h is None:
         return rc
     ok, offenders = flow.is_spec_morphism(h, src, tgt, args.bound)
@@ -336,36 +346,22 @@ def _cmd_consequence(args, out: _Out) -> int:
 
 
 def _cmd_lot(args, out: _Out) -> int:
+    if args.move == "analogy":
+        h, spec, tgt, rc = _load_morphism(args.olog, args.target, args.morphism, out)
+        if h is None:
+            return rc
+        return _write_olog(flow.lot_analogy(h, spec, name=tgt.name), args.out, out)
     spec, rc = _load_spec(args.olog, out)
     if spec is None:
         return rc
-    try:
-        if args.move == "contract":
-            facts = [dsl.parse_fact_text(f, spec.graph) for f in args.fact]
-            result = flow.lot_contract(spec, facts)
-        elif args.move == "expand":
-            facts = [dsl.parse_fact_text(f, spec.graph) for f in args.fact]
-            result = flow.lot_expand(spec, facts)
-        elif args.move == "revise":
-            dels = [dsl.parse_fact_text(f, spec.graph) for f in args.delete]
-            adds = [dsl.parse_fact_text(f, spec.graph) for f in args.add]
-            result = flow.lot_revise(spec, dels, adds)
-        else:  # analogy
-            tgt, rc = _load_spec(args.target, out)
-            if tgt is None:
-                return rc
-            try:
-                text = FsPath(args.morphism).read_text(encoding="utf-8")
-            except OSError as exc:
-                return _fail_usage(f"cannot read '{args.morphism}': {exc}")
-            h, diags = dsl.parse_morphism(text, spec, tgt, args.morphism)
-            for d in diags:
-                print(d, file=sys.stderr)
-            if h is None:
-                return 2
-            result = flow.lot_analogy(h, spec, name=tgt.name)
-    except OlogError as exc:
-        return _fail_usage(str(exc))
+    if args.move == "revise":
+        dels = [dsl.parse_fact_text(f, spec.graph) for f in args.delete]
+        adds = [dsl.parse_fact_text(f, spec.graph) for f in args.add]
+        result = flow.lot_revise(spec, dels, adds)
+    else:
+        facts = [dsl.parse_fact_text(f, spec.graph) for f in args.fact]
+        move = flow.lot_contract if args.move == "contract" else flow.lot_expand
+        result = move(spec, facts)
     return _write_olog(result, args.out, out)
 
 

@@ -168,33 +168,16 @@ class _Parser:
     def warn(self, message: str, at: SourceSpan):
         self.diagnostics.append(ParseDiagnostic(WARNING, message, at))
 
-    def expect(self, cur: _Cursor, kind: str, text: str | None = None) -> _Tok | None:
+    def expect(
+        self, cur: _Cursor, kind: str, text: str | None = None, what: str | None = None
+    ) -> _Tok | None:
         t = cur.next()
-        what = f"'{text}'" if text is not None else kind.lower()
+        if what is None:
+            what = f"'{text}'" if text is not None else kind.lower()
         if t is None:
             self.error(f"expected {what}, found end of line", cur.line_span)
             return None
         if t.kind != kind or (text is not None and t.text != text):
-            self.error(f"expected {what}, found '{t.text}'", t.span)
-            return None
-        return t
-
-    def expect_string(self, cur: _Cursor, what: str) -> _Tok | None:
-        t = cur.next()
-        if t is None:
-            self.error(f"expected {what}, found end of line", cur.line_span)
-            return None
-        if t.kind != "STRING":
-            self.error(f"expected {what}, found '{t.text}'", t.span)
-            return None
-        return t
-
-    def expect_ident(self, cur: _Cursor, what: str = "an identifier") -> _Tok | None:
-        t = cur.next()
-        if t is None:
-            self.error(f"expected {what}, found end of line", cur.line_span)
-            return None
-        if t.kind != "IDENT":
             self.error(f"expected {what}, found '{t.text}'", t.span)
             return None
         return t
@@ -214,7 +197,7 @@ class _Parser:
         if first.kind == "IDENT" and first.text == "id":
             if self.expect(cur, "OP", "(") is None:
                 return None
-            t = self.expect_ident(cur, "a type id")
+            t = self.expect(cur, "IDENT", what="a type id")
             if t is None:
                 return None
             toks.append(t)
@@ -226,7 +209,7 @@ class _Parser:
             return None
         while cur.peek() is not None and cur.peek().text == ";":
             cur.next()
-            t = self.expect_ident(cur, "an aspect id")
+            t = self.expect(cur, "IDENT", what="an aspect id")
             if t is None:
                 return None
             toks.append(t)
@@ -302,7 +285,7 @@ def parse_olog(
         if not opened:
             if head.text == "olog":
                 cur.next()
-                t = p.expect_ident(cur, "the olog name")
+                t = p.expect(cur, "IDENT", what="the olog name")
                 if t is not None:
                     name = t.text
                 p.expect(cur, "OP", "{")
@@ -343,10 +326,10 @@ def parse_olog(
 
     for head, cur in body:
         if head == "type":
-            ident = p.expect_ident(cur, "a type id")
+            ident = p.expect(cur, "IDENT", what="a type id")
             if ident is None:
                 continue
-            label_tok = p.expect_string(cur, "a quoted label")
+            label_tok = p.expect(cur, "STRING", what="a quoted label")
             p.expect_end(cur)
             if label_tok is None or not declare(ident):
                 continue
@@ -359,15 +342,15 @@ def parse_olog(
                 p.warn(f"type '{ident.text}': style lint {flag}", label_tok.span)
             types.append(TypeNode(id=ident.text, label=label, lint_flags=lints))
         elif head == "aspect":
-            ident = p.expect_ident(cur, "an aspect id")
+            ident = p.expect(cur, "IDENT", what="an aspect id")
             if ident is None:
                 continue
             if p.expect(cur, "OP", ":") is None:
                 continue
-            src = p.expect_ident(cur, "a source type id")
+            src = p.expect(cur, "IDENT", what="a source type id")
             if src is None or p.expect(cur, "OP", "->") is None:
                 continue
-            tgt = p.expect_ident(cur, "a target type id")
+            tgt = p.expect(cur, "IDENT", what="a target type id")
             if tgt is None:
                 continue
             label = ""
@@ -466,7 +449,7 @@ def _parse_id_tuple(p: _Parser, cur: _Cursor) -> list[_Tok] | None:
         cur.next()
         return out
     while True:
-        t = p.expect_ident(cur, "an aspect id")
+        t = p.expect(cur, "IDENT", what="an aspect id")
         if t is None:
             return None
         out.append(t)
@@ -500,13 +483,13 @@ def _parse_path_tuple(p: _Parser, cur: _Cursor, n: int):
 
 def _parse_sketch_decl(p: _Parser, graph: Graph, head: str, cur: _Cursor):
     if head in ("singleton", "empty"):
-        ident = p.expect_ident(cur, "a type id")
+        ident = p.expect(cur, "IDENT", what="a type id")
         p.expect_end(cur)
         if ident is None:
             return None
         return SingletonDecl(ident.text) if head == "singleton" else EmptyDecl(ident.text)
 
-    target = p.expect_ident(cur, "a target type id")
+    target = p.expect(cur, "IDENT", what="a target type id")
     if target is None:
         return None
 
@@ -534,12 +517,12 @@ def _parse_sketch_decl(p: _Parser, graph: Graph, head: str, cur: _Cursor):
         return None
 
     if head == "product":
-        factor_toks = [p.expect_ident(cur, "a factor type id")]
+        factor_toks = [p.expect(cur, "IDENT", what="a factor type id")]
         if factor_toks[0] is None:
             return None
         while cur.peek() is not None and cur.peek().text == "*":
             cur.next()
-            t = p.expect_ident(cur, "a factor type id")
+            t = p.expect(cur, "IDENT", what="a factor type id")
             if t is None:
                 return None
             factor_toks.append(t)
@@ -556,12 +539,12 @@ def _parse_sketch_decl(p: _Parser, graph: Graph, head: str, cur: _Cursor):
         )
 
     if head == "coproduct":
-        summand_toks = [p.expect_ident(cur, "a summand type id")]
+        summand_toks = [p.expect(cur, "IDENT", what="a summand type id")]
         if summand_toks[0] is None:
             return None
         while cur.peek() is not None and cur.peek().text == "+":
             cur.next()
-            t = p.expect_ident(cur, "a summand type id")
+            t = p.expect(cur, "IDENT", what="a summand type id")
             if t is None:
                 return None
             summand_toks.append(t)
@@ -578,13 +561,13 @@ def _parse_sketch_decl(p: _Parser, graph: Graph, head: str, cur: _Cursor):
         )
 
     if head == "pullback":
-        b = p.expect_ident(cur, "a leg type id")
+        b = p.expect(cur, "IDENT", what="a leg type id")
         if b is None or p.expect(cur, "OP", "*_") is None:
             return None
-        apex = p.expect_ident(cur, "the cospan target type id")
+        apex = p.expect(cur, "IDENT", what="the cospan target type id")
         if apex is None:
             return None
-        c = p.expect_ident(cur, "a leg type id")
+        c = p.expect(cur, "IDENT", what="a leg type id")
         if c is None or p.expect(cur, "IDENT", "via") is None:
             return None
         cospan = _parse_path_tuple(p, cur, 2)
@@ -617,13 +600,13 @@ def _parse_sketch_decl(p: _Parser, graph: Graph, head: str, cur: _Cursor):
         )
 
     if head == "pushout":
-        b = p.expect_ident(cur, "a leg type id")
+        b = p.expect(cur, "IDENT", what="a leg type id")
         if b is None or p.expect(cur, "OP", "+_") is None:
             return None
-        apex = p.expect_ident(cur, "the span source type id")
+        apex = p.expect(cur, "IDENT", what="the span source type id")
         if apex is None:
             return None
-        c = p.expect_ident(cur, "a leg type id")
+        c = p.expect(cur, "IDENT", what="a leg type id")
         if c is None or p.expect(cur, "IDENT", "via") is None:
             return None
         incls = _parse_id_tuple(p, cur)
@@ -772,10 +755,10 @@ def parse_morphism(
         cur = _Cursor(toks, SourceSpan(filename, lineno, 1))
         head = cur.next()
         if head.text == "type":
-            a = p.expect_ident(cur, "a source type id")
+            a = p.expect(cur, "IDENT", what="a source type id")
             if a is None or p.expect(cur, "OP", "=>") is None:
                 continue
-            b = p.expect_ident(cur, "a target type id")
+            b = p.expect(cur, "IDENT", what="a target type id")
             p.expect_end(cur)
             if b is None:
                 continue
@@ -790,7 +773,7 @@ def parse_morphism(
                 continue
             type_map[a.text] = b.text
         elif head.text == "aspect":
-            a = p.expect_ident(cur, "a source aspect id")
+            a = p.expect(cur, "IDENT", what="a source aspect id")
             if a is None or p.expect(cur, "OP", "=>") is None:
                 continue
             got = p.parse_path_tokens(cur)

@@ -12,6 +12,7 @@ non-entailment.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import (
     Fact,
@@ -93,19 +94,12 @@ class Congruence:
     def universe(self) -> tuple[Path, ...]:
         return tuple(sorted(p for cls in self.classes for p in cls))
 
+    @cached_property
     def _index(self) -> dict[Path, Path]:
-        cached = getattr(self, "_rep_cache", None)
-        if cached is None:
-            cached = {}
-            for cls in self.classes:
-                rep = cls[0]
-                for p in cls:
-                    cached[p] = rep
-            object.__setattr__(self, "_rep_cache", cached)
-        return cached
+        return {p: cls[0] for cls in self.classes for p in cls}
 
     def representative(self, path: Path) -> Path:
-        idx = self._index()
+        idx = self._index
         if path not in idx:
             raise BoundExceededError(
                 f"path of length {len(path)} exceeds bound {self.bound}"
@@ -124,7 +118,9 @@ def saturate(spec: Specification, bound: int = DEFAULT_BOUND) -> Congruence:
     restricted to paths of length <= bound. A declared fact that is not a
     well-formed pair of parallel paths, or has a side longer than the bound,
     is a hard error (silently dropping it would make every downstream
-    comparison unsound).
+    comparison unsound). The closure is one worklist that whiskers merged
+    roots, which is complete because the union-find keeps each class's
+    shortest member (ties broken by edge ids) as its root.
     """
     _check_bound(bound)
     g = spec.graph
@@ -141,37 +137,26 @@ def saturate(spec: Specification, bound: int = DEFAULT_BOUND) -> Congruence:
                 f"declared fact '{format_fact(fact)}' has a side longer than bound {bound}",
                 fact=fact,
             )
-        uf.union(fact.lhs, fact.rhs)
 
-    targets = {p: path_target(g, p) for p in universe}
     aspects_from = g.aspects_from
     aspects_into: dict[str, list] = {}
     for a in g.aspects:
         aspects_into.setdefault(a.tgt, []).append(a)
 
-    # Close under single-aspect extension of each merged pair against the
-    # class representative; longer compositions follow by induction because
-    # every prefix of a bounded path is bounded.
-    changed = True
-    while changed:
-        changed = False
-        for rep, members in uf.classes().items():
-            if len(members) < 2:
-                continue
-            rep_tgt = targets[rep]
-            for m in members:
-                if m is rep or len(m.edges) + 1 > bound:
-                    continue
-                for a in aspects_from.get(rep_tgt, ()):
-                    ext_m = Path(m.source, m.edges + (a.id,))
-                    ext_r = Path(rep.source, rep.edges + (a.id,))
-                    if uf.union(ext_m, ext_r):
-                        changed = True
-                for a in aspects_into.get(m.source, ()):
-                    pre_m = Path(a.src, (a.id,) + m.edges)
-                    pre_r = Path(a.src, (a.id,) + rep.edges)
-                    if uf.union(pre_m, pre_r):
-                        changed = True
+    # One worklist of pending pairs. Each merge pushes the one-aspect
+    # whiskerings of the two old roots: every member's whiskering already
+    # equals its root's, and a root too long to whisker has no member that
+    # can be whiskered within the bound.
+    pending = [(f.lhs, f.rhs) for f in spec.facts]
+    while pending:
+        p, q = map(uf.find, pending.pop())
+        if not uf.union(p, q) or max(len(p.edges), len(q.edges)) >= bound:
+            continue
+        src, pe, qe = p.source, p.edges, q.edges
+        for a in aspects_from.get(path_target(g, p), ()):
+            pending.append((Path(src, pe + (a.id,)), Path(src, qe + (a.id,))))
+        for a in aspects_into.get(src, ()):
+            pending.append((Path(a.src, (a.id,) + pe), Path(a.src, (a.id,) + qe)))
 
     classes = tuple(
         tuple(sorted(members, key=_canon_key))

@@ -7,15 +7,33 @@ with its own tiny union-find. The ``*_by_pairs`` oracles are the candidate
 loops the library answered with before it emitted equations class by class:
 they test every parallel pair from ``enumerate_equations``. The pullback
 oracles are the loops over every (b, c) pair of leg keys that the library
-used before it joined the legs on the cospan value. Slow and obvious beats
-fast and clever here.
+used before it joined the legs on the cospan value. ``saturate_by_rounds``
+is the round-by-round closure ``entail.saturate`` ran before it became one
+worklist; it shares the union-find but regroups and re-whiskers every merged
+class each round. Slow and obvious beats fast and clever here.
 """
 
 from __future__ import annotations
 
-from olog.core import Fact, Graph, Path, Specification, enumerate_paths, path_target
-from olog.entail import enumerate_equations, saturate
-from olog.errors import SynthesisError
+from olog.core import (
+    Fact,
+    Graph,
+    Path,
+    Specification,
+    UnionFind,
+    enumerate_paths,
+    fact_errors,
+    format_fact,
+    path_target,
+)
+from olog.entail import (
+    Congruence,
+    _canon_key,
+    _check_bound,
+    enumerate_equations,
+    saturate,
+)
+from olog.errors import BoundExceededError, OlogError, SynthesisError
 from olog.flow import translate_fact
 from olog.instances import KeyDiagram, eval_path, satisfies_fact
 from olog.sketch import CheckResult, _bijection_onto, _tupling, encode_tuple
@@ -70,6 +88,64 @@ def naive_consequence(graph: Graph, facts, bound: int) -> set[Fact]:
             changed = True
 
     return {Fact(a, b) for a, b in pairs}
+
+
+def saturate_by_rounds(spec: Specification, bound: int) -> Congruence:
+    """``entail.saturate`` as a fixpoint of rounds: each round regroups the
+    universe into classes and whiskers every member of every merged class
+    against its representative, until a round merges nothing."""
+    _check_bound(bound)
+    g = spec.graph
+    universe = enumerate_paths(g, bound)
+    in_universe = set(universe)
+    uf = UnionFind(universe, key=_canon_key)
+
+    for fact in spec.facts:
+        errs = fact_errors(g, fact)
+        if errs:
+            raise OlogError(f"declared fact {format_fact(fact)}: {errs[0]}")
+        if fact.lhs not in in_universe or fact.rhs not in in_universe:
+            raise BoundExceededError(
+                f"declared fact '{format_fact(fact)}' has a side longer than bound {bound}",
+                fact=fact,
+            )
+        uf.union(fact.lhs, fact.rhs)
+
+    targets = {p: path_target(g, p) for p in universe}
+    aspects_from = g.aspects_from
+    aspects_into: dict[str, list] = {}
+    for a in g.aspects:
+        aspects_into.setdefault(a.tgt, []).append(a)
+
+    # Close under single-aspect extension of each merged pair against the
+    # class representative; longer compositions follow by induction because
+    # every prefix of a bounded path is bounded.
+    changed = True
+    while changed:
+        changed = False
+        for rep, members in uf.classes().items():
+            if len(members) < 2:
+                continue
+            rep_tgt = targets[rep]
+            for m in members:
+                if m is rep or len(m.edges) + 1 > bound:
+                    continue
+                for a in aspects_from.get(rep_tgt, ()):
+                    ext_m = Path(m.source, m.edges + (a.id,))
+                    ext_r = Path(rep.source, rep.edges + (a.id,))
+                    if uf.union(ext_m, ext_r):
+                        changed = True
+                for a in aspects_into.get(m.source, ()):
+                    pre_m = Path(a.src, (a.id,) + m.edges)
+                    pre_r = Path(a.src, (a.id,) + rep.edges)
+                    if uf.union(pre_m, pre_r):
+                        changed = True
+
+    classes = tuple(
+        tuple(sorted(members, key=_canon_key))
+        for _, members in sorted(uf.classes().items(), key=lambda kv: _canon_key(kv[0]))
+    )
+    return Congruence(graph=g, bound=bound, classes=classes)
 
 
 def consequence_by_pairs(spec: Specification, bound: int) -> tuple[Fact, ...]:

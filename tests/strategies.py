@@ -24,6 +24,17 @@ def graphs(draw, min_types=1, max_types=4, max_aspects=6):
 
 
 @st.composite
+def cyclic_graphs(draw, max_types=3, max_aspects=3):
+    """A graph of two or more types whose first two types lie on a cycle."""
+    g = draw(graphs(min_types=2, max_types=max_types, max_aspects=max_aspects))
+    cycle = (
+        Aspect(id="r0", src="T0", tgt="T1", label="runs to"),
+        Aspect(id="r1", src="T1", tgt="T0", label="runs back to"),
+    )
+    return Graph(types=g.types, aspects=g.aspects + cycle)
+
+
+@st.composite
 def paths_in(draw, graph: Graph, max_len=3, source: str | None = None):
     if source is None:
         source = draw(st.sampled_from([t.id for t in graph.types]))

@@ -171,6 +171,24 @@ def test_synth_refuses_populated_target(capsys):
     assert code == 1 and "already populated" in err
 
 
+def test_synth_refuses_target_with_ungenerated_aspects(tmp_path, capsys):
+    # triple = pair *_point pair generates d2 and d0, but triple also has d1
+    # and f, which no pullback can fill in.
+    data = tmp_path / "data"
+    shutil.copytree(FIXTURES / "data_metric", data)
+    (data / "triple.csv").unlink()
+    out_dir = tmp_path / "generated"
+    for extra in ((), ("-o", out_dir)):
+        code, out, err = run(
+            capsys, "synth", FIXTURES / "metric.olog", "--data", data, "--decl", "triple", *extra
+        )
+        assert code == 1 and out == ""
+        assert err == (
+            "cannot synthesize 'triple': aspects not generated by the declaration: d1, f\n"
+        )
+    assert not out_dir.exists()
+
+
 def test_synth_unknown_decl(capsys):
     code, _, err = run(
         capsys, "synth", FIXTURES / "duck.olog",

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from olog import core
 from olog.core import (
     Aspect,
     Fact,
@@ -27,7 +28,8 @@ from olog.errors import BoundExceededError, GraphMismatchError, OlogError
 from olog.instances import satisfies_fact
 
 from . import strategies as sts
-from .oracles import naive_consequence
+from .conftest import FIXTURES, load_olog
+from .oracles import naive_consequence, saturate_by_rounds
 
 
 def cls_of(cong, path):
@@ -285,3 +287,61 @@ def test_congruence_classes_share_endpoints(employee_spec, metric_spec):
             sources = {p.source for p in cls}
             targets = {path_target(spec.graph, p) for p in cls}
             assert len(sources) == 1 and len(targets) == 1
+
+
+# --- worklist saturation against the round loop ------------------------------
+
+
+def monoid(k: int) -> Specification:
+    """One type, k generators and every commuting fact."""
+    gens = tuple(Aspect(id=f"g{i}", src="m", tgt="m", label=f"acts by {i}") for i in range(k))
+    g = Graph(types=(TypeNode(id="m", label="a monoid element"),), aspects=gens)
+    facts = tuple(
+        Fact(Path("m", (a.id, b.id)), Path("m", (b.id, a.id)))
+        for i, a in enumerate(gens) for b in gens[i + 1:]
+    )
+    return Specification(graph=g, facts=facts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_saturate_matches_round_loop_at_bound_length_facts(data):
+    # Facts as long as the bound: a closure that whiskers the popped pair
+    # instead of the roots of the merged classes fails here.
+    bound = data.draw(st.integers(1, 4))
+    graph = data.draw(sts.cyclic_graphs())
+    spec = data.draw(sts.specs_on(graph, max_facts=3, max_len=bound))
+    assert saturate(spec, bound).classes == saturate_by_rounds(spec, bound).classes
+    assert set(consequence(spec, bound)) == naive_consequence(graph, spec.facts, bound)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.olog")))
+def test_saturate_matches_round_loop_on_fixtures(name):
+    spec = load_olog(name)
+    for bound in range(1, 6):
+        try:
+            want = saturate_by_rounds(spec, bound).classes
+        except BoundExceededError:
+            with pytest.raises(BoundExceededError):
+                saturate(spec, bound)
+            continue
+        assert saturate(spec, bound).classes == want
+
+
+@pytest.mark.parametrize("k,bound", [(2, 8), (3, 5)])
+def test_saturate_matches_round_loop_on_monoid(k, bound):
+    spec = monoid(k)
+    assert saturate(spec, bound).classes == saturate_by_rounds(spec, bound).classes
+
+
+def test_saturate_groups_classes_once(employee_spec, monkeypatch):
+    calls = []
+    classes = core.UnionFind.classes
+
+    def counted(self):
+        calls.append(1)
+        return classes(self)
+
+    monkeypatch.setattr(core.UnionFind, "classes", counted)
+    saturate(employee_spec, 4)
+    assert len(calls) == 1
