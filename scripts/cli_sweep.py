@@ -1,0 +1,249 @@
+#!/usr/bin/env python3
+"""Fingerprint the CLI and the parser: one JSON line per case on stdout.
+
+Commands run in-process through ``olog.cli.main``, inside a temporary
+directory that holds a copy of ``fixtures/``. File names in diagnostics and
+in "wrote ..." notes are then the same wherever the checkout lives. Each
+command's line holds its exit code and the sha256 of its stdout, its stderr
+and every file it wrote. The commands are:
+
+- ``check`` on every fixture olog, text and json, with and without --quiet;
+- ``entail`` text and json at bounds 2-6, for each declared fact, a few
+  pairs of parallel paths, an ill-typed fact and an unknown aspect;
+- ``validate`` and ``sqlgen`` on every olog with data (and the mutated and
+  triangle data sets), and ``synth`` of every sketch target, with the data
+  as shipped and with the target table removed, with and without ``-o``;
+- ``flow dir``, ``flow inv`` and ``morphism check`` on every fixture
+  morphism at bounds 2, 3, 4 and 6, plus a morphism read backwards;
+- ``fuse`` and ``consequence`` on the four fixture systems at bounds 2-6;
+- ``lot contract``, ``expand``, ``revise`` and ``analogy``.
+
+Then seeded line-level mutants of the fixture ologs go through
+``dsl.parse_olog``. Their lines hold whether the text was accepted and the
+sha256 of the diagnostics and of the printed specification.
+
+Run it in two checkouts and diff the output; every differing line is a
+change in behaviour:
+
+    python3 scripts/cli_sweep.py > sweep.jsonl
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import random
+import re
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from olog import dsl  # noqa: E402
+from olog.cli import main as olog_main  # noqa: E402
+from olog.core import enumerate_paths, format_fact, format_path, path_target  # noqa: E402
+
+MUTANTS = 4000
+BOUNDS = (2, 3, 4, 5, 6)
+FLOW_BOUNDS = (2, 3, 4, 6)
+DATA = {
+    "family.olog": ("data_family", "data_family_mutated"),
+    "employee.olog": ("data_employee",),
+    "factorial.olog": ("data_factorial", "data_factorial_triangle"),
+    "metric.olog": ("data_metric",),
+    "duck.olog": ("data_duck",),
+}
+EDGE_RE = re.compile(r"^\s*edge\s+\w+\s*:\s*(\w+)\s*->\s*(\w+)\s*=\s*(\S+)")
+NODE_RE = re.compile(r"^\s*node\s+(\w+)\s*=\s*(\S+)")
+IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def digest(data: str | bytes) -> str:
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def load(name: str):
+    spec, _ = dsl.parse_olog((Path("fixtures") / name).read_text(encoding="utf-8"), name)
+    return spec
+
+
+def run(argv: list[str]) -> dict:
+    shutil.rmtree("out", ignore_errors=True)
+    Path("out").mkdir()
+    stdout, stderr = io.StringIO(), io.StringIO()
+    record = {"case": " ".join(argv)}
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            record["exit"] = olog_main(argv)
+        except Exception as exc:  # a crash is a result too
+            record["raised"] = type(exc).__name__
+    record["stdout"] = digest(stdout.getvalue())
+    record["stderr"] = digest(stderr.getvalue())
+    written = sorted(p for p in Path("out").rglob("*") if p.is_file())
+    record["files"] = {str(p): digest(p.read_bytes()) for p in written}
+    return record
+
+
+def entail_queries(spec) -> list[str]:
+    queries = [format_fact(f) for f in spec.facts]
+    groups: dict[tuple[str, str], list] = {}
+    for p in enumerate_paths(spec.graph, 2):
+        groups.setdefault((p.source, path_target(spec.graph, p)), []).append(p)
+    pairs = [(p, q) for g in groups.values() for p in g for q in g if p < q]
+    queries += [f"{format_path(p)} = {format_path(q)}" for p, q in pairs[:4]]
+    aspects = spec.graph.aspects
+    if len(aspects) >= 2:
+        queries.append(f"{aspects[0].id} = {aspects[-1].id}")
+    queries.append("nope = nope")
+    return queries
+
+
+def morphisms() -> list[tuple[str, str, str]]:
+    """(source olog, target olog, morphism file) for every fixture system edge."""
+    out = set()
+    for osys in sorted(Path("fixtures").glob("*.osys")):
+        lines = osys.read_text(encoding="utf-8").splitlines()
+        nodes = dict(m.groups() for m in map(NODE_RE.match, lines) if m)
+        for m in filter(None, map(EDGE_RE.match, lines)):
+            src, tgt, omap = m.groups()
+            out.add((f"fixtures/{nodes[src]}", f"fixtures/{nodes[tgt]}", f"fixtures/{omap}"))
+    return sorted(out)
+
+
+def commands() -> list[list[str]]:
+    ologs = sorted(p.name for p in Path("fixtures").glob("*.olog"))
+    cmds: list[list[str]] = []
+    for name in ologs:
+        for fmt in ("text", "json"):
+            cmds.append(["--format", fmt, "check", f"fixtures/{name}"])
+            cmds.append(["--format", fmt, "--quiet", "check", f"fixtures/{name}"])
+    for name in ologs:
+        for query in entail_queries(load(name)):
+            for bound in BOUNDS:
+                for fmt in ("text", "json"):
+                    cmds.append(["--bound", str(bound), "--format", fmt, "entail",
+                                 f"fixtures/{name}", "--fact", query])
+    for name, datas in sorted(DATA.items()):
+        spec = load(name)
+        for data in datas:
+            for fmt in ("text", "json"):
+                cmds.append(["--format", fmt, "validate", f"fixtures/{name}",
+                             "--data", f"fixtures/{data}"])
+            cmds.append(["sqlgen", f"fixtures/{name}", "--with-inserts", f"fixtures/{data}"])
+            for decl in spec.sketch:
+                partial = Path("inputs") / f"{data}_without_{decl.target}"
+                if not partial.exists():
+                    shutil.copytree(Path("fixtures") / data, partial)
+                    (partial / f"{decl.target}.csv").unlink(missing_ok=True)
+                for source in (f"fixtures/{data}", str(partial)):
+                    base = ["synth", f"fixtures/{name}", "--data", source, "--decl", decl.target]
+                    cmds += [base, base + ["-o", "out/synth"]]
+    for name in ologs:
+        cmds.append(["sqlgen", f"fixtures/{name}"])
+        cmds.append(["sqlgen", f"fixtures/{name}", "-o", "out/schema.sql"])
+    triples = morphisms()
+    for src, tgt, omap in triples + [(triples[0][1], triples[0][0], triples[0][2])]:
+        where = ["--morphism", omap, "--source", src, "--target", tgt]
+        cmds.append(["flow", "dir", *where])
+        cmds.append(["flow", "dir", *where, "-o", "out/dir.olog"])
+        for bound in FLOW_BOUNDS:
+            cmds.append(["--bound", str(bound), "flow", "inv", *where])
+            for fmt in ("text", "json"):
+                cmds.append(["--bound", str(bound), "--format", fmt, "morphism", "check", *where])
+        cmds.append(["lot", "analogy", src, "--morphism", omap, "--target", tgt])
+    cmds.append(["flow", "dir", "--morphism", "fixtures/missing.omap",
+                 "--source", triples[0][0], "--target", triples[0][1]])
+    for osys in sorted(p.name for p in Path("fixtures").glob("*.osys")):
+        for bound in BOUNDS:
+            cmds.append(["--bound", str(bound), "fuse", f"fixtures/{osys}"])
+            cmds.append(["--bound", str(bound), "fuse", f"fixtures/{osys}", "-o", "out/fused.olog"])
+            cmds.append(["--bound", str(bound), "consequence", f"fixtures/{osys}",
+                         "--out-dir", "out/nodes"])
+    for name in ologs:
+        spec = load(name)
+        for query in entail_queries(spec):
+            cmds.append(["lot", "contract", f"fixtures/{name}", "--fact", query])
+            cmds.append(["lot", "expand", f"fixtures/{name}", "--fact", query])
+        if spec.facts:
+            first = spec.facts[0]
+            cmds.append(["lot", "revise", f"fixtures/{name}", "--delete", format_fact(first),
+                         "--add", f"{format_path(first.rhs)} = {format_path(first.lhs)}"])
+    return cmds
+
+
+def mutate(text: str, rng: random.Random) -> str:
+    """One or two line-level edits: drop, repeat or swap lines, swap ids, add a sketch line."""
+    lines = text.splitlines()
+    ids = sorted(set(IDENT_RE.findall(text)) - dsl.KEYWORDS) or ["x"]
+    for _ in range(rng.randint(1, 2)):
+        i = rng.randrange(len(lines))
+        op = rng.randrange(6)
+        if op == 0:
+            del lines[i]
+        elif op == 1:
+            lines.insert(i, lines[i])
+        elif op == 2:
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op in (3, 4):
+            words = list(IDENT_RE.finditer(lines[i]))
+            if words:
+                w = rng.choice(words)
+                lines[i] = lines[i][: w.start()] + rng.choice(ids) + lines[i][w.end():]
+        else:
+            a, b, c, d, e, f = (rng.choice(ids) for _ in range(6))
+            lines.insert(max(i, 1), "  " + rng.choice((
+                f"product {a} = {b} * {c} via ({d},{e})",
+                f"pullback {a} = {b} *_{c} {d} via ({e},{f}) legs ({d},{e})",
+                f"coproduct {a} = {b} + {c} via ({d},{e})",
+                f"pushout {a} = {b} +_{c} {d} via ({e},{f}) span ({d},{e})",
+                f"image {a} of {b} via ({c},{d})",
+                f"singleton {a}",
+                f"empty {a}",
+            )))
+        if not lines:
+            break
+    return "\n".join(lines) + "\n"
+
+
+def mutants() -> list[dict]:
+    ologs = sorted(Path("fixtures").glob("*.olog"))
+    out = []
+    for i in range(MUTANTS):
+        source = ologs[i % len(ologs)]
+        text = mutate(source.read_text(encoding="utf-8"), random.Random(i))
+        spec, diags = dsl.parse_olog(text, f"fixtures/{source.name}")
+        out.append({
+            "case": f"mutant {i} of {source.name}",
+            "accepted": spec is not None,
+            "diagnostics": digest("\n".join(map(str, diags))),
+            "printed": digest(dsl.print_olog(spec)) if spec is not None else None,
+        })
+    return out
+
+
+def main() -> int:
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        shutil.copytree(ROOT / "fixtures", Path(work) / "fixtures")
+        os.chdir(work)
+        try:
+            for argv in commands():
+                print(json.dumps(run(argv), sort_keys=True))
+            for record in mutants():
+                print(json.dumps(record, sort_keys=True))
+        finally:
+            os.chdir(home)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

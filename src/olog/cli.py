@@ -15,7 +15,7 @@ import sys
 from pathlib import Path as FsPath
 
 from . import dsl, entail, flow, instances, sketch, sqlgen, system
-from .core import Specification, format_fact, format_path, validate_specification
+from .core import Specification, format_fact, format_path
 from .errors import InstanceLoadError, OlogError
 
 
@@ -49,7 +49,7 @@ def _fail_usage(message: str) -> int:
 def _load_spec(path: str, out: _Out) -> tuple[Specification | None, int]:
     try:
         text = FsPath(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return None, _fail_usage(f"cannot read '{path}': {exc}")
     spec, diags = dsl.parse_olog(text, path)
     out.diagnostics(diags)
@@ -62,11 +62,6 @@ def _cmd_check(args, out: _Out) -> int:
     spec, rc = _load_spec(args.olog, out)
     if spec is None:
         return rc
-    problems = validate_specification(spec) + sketch.validate_decls(spec)
-    for msg in problems:
-        out.verdict({"kind": "problem", "message": msg}, f"problem: {msg}")
-    if problems:
-        return 1
     out.note(
         f"ok: {len(spec.graph.types)} types, {len(spec.graph.aspects)} aspects, "
         f"{len(spec.facts)} facts, {len(spec.sketch)} sketch declarations"
@@ -78,20 +73,14 @@ def _cmd_entail(args, out: _Out) -> int:
     spec, rc = _load_spec(args.olog, out)
     if spec is None:
         return rc
-    try:
-        fact = dsl.parse_fact_text(args.fact, spec.graph)
-    except OlogError as exc:
-        return _fail_usage(str(exc))
+    fact = dsl.parse_fact_text(args.fact, spec.graph)
     if max(len(fact.lhs), len(fact.rhs)) > args.bound:
         return _fail_usage(
             f"fact '{format_fact(fact)}' has a side longer than bound {args.bound}; "
             f"raise --bound"
         )
-    try:
-        cong = entail.saturate(spec, args.bound)
-        status = entail.entails_in(cong, fact)
-    except OlogError as exc:
-        return _fail_usage(str(exc))
+    cong = entail.saturate(spec, args.bound)
+    status = entail.entails_in(cong, fact)
     witness = ""
     if status == entail.ENTAILED:
         witness = format_path(cong.representative(fact.lhs))
@@ -268,11 +257,10 @@ def _load_morphism(source: str, target: str, morphism: str, out: _Out) -> tuple:
         return None, None, None, rc
     try:
         text = FsPath(morphism).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return None, None, None, _fail_usage(f"cannot read '{morphism}': {exc}")
     h, diags = dsl.parse_morphism(text, src, tgt, morphism)
-    for d in diags:
-        print(d, file=sys.stderr)
+    out.diagnostics(diags)
     if h is None:
         return None, None, None, 2
     return h, src, tgt, 0
@@ -365,11 +353,22 @@ def _cmd_lot(args, out: _Out) -> int:
     return _write_olog(result, args.out, out)
 
 
+def _bound(text: str) -> int:
+    """The type of ``--bound``: argparse turns a bad value into exit 2."""
+    try:
+        bound = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if bound < 1:
+        raise argparse.ArgumentTypeError(f"bound must be a positive integer, got {bound}")
+    return bound
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="olog", description="Author, validate, and connect ologs."
     )
-    parser.add_argument("--bound", type=int, default=entail.DEFAULT_BOUND,
+    parser.add_argument("--bound", type=_bound, default=entail.DEFAULT_BOUND,
                         help="maximum path length for entailment (default 6)")
     parser.add_argument("--format", choices=["text", "json"], default="text")
     parser.add_argument("--quiet", action="store_true")
@@ -377,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     # The same flags are accepted after the subcommand; SUPPRESS keeps a
     # subparser from clobbering a value parsed by the main parser.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--bound", type=int, default=argparse.SUPPRESS)
+    common.add_argument("--bound", type=_bound, default=argparse.SUPPRESS)
     common.add_argument("--format", choices=["text", "json"], default=argparse.SUPPRESS)
     common.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS)
 

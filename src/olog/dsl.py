@@ -48,8 +48,8 @@ from .sketch import (
     PullbackDecl,
     PushoutDecl,
     SingletonDecl,
+    decl_errors,
     missing_square_facts,
-    validate_decls,
 )
 from .system import InformationSystem, Shape, validate_system
 
@@ -146,9 +146,6 @@ class _Cursor:
         if t is not None:
             self.pos += 1
         return t
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.toks)
 
     def span(self) -> SourceSpan:
         t = self.peek()
@@ -422,6 +419,8 @@ def parse_olog(
         else:
             decl = _parse_sketch_decl(p, graph, head, cur)
             if decl is not None:
+                for msg in decl_errors(graph, decl):
+                    p.error(msg, cur.toks[0].span)
                 sketch.append(decl)
 
     if has_errors(p.diagnostics):
@@ -430,11 +429,6 @@ def parse_olog(
     spec = Specification(
         graph=graph, facts=tuple(facts), sketch=tuple(sketch), name=name
     )
-    for msg in validate_decls(spec):
-        p.error(msg, SourceSpan(filename, 1, 1))
-    if has_errors(p.diagnostics):
-        return None, p.diagnostics
-
     for msg in missing_square_facts(spec):
         p.warn(msg, SourceSpan(filename, 1, 1))
     return spec, p.diagnostics
@@ -582,16 +576,8 @@ def _parse_sketch_decl(p: _Parser, graph: Graph, head: str, cur: _Cursor):
         pg = _resolve_path(p, graph, *cospan[1])
         if pf is None or pg is None:
             return None
-        for path, want in ((pf, b.text), (pg, c.text)):
-            if path.source != want:
-                p.error(
-                    f"cospan path {format_path(path)} must start at '{want}'",
-                    cospan[0][1],
-                )
-                return None
         if path_target(graph, pf) != apex.text or path_target(graph, pg) != apex.text:
             p.error(f"cospan paths must end at '{apex.text}'", cospan[0][1])
-            return None
         return PullbackDecl(
             target.text,
             (b.text, legs[0].text),
@@ -599,42 +585,38 @@ def _parse_sketch_decl(p: _Parser, graph: Graph, head: str, cur: _Cursor):
             (pf, pg),
         )
 
-    if head == "pushout":
-        b = p.expect(cur, "IDENT", what="a leg type id")
-        if b is None or p.expect(cur, "OP", "+_") is None:
-            return None
-        apex = p.expect(cur, "IDENT", what="the span source type id")
-        if apex is None:
-            return None
-        c = p.expect(cur, "IDENT", what="a leg type id")
-        if c is None or p.expect(cur, "IDENT", "via") is None:
-            return None
-        incls = _parse_id_tuple(p, cur)
-        if incls is None or len(incls) != 2:
-            p.error("pushout needs exactly two inclusions", cur.line_span)
-            return None
-        if p.expect(cur, "IDENT", "span") is None:
-            return None
-        span_paths = _parse_path_tuple(p, cur, 2)
-        p.expect_end(cur)
-        if span_paths is None:
-            return None
-        pf = _resolve_path(p, graph, *span_paths[0])
-        pg = _resolve_path(p, graph, *span_paths[1])
-        if pf is None or pg is None:
-            return None
-        if pf.source != apex.text or pg.source != apex.text:
-            p.error(f"span paths must start at '{apex.text}'", span_paths[0][1])
-            return None
-        return PushoutDecl(
-            target.text,
-            (b.text, incls[0].text),
-            (c.text, incls[1].text),
-            (pf, pg),
-        )
-
-    p.error(f"unknown sketch declaration '{head}'", cur.line_span)
-    return None
+    # pushout
+    b = p.expect(cur, "IDENT", what="a leg type id")
+    if b is None or p.expect(cur, "OP", "+_") is None:
+        return None
+    apex = p.expect(cur, "IDENT", what="the span source type id")
+    if apex is None:
+        return None
+    c = p.expect(cur, "IDENT", what="a leg type id")
+    if c is None or p.expect(cur, "IDENT", "via") is None:
+        return None
+    incls = _parse_id_tuple(p, cur)
+    if incls is None or len(incls) != 2:
+        p.error("pushout needs exactly two inclusions", cur.line_span)
+        return None
+    if p.expect(cur, "IDENT", "span") is None:
+        return None
+    span_paths = _parse_path_tuple(p, cur, 2)
+    p.expect_end(cur)
+    if span_paths is None:
+        return None
+    pf = _resolve_path(p, graph, *span_paths[0])
+    pg = _resolve_path(p, graph, *span_paths[1])
+    if pf is None or pg is None:
+        return None
+    if pf.source != apex.text or pg.source != apex.text:
+        p.error(f"span paths must start at '{apex.text}'", span_paths[0][1])
+    return PushoutDecl(
+        target.text,
+        (b.text, incls[0].text),
+        (c.text, incls[1].text),
+        (pf, pg),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -829,7 +811,7 @@ def parse_system(
     p = _Parser(filename)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         p.error(f"cannot read system file: {exc}", SourceSpan(filename, 1, 1))
         return None, p.diagnostics
 
@@ -858,7 +840,7 @@ def parse_system(
         fpath = path.parent / fname
         try:
             spec_text = fpath.read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             p.error(f"node '{node}': cannot read '{fname}': {exc}", SourceSpan(filename, 1, 1))
             continue
         spec, diags = parse_olog(spec_text, str(fpath))
@@ -883,7 +865,7 @@ def parse_system(
         fpath = path.parent / fname
         try:
             map_text = fpath.read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             p.error(f"edge '{eid}': cannot read '{fname}': {exc}", span)
             continue
         h, diags = parse_morphism(map_text, specs[src], specs[tgt], str(fpath))

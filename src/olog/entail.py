@@ -39,29 +39,12 @@ def _check_bound(bound: int) -> int:
     return bound
 
 
-def enumerate_equations(graph: Graph, bound: int) -> tuple[Fact, ...]:
-    """Every ordered pair of parallel paths with both sides of length <= bound.
-
-    Includes the reflexive pairs. Deterministic order (sorted by path pairs).
-    """
-    _check_bound(bound)
-    by_endpoints: dict[tuple[str, str], list[Path]] = {}
-    for p in enumerate_paths(graph, bound):
-        by_endpoints.setdefault((p.source, path_target(graph, p)), []).append(p)
-    out: list[Fact] = []
-    for _, group in sorted(by_endpoints.items()):
-        for lhs in group:
-            for rhs in group:
-                out.append(Fact(lhs, rhs))
-    return tuple(sorted(out))
-
-
 def _pairs_within(graph: Graph, keyed) -> tuple[Fact, ...]:
     """Every ordered pair of parallel paths that share a key, sorted.
 
-    ``keyed`` yields (path, key) pairs, one per path. The answer is
-    :func:`enumerate_equations` filtered to the pairs with equal keys, but
-    it is built group by group, so its cost follows the pairs emitted.
+    ``keyed`` yields (path, key) pairs, one per path. The answer is every
+    ordered pair of parallel paths filtered to the pairs with equal keys,
+    but it is built group by group, so its cost follows the pairs emitted.
     """
     groups: dict = {}
     group_of: dict[Path, list[Path]] = {}

@@ -65,8 +65,13 @@ def load_tables(
                 problems.append(f"missing table '{table.name}' for type '{t.id}'")
             sets[t.id] = frozenset()
             continue
-        with open(table, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+        try:
+            with open(table, newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+        except (OSError, UnicodeDecodeError) as exc:
+            problems.append(f"cannot read table '{table.name}': {exc}")
+            sets[t.id] = frozenset()
+            continue
         if not rows:
             problems.append(f"table '{table.name}' has no header row")
             sets[t.id] = frozenset()

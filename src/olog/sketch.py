@@ -30,7 +30,7 @@ from .core import (
     path_target,
 )
 from .entail import DEFAULT_BOUND, ENTAILED, entails
-from .errors import SketchError, SynthesisError
+from .errors import OlogError, SketchError, SynthesisError
 from .instances import KeyDiagram, eval_path
 
 
@@ -132,111 +132,116 @@ def encode_tagged(aspect_id: str, key: str) -> str:
 # Structural validation
 
 
-def _aspect(g: Graph, aid: str) -> Aspect | None:
-    return g.aspect_by_id.get(aid)
+def decl_errors(graph: Graph, decl: SketchDecl) -> list[str]:
+    """Endpoint problems of one sketch declaration over ``graph`` (empty if fine).
 
-
-def validate_decls(spec: Specification) -> list[str]:
-    """Endpoint sanity of every sketch declaration (empty when all fine)."""
-    g = spec.graph
+    The counterpart of :func:`olog.core.fact_errors`: the parser reports
+    these at the declaration, and :func:`validate_decls` collects them for
+    specifications built in code.
+    """
     problems: list[str] = []
+    ctx = f"{type(decl).__name__} on '{decl.target}'"
 
-    def need_type(tid: str, ctx: str):
-        if not g.has_type(tid):
+    def need_type(tid: str):
+        if not graph.has_type(tid):
             problems.append(f"{ctx}: unknown type '{tid}'")
             return False
         return True
 
-    def need_proj(tid: str, aid: str, target: str, ctx: str):
-        a = _aspect(g, aid)
+    def need_proj(tid: str, aid: str):
+        a = graph.aspect_by_id.get(aid)
         if a is None:
             problems.append(f"{ctx}: unknown aspect '{aid}'")
-        elif a.src != target or a.tgt != tid:
+        elif a.src != decl.target or a.tgt != tid:
             problems.append(
-                f"{ctx}: projection '{aid}' must run {target} -> {tid}, "
+                f"{ctx}: projection '{aid}' must run {decl.target} -> {tid}, "
                 f"it runs {a.src} -> {a.tgt}"
             )
 
-    def need_incl(tid: str, aid: str, target: str, ctx: str):
-        a = _aspect(g, aid)
+    def need_incl(tid: str, aid: str):
+        a = graph.aspect_by_id.get(aid)
         if a is None:
             problems.append(f"{ctx}: unknown aspect '{aid}'")
-        elif a.src != tid or a.tgt != target:
+        elif a.src != tid or a.tgt != decl.target:
             problems.append(
-                f"{ctx}: inclusion '{aid}' must run {tid} -> {target}, "
+                f"{ctx}: inclusion '{aid}' must run {tid} -> {decl.target}, "
                 f"it runs {a.src} -> {a.tgt}"
             )
 
-    def need_path(p: Path, src: str, tgt: str | None, ctx: str):
-        errs = path_errors(g, p)
+    def need_path(p: Path, src: str, tgt: str | None):
+        errs = path_errors(graph, p)
         if errs:
             problems.append(f"{ctx}: {errs[0]}")
             return
         if p.source != src:
             problems.append(f"{ctx}: path {format_path(p)} must start at '{src}'")
-        elif tgt is not None and path_target(g, p) != tgt:
+        elif tgt is not None and path_target(graph, p) != tgt:
             problems.append(f"{ctx}: path {format_path(p)} must end at '{tgt}'")
 
-    for decl in spec.sketch:
-        ctx = f"{type(decl).__name__} on '{decl.target}'"
-        if not need_type(decl.target, ctx):
-            continue
-        if isinstance(decl, ProductDecl):
-            for tid, aid in decl.factors:
-                if need_type(tid, ctx):
-                    need_proj(tid, aid, decl.target, ctx)
-        elif isinstance(decl, PullbackDecl):
-            (tb, ab), (tc, ac) = decl.leg_b, decl.leg_c
-            pf, pg = decl.cospan
-            if need_type(tb, ctx):
-                need_proj(tb, ab, decl.target, ctx)
-            if need_type(tc, ctx):
-                need_proj(tc, ac, decl.target, ctx)
-            need_path(pf, tb, None, ctx)
-            need_path(pg, tc, None, ctx)
-            if not (path_errors(g, pf) or path_errors(g, pg)):
-                if path_target(g, pf) != path_target(g, pg):
-                    problems.append(f"{ctx}: cospan paths end at different types")
-        elif isinstance(decl, CoproductDecl):
-            for tid, aid in decl.summands:
-                if need_type(tid, ctx):
-                    need_incl(tid, aid, decl.target, ctx)
-        elif isinstance(decl, PushoutDecl):
-            (tb, ab), (tc, ac) = decl.leg_b, decl.leg_c
-            pf, pg = decl.span
-            if need_type(tb, ctx):
-                need_incl(tb, ab, decl.target, ctx)
-            if need_type(tc, ctx):
-                need_incl(tc, ac, decl.target, ctx)
-            if path_errors(g, pf) or path_errors(g, pg):
-                problems.extend(f"{ctx}: {e}" for e in path_errors(g, pf))
-                problems.extend(f"{ctx}: {e}" for e in path_errors(g, pg))
-            elif pf.source != pg.source:
-                problems.append(f"{ctx}: span paths start at different types")
-            else:
-                need_path(pf, pf.source, tb, ctx)
-                need_path(pg, pg.source, tc, ctx)
-        elif isinstance(decl, ImageDecl):
-            errs = path_errors(g, decl.of)
-            if errs:
-                problems.append(f"{ctx}: {errs[0]}")
-                continue
-            fs, fi = _aspect(g, decl.surjection), _aspect(g, decl.injection)
-            if fs is None:
-                problems.append(f"{ctx}: unknown aspect '{decl.surjection}'")
-            elif fs.src != decl.of.source or fs.tgt != decl.target:
-                problems.append(
-                    f"{ctx}: surjection part must run "
-                    f"{decl.of.source} -> {decl.target}"
-                )
-            if fi is None:
-                problems.append(f"{ctx}: unknown aspect '{decl.injection}'")
-            elif fi.src != decl.target or fi.tgt != path_target(g, decl.of):
-                problems.append(
-                    f"{ctx}: injection part must run "
-                    f"{decl.target} -> {path_target(g, decl.of)}"
-                )
+    if not need_type(decl.target):
+        return problems
+    if isinstance(decl, ProductDecl):
+        for tid, aid in decl.factors:
+            if need_type(tid):
+                need_proj(tid, aid)
+    elif isinstance(decl, PullbackDecl):
+        (tb, ab), (tc, ac) = decl.leg_b, decl.leg_c
+        pf, pg = decl.cospan
+        if need_type(tb):
+            need_proj(tb, ab)
+        if need_type(tc):
+            need_proj(tc, ac)
+        need_path(pf, tb, None)
+        need_path(pg, tc, None)
+        if not (path_errors(graph, pf) or path_errors(graph, pg)):
+            if path_target(graph, pf) != path_target(graph, pg):
+                problems.append(f"{ctx}: cospan paths end at different types")
+    elif isinstance(decl, CoproductDecl):
+        for tid, aid in decl.summands:
+            if need_type(tid):
+                need_incl(tid, aid)
+    elif isinstance(decl, PushoutDecl):
+        (tb, ab), (tc, ac) = decl.leg_b, decl.leg_c
+        pf, pg = decl.span
+        if need_type(tb):
+            need_incl(tb, ab)
+        if need_type(tc):
+            need_incl(tc, ac)
+        if path_errors(graph, pf) or path_errors(graph, pg):
+            problems.extend(f"{ctx}: {e}" for e in path_errors(graph, pf))
+            problems.extend(f"{ctx}: {e}" for e in path_errors(graph, pg))
+        elif pf.source != pg.source:
+            problems.append(f"{ctx}: span paths start at different types")
+        else:
+            need_path(pf, pf.source, tb)
+            need_path(pg, pg.source, tc)
+    elif isinstance(decl, ImageDecl):
+        errs = path_errors(graph, decl.of)
+        if errs:
+            problems.append(f"{ctx}: {errs[0]}")
+            return problems
+        fs = graph.aspect_by_id.get(decl.surjection)
+        fi = graph.aspect_by_id.get(decl.injection)
+        if fs is None:
+            problems.append(f"{ctx}: unknown aspect '{decl.surjection}'")
+        elif fs.src != decl.of.source or fs.tgt != decl.target:
+            problems.append(
+                f"{ctx}: surjection part must run "
+                f"{decl.of.source} -> {decl.target}"
+            )
+        if fi is None:
+            problems.append(f"{ctx}: unknown aspect '{decl.injection}'")
+        elif fi.src != decl.target or fi.tgt != path_target(graph, decl.of):
+            problems.append(
+                f"{ctx}: injection part must run "
+                f"{decl.target} -> {path_target(graph, decl.of)}"
+            )
     return problems
+
+
+def validate_decls(spec: Specification) -> list[str]:
+    """Endpoint sanity of every sketch declaration (empty when all fine)."""
+    return [msg for decl in spec.sketch for msg in decl_errors(spec.graph, decl)]
 
 
 def square_fact(spec: Specification, decl) -> Fact | None:
@@ -269,8 +274,8 @@ def missing_square_facts(spec: Specification) -> list[str]:
     for decl in spec.sketch:
         try:
             sq = square_fact(spec, decl)
-        except Exception:
-            continue  # structural problems are reported by validate_decls
+        except OlogError:
+            continue  # structural problems are reported by decl_errors
         if sq is None:
             continue
         if sq not in declared and Fact(sq.rhs, sq.lhs) not in declared:

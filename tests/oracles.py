@@ -5,7 +5,8 @@ oracle applies the inference rules directly to a set of ordered pairs until
 nothing new appears, and the colimit oracle quotients tagged vocabularies
 with its own tiny union-find. The ``*_by_pairs`` oracles are the candidate
 loops the library answered with before it emitted equations class by class:
-they test every parallel pair from ``enumerate_equations``. The pullback
+they test every parallel pair from :func:`enumerate_equations`, which
+lives here because nothing in the library needs it. The pullback
 oracles are the loops over every (b, c) pair of leg keys that the library
 used before it joined the legs on the cospan value. ``saturate_by_rounds``
 is the round-by-round closure ``entail.saturate`` ran before it became one
@@ -26,18 +27,29 @@ from olog.core import (
     format_fact,
     path_target,
 )
-from olog.entail import (
-    Congruence,
-    _canon_key,
-    _check_bound,
-    enumerate_equations,
-    saturate,
-)
+from olog.entail import Congruence, _canon_key, _check_bound, saturate
 from olog.errors import BoundExceededError, OlogError, SynthesisError
 from olog.flow import translate_fact
 from olog.instances import KeyDiagram, eval_path, satisfies_fact
 from olog.sketch import CheckResult, _bijection_onto, _tupling, encode_tuple
 from olog.system import fusion, optimal_channel
+
+
+def enumerate_equations(graph: Graph, bound: int) -> tuple[Fact, ...]:
+    """Every ordered pair of parallel paths with both sides of length <= bound.
+
+    Includes the reflexive pairs. Deterministic order (sorted by path pairs).
+    """
+    _check_bound(bound)
+    by_endpoints: dict[tuple[str, str], list[Path]] = {}
+    for p in enumerate_paths(graph, bound):
+        by_endpoints.setdefault((p.source, path_target(graph, p)), []).append(p)
+    out: list[Fact] = []
+    for _, group in sorted(by_endpoints.items()):
+        for lhs in group:
+            for rhs in group:
+                out.append(Fact(lhs, rhs))
+    return tuple(sorted(out))
 
 
 def naive_consequence(graph: Graph, facts, bound: int) -> set[Fact]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 from hypothesis import strategies as st
 
 from olog.core import Aspect, Fact, Graph, Path, Specification, TypeNode, path_target
@@ -137,3 +139,56 @@ def morphisms(draw, max_image_len=2):
         aspect_map[aid] = img
     src = Graph(types=src_types, aspects=tuple(aspects))
     return GraphMorphism(src=src, tgt=tgt, type_map=type_map, aspect_map=aspect_map)
+
+
+_TYPE_LINE = re.compile(r"^\s*type\s+(\w+)", re.MULTILINE)
+_ASPECT_LINE = re.compile(r"^\s*aspect\s+(\w+)", re.MULTILINE)
+_WORD = re.compile(r"[A-Za-z_]\w*")
+_SKETCH_LINES = (
+    "product {t0} = {t1} * {t2} via ({a0},{a1})",
+    "pullback {t0} = {t1} *_{t2} {t3} via ({a0},{a1}) legs ({a2},{a3})",
+    "pullback {t0} = {t1} *_{t2} {t3} via ({a0};{a1},{a2}) legs ({a3},{a0})",
+    "coproduct {t0} = {t1} + {t2} via ({a0},{a1})",
+    "pushout {t0} = {t1} +_{t2} {t3} via ({a0},{a1}) span ({a2},{a3})",
+    "image {t0} of {a0};{a1} via ({a2},{a3})",
+    "singleton {t0}",
+    "empty {t0}",
+)
+
+
+@st.composite
+def mutated_olog_texts(draw, texts):
+    """One of ``texts`` after one to three line-level edits.
+
+    An edit drops, repeats or swaps lines, replaces one word of a line by an
+    id of the file, or adds a sketch declaration over the file's type and
+    aspect ids, so many mutants are near misses of well-formed ologs.
+    """
+    text = draw(st.sampled_from(texts))
+    lines = text.splitlines()
+    types = _TYPE_LINE.findall(text) or ["t"]
+    aspects = _ASPECT_LINE.findall(text) or ["a"]
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["drop", "repeat", "swap", "rename", "sketch"]))
+        if op == "drop":
+            del lines[i]
+        elif op == "repeat":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "rename":
+            words = list(_WORD.finditer(lines[i]))
+            if words:
+                w = draw(st.sampled_from(words))
+                new = draw(st.sampled_from(types + aspects))
+                lines[i] = lines[i][: w.start()] + new + lines[i][w.end():]
+        else:
+            form = draw(st.sampled_from(_SKETCH_LINES))
+            ids = {f"t{k}": draw(st.sampled_from(types)) for k in range(4)}
+            ids.update({f"a{k}": draw(st.sampled_from(aspects)) for k in range(4)})
+            lines.insert(max(i, 1), "  " + form.format(**ids))
+    return "\n".join(lines) + "\n"

@@ -3,7 +3,7 @@ from __future__ import annotations
 import json
 import shutil
 
-from olog import system
+from olog import core, sketch, system
 from olog.cli import main
 
 from .conftest import FIXTURES
@@ -341,3 +341,75 @@ def test_consequence_validates_and_builds_the_channel_once(tmp_path, capsys, mon
     code, _, _ = run(capsys, "consequence", FIXTURES / "w.osys", "--out-dir", tmp_path)
     assert code == 0
     assert calls == {"is_spec_morphism": 4, "optimal_channel": 1}
+
+
+def test_check_reports_parse_diagnostics_only(capsys, monkeypatch):
+    # The parser already ran every structural check on what it accepts.
+    def refuse(spec):
+        raise AssertionError("structural checks re-run")
+
+    monkeypatch.setattr(sketch, "validate_decls", refuse)
+    monkeypatch.setattr(core, "validate_specification", refuse)
+    code, out, _ = run(capsys, "check", FIXTURES / "metric.olog")
+    assert code == 0 and out.startswith("ok: ")
+
+
+def test_bound_below_one_is_a_usage_error(tmp_path, capsys):
+    where = [
+        "--morphism", FIXTURES / "community_to_portal.omap",
+        "--source", FIXTURES / "community.olog", "--target", FIXTURES / "portal.olog",
+    ]
+    commands = [
+        ["entail", FIXTURES / "family.olog", "--fact", "parents;w = mother"],
+        ["fuse", FIXTURES / "span.osys"],
+        ["consequence", FIXTURES / "span.osys", "--out-dir", tmp_path],
+        ["flow", "inv", *where],
+        ["morphism", "check", *where],
+    ]
+    for argv in commands:
+        for placed in (["--bound", "0", *argv], [*argv, "--bound", "0"]):
+            code, out, err = run(capsys, *placed)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("usage: olog")
+            assert "argument --bound: bound must be a positive integer, got 0" in err
+    code, _, err = run(capsys, "entail", FIXTURES / "family.olog", "--fact", "w = w",
+                       "--bound", "two")
+    assert code == 2 and "argument --bound: invalid int value: 'two'" in err
+
+
+def test_undecodable_files_are_read_errors(tmp_path, capsys):
+    for name in ("community.olog", "portal.olog", "community_to_portal.omap"):
+        shutil.copy(FIXTURES / name, tmp_path / name)
+    garbage = b"\xff\xfe not utf-8\n"
+    (tmp_path / "bad.olog").write_bytes(b'olog X {\n  type t "a \xe9t\xe9"\n}\n')
+    (tmp_path / "bad.omap").write_bytes(garbage)
+    (tmp_path / "bad.osys").write_bytes(garbage)
+    (tmp_path / "bad_node.osys").write_text("node n = bad.olog\n")
+    (tmp_path / "bad_edge.osys").write_text(
+        "node c = community.olog\nnode p = portal.olog\nedge e : c -> p = bad.omap\n"
+    )
+    where = ["--source", tmp_path / "community.olog", "--target", tmp_path / "portal.olog"]
+    cases = [
+        (["check", tmp_path / "bad.olog"], f"cannot read '{tmp_path / 'bad.olog'}'"),
+        (["flow", "dir", "--morphism", tmp_path / "bad.omap", *where],
+         f"cannot read '{tmp_path / 'bad.omap'}'"),
+        (["fuse", tmp_path / "bad.osys"], "cannot read system file"),
+        (["fuse", tmp_path / "bad_node.osys"], "node 'n': cannot read 'bad.olog'"),
+        (["fuse", tmp_path / "bad_edge.osys"], "edge 'e': cannot read 'bad.omap'"),
+    ]
+    for argv, message in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert message in err and "can't decode byte" in err
+        assert "Traceback" not in err
+
+
+def test_undecodable_table_is_a_load_error(tmp_path, capsys):
+    for f in (FIXTURES / "data_family").iterdir():
+        shutil.copy(f, tmp_path / f.name)
+    (tmp_path / "woman.csv").write_bytes(b"Id\n\xff\n")
+    code, out, err = run(capsys, "validate", FIXTURES / "family.olog", "--data", tmp_path)
+    assert code == 1
+    assert out.startswith("load error: cannot read table 'woman.csv': 'utf-8' codec")
+    assert err == ""

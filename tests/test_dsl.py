@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from olog import dsl
-from olog.core import Fact, Graph, Path, Specification, identity_path
+from olog.core import Fact, Graph, Path, Specification, identity_path, validate_specification
 from olog.errors import OlogError
+from olog.sketch import PullbackDecl, decl_errors, validate_decls
 
 from . import strategies as sts
 from .conftest import FIXTURES, load_olog
@@ -116,6 +117,78 @@ def test_missing_square_fact_is_lint():
     assert any(
         d.severity == dsl.WARNING and "commuting fact" in d.message for d in diags
     )
+
+
+SQUARE_TEXT = (
+    "olog X {\n"
+    '  type a "an apex"\n'
+    '  type b "a left leg"\n'
+    '  type c "a right leg"\n'
+    '  type d "a base"\n'
+    '  aspect pb : a -> b "has"\n'
+    '  aspect pc : a -> c "has"\n'
+    '  aspect f : b -> d "has"\n'
+    '  aspect g : c -> d "has"\n'
+    "  fact pb;f = pc;g\n"
+    "  {decl}\n"  # line 11
+    "}\n"
+)
+
+
+def test_sketch_problem_is_reported_at_its_declaration():
+    text = SQUARE_TEXT.replace("{decl}", "product a = b * c via (pc,pb)")
+    spec, diags = dsl.parse_olog(text, "x.olog")
+    assert spec is None
+    assert [str(d) for d in errors(diags)] == [
+        "x.olog:11:3 - error: ProductDecl on 'a': projection 'pc' must run a -> b, "
+        "it runs a -> c",
+        "x.olog:11:3 - error: ProductDecl on 'a': projection 'pb' must run a -> c, "
+        "it runs a -> b",
+    ]
+
+
+def test_pullback_reports_both_misplaced_cospan_paths():
+    text = SQUARE_TEXT.replace("{decl}", "pullback a = b *_d c via (g,f) legs (pb,pc)")
+    spec, diags = dsl.parse_olog(text, "x.olog")
+    assert spec is None
+    assert [str(d) for d in errors(diags)] == [
+        "x.olog:11:3 - error: PullbackDecl on 'a': path g must start at 'b'",
+        "x.olog:11:3 - error: PullbackDecl on 'a': path f must start at 'c'",
+    ]
+
+
+def test_written_apex_must_match_the_paths():
+    # The declarations keep no apex token, so only the parser can check it.
+    text = SQUARE_TEXT.replace("{decl}", "pullback a = b *_c c via (f,g) legs (pb,pc)")
+    spec, diags = dsl.parse_olog(text, "x.olog")
+    assert spec is None
+    assert [str(d) for d in errors(diags)] == [
+        "x.olog:11:29 - error: cospan paths must end at 'c'"
+    ]
+    decl = PullbackDecl("a", ("b", "pb"), ("c", "pc"), (Path("b", ("f",)), Path("c", ("g",))))
+    square, _ = dsl.parse_olog(SQUARE_TEXT.replace("{decl}", ""))
+    assert decl_errors(square.graph, decl) == []
+
+    text = SQUARE_TEXT.replace("{decl}", "pushout d = b +_c c via (f,g) span (pb,pc)")
+    spec, diags = dsl.parse_olog(text, "x.olog")
+    assert spec is None
+    assert [str(d) for d in errors(diags)] == [
+        "x.olog:11:39 - error: span paths must start at 'c'"
+    ]
+
+
+FIXTURE_TEXTS = [p.read_text(encoding="utf-8") for p in sorted(FIXTURES.glob("*.olog"))]
+
+
+@given(sts.mutated_olog_texts(FIXTURE_TEXTS))
+@settings(max_examples=300, deadline=None)
+def test_accepted_mutants_pass_structural_validation(text):
+    # What the parser accepts needs no second structural check.
+    spec, diags = dsl.parse_olog(text)
+    if spec is not None:
+        assert not errors(diags)
+        assert validate_specification(spec) == []
+        assert validate_decls(spec) == []
 
 
 def test_parse_totality_on_garbage():

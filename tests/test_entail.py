@@ -20,7 +20,6 @@ from olog.entail import (
     NOT_DERIVABLE,
     consequence,
     entails,
-    enumerate_equations,
     saturate,
     spec_leq,
 )
@@ -29,7 +28,7 @@ from olog.instances import satisfies_fact
 
 from . import strategies as sts
 from .conftest import FIXTURES, load_olog
-from .oracles import naive_consequence, saturate_by_rounds
+from .oracles import enumerate_equations, naive_consequence, saturate_by_rounds
 
 
 def cls_of(cong, path):
@@ -38,6 +37,15 @@ def cls_of(cong, path):
 
 
 # --- enumerate_equations ---------------------------------------------------
+
+
+def test_enumerate_equations_is_not_in_the_library():
+    import olog
+    from olog import entail
+
+    assert not hasattr(olog, "enumerate_equations")
+    assert not hasattr(entail, "enumerate_equations")
+    assert "enumerate_equations" not in olog.__all__
 
 
 def test_enumerate_family_bound2(family_spec):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from olog.core import Fact, Path, Specification, compose_paths, identity_path
-from olog.entail import consequence, enumerate_equations
+from olog.entail import consequence
 from olog.errors import EvaluationError, InstanceLoadError
 from olog.instances import (
     eval_path,
@@ -19,6 +19,7 @@ from olog.instances import (
 
 from . import strategies as sts
 from .conftest import FIXTURES
+from .oracles import enumerate_equations
 
 
 def test_load_employee_tables(employee_spec, employee_data):
@@ -214,3 +215,20 @@ def test_equal_key_diagrams_are_equal_and_unhashable():
     assert a == b and a is not b
     with pytest.raises(TypeError):
         hash(a)
+
+
+def test_unreadable_table_is_one_problem(tmp_path, family_spec):
+    for f in (FIXTURES / "data_family").iterdir():
+        (tmp_path / f.name).write_bytes(f.read_bytes())
+    (tmp_path / "person.csv").write_bytes(b"Id,mother,parents\n\xff,a,b\n")
+    d, problems = load_tables(tmp_path, family_spec)
+    assert problems == [
+        "cannot read table 'person.csv': 'utf-8' codec can't decode byte 0xff "
+        "in position 18: invalid start byte"
+    ]
+    assert d.sets["person"] == frozenset()
+
+    (tmp_path / "person.csv").unlink()
+    (tmp_path / "person.csv").mkdir()
+    _, problems = load_tables(tmp_path, family_spec)
+    assert len(problems) == 1 and problems[0].startswith("cannot read table 'person.csv': ")

@@ -23,6 +23,7 @@ from olog.sketch import (
     check_pullback,
     check_pushout,
     check_surjective,
+    decl_errors,
     derive_mediating_aspect,
     missing_square_facts,
     populate_mediator,
@@ -482,6 +483,30 @@ def test_validate_decls_catches_misdirected_projection():
     bad = ProductDecl("P", (("A", "pb"), ("B", "pa")))
     spec = Specification(graph=g, sketch=(bad,))
     assert validate_decls(spec)
+
+
+def test_decl_errors_checks_one_declaration():
+    g, decl = customers_world()
+    assert decl_errors(g, decl) == []
+    bad = PullbackDecl(
+        "both", ("wealthy", "ql"), ("loyal", "qw"),
+        (Path("loyal", ("il",)), Path("wealthy", ("iw",))),
+    )
+    assert decl_errors(g, bad) == [
+        "PullbackDecl on 'both': projection 'ql' must run both -> wealthy, it runs both -> loyal",
+        "PullbackDecl on 'both': projection 'qw' must run both -> loyal, it runs both -> wealthy",
+        "PullbackDecl on 'both': path il must start at 'wealthy'",
+        "PullbackDecl on 'both': path iw must start at 'loyal'",
+    ]
+    spec = Specification(graph=g, sketch=(decl, bad))
+    assert validate_decls(spec) == decl_errors(g, bad)
+
+
+def test_missing_square_fact_skips_unusable_declarations():
+    g, decl = customers_world()
+    broken = PullbackDecl("both", ("wealthy", "nope"), ("loyal", "ql"), decl.cospan)
+    spec = Specification(graph=g, sketch=(broken,))
+    assert missing_square_facts(spec) == []
 
 
 def test_missing_square_fact_lint_and_presence():
