@@ -207,13 +207,8 @@ def _cmd_synth(args, out: _Out) -> int:
         {spec.graph.aspect_by_id[aid].src for aid in generated} - {decl.target}
     )
     if args.out:
-        outdir = FsPath(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
         for tid in touched:
-            (outdir / f"{tid}.csv").write_text(
-                _render_table(spec, extended, tid), encoding="utf-8"
-            )
-            out.note(f"wrote {outdir / (tid + '.csv')}")
+            _write_file(FsPath(args.out) / f"{tid}.csv", _render_table(spec, extended, tid), out)
     else:
         for tid in touched:
             print(f"# table: {tid}")
@@ -241,8 +236,7 @@ def _cmd_sqlgen(args, out: _Out) -> int:
             return 1
         payload += "\n" + sqlgen.emit_inserts(spec, d)
     if args.out:
-        FsPath(args.out).write_text(payload, encoding="utf-8")
-        out.note(f"wrote {args.out}")
+        _write_file(args.out, payload, out)
     else:
         print(payload, end="")
     return 0
@@ -266,11 +260,18 @@ def _load_morphism(source: str, target: str, morphism: str, out: _Out) -> tuple:
     return h, src, tgt, 0
 
 
+def _write_file(path, payload: str, out: _Out):
+    """Write ``payload`` to ``path``, creating its directory, and note it."""
+    target = FsPath(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(payload, encoding="utf-8")
+    out.note(f"wrote {path}")
+
+
 def _write_olog(spec: Specification, out_path: str | None, out: _Out) -> int:
     payload = dsl.print_olog(spec)
     if out_path:
-        FsPath(out_path).write_text(payload, encoding="utf-8")
-        out.note(f"wrote {out_path}")
+        _write_file(out_path, payload, out)
     else:
         print(payload, end="")
     return 0

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import CompositionError, OlogError
 
@@ -84,11 +84,12 @@ class Graph:
         return aspect_id in self.aspect_by_id
 
 
-@dataclass(frozen=True, order=True)
-class Path:
+class Path(NamedTuple):
     """A composable sequence of aspect ids starting at ``source``.
 
-    The empty sequence is the identity path at ``source``.
+    The empty sequence is the identity path at ``source``. A path is the
+    tuple ``(source, edges)``: hashing, equality and order are tuple's own.
+    ``len`` counts edges, so an identity path is falsy.
     """
 
     source: str
@@ -100,6 +101,18 @@ class Path:
 
     def __len__(self) -> int:
         return len(self.edges)
+
+
+def _make_path(cls, iterable) -> Path:
+    # namedtuple's own _make, and so _replace, counts fields with len(),
+    # which counts edges on a path.
+    result = tuple.__new__(cls, iterable)
+    if tuple.__len__(result) != 2:
+        raise TypeError(f"Expected 2 arguments, got {tuple.__len__(result)}")
+    return result
+
+
+Path._make = classmethod(_make_path)
 
 
 def identity_path(type_id: str) -> Path:
@@ -157,9 +170,8 @@ def format_path(path: Path) -> str:
     return ";".join(path.edges)
 
 
-@dataclass(frozen=True, order=True)
-class Fact:
-    """A declared equation between two parallel paths."""
+class Fact(NamedTuple):
+    """A declared equation between two parallel paths: the tuple ``(lhs, rhs)``."""
 
     lhs: Path
     rhs: Path

@@ -148,11 +148,14 @@ def decl_errors(graph: Graph, decl: SketchDecl) -> list[str]:
             return False
         return True
 
+    # An unknown target skips only the checks that compare against it.
+    known = need_type(decl.target)
+
     def need_proj(tid: str, aid: str):
         a = graph.aspect_by_id.get(aid)
         if a is None:
             problems.append(f"{ctx}: unknown aspect '{aid}'")
-        elif a.src != decl.target or a.tgt != tid:
+        elif known and (a.src != decl.target or a.tgt != tid):
             problems.append(
                 f"{ctx}: projection '{aid}' must run {decl.target} -> {tid}, "
                 f"it runs {a.src} -> {a.tgt}"
@@ -162,7 +165,7 @@ def decl_errors(graph: Graph, decl: SketchDecl) -> list[str]:
         a = graph.aspect_by_id.get(aid)
         if a is None:
             problems.append(f"{ctx}: unknown aspect '{aid}'")
-        elif a.src != tid or a.tgt != decl.target:
+        elif known and (a.src != tid or a.tgt != decl.target):
             problems.append(
                 f"{ctx}: inclusion '{aid}' must run {tid} -> {decl.target}, "
                 f"it runs {a.src} -> {a.tgt}"
@@ -178,8 +181,6 @@ def decl_errors(graph: Graph, decl: SketchDecl) -> list[str]:
         elif tgt is not None and path_target(graph, p) != tgt:
             problems.append(f"{ctx}: path {format_path(p)} must end at '{tgt}'")
 
-    if not need_type(decl.target):
-        return problems
     if isinstance(decl, ProductDecl):
         for tid, aid in decl.factors:
             if need_type(tid):
@@ -224,14 +225,14 @@ def decl_errors(graph: Graph, decl: SketchDecl) -> list[str]:
         fi = graph.aspect_by_id.get(decl.injection)
         if fs is None:
             problems.append(f"{ctx}: unknown aspect '{decl.surjection}'")
-        elif fs.src != decl.of.source or fs.tgt != decl.target:
+        elif known and (fs.src != decl.of.source or fs.tgt != decl.target):
             problems.append(
                 f"{ctx}: surjection part must run "
                 f"{decl.of.source} -> {decl.target}"
             )
         if fi is None:
             problems.append(f"{ctx}: unknown aspect '{decl.injection}'")
-        elif fi.src != decl.target or fi.tgt != path_target(graph, decl.of):
+        elif known and (fi.src != decl.target or fi.tgt != path_target(graph, decl.of)):
             problems.append(
                 f"{ctx}: injection part must run "
                 f"{decl.target} -> {path_target(graph, decl.of)}"

@@ -12,9 +12,13 @@ used before it joined the legs on the cospan value. ``saturate_by_rounds``
 is the round-by-round closure ``entail.saturate`` ran before it became one
 worklist; it shares the union-find but regroups and re-whiskers every merged
 class each round. Slow and obvious beats fast and clever here.
+``DataclassPath`` and ``DataclassFact`` are ``core.Path`` and ``core.Fact``
+as they were before they became named tuples, kept to pin the value contract.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from olog.core import (
     Fact,
@@ -33,6 +37,32 @@ from olog.flow import translate_fact
 from olog.instances import KeyDiagram, eval_path, satisfies_fact
 from olog.sketch import CheckResult, _bijection_onto, _tupling, encode_tuple
 from olog.system import fusion, optimal_channel
+
+
+@dataclass(frozen=True, order=True)
+class DataclassPath:
+    """A composable sequence of aspect ids starting at ``source``.
+
+    The empty sequence is the identity path at ``source``.
+    """
+
+    source: str
+    edges: tuple[str, ...] = ()
+
+    @property
+    def is_identity(self) -> bool:
+        return not self.edges
+
+    def __len__(self) -> int:
+        return len(self.edges)
+
+
+@dataclass(frozen=True, order=True)
+class DataclassFact:
+    """A declared equation between two parallel paths."""
+
+    lhs: DataclassPath
+    rhs: DataclassPath
 
 
 def enumerate_equations(graph: Graph, bound: int) -> tuple[Fact, ...]:

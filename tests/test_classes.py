@@ -12,7 +12,6 @@ error must be of the same type (which bad key is met first may differ).
 
 from __future__ import annotations
 
-import sys
 from unittest import mock
 
 import pytest
@@ -371,22 +370,3 @@ def test_pullback_evaluations_follow_legs_not_leg_pairs():
     assert len(full.sets["T"]) == 200 * 300 // 10
     assert _count_evaluations(check_pullback, full, decl) == 500
     assert check_pullback(full, decl) == check_pullback_by_pairs(full, decl)
-
-
-# --- no way back to the candidate loops ----------------------------------------
-
-
-def test_no_function_tests_candidate_pairs(monkeypatch, family_spec, family_data):
-    def refuse(*args, **kwargs):
-        raise AssertionError("enumerate_equations called")
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "olog" and hasattr(module, "enumerate_equations"):
-            monkeypatch.setattr(module, "enumerate_equations", refuse)
-    g = family_spec.graph
-    consequence(family_spec, 3)
-    intent(family_data, g, 3)
-    inv_flow(_collapse(), (), 3, target_bound=2)
-    sysm, diags = dsl.parse_system(FIXTURES / "w.osys", bound=4)
-    assert sysm is not None, [str(d) for d in diags]
-    system_consequence(sysm, 4)

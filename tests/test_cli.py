@@ -127,6 +127,17 @@ def test_sqlgen_writes_file(tmp_path, capsys):
     assert out_file.read_text() == (FIXTURES / "golden" / "employee.sql").read_text()
 
 
+def test_output_file_directory_is_created(tmp_path, capsys):
+    sql = tmp_path / "nodir" / "x.sql"
+    code, out, err = run(capsys, "sqlgen", FIXTURES / "employee.olog", "-o", sql)
+    assert (code, out, err) == (0, f"wrote {sql}\n", "")
+    assert sql.read_text() == (FIXTURES / "golden" / "employee.sql").read_text()
+    fused = tmp_path / "a" / "b" / "fused.olog"
+    code, _, err = run(capsys, "fuse", FIXTURES / "span.osys", "-o", fused)
+    assert (code, err) == (0, "")
+    assert fused.read_text().startswith("olog ")
+
+
 def test_sqlgen_with_inserts(capsys):
     code, out, _ = run(
         capsys, "sqlgen", FIXTURES / "employee.olog",

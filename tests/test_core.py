@@ -1,9 +1,16 @@
 from __future__ import annotations
 
+import ast
+import json
+import operator
+from dataclasses import astuple
+from pathlib import Path as FsPath
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import olog
 from olog.core import (
     Aspect,
     Fact,
@@ -23,7 +30,7 @@ from olog.errors import CompositionError, OlogError
 
 from .conftest import load_olog
 from . import strategies as sts
-from .oracles import TagPartition
+from .oracles import DataclassFact, DataclassPath, TagPartition
 
 
 def test_compose_concatenates(family_spec):
@@ -197,6 +204,96 @@ def test_enumerate_paths_deterministic_and_bounded(employee_spec):
     # every enumerated path is well formed
     for p in once:
         path_target(g, p)
+
+
+# --- Path and Fact are named tuples -------------------------------------------
+
+# Few sources and edge ids, so random pairs share prefixes and often collide.
+_paths = st.builds(
+    lambda source, edges: (source, tuple(edges)),
+    st.sampled_from(["a", "b", "ab"]),
+    st.lists(st.sampled_from(["f", "g", "fg"]), max_size=3),
+)
+
+
+def _both(fields):
+    """A path as the library builds it and as the old dataclass built it."""
+    return Path(*fields), DataclassPath(*fields)
+
+
+def _same_values(new_pair, old_pair):
+    (x, y), (ox, oy) = new_pair, old_pair
+    for op in (operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne):
+        assert op(x, y) == op(ox, oy), op
+    assert repr(x) == repr(ox).replace("Dataclass", "", 3)
+    assert hash(x) == hash(ox)
+    assert bool(x) is bool(ox)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_paths, _paths)
+def test_path_behaves_as_the_dataclass_did(p, q):
+    (x, ox), (y, oy) = _both(p), _both(q)
+    _same_values((x, y), (ox, oy))
+    assert len(x) == len(ox) and x.is_identity is ox.is_identity
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(_paths, _paths), st.tuples(_paths, _paths))
+def test_fact_behaves_as_the_dataclass_did(f, g):
+    def both(sides):
+        new, old = zip(*map(_both, sides))
+        return Fact(*new), DataclassFact(*old)
+
+    (x, ox), (y, oy) = both(f), both(g)
+    _same_values((x, y), (ox, oy))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_paths, _paths), max_size=12))
+def test_sorted_order_is_the_dataclass_order(sides):
+    paths = [p for pair in sides for p in pair]
+    old_paths = sorted(DataclassPath(*p) for p in paths)
+    assert sorted(map(Path._make, paths)) == [astuple(p) for p in old_paths]
+    facts = sorted(Fact(Path(*p), Path(*q)) for p, q in sides)
+    old = sorted(DataclassFact(DataclassPath(*p), DataclassPath(*q)) for p, q in sides)
+    assert facts == [astuple(f) for f in old]
+
+
+def test_path_and_fact_are_plain_tuples_of_their_fields():
+    p, q = Path("a", ("f",)), Path("a")
+    assert p == ("a", ("f",)) and Fact(p, q) == (("a", ("f",)), ("a", ()))
+    source, edges = p
+    assert (source, edges) == ("a", ("f",))
+    assert json.dumps(p) == '["a", ["f"]]'
+    assert json.dumps(Fact(p, q)) == '[["a", ["f"]], ["a", []]]'
+    assert (len(p), len(q), bool(q)) == (1, 0, False)
+    assert Path._make(["a", ()]) == q and q._replace(edges=("f", "g")) == ("a", ("f", "g"))
+    with pytest.raises(TypeError):
+        Path._make(["a"])
+    for cls in (Path, Fact):
+        assert cls.__hash__ is tuple.__hash__
+        assert cls.__eq__ is tuple.__eq__
+        assert cls.__lt__ is tuple.__lt__
+
+
+def test_no_isinstance_tuple_check_in_the_library():
+    """A Path or Fact is a tuple: no library code may tell them apart that way."""
+    found = []
+    for source in sorted(FsPath(olog.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in ("isinstance", "issubclass")
+                and len(node.args) == 2
+                and any(
+                    isinstance(n, ast.Name) and n.id == "tuple"
+                    for n in ast.walk(node.args[1])
+                )
+            ):
+                found.append(f"{source.name}:{node.lineno}")
+    assert found == []
 
 
 # --- union-find ----------------------------------------------------------------

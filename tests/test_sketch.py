@@ -502,6 +502,32 @@ def test_decl_errors_checks_one_declaration():
     assert validate_decls(spec) == decl_errors(g, bad)
 
 
+def test_decl_errors_with_unknown_target_still_checks_the_rest():
+    g, decl = customers_world()
+    bad = PullbackDecl(
+        "nowhere", ("wealthy", "ql"), ("loyal", "qw"),
+        (Path("loyal", ("il",)), Path("loyal", ("il",))),
+    )
+    assert decl_errors(g, bad) == [
+        "PullbackDecl on 'nowhere': unknown type 'nowhere'",
+        "PullbackDecl on 'nowhere': path il must start at 'wealthy'",
+    ]
+    pushout = PushoutDecl(
+        "nowhere", ("wealthy", "nope"), ("loyal", "qw"),
+        (Path("both", ("qw",)), Path("loyal", ())),
+    )
+    assert decl_errors(g, pushout) == [
+        "PushoutDecl on 'nowhere': unknown type 'nowhere'",
+        "PushoutDecl on 'nowhere': unknown aspect 'nope'",
+        "PushoutDecl on 'nowhere': span paths start at different types",
+    ]
+    image = ImageDecl("nowhere", Path("both", ("zz",)), "qw", "il")
+    assert decl_errors(g, image) == [
+        "ImageDecl on 'nowhere': unknown type 'nowhere'",
+        "ImageDecl on 'nowhere': path mentions unknown aspect 'zz'",
+    ]
+
+
 def test_missing_square_fact_skips_unusable_declarations():
     g, decl = customers_world()
     broken = PullbackDecl("both", ("wealthy", "nope"), ("loyal", "ql"), decl.cospan)
