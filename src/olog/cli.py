@@ -41,27 +41,28 @@ class _Out:
             print(text)
 
 
-def _fail_usage(message: str) -> int:
-    print(message, file=sys.stderr)
-    return 2
-
-
-def _load_spec(path: str, out: _Out) -> tuple[Specification | None, int]:
+def _read(path: str) -> str:
     try:
-        text = FsPath(path).read_text(encoding="utf-8")
+        return FsPath(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        return None, _fail_usage(f"cannot read '{path}': {exc}")
-    spec, diags = dsl.parse_olog(text, path)
+        raise OlogError(f"cannot read '{path}': {exc}") from None
+
+
+def _parsed(result, out: _Out):
+    """The value of a parser's ``(value, diagnostics)``; exit 2 if it is None."""
+    value, diags = result
     out.diagnostics(diags)
-    if spec is None:
-        return None, 2
-    return spec, 0
+    if value is None:
+        raise SystemExit(2)
+    return value
+
+
+def _load_spec(path: str, out: _Out) -> Specification:
+    return _parsed(dsl.parse_olog(_read(path), path), out)
 
 
 def _cmd_check(args, out: _Out) -> int:
-    spec, rc = _load_spec(args.olog, out)
-    if spec is None:
-        return rc
+    spec = _load_spec(args.olog, out)
     out.note(
         f"ok: {len(spec.graph.types)} types, {len(spec.graph.aspects)} aspects, "
         f"{len(spec.facts)} facts, {len(spec.sketch)} sketch declarations"
@@ -70,12 +71,10 @@ def _cmd_check(args, out: _Out) -> int:
 
 
 def _cmd_entail(args, out: _Out) -> int:
-    spec, rc = _load_spec(args.olog, out)
-    if spec is None:
-        return rc
+    spec = _load_spec(args.olog, out)
     fact = dsl.parse_fact_text(args.fact, spec.graph)
     if max(len(fact.lhs), len(fact.rhs)) > args.bound:
-        return _fail_usage(
+        raise OlogError(
             f"fact '{format_fact(fact)}' has a side longer than bound {args.bound}; "
             f"raise --bound"
         )
@@ -141,9 +140,7 @@ def _emit_sketch_checks(results, out: _Out) -> bool:
 
 
 def _cmd_validate(args, out: _Out) -> int:
-    spec, rc = _load_spec(args.olog, out)
-    if spec is None:
-        return rc
+    spec = _load_spec(args.olog, out)
     try:
         d = instances.load_instances(args.data, spec)
     except InstanceLoadError as exc:
@@ -171,12 +168,10 @@ def _cmd_synth(args, out: _Out) -> int:
     they may be missing from the data directory; every other table must load
     cleanly. Writes the affected tables.
     """
-    spec, rc = _load_spec(args.olog, out)
-    if spec is None:
-        return rc
+    spec = _load_spec(args.olog, out)
     decls = [x for x in spec.sketch if getattr(x, "target", None) == args.decl]
     if not decls:
-        return _fail_usage(f"no sketch declaration targets '{args.decl}'")
+        raise OlogError(f"no sketch declaration targets '{args.decl}'")
     decl = decls[0]
     generated = frozenset(sketch.synthesized_aspects(decl))
     ungenerated = [
@@ -223,9 +218,7 @@ def _csv_cell(cell: str) -> str:
 
 
 def _cmd_sqlgen(args, out: _Out) -> int:
-    spec, rc = _load_spec(args.olog, out)
-    if spec is None:
-        return rc
+    spec = _load_spec(args.olog, out)
     payload = sqlgen.emit_ddl(spec)
     if args.with_inserts:
         try:
@@ -243,21 +236,10 @@ def _cmd_sqlgen(args, out: _Out) -> int:
 
 
 def _load_morphism(source: str, target: str, morphism: str, out: _Out) -> tuple:
-    src, rc = _load_spec(source, out)
-    if src is None:
-        return None, None, None, rc
-    tgt, rc = _load_spec(target, out)
-    if tgt is None:
-        return None, None, None, rc
-    try:
-        text = FsPath(morphism).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        return None, None, None, _fail_usage(f"cannot read '{morphism}': {exc}")
-    h, diags = dsl.parse_morphism(text, src, tgt, morphism)
-    out.diagnostics(diags)
-    if h is None:
-        return None, None, None, 2
-    return h, src, tgt, 0
+    src = _load_spec(source, out)
+    tgt = _load_spec(target, out)
+    h = _parsed(dsl.parse_morphism(_read(morphism), src, tgt, morphism), out)
+    return h, src, tgt
 
 
 def _write_file(path, payload: str, out: _Out):
@@ -278,9 +260,7 @@ def _write_olog(spec: Specification, out_path: str | None, out: _Out) -> int:
 
 
 def _cmd_flow(args, out: _Out) -> int:
-    h, src, tgt, rc = _load_morphism(args.source, args.target, args.morphism, out)
-    if h is None:
-        return rc
+    h, src, tgt = _load_morphism(args.source, args.target, args.morphism, out)
     if args.direction == "dir":
         facts = flow.dir_flow(h, src.facts)
         result = Specification(graph=h.tgt, facts=facts, name=f"{tgt.name}_dir")
@@ -291,9 +271,7 @@ def _cmd_flow(args, out: _Out) -> int:
 
 
 def _cmd_morphism_check(args, out: _Out) -> int:
-    h, src, tgt, rc = _load_morphism(args.source, args.target, args.morphism, out)
-    if h is None:
-        return rc
+    h, src, tgt = _load_morphism(args.source, args.target, args.morphism, out)
     ok, offenders = flow.is_spec_morphism(h, src, tgt, args.bound)
     record = {
         "kind": "morphism",
@@ -307,24 +285,14 @@ def _cmd_morphism_check(args, out: _Out) -> int:
     return 0 if ok else 1
 
 
-def _load_system(args, out: _Out):
-    sysm, diags = dsl.parse_system(args.system, args.bound)
-    out.diagnostics(diags)
-    return sysm
-
-
 def _cmd_fuse(args, out: _Out) -> int:
-    sysm = _load_system(args, out)
-    if sysm is None:
-        return 2
+    sysm = _parsed(dsl.parse_system(args.system, args.bound), out)
     fused = system.fusion(sysm, args.bound)
     return _write_olog(fused, args.out, out)
 
 
 def _cmd_consequence(args, out: _Out) -> int:
-    sysm = _load_system(args, out)
-    if sysm is None:
-        return 2
+    sysm = _parsed(dsl.parse_system(args.system, args.bound), out)
     outdir = FsPath(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     for node, spec in sorted(system.system_consequence(sysm, args.bound).items()):
@@ -336,13 +304,9 @@ def _cmd_consequence(args, out: _Out) -> int:
 
 def _cmd_lot(args, out: _Out) -> int:
     if args.move == "analogy":
-        h, spec, tgt, rc = _load_morphism(args.olog, args.target, args.morphism, out)
-        if h is None:
-            return rc
+        h, spec, tgt = _load_morphism(args.olog, args.target, args.morphism, out)
         return _write_olog(flow.lot_analogy(h, spec, name=tgt.name), args.out, out)
-    spec, rc = _load_spec(args.olog, out)
-    if spec is None:
-        return rc
+    spec = _load_spec(args.olog, out)
     if args.move == "revise":
         dels = [dsl.parse_fact_text(f, spec.graph) for f in args.delete]
         adds = [dsl.parse_fact_text(f, spec.graph) for f in args.add]
@@ -463,14 +427,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return args.fn(args, _Out(args.format, args.quiet))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    out = _Out(args.format, args.quiet)
-    try:
-        return args.fn(args, out)
     except OlogError as exc:
         print(str(exc), file=sys.stderr)
         return 2

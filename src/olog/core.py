@@ -198,15 +198,12 @@ def fact_errors(graph: Graph, fact: Fact) -> list[str]:
     return errs
 
 
-def _sketch_sort_key(decl) -> tuple[str, str]:
-    return (type(decl).__name__, getattr(decl, "target", ""))
-
-
 @dataclass(frozen=True)
 class Specification:
     """A graph plus declared facts plus limit/colimit annotations.
 
-    Facts are deduplicated and canonically ordered at construction. The
+    Facts and sketch declarations are deduplicated and canonically ordered
+    at construction, declarations by their ``kind`` and then by value. The
     ``name`` is display metadata used by the text format.
     """
 
@@ -217,7 +214,8 @@ class Specification:
 
     def __post_init__(self):
         object.__setattr__(self, "facts", tuple(sorted(set(self.facts))))
-        object.__setattr__(self, "sketch", tuple(sorted(set(self.sketch), key=_sketch_sort_key)))
+        sketch = sorted(set(self.sketch), key=lambda d: (d.kind, d))
+        object.__setattr__(self, "sketch", tuple(sketch))
 
 
 def validate_specification(spec: Specification) -> list[str]:

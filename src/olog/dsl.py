@@ -42,12 +42,10 @@ from .errors import OlogError
 from .flow import GraphMorphism, morphism_errors
 from .sketch import (
     CoproductDecl,
-    EmptyDecl,
     ImageDecl,
     ProductDecl,
     PullbackDecl,
     PushoutDecl,
-    SingletonDecl,
     decl_errors,
     missing_square_facts,
 )
@@ -481,7 +479,7 @@ def _parse_sketch_decl(p: _Parser, graph: Graph, head: str, cur: _Cursor):
         p.expect_end(cur)
         if ident is None:
             return None
-        return SingletonDecl(ident.text) if head == "singleton" else EmptyDecl(ident.text)
+        return (ProductDecl if head == "singleton" else CoproductDecl)(ident.text, ())
 
     target = p.expect(cur, "IDENT", what="a target type id")
     if target is None:
@@ -624,19 +622,13 @@ def _parse_sketch_decl(p: _Parser, graph: Graph, head: str, cur: _Cursor):
 
 
 def format_decl(graph: Graph, decl) -> str:
-    if isinstance(decl, SingletonDecl):
-        return f"singleton {decl.target}"
-    if isinstance(decl, EmptyDecl):
-        return f"empty {decl.target}"
+    if decl.kind in ("singleton", "empty"):
+        return f"{decl.kind} {decl.target}"
     if isinstance(decl, ProductDecl):
-        if not decl.factors:
-            return f"singleton {decl.target}"
         factors = " * ".join(t for t, _ in decl.factors)
         projs = ",".join(a for _, a in decl.factors)
         return f"product {decl.target} = {factors} via ({projs})"
     if isinstance(decl, CoproductDecl):
-        if not decl.summands:
-            return f"empty {decl.target}"
         summands = " + ".join(t for t, _ in decl.summands)
         incls = ",".join(a for _, a in decl.summands)
         return f"coproduct {decl.target} = {summands} via ({incls})"

@@ -54,7 +54,10 @@ class GraphMorphism:
 
 
 def morphism_errors(h: GraphMorphism) -> list[str]:
-    problems: list[str] = []
+    problems = [f"unknown source type '{t}'" for t in h.type_map if not h.src.has_type(t)]
+    problems += [
+        f"unknown source aspect '{a}'" for a in h.aspect_map if not h.src.has_aspect(a)
+    ]
     for t in h.src.types:
         img = h.type_map.get(t.id)
         if img is None:
@@ -223,7 +226,8 @@ def lot_contract(s: Specification, facts) -> Specification:
         raise LotError(
             f"cannot contract undeclared fact {format_fact(missing[0])}"
         )
-    keep = tuple(f for f in s.facts if f not in set(facts))
+    dropped = set(facts)
+    keep = tuple(f for f in s.facts if f not in dropped)
     return Specification(graph=s.graph, facts=keep, sketch=s.sketch, name=s.name)
 
 

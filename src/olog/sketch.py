@@ -34,78 +34,73 @@ from .errors import OlogError, SketchError, SynthesisError
 from .instances import KeyDiagram, eval_path
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class ProductDecl:
-    """target = cartesian product of the factors; one projection aspect each."""
+    """target = cartesian product of the factors; one projection aspect each.
+
+    With no factors this is a ``singleton`` type: the empty product.
+    """
 
     target: str
     factors: tuple[tuple[str, str], ...]  # (factor type, projection aspect)
 
+    @property
+    def kind(self) -> str:
+        return "product" if self.factors else "singleton"
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, order=True)
 class PullbackDecl:
     """target = pairs from the two legs agreeing along the cospan paths."""
 
+    kind = "pullback"
     target: str
     leg_b: tuple[str, str]  # (type, projection aspect)
     leg_c: tuple[str, str]
     cospan: tuple[Path, Path]  # paths B -> D and C -> D
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class CoproductDecl:
-    """target = tagged disjoint union of the summands; one inclusion each."""
+    """target = tagged disjoint union of the summands; one inclusion each.
+
+    With no summands this is an ``empty`` type: the empty coproduct.
+    """
 
     target: str
     summands: tuple[tuple[str, str], ...]  # (summand type, inclusion aspect)
 
+    @property
+    def kind(self) -> str:
+        return "coproduct" if self.summands else "empty"
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, order=True)
 class PushoutDecl:
     """target = disjoint union of the legs, identified along a common span."""
 
+    kind = "pushout"
     target: str
     leg_b: tuple[str, str]  # (type, inclusion aspect into target)
     leg_c: tuple[str, str]
     span: tuple[Path, Path]  # paths A -> B and A -> C
 
 
-@dataclass(frozen=True)
-class SingletonDecl:
-    """target has exactly one instance (the empty product)."""
-
-    target: str
-
-
-@dataclass(frozen=True)
-class EmptyDecl:
-    """target has no instances (the empty coproduct)."""
-
-    target: str
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class ImageDecl:
     """target is the image of a path, factored surjection-then-injection."""
 
+    kind = "image"
     target: str
     of: Path
     surjection: str  # aspect source-of-path -> target
     injection: str  # aspect target -> target-of-path
 
 
-SketchDecl = (
-    ProductDecl
-    | PullbackDecl
-    | CoproductDecl
-    | PushoutDecl
-    | SingletonDecl
-    | EmptyDecl
-    | ImageDecl
-)
+SketchDecl = ProductDecl | PullbackDecl | CoproductDecl | PushoutDecl | ImageDecl
 
 
-def synthesized_aspects(decl: "SketchDecl") -> tuple[str, ...]:
+def synthesized_aspects(decl: SketchDecl) -> tuple[str, ...]:
     """Aspect ids whose functions are outputs of synthesizing ``decl``."""
     if isinstance(decl, ProductDecl):
         return tuple(a for _, a in decl.factors)
@@ -339,7 +334,7 @@ def check_product(d: KeyDiagram, decl: ProductDecl) -> CheckResult:
         iter_product(*(sorted(d.sets.get(t, frozenset())) for t, _ in decl.factors))
     )
     got = _tupling(d, decl.target, [aid for _, aid in decl.factors])
-    return _bijection_onto("product", decl.target, got, want)
+    return _bijection_onto(decl.kind, decl.target, got, want)
 
 
 def _pullback_pairs(d: KeyDiagram, decl: PullbackDecl) -> list[tuple[str, str]]:
@@ -377,24 +372,24 @@ def check_coproduct(d: KeyDiagram, decl: CoproductDecl) -> CheckResult:
             v = d.funcs[aid][k]
             if v in seen:
                 return CheckResult(
-                    "coproduct", decl.target, False,
+                    decl.kind, decl.target, False,
                     f"inclusion '{aid}' is not injective: '{seen[v]}' and '{k}' "
                     f"both map to '{v}'",
                 )
             seen[v] = k
             if v in covered:
                 return CheckResult(
-                    "coproduct", decl.target, False,
+                    decl.kind, decl.target, False,
                     f"target key '{v}' is hit by both '{covered[v][0]}' and '{aid}'",
                 )
             covered[v] = (aid, k)
     uncovered = target_keys - set(covered)
     if uncovered:
         return CheckResult(
-            "coproduct", decl.target, False,
+            decl.kind, decl.target, False,
             f"target key '{sorted(uncovered)[0]}' is not included from any summand",
         )
-    return CheckResult("coproduct", decl.target, True)
+    return CheckResult(decl.kind, decl.target, True)
 
 
 def _pushout_classes(d: KeyDiagram, decl: PushoutDecl) -> dict[str, list[str]]:
@@ -446,16 +441,6 @@ def check_pushout(d: KeyDiagram, decl: PushoutDecl) -> CheckResult:
             f"target key '{sorted(uncovered)[0]}' is not reached from either leg",
         )
     return CheckResult("pushout", decl.target, True)
-
-
-def check_singleton(d: KeyDiagram, decl: SingletonDecl) -> CheckResult:
-    res = check_product(d, ProductDecl(decl.target, ()))
-    return CheckResult("singleton", decl.target, res.passed, res.witness)
-
-
-def check_empty(d: KeyDiagram, decl: EmptyDecl) -> CheckResult:
-    res = check_coproduct(d, CoproductDecl(decl.target, ()))
-    return CheckResult("empty", decl.target, res.passed, res.witness)
 
 
 def check_injective(d: KeyDiagram, graph: Graph, aspect_id: str) -> CheckResult:
@@ -510,10 +495,6 @@ def check_decl(d: KeyDiagram, graph: Graph, decl: SketchDecl) -> CheckResult:
         return check_coproduct(d, decl)
     if isinstance(decl, PushoutDecl):
         return check_pushout(d, decl)
-    if isinstance(decl, SingletonDecl):
-        return check_singleton(d, decl)
-    if isinstance(decl, EmptyDecl):
-        return check_empty(d, decl)
     if isinstance(decl, ImageDecl):
         return check_image(d, graph, decl)
     raise SketchError(f"unknown sketch declaration {decl!r}")
@@ -544,25 +525,23 @@ def synthesize(decl: SketchDecl, d: KeyDiagram) -> KeyDiagram:
         raise SynthesisError(
             f"target '{decl.target}' is already populated; refusing to overwrite"
         )
-    sets = {k: v for k, v in d.sets.items()}
+    sets = dict(d.sets)
     funcs = {k: dict(v) for k, v in d.funcs.items()}
+    for aid in synthesized_aspects(decl):
+        funcs.setdefault(aid, {})
 
-    if isinstance(decl, (SingletonDecl, ProductDecl)):
-        factors = decl.factors if isinstance(decl, ProductDecl) else ()
+    if isinstance(decl, ProductDecl):
         keys = []
         for combo in iter_product(
-            *(sorted(d.sets.get(t, frozenset())) for t, _ in factors)
+            *(sorted(d.sets.get(t, frozenset())) for t, _ in decl.factors)
         ):
             key = encode_tuple(combo)
             keys.append(key)
-            for (t, aid), comp in zip(factors, combo):
-                funcs.setdefault(aid, {})[key] = comp
+            for (_, aid), comp in zip(decl.factors, combo):
+                funcs[aid][key] = comp
         sets[decl.target] = frozenset(keys)
-        for _, aid in factors:
-            funcs.setdefault(aid, {})
     elif isinstance(decl, PullbackDecl):
-        proj_b = funcs.setdefault(decl.leg_b[1], {})
-        proj_c = funcs.setdefault(decl.leg_c[1], {})
+        proj_b, proj_c = funcs[decl.leg_b[1]], funcs[decl.leg_c[1]]
         keys = []
         for b, c in _pullback_pairs(d, decl):
             key = encode_tuple((b, c))
@@ -570,17 +549,14 @@ def synthesize(decl: SketchDecl, d: KeyDiagram) -> KeyDiagram:
             proj_b[key] = b
             proj_c[key] = c
         sets[decl.target] = frozenset(keys)
-    elif isinstance(decl, (EmptyDecl, CoproductDecl)):
-        summands = decl.summands if isinstance(decl, CoproductDecl) else ()
+    elif isinstance(decl, CoproductDecl):
         keys = []
-        for tid, aid in summands:
+        for tid, aid in decl.summands:
             for k in sorted(d.sets.get(tid, frozenset())):
                 key = encode_tagged(aid, k)
                 keys.append(key)
-                funcs.setdefault(aid, {})[k] = key
+                funcs[aid][k] = key
         sets[decl.target] = frozenset(keys)
-        for _, aid in summands:
-            funcs.setdefault(aid, {})
     elif isinstance(decl, PushoutDecl):
         (tb, ab), (tc, ac) = decl.leg_b, decl.leg_c
         classes = _pushout_classes(d, decl)
@@ -590,22 +566,18 @@ def synthesize(decl: SketchDecl, d: KeyDiagram) -> KeyDiagram:
                 rep_of[m] = rep
         sets[decl.target] = frozenset(classes)
         for k in d.sets.get(tb, frozenset()):
-            funcs.setdefault(ab, {})[k] = rep_of[encode_tagged(ab, k)]
+            funcs[ab][k] = rep_of[encode_tagged(ab, k)]
         for k in d.sets.get(tc, frozenset()):
-            funcs.setdefault(ac, {})[k] = rep_of[encode_tagged(ac, k)]
-        funcs.setdefault(ab, {})
-        funcs.setdefault(ac, {})
+            funcs[ac][k] = rep_of[encode_tagged(ac, k)]
     elif isinstance(decl, ImageDecl):
         values = sorted(
             {eval_path(d, decl.of, k) for k in d.sets.get(decl.of.source, frozenset())}
         )
         sets[decl.target] = frozenset(values)
         for k in d.sets.get(decl.of.source, frozenset()):
-            funcs.setdefault(decl.surjection, {})[k] = eval_path(d, decl.of, k)
+            funcs[decl.surjection][k] = eval_path(d, decl.of, k)
         for v in values:
-            funcs.setdefault(decl.injection, {})[v] = v
-        funcs.setdefault(decl.surjection, {})
-        funcs.setdefault(decl.injection, {})
+            funcs[decl.injection][v] = v
     else:
         raise SketchError(f"cannot synthesize {decl!r}")
 

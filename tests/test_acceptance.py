@@ -430,8 +430,8 @@ def test_criterion_12_pseudo_metric(metric_spec, metric_data):
             c = q(metric_data.funcs["c"][key])
             assert c <= a + b
         # and the pullback annotations on pairs and triples really checked
-        kinds = {type(d).__name__ for d in metric_spec.sketch}
-        assert "PullbackDecl" in kinds and "SingletonDecl" in kinds
+        kinds = {d.kind for d in metric_spec.sketch}
+        assert "pullback" in kinds and "singleton" in kinds
 
 
 # --- helpers for criterion 07 --------------------------------------------------

@@ -1,13 +1,35 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path as FsPath
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import olog
 from olog import dsl
-from olog.core import Fact, Graph, Path, Specification, identity_path, validate_specification
+from olog.core import (
+    Fact,
+    Graph,
+    Path,
+    Specification,
+    TypeNode,
+    identity_path,
+    validate_specification,
+)
 from olog.errors import OlogError
-from olog.sketch import PullbackDecl, decl_errors, validate_decls
+from olog.instances import key_diagram
+from olog.sketch import (
+    CoproductDecl,
+    ProductDecl,
+    PullbackDecl,
+    check_all,
+    decl_errors,
+    validate_decls,
+)
 
 from . import strategies as sts
 from .conftest import FIXTURES, load_olog
@@ -248,6 +270,73 @@ def test_print_canonicalizes_unordered_input():
     lines = dsl.print_olog(spec).splitlines()
     assert lines.index('  type pair "a pair (w,m) where w is a woman and m is a man"') < \
         lines.index('  type person "a person"')
+
+
+UNIT_GRAPH = Graph(types=(TypeNode("E", "an impossibility"), TypeNode("U", "a unit")))
+
+
+@pytest.mark.parametrize(
+    "decl, kind, data",
+    [
+        (ProductDecl("U", ()), "singleton", {"U": ["()"]}),
+        (CoproductDecl("E", ()), "empty", {"E": []}),
+    ],
+)
+def test_nullary_product_and_coproduct_round_trip(decl, kind, data):
+    """A code-built nullary product prints as ``singleton`` and parses back equal."""
+    spec = Specification(graph=UNIT_GRAPH, sketch=(decl,), name="Unit")
+    text = dsl.print_olog(spec)
+    assert f"  {kind} {decl.target}\n" in text
+    reparsed, diags = dsl.parse_olog(text)
+    assert reparsed == spec and not errors(diags)
+    d = key_diagram(data, {})
+    results = [(r.kind, r.passed) for r in check_all(d, spec)]
+    assert results == [(r.kind, r.passed) for r in check_all(d, reparsed)]
+    assert results == [(kind, True)]
+
+
+def test_parsed_singleton_is_the_nullary_product():
+    text = 'olog Unit {\n  type U "a unit"\n  empty U\n  singleton U\n}\n'
+    parsed, _ = dsl.parse_olog(text)
+    assert parsed.sketch == (CoproductDecl("U", ()), ProductDecl("U", ()))
+    both = Specification(
+        graph=parsed.graph, sketch=parsed.sketch + (ProductDecl("U", ()),), name="Unit"
+    )
+    assert dsl.print_olog(both) == text
+
+
+_PRINT_TWO_PRODUCTS = """
+from olog import dsl
+from olog.core import Aspect, Graph, Specification, TypeNode
+from olog.sketch import ProductDecl
+
+graph = Graph(
+    types=(TypeNode("a", "an a"), TypeNode("b", "a b"), TypeNode("c", "a c")),
+    aspects=(Aspect("p", "a", "b", "has"), Aspect("q", "a", "c", "has"),
+             Aspect("r", "a", "b", "has")),
+)
+sketch = (ProductDecl("a", (("b", "r"), ("c", "q"))), ProductDecl("a", (("b", "p"), ("c", "q"))))
+print(dsl.print_olog(Specification(graph=graph, sketch=sketch)), end="")
+"""
+
+
+def test_sketch_print_order_does_not_depend_on_the_hash_seed():
+    """Two declarations of one kind on one target print in one order."""
+    src = str(FsPath(olog.__file__).resolve().parents[1])
+    printed = set()
+    for seed in ("0", "1", "2", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        run = subprocess.run(
+            [sys.executable, "-c", _PRINT_TWO_PRODUCTS],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        printed.add(run.stdout)
+    assert len(printed) == 1
+    lines = printed.pop().splitlines()
+    assert lines[-3:-1] == [
+        "  product a = b * c via (p,q)",
+        "  product a = b * c via (r,q)",
+    ]
 
 
 def test_factorial_print_matches_golden(factorial_spec):

@@ -216,6 +216,18 @@ def test_morphism_validation_errors(family_spec):
         )
 
 
+
+def test_morphism_validation_rejects_stray_map_entries(family_spec):
+    """An entry for a type or aspect the source lacks is an error, not ignored."""
+    g = family_spec.graph
+    types = {t.id: t.id for t in g.types}
+    aspects = {a.id: Path(a.src, (a.id,)) for a in g.aspects}
+    with pytest.raises(MorphismError, match="unknown source type 'ghost'"):
+        graph_morphism(g, g, {**types, "ghost": "nowhere"}, aspects)
+    with pytest.raises(MorphismError, match="unknown source aspect 'ghost'"):
+        graph_morphism(g, g, types, {**aspects, "ghost": Path("person", ())})
+
+
 # --- functoriality -----------------------------------------------------------
 
 

@@ -9,12 +9,10 @@ from olog.errors import SketchError, SynthesisError
 from olog.instances import key_diagram, satisfies_spec
 from olog.sketch import (
     CoproductDecl,
-    EmptyDecl,
     ImageDecl,
     ProductDecl,
     PullbackDecl,
     PushoutDecl,
-    SingletonDecl,
     check_coproduct,
     check_decl,
     check_image,
@@ -87,7 +85,8 @@ def test_zero_factor_product_is_singleton():
     bad = key_diagram({"U": ["u1", "u2"]}, {})
     assert check_product(ok, decl).passed
     assert not check_product(bad, decl).passed
-    assert check_decl(key_diagram({"U": ["x"]}, {}), Graph(), SingletonDecl("U")).passed
+    res = check_decl(key_diagram({"U": ["x"]}, {}), Graph(), decl)
+    assert res.passed and res.kind == "singleton"
 
 
 def customers_world():
@@ -169,7 +168,7 @@ def test_pullback_singleton_interval():
     d = synthesize(decl, d)
     assert len(d.sets["zero"]) == 1
     assert check_pullback(d, decl).passed
-    assert check_decl(d, g, SingletonDecl("zero")).passed
+    assert check_decl(d, g, ProductDecl("zero", ())).passed
 
 
 def test_pullback_empty_leg():
@@ -222,7 +221,8 @@ def test_zero_summand_coproduct_is_empty():
     assert check_coproduct(key_diagram({"E": []}, {}), decl).passed
     res = check_coproduct(key_diagram({"E": ["ghost"]}, {}), decl)
     assert not res.passed
-    assert check_decl(key_diagram({"E": []}, {}), Graph(), EmptyDecl("E")).passed
+    res = check_decl(key_diagram({"E": []}, {}), Graph(), decl)
+    assert res.passed and res.kind == "empty"
 
 
 def shoulder_world():

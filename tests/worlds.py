@@ -8,12 +8,10 @@ from olog.core import Aspect, Graph, Path, TypeNode
 from olog.instances import key_diagram
 from olog.sketch import (
     CoproductDecl,
-    EmptyDecl,
     ImageDecl,
     ProductDecl,
     PullbackDecl,
     PushoutDecl,
-    SingletonDecl,
 )
 
 KINDS = ("product", "pullback", "coproduct", "pushout", "singleton", "empty", "image")
@@ -44,7 +42,7 @@ def random_world(rng: random.Random, kind: str, max_keys: int = 4):
             sets[tid] = keys(f"f{i}_", rng.randint(1, top))
             funcs[aid] = {}
             legs.append((tid, aid))
-        decl = ProductDecl("T", tuple(legs)) if kind == "product" else SingletonDecl("T")
+        decl = ProductDecl("T", tuple(legs))
         g = Graph(types=tuple(types), aspects=tuple(aspects))
         return g, decl, key_diagram(sets, funcs)
 
@@ -82,7 +80,7 @@ def random_world(rng: random.Random, kind: str, max_keys: int = 4):
             sets[tid] = keys("shared_", rng.randint(0, min(3, top)))  # overlapping names
             funcs[aid] = {}
             legs.append((tid, aid))
-        decl = CoproductDecl("T", tuple(legs)) if kind == "coproduct" else EmptyDecl("T")
+        decl = CoproductDecl("T", tuple(legs))
         g = Graph(types=tuple(types), aspects=tuple(aspects))
         return g, decl, key_diagram(sets, funcs)
 
