@@ -18,9 +18,12 @@ and every file it wrote. The commands are:
 - ``fuse`` and ``consequence`` on the four fixture systems at bounds 2-6;
 - ``lot contract``, ``expand``, ``revise`` and ``analogy``.
 
-Then seeded line-level mutants of the fixture ologs go through
-``dsl.parse_olog``. Their lines hold whether the text was accepted and the
-sha256 of the diagnostics and of the printed specification.
+Then seeded line-level mutants, all made by ``mutate``, go through the
+readers: mutants of the fixture ologs through ``dsl.parse_olog``, of the
+fixture morphisms through ``dsl.parse_morphism`` against their source and
+target, and of the ``entail`` fact strings through ``dsl.parse_fact_text``.
+Their lines hold whether the text was accepted and the sha256 of the
+diagnostics (or the error) and of what was read.
 
 Run it in two checkouts and diff the output; every differing line is a
 change in behaviour:
@@ -31,6 +34,7 @@ change in behaviour:
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -48,8 +52,11 @@ sys.path.insert(0, str(ROOT / "src"))
 from olog import dsl  # noqa: E402
 from olog.cli import main as olog_main  # noqa: E402
 from olog.core import enumerate_paths, format_fact, format_path, path_target  # noqa: E402
+from olog.errors import OlogError  # noqa: E402
 
 MUTANTS = 4000
+OMAP_MUTANTS = 1000
+FACT_MUTANTS = 2000
 BOUNDS = (2, 3, 4, 5, 6)
 FLOW_BOUNDS = (2, 3, 4, 6)
 DATA = {
@@ -70,6 +77,7 @@ def digest(data: str | bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
+@functools.lru_cache(maxsize=None)
 def load(name: str):
     spec, _ = dsl.parse_olog((Path("fixtures") / name).read_text(encoding="utf-8"), name)
     return spec
@@ -230,6 +238,47 @@ def mutants() -> list[dict]:
     return out
 
 
+def omap_mutants() -> list[dict]:
+    triples = morphisms()
+    out = []
+    for i in range(OMAP_MUTANTS):
+        src, tgt, omap = triples[i % len(triples)]
+        text = mutate(Path(omap).read_text(encoding="utf-8"), random.Random(i))
+        h, diags = dsl.parse_morphism(text, load(Path(src).name), load(Path(tgt).name), omap)
+        read = None
+        if h is not None:
+            maps = sorted(h.type_map.items()) + sorted(
+                (a, format_path(p)) for a, p in h.aspect_map.items()
+            )
+            read = digest(repr(maps))
+        out.append({
+            "case": f"omap mutant {i} of {Path(omap).name}",
+            "accepted": h is not None,
+            "diagnostics": digest("\n".join(map(str, diags))),
+            "read": read,
+        })
+    return out
+
+
+def fact_mutants() -> list[dict]:
+    queries = [
+        (name, query)
+        for name in sorted(p.name for p in Path("fixtures").glob("*.olog"))
+        for query in entail_queries(load(name))
+    ]
+    out = []
+    for i in range(FACT_MUTANTS):
+        name, query = queries[i % len(queries)]
+        text = mutate(query, random.Random(i))
+        record = {"case": f"fact mutant {i} of {name}"}
+        try:
+            record["read"] = digest(format_fact(dsl.parse_fact_text(text, load(name).graph)))
+        except OlogError as exc:
+            record["error"] = digest(str(exc))
+        out.append(record)
+    return out
+
+
 def main() -> int:
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
@@ -238,7 +287,7 @@ def main() -> int:
         try:
             for argv in commands():
                 print(json.dumps(run(argv), sort_keys=True))
-            for record in mutants():
+            for record in mutants() + omap_mutants() + fact_mutants():
                 print(json.dumps(record, sort_keys=True))
         finally:
             os.chdir(home)

@@ -169,10 +169,9 @@ def _cmd_synth(args, out: _Out) -> int:
     cleanly. Writes the affected tables.
     """
     spec = _load_spec(args.olog, out)
-    decls = [x for x in spec.sketch if getattr(x, "target", None) == args.decl]
-    if not decls:
+    decl = next((x for x in spec.sketch if x.target == args.decl), None)
+    if decl is None:
         raise OlogError(f"no sketch declaration targets '{args.decl}'")
-    decl = decls[0]
     generated = frozenset(sketch.synthesized_aspects(decl))
     ungenerated = [
         a.id for a in spec.graph.aspects_from.get(decl.target, ()) if a.id not in generated
@@ -203,7 +202,7 @@ def _cmd_synth(args, out: _Out) -> int:
     )
     if args.out:
         for tid in touched:
-            _write_file(FsPath(args.out) / f"{tid}.csv", _render_table(spec, extended, tid), out)
+            _write(FsPath(args.out) / f"{tid}.csv", _render_table(spec, extended, tid), out)
     else:
         for tid in touched:
             print(f"# table: {tid}")
@@ -228,11 +227,7 @@ def _cmd_sqlgen(args, out: _Out) -> int:
                 print(f"load error: {msg}", file=sys.stderr)
             return 1
         payload += "\n" + sqlgen.emit_inserts(spec, d)
-    if args.out:
-        _write_file(args.out, payload, out)
-    else:
-        print(payload, end="")
-    return 0
+    return _write(args.out, payload, out)
 
 
 def _load_morphism(source: str, target: str, morphism: str, out: _Out) -> tuple:
@@ -242,20 +237,18 @@ def _load_morphism(source: str, target: str, morphism: str, out: _Out) -> tuple:
     return h, src, tgt
 
 
-def _write_file(path, payload: str, out: _Out):
-    """Write ``payload`` to ``path``, creating its directory, and note it."""
+def _write(path, payload: str, out: _Out) -> int:
+    """Write ``payload`` to ``path``, creating its directory, and note it.
+
+    Without a path (no ``-o``) the payload goes to stdout.
+    """
+    if not path:
+        print(payload, end="")
+        return 0
     target = FsPath(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(payload, encoding="utf-8")
     out.note(f"wrote {path}")
-
-
-def _write_olog(spec: Specification, out_path: str | None, out: _Out) -> int:
-    payload = dsl.print_olog(spec)
-    if out_path:
-        _write_file(out_path, payload, out)
-    else:
-        print(payload, end="")
     return 0
 
 
@@ -267,7 +260,7 @@ def _cmd_flow(args, out: _Out) -> int:
     else:
         facts = flow.inv_flow(h, tgt.facts, args.bound)
         result = Specification(graph=h.src, facts=facts, name=f"{src.name}_inv")
-    return _write_olog(result, args.out, out)
+    return _write(args.out, dsl.print_olog(result), out)
 
 
 def _cmd_morphism_check(args, out: _Out) -> int:
@@ -288,7 +281,7 @@ def _cmd_morphism_check(args, out: _Out) -> int:
 def _cmd_fuse(args, out: _Out) -> int:
     sysm = _parsed(dsl.parse_system(args.system, args.bound), out)
     fused = system.fusion(sysm, args.bound)
-    return _write_olog(fused, args.out, out)
+    return _write(args.out, dsl.print_olog(fused), out)
 
 
 def _cmd_consequence(args, out: _Out) -> int:
@@ -296,16 +289,14 @@ def _cmd_consequence(args, out: _Out) -> int:
     outdir = FsPath(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     for node, spec in sorted(system.system_consequence(sysm, args.bound).items()):
-        target = outdir / f"{node}.olog"
-        target.write_text(dsl.print_olog(spec), encoding="utf-8")
-        out.note(f"wrote {target}")
+        _write(outdir / f"{node}.olog", dsl.print_olog(spec), out)
     return 0
 
 
 def _cmd_lot(args, out: _Out) -> int:
     if args.move == "analogy":
         h, spec, tgt = _load_morphism(args.olog, args.target, args.morphism, out)
-        return _write_olog(flow.lot_analogy(h, spec, name=tgt.name), args.out, out)
+        return _write(args.out, dsl.print_olog(flow.lot_analogy(h, spec, name=tgt.name)), out)
     spec = _load_spec(args.olog, out)
     if args.move == "revise":
         dels = [dsl.parse_fact_text(f, spec.graph) for f in args.delete]
@@ -315,7 +306,7 @@ def _cmd_lot(args, out: _Out) -> int:
         facts = [dsl.parse_fact_text(f, spec.graph) for f in args.fact]
         move = flow.lot_contract if args.move == "contract" else flow.lot_expand
         result = move(spec, facts)
-    return _write_olog(result, args.out, out)
+    return _write(args.out, dsl.print_olog(result), out)
 
 
 def _bound(text: str) -> int:

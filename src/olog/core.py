@@ -257,7 +257,7 @@ def validate_specification(spec: Specification) -> list[str]:
     return problems
 
 
-def enumerate_paths(graph: Graph, max_len: int, source: str | None = None) -> tuple[Path, ...]:
+def enumerate_paths(graph: Graph, max_len: int) -> tuple[Path, ...]:
     """All well-formed paths of length at most ``max_len``.
 
     Deterministic order: by source id, then by length, then lexicographically
@@ -265,11 +265,8 @@ def enumerate_paths(graph: Graph, max_len: int, source: str | None = None) -> tu
     """
     if max_len < 0:
         raise ValueError("max_len must be non-negative")
-    sources = [source] if source is not None else [t.id for t in graph.types]
     out: list[Path] = []
-    for src in sources:
-        if not graph.has_type(src):
-            raise OlogError(f"unknown type '{src}'")
+    for src in (t.id for t in graph.types):
         level: list[tuple[Path, str]] = [(identity_path(src), src)]
         out.append(level[0][0])
         for _ in range(max_len):

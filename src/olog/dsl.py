@@ -119,17 +119,6 @@ def _strip_comment(line: str) -> str:
     return "".join(out)
 
 
-def _tokenize_line(line: str, lineno: int, filename: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    for m in _TOKEN_RE.finditer(_strip_comment(line)):
-        kind = m.lastgroup
-        if kind == "WS":
-            continue
-        span = SourceSpan(filename, lineno, m.start() + 1)
-        toks.append(_Tok(kind or "BAD", m.group(), span))
-    return toks
-
-
 class _Cursor:
     def __init__(self, toks: list[_Tok], line_span: SourceSpan):
         self.toks = toks
@@ -156,6 +145,19 @@ class _Parser:
     def __init__(self, filename: str):
         self.filename = filename
         self.diagnostics: list[ParseDiagnostic] = []
+
+    def tokenize(self, line: str, lineno: int) -> _Cursor:
+        """A cursor over one line's tokens; each unexpected character is an error and dropped."""
+        toks: list[_Tok] = []
+        for m in _TOKEN_RE.finditer(_strip_comment(line)):
+            if m.lastgroup == "WS":
+                continue
+            span = SourceSpan(self.filename, lineno, m.start() + 1)
+            if m.lastgroup == "BAD":
+                self.error(f"unexpected character '{m.group()}'", span)
+            else:
+                toks.append(_Tok(m.lastgroup, m.group(), span))
+        return _Cursor(toks, SourceSpan(self.filename, lineno, 1))
 
     def error(self, message: str, at: SourceSpan):
         self.diagnostics.append(ParseDiagnostic(ERROR, message, at))
@@ -266,17 +268,10 @@ def parse_olog(
     body: list[tuple[str, _Cursor]] = []  # (first ident text, cursor past it)
     opened = closed = False
     for lineno, raw in enumerate(lines, start=1):
-        toks = _tokenize_line(raw, lineno, filename)
-        if not toks:
+        cur = p.tokenize(raw, lineno)
+        if not cur.toks:
             continue
-        for t in toks:
-            if t.kind == "BAD":
-                p.error(f"unexpected character '{t.text}'", t.span)
-        toks = [t for t in toks if t.kind != "BAD"]
-        if not toks:
-            continue
-        cur = _Cursor(toks, SourceSpan(filename, lineno, 1))
-        head = toks[0]
+        head = cur.toks[0]
         if not opened:
             if head.text == "olog":
                 cur.next()
@@ -393,27 +388,9 @@ def parse_olog(
     sketch: list = []
     for head, cur in deferred:
         if head == "fact":
-            got = p.parse_path_tokens(cur)
-            if got is None:
-                continue
-            ltoks, lspan = got
-            if p.expect(cur, "OP", "=") is None:
-                continue
-            got = p.parse_path_tokens(cur)
-            if got is None:
-                continue
-            rtoks, rspan = got
-            p.expect_end(cur)
-            lhs = _resolve_path(p, graph, ltoks, lspan)
-            rhs = _resolve_path(p, graph, rtoks, rspan)
-            if lhs is None or rhs is None:
-                continue
-            fact = Fact(lhs, rhs)
-            errs = fact_errors(graph, fact)
-            if errs:
-                p.error(errs[0], lspan)
-                continue
-            facts.append(fact)
+            fact = _parse_fact(p, graph, cur)
+            if fact is not None:
+                facts.append(fact)
         else:
             decl = _parse_sketch_decl(p, graph, head, cur)
             if decl is not None:
@@ -430,6 +407,27 @@ def parse_olog(
     for msg in missing_square_facts(spec):
         p.warn(msg, SourceSpan(filename, 1, 1))
     return spec, p.diagnostics
+
+
+def _parse_fact(p: _Parser, graph: Graph, cur: _Cursor) -> Fact | None:
+    """``path = path``; the whole line is read before either side is resolved."""
+    lhs_got = p.parse_path_tokens(cur)
+    if lhs_got is None or p.expect(cur, "OP", "=") is None:
+        return None
+    rhs_got = p.parse_path_tokens(cur)
+    if rhs_got is None:
+        return None
+    p.expect_end(cur)
+    lhs = _resolve_path(p, graph, *lhs_got)
+    rhs = _resolve_path(p, graph, *rhs_got)
+    if lhs is None or rhs is None:
+        return None
+    fact = Fact(lhs, rhs)
+    errs = fact_errors(graph, fact)
+    if errs:
+        p.error(errs[0], lhs_got[1])
+        return None
+    return fact
 
 
 def _parse_id_tuple(p: _Parser, cur: _Cursor) -> list[_Tok] | None:
@@ -473,6 +471,49 @@ def _parse_path_tuple(p: _Parser, cur: _Cursor, n: int):
     return out
 
 
+# keyword: (declaration, operator, part, arrow from the target or into it)
+_NARY = {
+    "product": (ProductDecl, "*", "factor", "projection"),
+    "coproduct": (CoproductDecl, "+", "summand", "inclusion"),
+}
+
+
+def _parse_nary(p: _Parser, head: str, target: _Tok, cur: _Cursor):
+    """``A <op> B ... via (a,b,...)``: one part type and one arrow per part."""
+    cls, op, part, arrow = _NARY[head]
+    parts = []
+    while True:
+        t = p.expect(cur, "IDENT", what=f"a {part} type id")
+        if t is None:
+            return None
+        parts.append(t)
+        if cur.peek() is None or cur.peek().text != op:
+            break
+        cur.next()
+    if p.expect(cur, "IDENT", "via") is None:
+        return None
+    arrows = _parse_id_tuple(p, cur)
+    p.expect_end(cur)
+    if arrows is None or len(arrows) != len(parts):
+        p.error(f"{head} needs one {arrow} per {part}", cur.line_span)
+        return None
+    return cls(target.text, tuple((t.text, a.text) for t, a in zip(parts, arrows)))
+
+
+def _parse_square_legs(p: _Parser, cur: _Cursor, op: str, apex_what: str):
+    """``B <op>A C via``: the tokens of B, A and C, or None."""
+    b = p.expect(cur, "IDENT", what="a leg type id")
+    if b is None or p.expect(cur, "OP", op) is None:
+        return None
+    apex = p.expect(cur, "IDENT", what=apex_what)
+    if apex is None:
+        return None
+    c = p.expect(cur, "IDENT", what="a leg type id")
+    if c is None or p.expect(cur, "IDENT", "via") is None:
+        return None
+    return b, apex, c
+
+
 def _parse_sketch_decl(p: _Parser, graph: Graph, head: str, cur: _Cursor):
     if head in ("singleton", "empty"):
         ident = p.expect(cur, "IDENT", what="a type id")
@@ -508,60 +549,14 @@ def _parse_sketch_decl(p: _Parser, graph: Graph, head: str, cur: _Cursor):
     if p.expect(cur, "OP", "=") is None:
         return None
 
-    if head == "product":
-        factor_toks = [p.expect(cur, "IDENT", what="a factor type id")]
-        if factor_toks[0] is None:
-            return None
-        while cur.peek() is not None and cur.peek().text == "*":
-            cur.next()
-            t = p.expect(cur, "IDENT", what="a factor type id")
-            if t is None:
-                return None
-            factor_toks.append(t)
-        if p.expect(cur, "IDENT", "via") is None:
-            return None
-        projs = _parse_id_tuple(p, cur)
-        p.expect_end(cur)
-        if projs is None or len(projs) != len(factor_toks):
-            p.error("product needs one projection per factor", cur.line_span)
-            return None
-        return ProductDecl(
-            target.text,
-            tuple((f.text, a.text) for f, a in zip(factor_toks, projs)),
-        )
-
-    if head == "coproduct":
-        summand_toks = [p.expect(cur, "IDENT", what="a summand type id")]
-        if summand_toks[0] is None:
-            return None
-        while cur.peek() is not None and cur.peek().text == "+":
-            cur.next()
-            t = p.expect(cur, "IDENT", what="a summand type id")
-            if t is None:
-                return None
-            summand_toks.append(t)
-        if p.expect(cur, "IDENT", "via") is None:
-            return None
-        incls = _parse_id_tuple(p, cur)
-        p.expect_end(cur)
-        if incls is None or len(incls) != len(summand_toks):
-            p.error("coproduct needs one inclusion per summand", cur.line_span)
-            return None
-        return CoproductDecl(
-            target.text,
-            tuple((s.text, a.text) for s, a in zip(summand_toks, incls)),
-        )
+    if head in _NARY:
+        return _parse_nary(p, head, target, cur)
 
     if head == "pullback":
-        b = p.expect(cur, "IDENT", what="a leg type id")
-        if b is None or p.expect(cur, "OP", "*_") is None:
+        square = _parse_square_legs(p, cur, "*_", "the cospan target type id")
+        if square is None:
             return None
-        apex = p.expect(cur, "IDENT", what="the cospan target type id")
-        if apex is None:
-            return None
-        c = p.expect(cur, "IDENT", what="a leg type id")
-        if c is None or p.expect(cur, "IDENT", "via") is None:
-            return None
+        b, apex, c = square
         cospan = _parse_path_tuple(p, cur, 2)
         if cospan is None or p.expect(cur, "IDENT", "legs") is None:
             return None
@@ -584,15 +579,10 @@ def _parse_sketch_decl(p: _Parser, graph: Graph, head: str, cur: _Cursor):
         )
 
     # pushout
-    b = p.expect(cur, "IDENT", what="a leg type id")
-    if b is None or p.expect(cur, "OP", "+_") is None:
+    square = _parse_square_legs(p, cur, "+_", "the span source type id")
+    if square is None:
         return None
-    apex = p.expect(cur, "IDENT", what="the span source type id")
-    if apex is None:
-        return None
-    c = p.expect(cur, "IDENT", what="a leg type id")
-    if c is None or p.expect(cur, "IDENT", "via") is None:
-        return None
+    b, apex, c = square
     incls = _parse_id_tuple(p, cur)
     if incls is None or len(incls) != 2:
         p.error("pushout needs exactly two inclusions", cur.line_span)
@@ -679,22 +669,8 @@ def print_olog(spec: Specification) -> str:
 def parse_fact_text(text: str, graph: Graph) -> Fact:
     """Parse a fact given as ``path = path`` against an existing graph."""
     p = _Parser("<fact>")
-    toks = _tokenize_line(text, 1, "<fact>")
-    cur = _Cursor(toks, SourceSpan("<fact>", 1, 1))
-    got = p.parse_path_tokens(cur)
-    fact = None
-    if got is not None and p.expect(cur, "OP", "=") is not None:
-        got2 = p.parse_path_tokens(cur)
-        if got2 is not None:
-            p.expect_end(cur)
-            lhs = _resolve_path(p, graph, *got)
-            rhs = _resolve_path(p, graph, *got2)
-            if lhs is not None and rhs is not None:
-                fact = Fact(lhs, rhs)
-                for msg in fact_errors(graph, fact):
-                    p.error(msg, SourceSpan("<fact>", 1, 1))
-                    fact = None
-    if has_errors(p.diagnostics) or fact is None:
+    fact = _parse_fact(p, graph, p.tokenize(text, 1))
+    if has_errors(p.diagnostics):
         raise OlogError(
             "bad fact: " + "; ".join(d.message for d in p.diagnostics if d.severity == ERROR)
         )
@@ -707,26 +683,24 @@ def parse_fact_text(text: str, graph: Graph) -> Fact:
 
 def parse_morphism(
     text: str,
-    src,
-    tgt,
+    src: Specification,
+    tgt: Specification,
     filename: str = "<omap>",
 ) -> tuple[GraphMorphism | None, list[ParseDiagnostic]]:
-    """Parse a morphism mapping file between two specifications (or graphs).
+    """Parse a morphism mapping file between the graphs of two specifications.
 
     Every source type must be mapped to a target type and every source aspect
     to a target path with compatible endpoints.
     """
-    src_graph: Graph = getattr(src, "graph", src)
-    tgt_graph: Graph = getattr(tgt, "graph", tgt)
+    src_graph, tgt_graph = src.graph, tgt.graph
     p = _Parser(filename)
     type_map: dict[str, str] = {}
     aspect_map: dict[str, Path] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = _tokenize_line(raw, lineno, filename)
-        if not toks:
+        cur = p.tokenize(raw, lineno)
+        if not cur.toks:
             continue
-        cur = _Cursor(toks, SourceSpan(filename, lineno, 1))
         head = cur.next()
         if head.text == "type":
             a = p.expect(cur, "IDENT", what="a source type id")

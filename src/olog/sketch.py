@@ -146,24 +146,13 @@ def decl_errors(graph: Graph, decl: SketchDecl) -> list[str]:
     # An unknown target skips only the checks that compare against it.
     known = need_type(decl.target)
 
-    def need_proj(tid: str, aid: str):
+    def need_arrow(role: str, aid: str, src: str, tgt: str):
         a = graph.aspect_by_id.get(aid)
         if a is None:
             problems.append(f"{ctx}: unknown aspect '{aid}'")
-        elif known and (a.src != decl.target or a.tgt != tid):
+        elif known and (a.src, a.tgt) != (src, tgt):
             problems.append(
-                f"{ctx}: projection '{aid}' must run {decl.target} -> {tid}, "
-                f"it runs {a.src} -> {a.tgt}"
-            )
-
-    def need_incl(tid: str, aid: str):
-        a = graph.aspect_by_id.get(aid)
-        if a is None:
-            problems.append(f"{ctx}: unknown aspect '{aid}'")
-        elif known and (a.src != tid or a.tgt != decl.target):
-            problems.append(
-                f"{ctx}: inclusion '{aid}' must run {tid} -> {decl.target}, "
-                f"it runs {a.src} -> {a.tgt}"
+                f"{ctx}: {role} must run {src} -> {tgt}, it runs {a.src} -> {a.tgt}"
             )
 
     def need_path(p: Path, src: str, tgt: str | None):
@@ -176,62 +165,41 @@ def decl_errors(graph: Graph, decl: SketchDecl) -> list[str]:
         elif tgt is not None and path_target(graph, p) != tgt:
             problems.append(f"{ctx}: path {format_path(p)} must end at '{tgt}'")
 
-    if isinstance(decl, ProductDecl):
-        for tid, aid in decl.factors:
+    if isinstance(decl, (ProductDecl, PullbackDecl)):
+        parts = decl.factors if isinstance(decl, ProductDecl) else (decl.leg_b, decl.leg_c)
+        for tid, aid in parts:
             if need_type(tid):
-                need_proj(tid, aid)
-    elif isinstance(decl, PullbackDecl):
-        (tb, ab), (tc, ac) = decl.leg_b, decl.leg_c
+                need_arrow(f"projection '{aid}'", aid, decl.target, tid)
+    elif isinstance(decl, (CoproductDecl, PushoutDecl)):
+        parts = decl.summands if isinstance(decl, CoproductDecl) else (decl.leg_b, decl.leg_c)
+        for tid, aid in parts:
+            if need_type(tid):
+                need_arrow(f"inclusion '{aid}'", aid, tid, decl.target)
+
+    if isinstance(decl, PullbackDecl):
         pf, pg = decl.cospan
-        if need_type(tb):
-            need_proj(tb, ab)
-        if need_type(tc):
-            need_proj(tc, ac)
-        need_path(pf, tb, None)
-        need_path(pg, tc, None)
+        need_path(pf, decl.leg_b[0], None)
+        need_path(pg, decl.leg_c[0], None)
         if not (path_errors(graph, pf) or path_errors(graph, pg)):
             if path_target(graph, pf) != path_target(graph, pg):
                 problems.append(f"{ctx}: cospan paths end at different types")
-    elif isinstance(decl, CoproductDecl):
-        for tid, aid in decl.summands:
-            if need_type(tid):
-                need_incl(tid, aid)
     elif isinstance(decl, PushoutDecl):
-        (tb, ab), (tc, ac) = decl.leg_b, decl.leg_c
         pf, pg = decl.span
-        if need_type(tb):
-            need_incl(tb, ab)
-        if need_type(tc):
-            need_incl(tc, ac)
         if path_errors(graph, pf) or path_errors(graph, pg):
             problems.extend(f"{ctx}: {e}" for e in path_errors(graph, pf))
             problems.extend(f"{ctx}: {e}" for e in path_errors(graph, pg))
         elif pf.source != pg.source:
             problems.append(f"{ctx}: span paths start at different types")
         else:
-            need_path(pf, pf.source, tb)
-            need_path(pg, pg.source, tc)
+            need_path(pf, pf.source, decl.leg_b[0])
+            need_path(pg, pg.source, decl.leg_c[0])
     elif isinstance(decl, ImageDecl):
         errs = path_errors(graph, decl.of)
         if errs:
             problems.append(f"{ctx}: {errs[0]}")
-            return problems
-        fs = graph.aspect_by_id.get(decl.surjection)
-        fi = graph.aspect_by_id.get(decl.injection)
-        if fs is None:
-            problems.append(f"{ctx}: unknown aspect '{decl.surjection}'")
-        elif known and (fs.src != decl.of.source or fs.tgt != decl.target):
-            problems.append(
-                f"{ctx}: surjection part must run "
-                f"{decl.of.source} -> {decl.target}"
-            )
-        if fi is None:
-            problems.append(f"{ctx}: unknown aspect '{decl.injection}'")
-        elif known and (fi.src != decl.target or fi.tgt != path_target(graph, decl.of)):
-            problems.append(
-                f"{ctx}: injection part must run "
-                f"{decl.target} -> {path_target(graph, decl.of)}"
-            )
+        else:
+            need_arrow("surjection part", decl.surjection, decl.of.source, decl.target)
+            need_arrow("injection part", decl.injection, decl.target, path_target(graph, decl.of))
     return problems
 
 

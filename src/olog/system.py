@@ -26,7 +26,7 @@ from .core import (
     format_fact,
 )
 from .entail import DEFAULT_BOUND, saturate
-from .errors import GraphMismatchError, OlogError, UnsupportedLinkError
+from .errors import BoundExceededError, GraphMismatchError, OlogError, UnsupportedLinkError
 from .flow import (
     GraphMorphism,
     _flow_back,
@@ -99,7 +99,9 @@ class SystemMorphism:
 def validate_system(sys: InformationSystem, bound: int = DEFAULT_BOUND) -> list[str]:
     """Structural problems plus constraint edges that fail entailment preservation.
 
-    A system that passed at a bound is not checked again at that bound.
+    A fact that overflows the bound on an edge is reported as a problem of
+    that edge, not raised. A system that passed at a bound is not checked
+    again at that bound.
     """
     if bound in sys._passed_bounds:
         return []
@@ -118,12 +120,13 @@ def validate_system(sys: InformationSystem, bound: int = DEFAULT_BOUND) -> list[
         if h.src != sys.specs[src].graph or h.tgt != sys.specs[tgt].graph:
             problems.append(f"edge '{eid}': morphism endpoints do not match the node graphs")
             continue
-        ok, offenders = is_spec_morphism(h, sys.specs[src], sys.specs[tgt], bound)
-        if not ok:
-            for f in offenders:
-                problems.append(
-                    f"edge '{eid}': fact {format_fact(f)} is not preserved"
-                )
+        try:
+            _, offenders = is_spec_morphism(h, sys.specs[src], sys.specs[tgt], bound)
+        except BoundExceededError as exc:
+            problems.append(f"edge '{eid}': {exc}")
+            continue
+        for f in offenders:
+            problems.append(f"edge '{eid}': fact {format_fact(f)} is not preserved")
     if not problems:
         sys._passed_bounds.add(bound)
     return problems

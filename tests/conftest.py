@@ -16,6 +16,19 @@ def load_olog(name: str):
     return spec
 
 
+def write_overflowing_system(where: Path) -> Path:
+    """An edge whose translation of a declared fact is longer than bound 4."""
+    (where / "a.olog").write_text(
+        'olog A {\n  type x "an x"\n  aspect f : x -> x "is"\n  fact f;f;f = f\n}\n'
+    )
+    (where / "b.olog").write_text(
+        'olog B {\n  type x "an x"\n  aspect g : x -> x "is"\n  aspect h : x -> x "is"\n}\n'
+    )
+    (where / "ab.omap").write_text("type x => x\naspect f => g;h\n")
+    (where / "s.osys").write_text("node a = a.olog\nnode b = b.olog\nedge e : a -> b = ab.omap\n")
+    return where / "s.osys"
+
+
 def load_data(dirname: str, spec):
     return instances.load_instances(FIXTURES / dirname, spec)
 

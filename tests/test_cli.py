@@ -6,7 +6,7 @@ import shutil
 from olog import core, sketch, system
 from olog.cli import main
 
-from .conftest import FIXTURES
+from .conftest import FIXTURES, write_overflowing_system
 
 
 def run(capsys, *argv):
@@ -424,3 +424,13 @@ def test_undecodable_table_is_a_load_error(tmp_path, capsys):
     assert code == 1
     assert out.startswith("load error: cannot read table 'woman.csv': 'utf-8' codec")
     assert err == ""
+
+
+def test_fuse_reports_an_overflowing_edge_at_the_system_file(tmp_path, capsys):
+    osys = write_overflowing_system(tmp_path)
+    code, out, err = run(capsys, "--bound", "4", "fuse", osys)
+    assert code == 2 and out == ""
+    assert err == (
+        f"{osys}:1:1 - error: edge 'e': translated fact 'g;h;g;h;g;h = g;h' "
+        "has a side longer than bound 4\n"
+    )

@@ -32,9 +32,10 @@ from olog.sketch import (
 )
 
 from . import strategies as sts
-from .conftest import FIXTURES, load_olog
+from .conftest import FIXTURES, load_olog, write_overflowing_system
 
 FAMILY_TEXT = (FIXTURES / "family.olog").read_text()
+FAMILY = load_olog("family.olog")
 
 
 def errors(diags):
@@ -220,10 +221,18 @@ def test_parse_totality_on_garbage():
         assert spec is None or not errors(diags)
 
 
-@given(st.text(max_size=120))
-@settings(max_examples=80, deadline=None)
-def test_parse_never_crashes(text):
-    dsl.parse_olog(text)
+@given(st.sampled_from(["olog", "omap", "fact"]), st.text(max_size=120))
+@settings(max_examples=150, deadline=None)
+def test_parse_never_crashes(reader, text):
+    if reader == "olog":
+        dsl.parse_olog(text)
+    elif reader == "omap":
+        dsl.parse_morphism(text, FAMILY, FAMILY)
+    else:
+        try:
+            dsl.parse_fact_text(text, FAMILY.graph)
+        except OlogError:
+            pass
 
 
 def test_unicode_labels_roundtrip():
@@ -433,6 +442,21 @@ def test_parse_morphism_identity_image(family_spec):
     assert h.aspect_map["parents"].is_identity
 
 
+def test_unexpected_characters_are_reported_at_their_column(family_spec):
+    text = "\n".join(
+        [f"type {t.id} => {t.id}" for t in family_spec.graph.types]
+        + [f"aspect {a.id} => {a.id}" for a in family_spec.graph.aspects]
+    ).replace("aspect w => w", "aspect w ! => w")
+    h, diags = dsl.parse_morphism(text, family_spec, family_spec, "m.omap")
+    assert h is None
+    lineno = text.splitlines().index("aspect w ! => w") + 1
+    assert [str(d) for d in errors(diags)] == [
+        f"m.omap:{lineno}:10 - error: unexpected character '!'"
+    ]
+    with pytest.raises(OlogError, match=r"^bad fact: unexpected character '!'$"):
+        dsl.parse_fact_text("parents;w ! = mother", family_spec.graph)
+
+
 # --- system files ------------------------------------------------------------
 
 
@@ -486,3 +510,13 @@ def test_parse_system_rejects_non_preserving_edge(tmp_path):
     sysm, diags = dsl.parse_system(tmp_path / "bad.osys", bound=3)
     assert sysm is None
     assert any("not preserved" in d.message for d in errors(diags))
+
+
+def test_parse_system_reports_an_overflowing_edge(tmp_path):
+    osys = write_overflowing_system(tmp_path)
+    sysm, diags = dsl.parse_system(osys, bound=4)
+    assert sysm is None
+    assert [str(d) for d in errors(diags)] == [
+        f"{osys}:1:1 - error: edge 'e': translated fact 'g;h;g;h;g;h = g;h' "
+        "has a side longer than bound 4"
+    ]

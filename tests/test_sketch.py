@@ -500,6 +500,11 @@ def test_decl_errors_checks_one_declaration():
     ]
     spec = Specification(graph=g, sketch=(decl, bad))
     assert validate_decls(spec) == decl_errors(g, bad)
+    image = ImageDecl("both", Path("wealthy", ("iw",)), "ql", "qw")
+    assert decl_errors(g, image) == [
+        "ImageDecl on 'both': surjection part must run wealthy -> both, it runs both -> loyal",
+        "ImageDecl on 'both': injection part must run both -> cust, it runs both -> wealthy",
+    ]
 
 
 def test_decl_errors_with_unknown_target_still_checks_the_rest():
