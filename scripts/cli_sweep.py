@@ -29,11 +29,19 @@ Run it in two checkouts and diff the output; every differing line is a
 change in behaviour:
 
     python3 scripts/cli_sweep.py > sweep.jsonl
+
+``--against REV`` does that in one step. It extracts REV with ``git archive``
+into a temporary directory, runs the sweep there and in this checkout, prints
+only the lines that differ (``-`` at REV, ``+`` here) and exits 1 if any do:
+
+    python3 scripts/cli_sweep.py --against HEAD~1
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import difflib
 import functools
 import hashlib
 import io
@@ -42,6 +50,7 @@ import os
 import random
 import re
 import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -279,7 +288,35 @@ def fact_mutants() -> list[dict]:
     return out
 
 
+def against(rev: str) -> int:
+    """Sweep REV and this checkout side by side; print the differing lines."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    with tempfile.TemporaryDirectory() as old:
+        archive = subprocess.run(
+            ["git", "-C", str(ROOT), "archive", rev], check=True, capture_output=True
+        ).stdout
+        subprocess.run(["tar", "-x", "-C", old], input=archive, check=True)
+        runs = [
+            subprocess.Popen([sys.executable, str(root / "scripts" / "cli_sweep.py")],
+                             stdout=subprocess.PIPE, text=True, env=env)
+            for root in (Path(old), ROOT)
+        ]
+        before, after = (run.communicate()[0].splitlines() for run in runs)
+        if any(run.returncode for run in runs):
+            raise SystemExit("a sweep failed")
+    diff = list(difflib.unified_diff(before, after, lineterm="", n=0))[2:]
+    for line in diff:
+        if not line.startswith("@@"):
+            print(line)
+    return 1 if diff else 0
+
+
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", metavar="REV", help="print only what differs from REV")
+    args = parser.parse_args()
+    if args.against:
+        return against(args.against)
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         shutil.copytree(ROOT / "fixtures", Path(work) / "fixtures")

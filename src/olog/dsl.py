@@ -47,6 +47,7 @@ from .sketch import (
     PullbackDecl,
     PushoutDecl,
     decl_errors,
+    legs,
     missing_square_facts,
 )
 from .system import InformationSystem, Shape, validate_system
@@ -614,34 +615,25 @@ def _parse_sketch_decl(p: _Parser, graph: Graph, head: str, cur: _Cursor):
 def format_decl(graph: Graph, decl) -> str:
     if decl.kind in ("singleton", "empty"):
         return f"{decl.kind} {decl.target}"
-    if isinstance(decl, ProductDecl):
-        factors = " * ".join(t for t, _ in decl.factors)
-        projs = ",".join(a for _, a in decl.factors)
-        return f"product {decl.target} = {factors} via ({projs})"
-    if isinstance(decl, CoproductDecl):
-        summands = " + ".join(t for t, _ in decl.summands)
-        incls = ",".join(a for _, a in decl.summands)
-        return f"coproduct {decl.target} = {summands} via ({incls})"
-    if isinstance(decl, PullbackDecl):
-        apex = path_target(graph, decl.cospan[0])
-        return (
-            f"pullback {decl.target} = {decl.leg_b[0]} *_{apex} {decl.leg_c[0]} "
-            f"via ({format_path(decl.cospan[0])},{format_path(decl.cospan[1])}) "
-            f"legs ({decl.leg_b[1]},{decl.leg_c[1]})"
-        )
-    if isinstance(decl, PushoutDecl):
-        apex = decl.span[0].source
-        return (
-            f"pushout {decl.target} = {decl.leg_b[0]} +_{apex} {decl.leg_c[0]} "
-            f"via ({decl.leg_b[1]},{decl.leg_c[1]}) "
-            f"span ({format_path(decl.span[0])},{format_path(decl.span[1])})"
-        )
     if isinstance(decl, ImageDecl):
         return (
             f"image {decl.target} of {format_path(decl.of)} "
             f"via ({decl.surjection},{decl.injection})"
         )
-    raise OlogError(f"cannot print sketch declaration {decl!r}")
+    parts = legs(decl)
+    types = [t for t, _ in parts]
+    arrows = ",".join(a for _, a in parts)
+    if decl.kind in _NARY:
+        op = f" {_NARY[decl.kind][1]} "
+        return f"{decl.kind} {decl.target} = {op.join(types)} via ({arrows})"
+    b, c = types
+    if isinstance(decl, PullbackDecl):
+        apex = path_target(graph, decl.cospan[0])
+        f, g = map(format_path, decl.cospan)
+        return f"pullback {decl.target} = {b} *_{apex} {c} via ({f},{g}) legs ({arrows})"
+    apex = decl.span[0].source
+    f, g = map(format_path, decl.span)
+    return f"pushout {decl.target} = {b} +_{apex} {c} via ({arrows}) span ({f},{g})"
 
 
 def print_olog(spec: Specification) -> str:

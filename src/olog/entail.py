@@ -39,6 +39,18 @@ def _check_bound(bound: int) -> int:
     return bound
 
 
+def check_fits(fact: Fact, bound: int, role: str) -> None:
+    """Raise :class:`BoundExceededError` if a side of ``fact`` is longer than ``bound``.
+
+    ``role`` names the fact in the message: declared, queried or translated.
+    """
+    if len(fact.lhs) > bound or len(fact.rhs) > bound:
+        raise BoundExceededError(
+            f"{role} fact '{format_fact(fact)}' has a side longer than bound {bound}",
+            fact=fact,
+        )
+
+
 def _pairs_within(graph: Graph, keyed) -> tuple[Fact, ...]:
     """Every ordered pair of parallel paths that share a key, sorted.
 
@@ -107,19 +119,13 @@ def saturate(spec: Specification, bound: int = DEFAULT_BOUND) -> Congruence:
     """
     _check_bound(bound)
     g = spec.graph
-    universe = enumerate_paths(g, bound)
-    in_universe = set(universe)
-    uf = UnionFind(universe, key=_canon_key)
+    uf = UnionFind(enumerate_paths(g, bound), key=_canon_key)
 
     for fact in spec.facts:
         errs = fact_errors(g, fact)
         if errs:
             raise OlogError(f"declared fact {format_fact(fact)}: {errs[0]}")
-        if fact.lhs not in in_universe or fact.rhs not in in_universe:
-            raise BoundExceededError(
-                f"declared fact '{format_fact(fact)}' has a side longer than bound {bound}",
-                fact=fact,
-            )
+        check_fits(fact, bound, "declared")
 
     aspects_from = g.aspects_from
     aspects_into: dict[str, list] = {}
@@ -157,11 +163,7 @@ def entails(spec: Specification, fact: Fact, bound: int = DEFAULT_BOUND) -> str:
     errs = fact_errors(spec.graph, fact)
     if errs:
         raise OlogError(f"fact {format_fact(fact)}: {errs[0]}")
-    if len(fact.lhs) > bound or len(fact.rhs) > bound:
-        raise BoundExceededError(
-            f"queried fact '{format_fact(fact)}' has a side longer than bound {bound}",
-            fact=fact,
-        )
+    check_fits(fact, bound, "queried")
     cong = saturate(spec, bound)
     return entails_in(cong, fact)
 

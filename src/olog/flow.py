@@ -31,10 +31,11 @@ from .entail import (
     Congruence,
     _check_bound,
     _pairs_within,
+    check_fits,
     entails_in,
     saturate,
 )
-from .errors import BoundExceededError, GraphMismatchError, LotError, MorphismError
+from .errors import GraphMismatchError, LotError, MorphismError
 from .instances import KeyDiagram, eval_path
 
 
@@ -202,12 +203,7 @@ def is_spec_morphism(
     offenders = []
     for fact in s1.facts:
         img = translate_fact(h, fact)
-        if len(img.lhs) > bound or len(img.rhs) > bound:
-            raise BoundExceededError(
-                f"translated fact '{format_fact(img)}' has a side longer than "
-                f"bound {bound}",
-                fact=fact,
-            )
+        check_fits(img, bound, "translated")
         if entails_in(cong, img) != ENTAILED:
             offenders.append(fact)
     return (not offenders, tuple(offenders))

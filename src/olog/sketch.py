@@ -100,19 +100,20 @@ class ImageDecl:
 SketchDecl = ProductDecl | PullbackDecl | CoproductDecl | PushoutDecl | ImageDecl
 
 
+def legs(decl) -> tuple[tuple[str, str], ...]:
+    """The (type, aspect) legs of a product, pullback, coproduct or pushout."""
+    if isinstance(decl, ProductDecl):
+        return decl.factors
+    if isinstance(decl, CoproductDecl):
+        return decl.summands
+    return (decl.leg_b, decl.leg_c)
+
+
 def synthesized_aspects(decl: SketchDecl) -> tuple[str, ...]:
     """Aspect ids whose functions are outputs of synthesizing ``decl``."""
-    if isinstance(decl, ProductDecl):
-        return tuple(a for _, a in decl.factors)
-    if isinstance(decl, PullbackDecl):
-        return (decl.leg_b[1], decl.leg_c[1])
-    if isinstance(decl, CoproductDecl):
-        return tuple(a for _, a in decl.summands)
-    if isinstance(decl, PushoutDecl):
-        return (decl.leg_b[1], decl.leg_c[1])
     if isinstance(decl, ImageDecl):
         return (decl.surjection, decl.injection)
-    return ()
+    return tuple(a for _, a in legs(decl))
 
 
 def encode_tuple(keys) -> str:
@@ -166,13 +167,11 @@ def decl_errors(graph: Graph, decl: SketchDecl) -> list[str]:
             problems.append(f"{ctx}: path {format_path(p)} must end at '{tgt}'")
 
     if isinstance(decl, (ProductDecl, PullbackDecl)):
-        parts = decl.factors if isinstance(decl, ProductDecl) else (decl.leg_b, decl.leg_c)
-        for tid, aid in parts:
+        for tid, aid in legs(decl):
             if need_type(tid):
                 need_arrow(f"projection '{aid}'", aid, decl.target, tid)
     elif isinstance(decl, (CoproductDecl, PushoutDecl)):
-        parts = decl.summands if isinstance(decl, CoproductDecl) else (decl.leg_b, decl.leg_c)
-        for tid, aid in parts:
+        for tid, aid in legs(decl):
             if need_type(tid):
                 need_arrow(f"inclusion '{aid}'", aid, tid, decl.target)
 
@@ -200,6 +199,11 @@ def decl_errors(graph: Graph, decl: SketchDecl) -> list[str]:
         else:
             need_arrow("surjection part", decl.surjection, decl.of.source, decl.target)
             need_arrow("injection part", decl.injection, decl.target, path_target(graph, decl.of))
+
+    # Synthesis writes one function per part, so no aspect may serve two.
+    aids = synthesized_aspects(decl)
+    for aid in dict.fromkeys(a for a in aids if aids.count(a) > 1):
+        problems.append(f"{ctx}: aspect '{aid}' is used for more than one part")
     return problems
 
 
@@ -292,28 +296,19 @@ def _bijection_onto(
     return CheckResult(kind, target, True)
 
 
-def check_product(d: KeyDiagram, decl: ProductDecl) -> CheckResult:
-    """Tupling along the projections must biject onto the full cartesian product.
+def _limit_tuples(d: KeyDiagram, decl: ProductDecl | PullbackDecl) -> list[tuple[str, ...]]:
+    """The tuples of leg keys that form the limit of ``decl``, sorted.
 
-    With zero factors the product is a single empty tuple, so the target must
-    have exactly one key.
+    A product takes every tuple of factor keys; with zero factors that is
+    one empty tuple. A pullback takes the pairs (b, c) that agree along the
+    cospan, found by a hash join on the cospan value: each key of either leg
+    is evaluated once, so the cost is |B| + |C| + pairs, not |B|·|C|. With
+    an empty leg nothing is evaluated.
     """
-    want = set(
-        iter_product(*(sorted(d.sets.get(t, frozenset())) for t, _ in decl.factors))
-    )
-    got = _tupling(d, decl.target, [aid for _, aid in decl.factors])
-    return _bijection_onto(decl.kind, decl.target, got, want)
-
-
-def _pullback_pairs(d: KeyDiagram, decl: PullbackDecl) -> list[tuple[str, str]]:
-    """The pairs (b, c) of leg keys that agree along the cospan, sorted.
-
-    A hash join on the cospan value: each key of either leg is evaluated
-    once, so the cost is |B| + |C| + pairs, not |B|·|C|. With an empty leg
-    nothing is evaluated.
-    """
-    bs = sorted(d.sets.get(decl.leg_b[0], frozenset()))
-    cs = sorted(d.sets.get(decl.leg_c[0], frozenset()))
+    key_sets = [sorted(d.sets.get(t, frozenset())) for t, _ in legs(decl)]
+    if isinstance(decl, ProductDecl):
+        return list(iter_product(*key_sets))
+    bs, cs = key_sets
     if not bs or not cs:
         return []
     pf, pg = decl.cospan
@@ -323,11 +318,18 @@ def _pullback_pairs(d: KeyDiagram, decl: PullbackDecl) -> list[tuple[str, str]]:
     return [(b, c) for b in bs for c in bucket.get(eval_path(d, pf, b), ())]
 
 
-def check_pullback(d: KeyDiagram, decl: PullbackDecl) -> CheckResult:
-    ab, ac = decl.leg_b[1], decl.leg_c[1]
-    want = set(_pullback_pairs(d, decl))
-    got = _tupling(d, decl.target, [ab, ac])
-    return _bijection_onto("pullback", decl.target, got, want)
+def check_limit(d: KeyDiagram, decl: ProductDecl | PullbackDecl) -> CheckResult:
+    """Tupling along the legs must biject onto the limit's tuples.
+
+    A singleton's limit is one empty tuple, so its target must have exactly
+    one key.
+    """
+    want = set(_limit_tuples(d, decl))
+    got = _tupling(d, decl.target, [aid for _, aid in legs(decl)])
+    return _bijection_onto(decl.kind, decl.target, got, want)
+
+
+check_product = check_pullback = check_limit
 
 
 def check_coproduct(d: KeyDiagram, decl: CoproductDecl) -> CheckResult:
@@ -362,12 +364,13 @@ def check_coproduct(d: KeyDiagram, decl: CoproductDecl) -> CheckResult:
 
 def _pushout_classes(d: KeyDiagram, decl: PushoutDecl) -> dict[str, list[str]]:
     """Quotient the tagged union of the legs by the span identifications."""
-    (tb, ab), (tc, ac) = decl.leg_b, decl.leg_c
+    (_, ab), (_, ac) = legs(decl)
     pf, pg = decl.span
-    uf = UnionFind(
-        [encode_tagged(ab, k) for k in sorted(d.sets.get(tb, frozenset()))]
-        + [encode_tagged(ac, k) for k in sorted(d.sets.get(tc, frozenset()))]
-    )
+    uf = UnionFind([
+        encode_tagged(aid, k)
+        for tid, aid in legs(decl)
+        for k in sorted(d.sets.get(tid, frozenset()))
+    ])
     apex = pf.source
     for akey in sorted(d.sets.get(apex, frozenset())):
         uf.union(
@@ -379,12 +382,11 @@ def _pushout_classes(d: KeyDiagram, decl: PushoutDecl) -> dict[str, list[str]]:
 
 def check_pushout(d: KeyDiagram, decl: PushoutDecl) -> CheckResult:
     """The map from the span quotient to the target must be a bijection."""
-    (tb, ab), (tc, ac) = decl.leg_b, decl.leg_c
-    tagged_val = {}
-    for k in d.sets.get(tb, frozenset()):
-        tagged_val[encode_tagged(ab, k)] = d.funcs[ab][k]
-    for k in d.sets.get(tc, frozenset()):
-        tagged_val[encode_tagged(ac, k)] = d.funcs[ac][k]
+    tagged_val = {
+        encode_tagged(aid, k): d.funcs[aid][k]
+        for tid, aid in legs(decl)
+        for k in d.sets.get(tid, frozenset())
+    }
 
     classes = _pushout_classes(d, decl)
     class_of: dict[str, str] = {}  # target key -> the class the induced map sends to it
@@ -455,17 +457,13 @@ def check_image(d: KeyDiagram, graph: Graph, decl: ImageDecl) -> CheckResult:
 
 
 def check_decl(d: KeyDiagram, graph: Graph, decl: SketchDecl) -> CheckResult:
-    if isinstance(decl, ProductDecl):
-        return check_product(d, decl)
-    if isinstance(decl, PullbackDecl):
-        return check_pullback(d, decl)
     if isinstance(decl, CoproductDecl):
         return check_coproduct(d, decl)
     if isinstance(decl, PushoutDecl):
         return check_pushout(d, decl)
     if isinstance(decl, ImageDecl):
         return check_image(d, graph, decl)
-    raise SketchError(f"unknown sketch declaration {decl!r}")
+    return check_limit(d, decl)
 
 
 def check_all(d: KeyDiagram, spec: Specification) -> list[CheckResult]:
@@ -486,8 +484,8 @@ def check_all(d: KeyDiagram, spec: Specification) -> list[CheckResult]:
 def synthesize(decl: SketchDecl, d: KeyDiagram) -> KeyDiagram:
     """Populate the declaration's target canonically from the other participants.
 
-    Refuses if the target set is already populated. The result always passes
-    the corresponding check.
+    Refuses if the target set is already populated. For a declaration that
+    :func:`decl_errors` accepts, the result passes the corresponding check.
     """
     if d.sets.get(decl.target):
         raise SynthesisError(
@@ -498,24 +496,11 @@ def synthesize(decl: SketchDecl, d: KeyDiagram) -> KeyDiagram:
     for aid in synthesized_aspects(decl):
         funcs.setdefault(aid, {})
 
-    if isinstance(decl, ProductDecl):
-        keys = []
-        for combo in iter_product(
-            *(sorted(d.sets.get(t, frozenset())) for t, _ in decl.factors)
-        ):
-            key = encode_tuple(combo)
-            keys.append(key)
-            for (_, aid), comp in zip(decl.factors, combo):
-                funcs[aid][key] = comp
-        sets[decl.target] = frozenset(keys)
-    elif isinstance(decl, PullbackDecl):
-        proj_b, proj_c = funcs[decl.leg_b[1]], funcs[decl.leg_c[1]]
-        keys = []
-        for b, c in _pullback_pairs(d, decl):
-            key = encode_tuple((b, c))
-            keys.append(key)
-            proj_b[key] = b
-            proj_c[key] = c
+    if isinstance(decl, (ProductDecl, PullbackDecl)):
+        tuples = _limit_tuples(d, decl)
+        keys = list(map(encode_tuple, tuples))
+        for i, (_, aid) in enumerate(legs(decl)):
+            funcs[aid].update(zip(keys, [t[i] for t in tuples]))
         sets[decl.target] = frozenset(keys)
     elif isinstance(decl, CoproductDecl):
         keys = []
@@ -526,18 +511,13 @@ def synthesize(decl: SketchDecl, d: KeyDiagram) -> KeyDiagram:
                 funcs[aid][k] = key
         sets[decl.target] = frozenset(keys)
     elif isinstance(decl, PushoutDecl):
-        (tb, ab), (tc, ac) = decl.leg_b, decl.leg_c
         classes = _pushout_classes(d, decl)
-        rep_of: dict[str, str] = {}
-        for rep, members in classes.items():
-            for m in members:
-                rep_of[m] = rep
+        rep_of = {m: rep for rep, members in classes.items() for m in members}
         sets[decl.target] = frozenset(classes)
-        for k in d.sets.get(tb, frozenset()):
-            funcs[ab][k] = rep_of[encode_tagged(ab, k)]
-        for k in d.sets.get(tc, frozenset()):
-            funcs[ac][k] = rep_of[encode_tagged(ac, k)]
-    elif isinstance(decl, ImageDecl):
+        for tid, aid in legs(decl):
+            for k in d.sets.get(tid, frozenset()):
+                funcs[aid][k] = rep_of[encode_tagged(aid, k)]
+    else:
         values = sorted(
             {eval_path(d, decl.of, k) for k in d.sets.get(decl.of.source, frozenset())}
         )
@@ -546,8 +526,6 @@ def synthesize(decl: SketchDecl, d: KeyDiagram) -> KeyDiagram:
             funcs[decl.surjection][k] = eval_path(d, decl.of, k)
         for v in values:
             funcs[decl.injection][v] = v
-    else:
-        raise SketchError(f"cannot synthesize {decl!r}")
 
     return KeyDiagram(sets=sets, funcs=funcs)
 
@@ -569,13 +547,10 @@ def derive_mediating_aspect(
     call is rejected naming the two paths that fail.
     """
     g = spec.graph
-    if isinstance(decl, ProductDecl):
-        legs = decl.factors
-    else:
-        legs = (decl.leg_b, decl.leg_c)
-    if len(cone) != len(legs):
-        raise SketchError(f"cone has {len(cone)} paths for {len(legs)} factors")
-    for p, (tid, _) in zip(cone, legs):
+    parts = legs(decl)
+    if len(cone) != len(parts):
+        raise SketchError(f"cone has {len(cone)} paths for {len(parts)} factors")
+    for p, (tid, _) in zip(cone, parts):
         errs = path_errors(g, p)
         if errs:
             raise SketchError(errs[0])
@@ -598,7 +573,7 @@ def derive_mediating_aspect(
     mediator = Aspect(id=aspect_id, src=x, tgt=decl.target, label="")
     new_graph = Graph(g.types, g.aspects + (mediator,))
     new_facts = []
-    for p, (_, proj) in zip(cone, legs):
+    for p, (_, proj) in zip(cone, parts):
         new_facts.append(Fact(p, Path(x, (aspect_id, proj))))
     new_spec = Specification(
         graph=new_graph,

@@ -25,7 +25,7 @@ from .core import (
     UnionFind,
     format_fact,
 )
-from .entail import DEFAULT_BOUND, saturate
+from .entail import DEFAULT_BOUND, check_fits, saturate
 from .errors import BoundExceededError, GraphMismatchError, OlogError, UnsupportedLinkError
 from .flow import (
     GraphMorphism,
@@ -99,16 +99,25 @@ class SystemMorphism:
 def validate_system(sys: InformationSystem, bound: int = DEFAULT_BOUND) -> list[str]:
     """Structural problems plus constraint edges that fail entailment preservation.
 
-    A fact that overflows the bound on an edge is reported as a problem of
-    that edge, not raised. A system that passed at a bound is not checked
-    again at that bound.
+    A fact that overflows the bound is reported, not raised: a node's own
+    declared fact as a problem of that node, whose incoming edges are then
+    skipped, and a translated fact as a problem of its edge. A system that
+    passed at a bound is not checked again at that bound.
     """
     if bound in sys._passed_bounds:
         return []
     problems: list[str] = []
+    overflowing: set[str] = set()
     for n in sys.shape.nodes:
         if n not in sys.specs:
             problems.append(f"node '{n}' has no specification")
+            continue
+        try:
+            for fact in sys.specs[n].facts:
+                check_fits(fact, bound, "declared")
+        except BoundExceededError as exc:
+            problems.append(f"node '{n}': {exc}")
+            overflowing.add(n)
     for eid, src, tgt in sys.shape.edges:
         h = sys.constraints.get(eid)
         if h is None:
@@ -119,6 +128,8 @@ def validate_system(sys: InformationSystem, bound: int = DEFAULT_BOUND) -> list[
             continue
         if h.src != sys.specs[src].graph or h.tgt != sys.specs[tgt].graph:
             problems.append(f"edge '{eid}': morphism endpoints do not match the node graphs")
+            continue
+        if tgt in overflowing:
             continue
         try:
             _, offenders = is_spec_morphism(h, sys.specs[src], sys.specs[tgt], bound)

@@ -29,6 +29,23 @@ def write_overflowing_system(where: Path) -> Path:
     return where / "s.osys"
 
 
+def write_overflowing_node(where: Path) -> tuple[Path, Path]:
+    """Two systems over a node that declares a fact longer than bound 2.
+
+    The first has that node alone; the second adds a copy of it as node
+    ``b`` and an edge ``e : a -> b``.
+    """
+    (where / "a.olog").write_text(
+        'olog A {\n  type x "an x"\n  aspect f : x -> x "is"\n  fact f;f;f = f\n}\n'
+    )
+    (where / "aa.omap").write_text("type x => x\naspect f => f\n")
+    (where / "alone.osys").write_text("node a = a.olog\n")
+    (where / "pair.osys").write_text(
+        "node a = a.olog\nnode b = a.olog\nedge e : a -> b = aa.omap\n"
+    )
+    return where / "alone.osys", where / "pair.osys"
+
+
 def load_data(dirname: str, spec):
     return instances.load_instances(FIXTURES / dirname, spec)
 

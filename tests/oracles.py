@@ -8,7 +8,9 @@ loops the library answered with before it emitted equations class by class:
 they test every parallel pair from :func:`enumerate_equations`, which
 lives here because nothing in the library needs it. The pullback
 oracles are the loops over every (b, c) pair of leg keys that the library
-used before it joined the legs on the cospan value. ``saturate_by_rounds``
+used before it joined the legs on the cospan value, and the ``*_by_factors``
+oracles are the product check and synthesis from before products and
+pullbacks became one limit. ``saturate_by_rounds``
 is the round-by-round closure ``entail.saturate`` ran before it became one
 worklist; it shares the union-find but regroups and re-whiskers every merged
 class each round. Slow and obvious beats fast and clever here.
@@ -19,6 +21,7 @@ as they were before they became named tuples, kept to pin the value contract.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product as iter_product
 
 from olog.core import (
     Fact,
@@ -273,6 +276,41 @@ def synthesize_pullback_by_pairs(decl, d) -> KeyDiagram:
     sets[decl.target] = frozenset(keys)
     funcs.setdefault(ab, {})
     funcs.setdefault(ac, {})
+    return KeyDiagram(sets=sets, funcs=funcs)
+
+
+def check_product_by_factors(d: KeyDiagram, decl) -> CheckResult:
+    """Tupling along the projections must biject onto the full cartesian product.
+
+    With zero factors the product is a single empty tuple, so the target must
+    have exactly one key.
+    """
+    want = set(
+        iter_product(*(sorted(d.sets.get(t, frozenset())) for t, _ in decl.factors))
+    )
+    got = _tupling(d, decl.target, [aid for _, aid in decl.factors])
+    return _bijection_onto(decl.kind, decl.target, got, want)
+
+
+def synthesize_product_by_factors(decl, d) -> KeyDiagram:
+    """``sketch.synthesize`` on a product, one tuple of factor keys at a time."""
+    if d.sets.get(decl.target):
+        raise SynthesisError(
+            f"target '{decl.target}' is already populated; refusing to overwrite"
+        )
+    sets = dict(d.sets)
+    funcs = {k: dict(v) for k, v in d.funcs.items()}
+    for _, aid in decl.factors:
+        funcs.setdefault(aid, {})
+    keys = []
+    for combo in iter_product(
+        *(sorted(d.sets.get(t, frozenset())) for t, _ in decl.factors)
+    ):
+        key = encode_tuple(combo)
+        keys.append(key)
+        for (_, aid), comp in zip(decl.factors, combo):
+            funcs[aid][key] = comp
+    sets[decl.target] = frozenset(keys)
     return KeyDiagram(sets=sets, funcs=funcs)
 
 

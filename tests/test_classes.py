@@ -8,10 +8,13 @@ same tuple, order included, and an error must be the same error.
 ``check_pullback`` and pullback synthesis join the legs on the cospan value;
 their oracles test every pair of leg keys. Results must be equal and an
 error must be of the same type (which bad key is met first may differ).
+Products, singletons and pullbacks share one limit check and one synthesis
+branch; on random worlds they must give what the code they replaced gave.
 """
 
 from __future__ import annotations
 
+import random
 from unittest import mock
 
 import pytest
@@ -24,19 +27,22 @@ from olog.entail import consequence
 from olog.errors import OlogError
 from olog.flow import GraphMorphism, dir_flow, inv_flow
 from olog.instances import KeyDiagram, intent
-from olog.sketch import PullbackDecl, check_pullback, synthesize
+from olog.sketch import PullbackDecl, check_decl, check_pullback, legs, synthesize
 from olog.system import InformationSystem, Shape, system_consequence
 
 from . import strategies as sts
 from .conftest import FIXTURES
 from .oracles import (
+    check_product_by_factors,
     check_pullback_by_pairs,
     consequence_by_pairs,
     intent_by_pairs,
     inv_flow_by_pairs,
+    synthesize_product_by_factors,
     synthesize_pullback_by_pairs,
     system_consequence_by_pairs,
 )
+from .worlds import random_world
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -370,3 +376,43 @@ def test_pullback_evaluations_follow_legs_not_leg_pairs():
     assert len(full.sets["T"]) == 200 * 300 // 10
     assert _count_evaluations(check_pullback, full, decl) == 500
     assert check_pullback(full, decl) == check_pullback_by_pairs(full, decl)
+
+
+# --- one limit for products and pullbacks -------------------------------------
+
+LIMIT_ORACLES = {
+    "product": (check_product_by_factors, synthesize_product_by_factors),
+    "singleton": (check_product_by_factors, synthesize_product_by_factors),
+    "pullback": (check_pullback_by_pairs, synthesize_pullback_by_pairs),
+}
+
+
+def _with_target_key_dropped_or_duplicated(rng, full: KeyDiagram, decl):
+    """The synthesized diagram, then it with one target key dropped, then
+    with one target key duplicated under a fresh name."""
+    yield full
+    keys = sorted(full.sets[decl.target])
+    if not keys:
+        return
+    victim = rng.choice(keys)
+    yield KeyDiagram(
+        sets={**full.sets, decl.target: frozenset(keys) - {victim}}, funcs=full.funcs
+    )
+    funcs = {aid: dict(f) for aid, f in full.funcs.items()}
+    for _, aid in legs(decl):
+        funcs[aid]["twin"] = funcs[aid][victim]
+    yield KeyDiagram(sets={**full.sets, decl.target: frozenset(keys) | {"twin"}}, funcs=funcs)
+
+
+@pytest.mark.parametrize("kind", sorted(LIMIT_ORACLES))
+def test_limit_matches_the_product_and_pullback_code_it_replaced(kind):
+    check_old, synthesize_old = LIMIT_ORACLES[kind]
+    rng = random.Random(f"limit-{kind}")
+    for _ in range(60):
+        g, decl, d = random_world(rng, kind)
+        full, old = synthesize(decl, d), synthesize_old(decl, d)
+        assert full == old
+        for aid in full.funcs:
+            assert list(full.funcs[aid].items()) == list(old.funcs[aid].items())
+        for variant in _with_target_key_dropped_or_duplicated(rng, full, decl):
+            assert check_decl(variant, g, decl) == check_old(variant, decl)

@@ -6,7 +6,7 @@ import shutil
 from olog import core, sketch, system
 from olog.cli import main
 
-from .conftest import FIXTURES, write_overflowing_system
+from .conftest import FIXTURES, write_overflowing_node, write_overflowing_system
 
 
 def run(capsys, *argv):
@@ -434,3 +434,14 @@ def test_fuse_reports_an_overflowing_edge_at_the_system_file(tmp_path, capsys):
         f"{osys}:1:1 - error: edge 'e': translated fact 'g;h;g;h;g;h = g;h' "
         "has a side longer than bound 4\n"
     )
+
+
+def test_fuse_and_consequence_report_an_overflowing_node(tmp_path, capsys):
+    overflow = "declared fact 'f;f;f = f' has a side longer than bound 2"
+    alone, pair = write_overflowing_node(tmp_path)
+    for osys, nodes in ((alone, "a"), (pair, "ab")):
+        want = "".join(f"{osys}:1:1 - error: node '{n}': {overflow}\n" for n in nodes)
+        for cmd in (["fuse", osys], ["consequence", osys, "--out-dir", tmp_path / "out"]):
+            code, out, err = run(capsys, "--bound", "2", *cmd)
+            assert (code, out, err) == (2, "", want)
+    assert not (tmp_path / "out").exists()

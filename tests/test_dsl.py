@@ -32,7 +32,12 @@ from olog.sketch import (
 )
 
 from . import strategies as sts
-from .conftest import FIXTURES, load_olog, write_overflowing_system
+from .conftest import (
+    FIXTURES,
+    load_olog,
+    write_overflowing_node,
+    write_overflowing_system,
+)
 
 FAMILY_TEXT = (FIXTURES / "family.olog").read_text()
 FAMILY = load_olog("family.olog")
@@ -156,6 +161,36 @@ SQUARE_TEXT = (
     "  {decl}\n"  # line 11
     "}\n"
 )
+
+
+def test_one_aspect_for_two_parts_is_reported_at_its_declaration():
+    text = (
+        "olog Dup {\n"
+        '  type a "an a"\n'
+        '  type c "a c"\n'
+        '  type p "a p"\n'
+        '  aspect e : a -> a "is"\n'
+        '  aspect i : a -> c "is"\n'
+        '  aspect q : p -> a "has"\n'
+        "  product p = a * a via (q,q)\n"  # line 8
+        "  pullback p = a *_a a via (e,e) legs (q,q)\n"
+        "  coproduct c = a + a via (i,i)\n"
+        "  pushout c = a +_a a via (i,i) span (e,e)\n"
+        "  image a of e via (e,e)\n"
+        "}\n"
+    )
+    spec, diags = dsl.parse_olog(text, "dup.olog")
+    assert spec is None
+    assert [str(d) for d in errors(diags)] == [
+        f"dup.olog:{line}:3 - error: {ctx}: aspect '{aid}' is used for more than one part"
+        for line, ctx, aid in (
+            (8, "ProductDecl on 'p'", "q"),
+            (9, "PullbackDecl on 'p'", "q"),
+            (10, "CoproductDecl on 'c'", "i"),
+            (11, "PushoutDecl on 'c'", "i"),
+            (12, "ImageDecl on 'a'", "e"),
+        )
+    ]
 
 
 def test_sketch_problem_is_reported_at_its_declaration():
@@ -510,6 +545,22 @@ def test_parse_system_rejects_non_preserving_edge(tmp_path):
     sysm, diags = dsl.parse_system(tmp_path / "bad.osys", bound=3)
     assert sysm is None
     assert any("not preserved" in d.message for d in errors(diags))
+
+
+def test_parse_system_reports_a_node_whose_facts_overflow(tmp_path):
+    alone, pair = write_overflowing_node(tmp_path)
+    overflow = "declared fact 'f;f;f = f' has a side longer than bound 2"
+    sysm, diags = dsl.parse_system(alone, bound=2)
+    assert sysm is None
+    assert [str(d) for d in errors(diags)] == [f"{alone}:1:1 - error: node 'a': {overflow}"]
+    # The edge into node b is skipped: b's own overflow is reported as b's.
+    sysm, diags = dsl.parse_system(pair, bound=2)
+    assert sysm is None
+    assert [str(d) for d in errors(diags)] == [
+        f"{pair}:1:1 - error: node 'a': {overflow}",
+        f"{pair}:1:1 - error: node 'b': {overflow}",
+    ]
+    assert dsl.parse_system(pair, bound=3)[0] is not None
 
 
 def test_parse_system_reports_an_overflowing_edge(tmp_path):

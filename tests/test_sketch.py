@@ -549,6 +549,46 @@ def test_missing_square_fact_lint_and_presence():
     assert missing_square_facts(spec2) == []
 
 
+def one_aspect_for_two_parts():
+    """Each kind of declaration with one aspect named for two of its parts."""
+    g = Graph(
+        types=(TypeNode("a", "an a"), TypeNode("c", "a c"), TypeNode("p", "a p")),
+        aspects=(
+            Aspect("e", "a", "a", "is"),
+            Aspect("i", "a", "c", "is"),
+            Aspect("q", "p", "a", "has"),
+        ),
+    )
+    e = Path("a", ("e",))
+    return g, {
+        "product": (ProductDecl("p", (("a", "q"), ("a", "q"))), "q"),
+        "pullback": (PullbackDecl("p", ("a", "q"), ("a", "q"), (e, e)), "q"),
+        "coproduct": (CoproductDecl("c", (("a", "i"), ("a", "i"))), "i"),
+        "pushout": (PushoutDecl("c", ("a", "i"), ("a", "i"), (e, e)), "i"),
+        "image": (ImageDecl("a", e, "e", "e"), "e"),
+    }
+
+
+@pytest.mark.parametrize("kind", ["product", "pullback", "coproduct", "pushout", "image"])
+def test_decl_errors_rejects_one_aspect_for_two_parts(kind):
+    g, decls = one_aspect_for_two_parts()
+    decl, aid = decls[kind]
+    ctx = f"{type(decl).__name__} on '{decl.target}'"
+    want = [f"{ctx}: aspect '{aid}' is used for more than one part"]
+    assert decl_errors(g, decl) == want
+    assert validate_decls(Specification(graph=g, sketch=(decl,))) == want
+
+
+def test_one_aspect_for_two_parts_cannot_be_synthesized():
+    # Why the declaration is rejected: its synthesis could never pass its check.
+    g, decls = one_aspect_for_two_parts()
+    d = key_diagram({"a": ["1", "2"], "c": [], "p": []}, {"e": {"1": "1", "2": "2"}})
+    product = check_decl(synthesize(decls["product"][0], d), g, decls["product"][0])
+    assert product.witness == "duplicated tuple ('1', '1') from keys '(1,1)' and '(2,1)'"
+    coproduct = check_decl(synthesize(decls["coproduct"][0], d), g, decls["coproduct"][0])
+    assert coproduct.witness == "target key 'ini:1' is hit by both 'i' and 'i'"
+
+
 # --- mediating aspects -------------------------------------------------------
 
 
