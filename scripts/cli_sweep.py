@@ -62,6 +62,7 @@ from olog import dsl  # noqa: E402
 from olog.cli import main as olog_main  # noqa: E402
 from olog.core import enumerate_paths, format_fact, format_path, path_target  # noqa: E402
 from olog.errors import OlogError  # noqa: E402
+from revision import extract  # noqa: E402
 
 MUTANTS = 4000
 OMAP_MUTANTS = 1000
@@ -292,10 +293,7 @@ def against(rev: str) -> int:
     """Sweep REV and this checkout side by side; print the differing lines."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     with tempfile.TemporaryDirectory() as old:
-        archive = subprocess.run(
-            ["git", "-C", str(ROOT), "archive", rev], check=True, capture_output=True
-        ).stdout
-        subprocess.run(["tar", "-x", "-C", old], input=archive, check=True)
+        extract(rev, Path(old))
         runs = [
             subprocess.Popen([sys.executable, str(root / "scripts" / "cli_sweep.py")],
                              stdout=subprocess.PIPE, text=True, env=env)

@@ -282,15 +282,14 @@ def enumerate_paths(graph: Graph, max_len: int) -> tuple[Path, ...]:
 class UnionFind:
     """Disjoint sets over a fixed universe with full path compression.
 
-    The root of every class is its least member under ``key`` (natural order
-    when ``key`` is None), so representatives do not depend on union order.
+    The root of every class is its least member, so representatives do not
+    depend on union order.
     """
 
-    __slots__ = ("parent", "key")
+    __slots__ = ("parent",)
 
-    def __init__(self, items, key=None):
+    def __init__(self, items):
         self.parent = {x: x for x in items}
-        self.key = key
 
     def find(self, x):
         p = self.parent
@@ -305,8 +304,7 @@ class UnionFind:
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return False
-        key = self.key
-        if (rb < ra) if key is None else (key(rb) < key(ra)):
+        if rb < ra:
             ra, rb = rb, ra
         self.parent[rb] = ra
         return True

@@ -19,7 +19,6 @@ from .core import (
     Graph,
     Path,
     Specification,
-    UnionFind,
     enumerate_paths,
     fact_errors,
     format_fact,
@@ -113,45 +112,68 @@ def saturate(spec: Specification, bound: int = DEFAULT_BOUND) -> Congruence:
     restricted to paths of length <= bound. A declared fact that is not a
     well-formed pair of parallel paths, or has a side longer than the bound,
     is a hard error (silently dropping it would make every downstream
-    comparison unsound). The closure is one worklist that whiskers merged
-    roots, which is complete because the union-find keeps each class's
-    shortest member (ties broken by edge ids) as its root.
+    comparison unsound).
+
+    The universe is sorted by length, then edge ids, and numbered once, and
+    each path shorter than the bound lists the ids of its one-aspect
+    extensions on either side. The closure is then one worklist of id pairs
+    over a list union-find whose roots are least ids, that is, each class's
+    shortest member. Whiskering the merged roots is complete because every
+    member's whiskering already equals its root's.
     """
     _check_bound(bound)
     g = spec.graph
-    uf = UnionFind(enumerate_paths(g, bound), key=_canon_key)
-
     for fact in spec.facts:
         errs = fact_errors(g, fact)
         if errs:
             raise OlogError(f"declared fact {format_fact(fact)}: {errs[0]}")
         check_fits(fact, bound, "declared")
 
-    aspects_from = g.aspects_from
+    paths = sorted(enumerate_paths(g, bound), key=_canon_key)
+    n = len(paths)
+    ids = {p: i for i, p in enumerate(paths)}
+    aspects_from, aspect_by_id = g.aspects_from, g.aspect_by_id
     aspects_into: dict[str, list] = {}
     for a in g.aspects:
-        aspects_into.setdefault(a.tgt, []).append(a)
+        if a.src in g.type_by_id:  # no path of the universe starts anywhere else
+            aspects_into.setdefault(a.tgt, []).append(a)
+    # right[i] and left[i]: ids of the one-aspect extensions of path i, in
+    # aspect id order; empty at the bound.
+    right: list = [()] * n
+    left: list = [()] * n
+    for i, (src, edges) in enumerate(paths):
+        if len(edges) == bound:
+            break
+        at = aspect_by_id[edges[-1]].tgt if edges else src
+        right[i] = [ids[src, edges + (a.id,)] for a in aspects_from.get(at, ())]
+        left[i] = [ids[a.src, (a.id,) + edges] for a in aspects_into.get(src, ())]
 
-    # One worklist of pending pairs. Each merge pushes the one-aspect
-    # whiskerings of the two old roots: every member's whiskering already
-    # equals its root's, and a root too long to whisker has no member that
-    # can be whiskered within the bound.
-    pending = [(f.lhs, f.rhs) for f in spec.facts]
+    # Parallel paths have extensions in the same order, so a merge of roots
+    # x < y pushes the pairs of their extensions; when y is at the bound its
+    # lists are empty and nothing is pushed.
+    parent = list(range(n))
+    pending = [(ids[f.lhs], ids[f.rhs]) for f in spec.facts]
     while pending:
-        p, q = map(uf.find, pending.pop())
-        if not uf.union(p, q) or max(len(p.edges), len(q.edges)) >= bound:
+        x, y = pending.pop()
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x == y:
             continue
-        src, pe, qe = p.source, p.edges, q.edges
-        for a in aspects_from.get(path_target(g, p), ()):
-            pending.append((Path(src, pe + (a.id,)), Path(src, qe + (a.id,))))
-        for a in aspects_into.get(src, ()):
-            pending.append((Path(a.src, (a.id,) + pe), Path(a.src, (a.id,) + qe)))
+        if y < x:
+            x, y = y, x
+        parent[y] = x
+        pending.extend(zip(right[x], right[y]))
+        pending.extend(zip(left[x], left[y]))
 
-    classes = tuple(
-        tuple(sorted(members, key=_canon_key))
-        for _, members in sorted(uf.classes().items(), key=lambda kv: _canon_key(kv[0]))
-    )
-    return Congruence(graph=g, bound=bound, classes=classes)
+    # Every parent is at most its child, so one ascending pass resolves each
+    # id to its root, and a root opens its class before any member joins it.
+    groups: dict[int, list[Path]] = {}
+    for i, p in enumerate(paths):
+        root = parent[i] = parent[parent[i]]
+        groups.setdefault(root, []).append(p)
+    return Congruence(graph=g, bound=bound, classes=tuple(map(tuple, groups.values())))
 
 
 def entails(spec: Specification, fact: Fact, bound: int = DEFAULT_BOUND) -> str:

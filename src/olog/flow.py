@@ -199,14 +199,23 @@ def is_spec_morphism(
     """
     if h.src != s1.graph or h.tgt != s2.graph:
         raise GraphMismatchError("morphism endpoints do not match the specifications")
-    cong = saturate(s2, bound)
+    offenders = _unpreserved(h, s1, saturate(s2, bound))
+    return (not offenders, offenders)
+
+
+def _unpreserved(h: GraphMorphism, s1: Specification, cong: Congruence) -> tuple[Fact, ...]:
+    """Declared facts of ``s1`` whose translations along ``h`` ``cong`` does not identify.
+
+    A translation with a side longer than ``cong.bound`` raises
+    :class:`BoundExceededError`.
+    """
     offenders = []
     for fact in s1.facts:
         img = translate_fact(h, fact)
-        check_fits(img, bound, "translated")
+        check_fits(img, cong.bound, "translated")
         if entails_in(cong, img) != ENTAILED:
             offenders.append(fact)
-    return (not offenders, tuple(offenders))
+    return tuple(offenders)
 
 
 # ---------------------------------------------------------------------------

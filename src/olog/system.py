@@ -25,11 +25,12 @@ from .core import (
     UnionFind,
     format_fact,
 )
-from .entail import DEFAULT_BOUND, check_fits, saturate
+from .entail import DEFAULT_BOUND, Congruence, check_fits, saturate
 from .errors import BoundExceededError, GraphMismatchError, OlogError, UnsupportedLinkError
 from .flow import (
     GraphMorphism,
     _flow_back,
+    _unpreserved,
     compose_morphisms,
     dir_flow,
     is_spec_morphism,
@@ -101,13 +102,15 @@ def validate_system(sys: InformationSystem, bound: int = DEFAULT_BOUND) -> list[
 
     A fact that overflows the bound is reported, not raised: a node's own
     declared fact as a problem of that node, whose incoming edges are then
-    skipped, and a translated fact as a problem of its edge. A system that
-    passed at a bound is not checked again at that bound.
+    skipped, and a translated fact as a problem of its edge. Each target node
+    is saturated once, when its first edge is checked. A system that passed
+    at a bound is not checked again at that bound.
     """
     if bound in sys._passed_bounds:
         return []
     problems: list[str] = []
     overflowing: set[str] = set()
+    congs: dict[str, Congruence] = {}
     for n in sys.shape.nodes:
         if n not in sys.specs:
             problems.append(f"node '{n}' has no specification")
@@ -132,7 +135,9 @@ def validate_system(sys: InformationSystem, bound: int = DEFAULT_BOUND) -> list[
         if tgt in overflowing:
             continue
         try:
-            _, offenders = is_spec_morphism(h, sys.specs[src], sys.specs[tgt], bound)
+            if tgt not in congs:
+                congs[tgt] = saturate(sys.specs[tgt], bound)
+            offenders = _unpreserved(h, sys.specs[src], congs[tgt])
         except BoundExceededError as exc:
             problems.append(f"edge '{eid}': {exc}")
             continue

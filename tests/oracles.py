@@ -12,8 +12,12 @@ used before it joined the legs on the cospan value, and the ``*_by_factors``
 oracles are the product check and synthesis from before products and
 pullbacks became one limit. ``saturate_by_rounds``
 is the round-by-round closure ``entail.saturate`` ran before it became one
-worklist; it shares the union-find but regroups and re-whiskers every merged
-class each round. Slow and obvious beats fast and clever here.
+worklist; it regroups and re-whiskers every merged class each round.
+``saturate_by_paths`` is that worklist as it ran on ``Path`` values before
+the universe was numbered, and ``validate_system_by_edges`` is
+``system.validate_system`` from before it saturated each target once: it
+runs ``is_spec_morphism`` per edge. Slow and obvious beats fast and clever
+here.
 ``DataclassPath`` and ``DataclassFact`` are ``core.Path`` and ``core.Fact``
 as they were before they became named tuples, kept to pin the value contract.
 """
@@ -34,9 +38,9 @@ from olog.core import (
     format_fact,
     path_target,
 )
-from olog.entail import Congruence, _canon_key, _check_bound, saturate
+from olog.entail import Congruence, _canon_key, _check_bound, check_fits, saturate
 from olog.errors import BoundExceededError, OlogError, SynthesisError
-from olog.flow import translate_fact
+from olog.flow import is_spec_morphism, translate_fact
 from olog.instances import KeyDiagram, eval_path, satisfies_fact
 from olog.sketch import CheckResult, _bijection_onto, _tupling, encode_tuple
 from olog.system import fusion, optimal_channel
@@ -135,6 +139,62 @@ def naive_consequence(graph: Graph, facts, bound: int) -> set[Fact]:
     return {Fact(a, b) for a, b in pairs}
 
 
+class CanonUnionFind(UnionFind):
+    """``core.UnionFind`` whose root is each class's least member under
+    ``entail._canon_key``: shortest first, ties broken by edge ids."""
+
+    __slots__ = ()
+
+    def union(self, a, b) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if _canon_key(rb) < _canon_key(ra):
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        return True
+
+
+def saturate_by_paths(spec: Specification, bound: int) -> Congruence:
+    """``entail.saturate`` as one worklist of ``Path`` pairs over a hashed
+    union-find, whiskering the two old roots of every merge."""
+    _check_bound(bound)
+    g = spec.graph
+    uf = CanonUnionFind(enumerate_paths(g, bound))
+
+    for fact in spec.facts:
+        errs = fact_errors(g, fact)
+        if errs:
+            raise OlogError(f"declared fact {format_fact(fact)}: {errs[0]}")
+        check_fits(fact, bound, "declared")
+
+    aspects_from = g.aspects_from
+    aspects_into: dict[str, list] = {}
+    for a in g.aspects:
+        aspects_into.setdefault(a.tgt, []).append(a)
+
+    # One worklist of pending pairs. Each merge pushes the one-aspect
+    # whiskerings of the two old roots: every member's whiskering already
+    # equals its root's, and a root too long to whisker has no member that
+    # can be whiskered within the bound.
+    pending = [(f.lhs, f.rhs) for f in spec.facts]
+    while pending:
+        p, q = map(uf.find, pending.pop())
+        if not uf.union(p, q) or max(len(p.edges), len(q.edges)) >= bound:
+            continue
+        src, pe, qe = p.source, p.edges, q.edges
+        for a in aspects_from.get(path_target(g, p), ()):
+            pending.append((Path(src, pe + (a.id,)), Path(src, qe + (a.id,))))
+        for a in aspects_into.get(src, ()):
+            pending.append((Path(a.src, (a.id,) + pe), Path(a.src, (a.id,) + qe)))
+
+    classes = tuple(
+        tuple(sorted(members, key=_canon_key))
+        for _, members in sorted(uf.classes().items(), key=lambda kv: _canon_key(kv[0]))
+    )
+    return Congruence(graph=g, bound=bound, classes=classes)
+
+
 def saturate_by_rounds(spec: Specification, bound: int) -> Congruence:
     """``entail.saturate`` as a fixpoint of rounds: each round regroups the
     universe into classes and whiskers every member of every merged class
@@ -143,7 +203,7 @@ def saturate_by_rounds(spec: Specification, bound: int) -> Congruence:
     g = spec.graph
     universe = enumerate_paths(g, bound)
     in_universe = set(universe)
-    uf = UnionFind(universe, key=_canon_key)
+    uf = CanonUnionFind(universe)
 
     for fact in spec.facts:
         errs = fact_errors(g, fact)
@@ -191,6 +251,48 @@ def saturate_by_rounds(spec: Specification, bound: int) -> Congruence:
         for _, members in sorted(uf.classes().items(), key=lambda kv: _canon_key(kv[0]))
     )
     return Congruence(graph=g, bound=bound, classes=classes)
+
+
+def validate_system_by_edges(sys, bound: int) -> list[str]:
+    """``system.validate_system`` with one ``is_spec_morphism`` per edge, so
+    a target with several incoming edges is saturated once per edge."""
+    if bound in sys._passed_bounds:
+        return []
+    problems: list[str] = []
+    overflowing: set[str] = set()
+    for n in sys.shape.nodes:
+        if n not in sys.specs:
+            problems.append(f"node '{n}' has no specification")
+            continue
+        try:
+            for fact in sys.specs[n].facts:
+                check_fits(fact, bound, "declared")
+        except BoundExceededError as exc:
+            problems.append(f"node '{n}': {exc}")
+            overflowing.add(n)
+    for eid, src, tgt in sys.shape.edges:
+        h = sys.constraints.get(eid)
+        if h is None:
+            problems.append(f"edge '{eid}' has no morphism")
+            continue
+        if src not in sys.specs or tgt not in sys.specs:
+            problems.append(f"edge '{eid}' references unknown nodes")
+            continue
+        if h.src != sys.specs[src].graph or h.tgt != sys.specs[tgt].graph:
+            problems.append(f"edge '{eid}': morphism endpoints do not match the node graphs")
+            continue
+        if tgt in overflowing:
+            continue
+        try:
+            _, offenders = is_spec_morphism(h, sys.specs[src], sys.specs[tgt], bound)
+        except BoundExceededError as exc:
+            problems.append(f"edge '{eid}': {exc}")
+            continue
+        for f in offenders:
+            problems.append(f"edge '{eid}': fact {format_fact(f)} is not preserved")
+    if not problems:
+        sys._passed_bounds.add(bound)
+    return problems
 
 
 def consequence_by_pairs(spec: Specification, bound: int) -> tuple[Fact, ...]:

@@ -336,7 +336,7 @@ def test_quiet_hides_parse_warnings(tmp_path, capsys):
 
 
 def test_consequence_validates_and_builds_the_channel_once(tmp_path, capsys, monkeypatch):
-    calls = {"is_spec_morphism": 0, "optimal_channel": 0}
+    calls = {"_unpreserved": 0, "optimal_channel": 0}
 
     def counting(name):
         real = getattr(system, name)
@@ -347,11 +347,11 @@ def test_consequence_validates_and_builds_the_channel_once(tmp_path, capsys, mon
 
         monkeypatch.setattr(system, name, wrapper)
 
-    counting("is_spec_morphism")
+    counting("_unpreserved")
     counting("optimal_channel")
     code, _, _ = run(capsys, "consequence", FIXTURES / "w.osys", "--out-dir", tmp_path)
     assert code == 0
-    assert calls == {"is_spec_morphism": 4, "optimal_channel": 1}
+    assert calls == {"_unpreserved": 4, "optimal_channel": 1}
 
 
 def test_check_reports_parse_diagnostics_only(capsys, monkeypatch):

@@ -301,15 +301,14 @@ def test_no_isinstance_tuple_check_in_the_library():
 _tags = st.tuples(st.sampled_from("abc"), st.sampled_from(["x", "y", "z_", "_w"]))
 
 
-@pytest.mark.parametrize("key", [None, lambda t: (t[1], t[0])], ids=["natural", "keyed"])
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_union_find_matches_tag_partition(key, data):
+def test_union_find_matches_tag_partition(data):
     tags = data.draw(st.lists(_tags, min_size=1, max_size=12, unique=True))
     unions = data.draw(
         st.lists(st.tuples(st.sampled_from(tags), st.sampled_from(tags)), max_size=15)
     )
-    uf, oracle = UnionFind(tags, key=key), TagPartition()
+    uf, oracle = UnionFind(tags), TagPartition()
     for t in tags:
         oracle.add(t)
     for a, b in unions:
@@ -318,5 +317,5 @@ def test_union_find_matches_tag_partition(key, data):
     classes = uf.classes()
     assert {frozenset(m) for m in classes.values()} == oracle.classes()
     for root, members in classes.items():
-        assert root == min(members, key=key)
+        assert root == min(members)
         assert all(uf.find(m) == root for m in members)

@@ -24,11 +24,16 @@ from olog.entail import (
     spec_leq,
 )
 from olog.errors import BoundExceededError, GraphMismatchError, OlogError
-from olog.instances import satisfies_fact
+from olog.instances import intent, satisfies_fact
 
 from . import strategies as sts
 from .conftest import FIXTURES, load_olog
-from .oracles import enumerate_equations, naive_consequence, saturate_by_rounds
+from .oracles import (
+    enumerate_equations,
+    naive_consequence,
+    saturate_by_paths,
+    saturate_by_rounds,
+)
 
 
 def cls_of(cong, path):
@@ -139,6 +144,17 @@ def test_saturate_rejects_ill_formed_fact(lhs, rhs, reason):
         saturate(spec, 2)
     assert format_fact(bad) in str(exc.value)
     assert not isinstance(exc.value, BoundExceededError)
+
+
+def test_saturate_skips_aspects_from_missing_types():
+    # No path of the universe starts at 'ghost', so left whiskering by 'a'
+    # extends nothing, even after a merge at 't'.
+    g = Graph(
+        types=(TypeNode("t", "a t"),),
+        aspects=(Aspect("a", "ghost", "t", "haunts"), Aspect("f", "t", "t", "steps to")),
+    )
+    spec = Specification(graph=g, facts=(Fact(Path("t", ("f", "f")), Path("t", ("f",))),))
+    assert set(consequence(spec, 3)) == naive_consequence(g, spec.facts, 3)
 
 
 # --- entails ----------------------------------------------------------------
@@ -346,14 +362,64 @@ def test_saturate_matches_round_loop_on_monoid(k, bound):
     assert saturate(spec, bound).classes == saturate_by_rounds(spec, bound).classes
 
 
-def test_saturate_groups_classes_once(employee_spec, monkeypatch):
-    calls = []
-    classes = core.UnionFind.classes
+def test_saturate_runs_without_core_union_find(employee_spec, monkeypatch):
+    # The closure runs on path ids; core.UnionFind serves system and sketch.
+    want = saturate_by_paths(employee_spec, 4).classes
 
-    def counted(self):
-        calls.append(1)
-        return classes(self)
+    def refuse(*args, **kwargs):
+        raise AssertionError("saturate used core.UnionFind")
 
-    monkeypatch.setattr(core.UnionFind, "classes", counted)
-    saturate(employee_spec, 4)
-    assert len(calls) == 1
+    for name in ("__init__", "find", "union", "classes"):
+        monkeypatch.setattr(core.UnionFind, name, refuse)
+    assert saturate(employee_spec, 4).classes == want
+
+
+def _classes_or_error(saturator, spec, bound):
+    try:
+        return saturator(spec, bound).classes
+    except OlogError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_saturate_matches_path_worklist(data):
+    # Parallel aspects, identity sides and facts as long as the bound come
+    # from the graphs and specs drawn; the extra fact may overflow the bound,
+    # join unparallel paths or name an unknown aspect.
+    bound = data.draw(st.integers(1, 4))
+    graph = data.draw(sts.cyclic_graphs(max_types=3, max_aspects=4))
+    spec = data.draw(sts.specs_on(graph, max_facts=3, max_len=bound))
+    extra = data.draw(
+        st.lists(
+            st.one_of(
+                sts.parallel_facts(graph, max_len=bound + 1),
+                st.builds(Fact, sts.paths_in(graph, bound), sts.paths_in(graph, bound)),
+                st.just(Fact(Path("T0", ("r0", "nope")), Path("T0", ("r0",)))),
+            ),
+            max_size=1,
+        )
+    )
+    spec = Specification(graph=graph, facts=spec.facts + tuple(extra))
+    assert _classes_or_error(saturate, spec, bound) == _classes_or_error(
+        saturate_by_paths, spec, bound
+    )
+
+
+# --- soundness on random models ------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_consequence_holds_in_every_model_of_the_facts(data):
+    # Every fact declared holds in d by construction, so every consequence
+    # must. Few types with many aspects, and facts that are not tautologies,
+    # give the closure the most to get wrong.
+    bound = data.draw(st.integers(1, 3))
+    graph = data.draw(st.one_of(sts.graphs(max_types=2, max_aspects=5), sts.cyclic_graphs()))
+    d = data.draw(sts.key_diagrams_on(graph, max_keys=3))
+    holds = intent(d, graph, bound)
+    proper = [f for f in holds if f.lhs != f.rhs] or holds
+    facts = data.draw(st.lists(st.sampled_from(proper), max_size=4))
+    spec = Specification(graph=graph, facts=tuple(facts))
+    assert set(consequence(spec, bound)) <= set(holds)

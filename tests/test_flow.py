@@ -22,7 +22,7 @@ from olog.flow import (
     translate_fact,
     translate_path,
 )
-from olog.instances import satisfies_fact
+from olog.instances import intent, satisfies_fact
 
 from . import strategies as sts
 from .conftest import FIXTURES, load_olog
@@ -353,3 +353,18 @@ def test_dir_flow_keeps_identity_collapsed_facts(family_spec):
     )
     got = dir_flow(collapse, family_spec.facts)
     assert got == (Fact(identity_path("person"), identity_path("person")),)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_inv_flow_holds_on_pulled_back_models(data):
+    # d2 models the target facts by construction, so every fact that flows
+    # back must hold on d2 read over the source language.
+    h = data.draw(sts.morphisms())
+    bound = data.draw(st.integers(1, 2))
+    d2 = data.draw(sts.key_diagrams_on(h.tgt, max_keys=3))
+    holds = intent(d2, h.tgt, bound + 1)
+    proper = [f for f in holds if f.lhs != f.rhs] or holds
+    facts = data.draw(st.lists(st.sampled_from(proper), max_size=4))
+    got = inv_flow(h, facts, bound, bound + 1)
+    assert set(got) <= set(intent(pullback_instances(h, d2), h.src, bound))

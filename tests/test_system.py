@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from olog import dsl
+from olog import dsl, system
 from olog.core import Aspect, Fact, Graph, Path, Specification, TypeNode, format_fact
 from olog.entail import consequence
 from olog.errors import OlogError, UnsupportedLinkError
@@ -10,6 +12,7 @@ from olog.flow import GraphMorphism, graph_morphism, identity_morphism
 from olog.system import (
     Channel,
     InformationSystem,
+    Shape,
     SystemMorphism,
     check_channel_cover,
     check_refinement,
@@ -21,8 +24,9 @@ from olog.system import (
     validate_system,
 )
 
+from . import strategies as sts
 from .conftest import FIXTURES
-from .oracles import colimit_classes
+from .oracles import colimit_classes, validate_system_by_edges
 
 
 @pytest.fixture(scope="module")
@@ -486,6 +490,7 @@ def test_validate_system_reports_unpreserved_edge(span_system):
     problems = validate_system(bad, 4)
     assert any("gr" in p and "not preserved" in p for p in problems)
     assert not any("gl" in p for p in problems)
+    assert problems == validate_system_by_edges(bad, 4)
 
 
 def test_fused_and_consequence_ologs_reparse(span_system, constant_system, w_system):
@@ -528,3 +533,68 @@ def test_system_copies_the_given_mappings(span_system):
     del specs["left"]
     assert "left" in sysm.specs
     assert validate_system(sysm, 4) == []
+
+
+# --- validate_system saturates each target once -------------------------------
+
+
+def _fresh(sysm):
+    """A copy that has passed validation at no bound."""
+    return InformationSystem(shape=sysm.shape, specs=sysm.specs, constraints=sysm.constraints)
+
+
+def _problems_or_error(validate, sysm, bound):
+    try:
+        return validate(_fresh(sysm), bound)
+    except OlogError as exc:
+        return type(exc), str(exc)
+
+
+def test_validate_system_saturates_each_target_once(w_system, monkeypatch):
+    calls = []
+    real = system.saturate
+
+    def counted(spec, bound):
+        calls.append(spec)
+        return real(spec, bound)
+
+    monkeypatch.setattr(system, "saturate", counted)
+    assert validate_system(_fresh(w_system), 5) == []
+    # Four edges, two into each portal.
+    assert calls == [w_system.specs["portal"], w_system.specs["portal2"]]
+
+
+@pytest.mark.parametrize("name", ["constant", "discrete", "span", "w"])
+def test_validate_system_matches_edge_by_edge_on_fixtures(request, name):
+    sysm = request.getfixturevalue(f"{name}_system")
+    for bound in range(1, 7):
+        assert _problems_or_error(validate_system, sysm, bound) == _problems_or_error(
+            validate_system_by_edges, sysm, bound
+        )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_validate_system_matches_edge_by_edge_on_two_nodes(data):
+    # An edge a -> b, and maybe identity loops so that b has two incoming
+    # edges; facts may overflow the bound or fail to be preserved.
+    h = data.draw(sts.morphisms())
+    bound = data.draw(st.integers(1, 3))
+    lengths = st.sampled_from([bound, bound + 1])
+    s1 = data.draw(sts.specs_on(h.src, max_facts=3, max_len=data.draw(lengths)))
+    s2 = data.draw(sts.specs_on(h.tgt, max_facts=1, max_len=data.draw(lengths)))
+    edges, constraints = [("e", "a", "b")], {"e": h}
+    if data.draw(st.booleans()):
+        edges.append(("loop_b", "b", "b"))
+        constraints["loop_b"] = identity_morphism(h.tgt)
+    if data.draw(st.booleans()):
+        edges.append(("loop_a", "a", "a"))
+        constraints["loop_a"] = identity_morphism(h.src)
+    sysm = InformationSystem(
+        shape=Shape(nodes=("a", "b"), edges=tuple(edges)),
+        specs={"a": s1, "b": s2},
+        constraints=constraints,
+    )
+    assert _problems_or_error(validate_system, sysm, bound) == _problems_or_error(
+        validate_system_by_edges, sysm, bound
+    )
