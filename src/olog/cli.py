@@ -10,11 +10,12 @@ json`` every verdict is one JSON object per line with stable keys.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path as FsPath
 
-from . import dsl, entail, flow, instances, sketch, sqlgen, system
+# Each command imports the other modules it runs in its handler, so a
+# command loads only what it uses.
+from . import dsl, entail
 from .core import Specification, format_fact, format_path
 from .errors import InstanceLoadError, OlogError
 
@@ -36,6 +37,8 @@ class _Out:
 
     def verdict(self, record: dict, text: str):
         if self.fmt == "json":
+            import json
+
             print(json.dumps(record, sort_keys=True))
         else:
             print(text)
@@ -99,7 +102,7 @@ def _cmd_entail(args, out: _Out) -> int:
     return 0
 
 
-def _emit_fact_checks(report: instances.SatisfactionReport, out: _Out) -> bool:
+def _emit_fact_checks(report, out: _Out) -> bool:
     ok = True
     for check in report.checks:
         status = "satisfied" if check.satisfied else "violated"
@@ -140,6 +143,8 @@ def _emit_sketch_checks(results, out: _Out) -> bool:
 
 
 def _cmd_validate(args, out: _Out) -> int:
+    from . import instances, sketch
+
     spec = _load_spec(args.olog, out)
     try:
         d = instances.load_instances(args.data, spec)
@@ -168,6 +173,8 @@ def _cmd_synth(args, out: _Out) -> int:
     they may be missing from the data directory; every other table must load
     cleanly. Writes the affected tables.
     """
+    from . import instances, sketch
+
     spec = _load_spec(args.olog, out)
     decl = next((x for x in spec.sketch if x.target == args.decl), None)
     if decl is None:
@@ -217,9 +224,13 @@ def _csv_cell(cell: str) -> str:
 
 
 def _cmd_sqlgen(args, out: _Out) -> int:
+    from . import sqlgen
+
     spec = _load_spec(args.olog, out)
     payload = sqlgen.emit_ddl(spec)
     if args.with_inserts:
+        from . import instances
+
         try:
             d = instances.load_instances(args.with_inserts, spec)
         except InstanceLoadError as exc:
@@ -253,6 +264,8 @@ def _write(path, payload: str, out: _Out) -> int:
 
 
 def _cmd_flow(args, out: _Out) -> int:
+    from . import flow
+
     h, src, tgt = _load_morphism(args.source, args.target, args.morphism, out)
     if args.direction == "dir":
         facts = flow.dir_flow(h, src.facts)
@@ -264,6 +277,8 @@ def _cmd_flow(args, out: _Out) -> int:
 
 
 def _cmd_morphism_check(args, out: _Out) -> int:
+    from . import flow
+
     h, src, tgt = _load_morphism(args.source, args.target, args.morphism, out)
     ok, offenders = flow.is_spec_morphism(h, src, tgt, args.bound)
     record = {
@@ -279,12 +294,16 @@ def _cmd_morphism_check(args, out: _Out) -> int:
 
 
 def _cmd_fuse(args, out: _Out) -> int:
+    from . import system
+
     sysm = _parsed(dsl.parse_system(args.system, args.bound), out)
     fused = system.fusion(sysm, args.bound)
     return _write(args.out, dsl.print_olog(fused), out)
 
 
 def _cmd_consequence(args, out: _Out) -> int:
+    from . import system
+
     sysm = _parsed(dsl.parse_system(args.system, args.bound), out)
     outdir = FsPath(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -294,6 +313,8 @@ def _cmd_consequence(args, out: _Out) -> int:
 
 
 def _cmd_lot(args, out: _Out) -> int:
+    from . import flow
+
     if args.move == "analogy":
         h, spec, tgt = _load_morphism(args.olog, args.target, args.morphism, out)
         return _write(args.out, dsl.print_olog(flow.lot_analogy(h, spec, name=tgt.name)), out)

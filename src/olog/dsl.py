@@ -24,6 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path as FsPath
+from typing import TYPE_CHECKING
 
 from .core import (
     Aspect,
@@ -39,7 +40,6 @@ from .core import (
 )
 from .entail import DEFAULT_BOUND
 from .errors import OlogError
-from .flow import GraphMorphism, morphism_errors
 from .sketch import (
     CoproductDecl,
     ImageDecl,
@@ -50,7 +50,12 @@ from .sketch import (
     legs,
     missing_square_facts,
 )
-from .system import InformationSystem, Shape, validate_system
+
+# ``parse_morphism`` and ``parse_system`` import ``flow`` and ``system``
+# themselves, so reading an olog loads neither.
+if TYPE_CHECKING:
+    from .flow import GraphMorphism
+    from .system import InformationSystem
 
 ERROR = "error"
 WARNING = "warning"
@@ -684,6 +689,8 @@ def parse_morphism(
     Every source type must be mapped to a target type and every source aspect
     to a target path with compatible endpoints.
     """
+    from .flow import GraphMorphism, morphism_errors
+
     src_graph, tgt_graph = src.graph, tgt.graph
     p = _Parser(filename)
     type_map: dict[str, str] = {}
@@ -764,6 +771,8 @@ def parse_system(
     must preserve entailment at the given bound; failures are reported with
     the offending fact.
     """
+    from .system import InformationSystem, Shape, validate_system
+
     path = FsPath(path)
     filename = str(path)
     p = _Parser(filename)
@@ -798,7 +807,7 @@ def parse_system(
         fpath = path.parent / fname
         try:
             spec_text = fpath.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the name
             p.error(f"node '{node}': cannot read '{fname}': {exc}", SourceSpan(filename, 1, 1))
             continue
         spec, diags = parse_olog(spec_text, str(fpath))
@@ -823,7 +832,7 @@ def parse_system(
         fpath = path.parent / fname
         try:
             map_text = fpath.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             p.error(f"edge '{eid}': cannot read '{fname}': {exc}", span)
             continue
         h, diags = parse_morphism(map_text, specs[src], specs[tgt], str(fpath))

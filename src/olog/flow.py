@@ -12,7 +12,7 @@ one over the source.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .core import (
     Fact,
@@ -36,7 +36,11 @@ from .entail import (
     saturate,
 )
 from .errors import GraphMismatchError, LotError, MorphismError
-from .instances import KeyDiagram, eval_path
+
+# Only ``pullback_instances`` reads instance data; it imports ``instances``
+# itself, so moving facts loads no data code.
+if TYPE_CHECKING:
+    from .instances import KeyDiagram
 
 
 @dataclass(frozen=True)
@@ -178,6 +182,8 @@ def pullback_instances(h: GraphMorphism, d2: KeyDiagram) -> KeyDiagram:
     Each source type borrows the key set of its image; each source aspect
     becomes the composite function along its image path.
     """
+    from .instances import KeyDiagram, eval_path
+
     sets = {t.id: d2.sets[h.type_map[t.id]] for t in h.src.types}
     funcs = {}
     for a in h.src.aspects:

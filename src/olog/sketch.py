@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iter_product
+from typing import TYPE_CHECKING
 
 from .core import (
     Aspect,
@@ -31,7 +32,11 @@ from .core import (
 )
 from .entail import DEFAULT_BOUND, ENTAILED, entails
 from .errors import OlogError, SketchError, SynthesisError
-from .instances import KeyDiagram, eval_path
+
+# Reading an olog needs the declarations but no instance data, so the
+# functions that evaluate data import ``instances`` themselves, once per call.
+if TYPE_CHECKING:
+    from .instances import KeyDiagram
 
 
 @dataclass(frozen=True, order=True)
@@ -305,6 +310,8 @@ def _limit_tuples(d: KeyDiagram, decl: ProductDecl | PullbackDecl) -> list[tuple
     is evaluated once, so the cost is |B| + |C| + pairs, not |B|·|C|. With
     an empty leg nothing is evaluated.
     """
+    from .instances import eval_path
+
     key_sets = [sorted(d.sets.get(t, frozenset())) for t, _ in legs(decl)]
     if isinstance(decl, ProductDecl):
         return list(iter_product(*key_sets))
@@ -364,6 +371,8 @@ def check_coproduct(d: KeyDiagram, decl: CoproductDecl) -> CheckResult:
 
 def _pushout_classes(d: KeyDiagram, decl: PushoutDecl) -> dict[str, list[str]]:
     """Quotient the tagged union of the legs by the span identifications."""
+    from .instances import eval_path
+
     (_, ab), (_, ac) = legs(decl)
     pf, pg = decl.span
     uf = UnionFind([
@@ -439,6 +448,8 @@ def check_surjective(d: KeyDiagram, graph: Graph, aspect_id: str) -> CheckResult
 
 
 def check_image(d: KeyDiagram, graph: Graph, decl: ImageDecl) -> CheckResult:
+    from .instances import eval_path
+
     surj = check_surjective(d, graph, decl.surjection)
     if not surj.passed:
         return CheckResult("image", decl.target, False, surj.witness)
@@ -487,6 +498,8 @@ def synthesize(decl: SketchDecl, d: KeyDiagram) -> KeyDiagram:
     Refuses if the target set is already populated. For a declaration that
     :func:`decl_errors` accepts, the result passes the corresponding check.
     """
+    from .instances import KeyDiagram, eval_path
+
     if d.sets.get(decl.target):
         raise SynthesisError(
             f"target '{decl.target}' is already populated; refusing to overwrite"
@@ -589,6 +602,8 @@ def populate_mediator(
 ) -> KeyDiagram:
     """Instance semantics of a mediating aspect: each key maps to the tuple of
     its cone evaluations (matching the canonical synthesized target keys)."""
+    from .instances import KeyDiagram, eval_path
+
     funcs = {k: dict(v) for k, v in d.funcs.items()}
     funcs[aspect_id] = {
         k: encode_tuple(tuple(eval_path(d, p, k) for p in cone))

@@ -10,9 +10,13 @@ vendor features.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .core import Specification, format_fact
 from .dsl import format_decl
-from .instances import KeyDiagram
+
+if TYPE_CHECKING:
+    from .instances import KeyDiagram
 
 _COL_TYPE = "VARCHAR(255)"
 

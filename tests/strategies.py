@@ -124,13 +124,29 @@ def morphisms(draw, max_image_len=2):
     for p in enumerate_paths(tgt, max_image_len):
         images.setdefault((p.source, path_target(tgt, p)), []).append(p)
 
+    # Loops take the source types in turn and other aspects often run
+    # parallel to an earlier one, so the source has parallel paths and its
+    # facts are seldom tautologies. Each aspect prefers an image that no
+    # parallel aspect has, one aspect long where the target has one, so
+    # those facts seldom translate to tautologies or overflow the bound.
+    src_ids = [t.id for t in src_types]
     aspects = []
     aspect_map = {}
-    n_aspects = draw(st.integers(0, 4))
+    n_aspects = draw(st.integers(1, 5))
     for i in range(n_aspects):
-        src_t = draw(st.sampled_from([t.id for t in src_types]))
-        tgt_t = draw(st.sampled_from([t.id for t in src_types]))
+        shape = draw(st.sampled_from(["loop", "parallel", "any"]))
+        if shape == "loop":
+            src_t = tgt_t = src_ids[i % n_types]
+        elif shape == "parallel" and aspects:
+            earlier = draw(st.sampled_from(aspects))
+            src_t, tgt_t = earlier.src, earlier.tgt
+        else:
+            src_t = draw(st.sampled_from(src_ids))
+            tgt_t = draw(st.sampled_from(src_ids))
         pool = images.get((type_map[src_t], type_map[tgt_t]), [])
+        taken = {aspect_map[a.id] for a in aspects if (a.src, a.tgt) == (src_t, tgt_t)}
+        fresh = [p for p in pool if p not in taken]
+        pool = [p for p in fresh if len(p.edges) == 1] or fresh or pool
         if not pool:
             continue
         img = draw(st.sampled_from(pool))
@@ -139,6 +155,20 @@ def morphisms(draw, max_image_len=2):
         aspect_map[aid] = img
     src = Graph(types=src_types, aspects=tuple(aspects))
     return GraphMorphism(src=src, tgt=tgt, type_map=type_map, aspect_map=aspect_map)
+
+
+@st.composite
+def links(draw):
+    """A morphism that sends aspects to single aspects, as channel links do:
+    a drawn morphism without the aspects it sends to identities."""
+    h = draw(morphisms(max_image_len=1))
+    kept = tuple(a for a in h.src.aspects if len(h.aspect_map[a.id]) == 1)
+    return GraphMorphism(
+        src=Graph(types=h.src.types, aspects=kept),
+        tgt=h.tgt,
+        type_map=h.type_map,
+        aspect_map={a.id: h.aspect_map[a.id] for a in kept},
+    )
 
 
 _TYPE_LINE = re.compile(r"^\s*type\s+(\w+)", re.MULTILINE)

@@ -5,12 +5,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from olog import dsl, system
-from olog.core import Aspect, Fact, Graph, Path, Specification, TypeNode, format_fact
-from olog.entail import consequence
+from olog.core import (
+    Aspect,
+    Fact,
+    Graph,
+    Path,
+    Specification,
+    TypeNode,
+    enumerate_paths,
+    format_fact,
+    format_path,
+    path_target,
+)
+from olog.entail import consequence, saturate
 from olog.errors import OlogError, UnsupportedLinkError
-from olog.flow import GraphMorphism, graph_morphism, identity_morphism
+from olog.flow import (
+    GraphMorphism,
+    dir_flow,
+    graph_morphism,
+    identity_morphism,
+    pullback_instances,
+)
+from olog.instances import KeyDiagram, intent, satisfies_fact, satisfies_spec
 from olog.system import (
     Channel,
+    DistributedSystem,
     InformationSystem,
     Shape,
     SystemMorphism,
@@ -598,3 +617,91 @@ def test_validate_system_matches_edge_by_edge_on_two_nodes(data):
     assert _problems_or_error(validate_system, sysm, bound) == _problems_or_error(
         validate_system_by_edges, sysm, bound
     )
+
+
+# --- semantic soundness -------------------------------------------------------
+# In the paper an instance is a functor into finite sets, and every equation
+# derived from some facts holds in every instance that satisfies them. So a
+# model of the fusion, pulled back along each link, must satisfy every fact
+# of that node's system consequence.
+
+
+def _holds_on_pull_backs(sysm, bound, channel, d):
+    assert all(c.satisfied for c in satisfies_spec(d, fusion(sysm, bound)).checks)
+    for n, spec in system_consequence(sysm, bound).items():
+        pulled = pullback_instances(channel.links[n], d)
+        for fact in spec.facts:
+            assert satisfies_fact(pulled, fact).satisfied, (n, format_fact(fact))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_system_consequence_holds_on_pull_backs_of_models_on_two_nodes(data):
+    # The model d is drawn on the core first. Each node then declares facts
+    # that hold on d's pull-back there, and b also declares the translations
+    # of a's facts, so the edge preserves them and d models the fusion.
+    h = data.draw(sts.links())
+    bound = data.draw(st.integers(1, 3))
+    edges, constraints = [("e", "a", "b")], {"e": h}
+    if data.draw(st.booleans()):
+        edges.append(("loop_b", "b", "b"))
+        constraints["loop_b"] = identity_morphism(h.tgt)
+    if data.draw(st.booleans()):
+        edges.append(("loop_a", "a", "a"))
+        constraints["loop_a"] = identity_morphism(h.src)
+    shape = Shape(nodes=("a", "b"), edges=tuple(edges))
+    graphs = {"a": h.src, "b": h.tgt}
+    channel = optimal_channel(DistributedSystem(shape, graphs, constraints))
+    d = data.draw(sts.key_diagrams_on(channel.core, max_keys=3))
+    declared = {}
+    for n, g in graphs.items():
+        holds = intent(pullback_instances(channel.links[n], d), g, bound)
+        proper = [f for f in holds if f.lhs != f.rhs] or holds
+        declared[n] = tuple(data.draw(st.lists(st.sampled_from(proper), max_size=3)))
+    declared["b"] += dir_flow(h, declared["a"])
+    sysm = InformationSystem(
+        shape=shape,
+        specs={n: Specification(graph=graphs[n], facts=declared[n], name=n) for n in graphs},
+        constraints=constraints,
+    )
+    _holds_on_pull_backs(sysm, bound, channel, d)
+
+
+def _representables(spec: Specification, sources, bound: int) -> KeyDiagram:
+    """The sum of the representable models ``Hom(s, -)`` of ``spec``, one for
+    each type ``s`` of ``sources``: the keys over a type are the classes of
+    the paths into it from those sources. A model of ``spec`` when every path
+    is shorter than ``bound``, so the bounded classes are the unbounded ones.
+    """
+    g = spec.graph
+    cong = saturate(spec, bound)
+    paths = [p for p in enumerate_paths(g, bound) if p.source in sources]
+    assert all(len(p) < bound for p in paths)
+
+    def key(p: Path) -> str:
+        return format_path(cong.representative(p))
+
+    sets = {t.id: set() for t in g.types}
+    funcs = {a.id: {} for a in g.aspects}
+    for p in paths:
+        at = path_target(g, p)
+        sets[at].add(key(p))
+        for a in g.aspects_from.get(at, ()):
+            funcs[a.id][key(p)] = key(Path(p.source, p.edges + (a.id,)))
+    return KeyDiagram(sets={t: frozenset(ks) for t, ks in sets.items()}, funcs=funcs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_system_consequence_holds_on_pull_backs_of_models_of_w(w_system, data):
+    # W's core is acyclic with paths of length at most 3, so representables
+    # of the fusion plus a few drawn facts are finite models of the fusion.
+    bound = data.draw(st.integers(2, 4))
+    channel = optimal_channel(w_system.distributed())
+    fused = fusion(w_system, bound)
+    extra = data.draw(sts.specs_on(channel.core, max_facts=2, max_len=3))
+    theory = Specification(graph=fused.graph, facts=fused.facts + extra.facts)
+    type_ids = [t.id for t in fused.graph.types]
+    sources = data.draw(st.sets(st.sampled_from(type_ids), min_size=1))
+    d = _representables(theory, sources, 4)
+    _holds_on_pull_backs(w_system, bound, channel, d)
