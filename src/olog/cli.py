@@ -13,9 +13,10 @@ import argparse
 import sys
 from pathlib import Path as FsPath
 
-# Each command imports the other modules it runs in its handler, so a
-# command loads only what it uses.
-from . import dsl, entail
+# Every command reads an olog, which loads dsl, entail and sketch; each
+# handler imports the other modules it runs, so a command loads only what
+# it uses.
+from . import dsl, entail, sketch
 from .core import Specification, format_fact, format_path
 from .errors import InstanceLoadError, OlogError
 
@@ -47,7 +48,7 @@ class _Out:
 def _read(path: str) -> str:
     try:
         return FsPath(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the name
         raise OlogError(f"cannot read '{path}': {exc}") from None
 
 
@@ -143,7 +144,7 @@ def _emit_sketch_checks(results, out: _Out) -> bool:
 
 
 def _cmd_validate(args, out: _Out) -> int:
-    from . import instances, sketch
+    from . import instances
 
     spec = _load_spec(args.olog, out)
     try:
@@ -173,7 +174,7 @@ def _cmd_synth(args, out: _Out) -> int:
     they may be missing from the data directory; every other table must load
     cleanly. Writes the affected tables.
     """
-    from . import instances, sketch
+    from . import instances
 
     spec = _load_spec(args.olog, out)
     decl = next((x for x in spec.sketch if x.target == args.decl), None)

@@ -778,7 +778,7 @@ def parse_system(
     p = _Parser(filename)
     try:
         text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the name
         p.error(f"cannot read system file: {exc}", SourceSpan(filename, 1, 1))
         return None, p.diagnostics
 
@@ -807,7 +807,7 @@ def parse_system(
         fpath = path.parent / fname
         try:
             spec_text = fpath.read_text(encoding="utf-8")
-        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the name
+        except (OSError, ValueError) as exc:
             p.error(f"node '{node}': cannot read '{fname}': {exc}", SourceSpan(filename, 1, 1))
             continue
         spec, diags = parse_olog(spec_text, str(fpath))

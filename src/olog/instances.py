@@ -68,7 +68,7 @@ def load_tables(
         try:
             with open(table, newline="", encoding="utf-8") as fh:
                 rows = list(csv.reader(fh))
-        except (OSError, UnicodeDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8
             problems.append(f"cannot read table '{table.name}': {exc}")
             sets[t.id] = frozenset()
             continue

@@ -416,6 +416,30 @@ def test_undecodable_files_are_read_errors(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_a_nul_in_a_file_name_is_a_read_error(tmp_path, capsys):
+    # open() raises ValueError, not OSError, for a name with a NUL byte.
+    for name in ("community.olog", "portal.olog"):
+        shutil.copy(FIXTURES / name, tmp_path / name)
+    (tmp_path / "node.osys").write_text("node n = \0a.olog\n")
+    (tmp_path / "edge.osys").write_text(
+        "node c = community.olog\nnode p = portal.olog\nedge e : c -> p = \0a.omap\n"
+    )
+    where = ["--source", tmp_path / "community.olog", "--target", tmp_path / "portal.olog"]
+    cases = [
+        (["check", "\0a.olog"], "cannot read '\0a.olog'"),
+        (["flow", "dir", "--morphism", "\0a.omap", *where], "cannot read '\0a.omap'"),
+        (["fuse", "\0a.osys"], "cannot read system file"),
+        (["fuse", tmp_path / "node.osys"], "node 'n': cannot read '\0a.olog'"),
+        (["fuse", tmp_path / "edge.osys"], "edge 'e': cannot read '\0a.omap'"),
+    ]
+    for argv, message in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert f"{message}: embedded null byte" in err
+    code, out, err = run(capsys, "validate", FIXTURES / "family.olog", "--data", "\0data")
+    assert code == 1 and out.startswith("load error: missing table")
+
+
 def test_undecodable_table_is_a_load_error(tmp_path, capsys):
     for f in (FIXTURES / "data_family").iterdir():
         shutil.copy(f, tmp_path / f.name)

@@ -528,24 +528,6 @@ def test_parse_system_missing_file(tmp_path):
     assert any("cannot read" in d.message for d in errors(diags))
 
 
-def test_parse_system_reports_a_nul_in_a_file_name(tmp_path):
-    # open() raises ValueError, not OSError, for a name with a NUL byte.
-    import shutil
-
-    shutil.copy(FIXTURES / "family.olog", tmp_path / "family.olog")
-    (tmp_path / "node.osys").write_text("node x = \0family.olog\n")
-    (tmp_path / "edge.osys").write_text(
-        "node x = family.olog\nnode y = family.olog\nedge e : x -> y = \0id.omap\n"
-    )
-    cases = (("node.osys", "node 'x'", "\0family.olog"), ("edge.osys", "edge 'e'", "\0id.omap"))
-    for name, where, fname in cases:
-        sysm, diags = dsl.parse_system(tmp_path / name, bound=3)
-        assert sysm is None
-        assert [d.message for d in errors(diags)] == [
-            f"{where}: cannot read '{fname}': embedded null byte"
-        ]
-
-
 def test_parse_system_rejects_non_preserving_edge(tmp_path):
     import shutil
 

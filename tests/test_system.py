@@ -592,15 +592,28 @@ def test_validate_system_matches_edge_by_edge_on_fixtures(request, name):
         )
 
 
+def _proper_facts(graph: Graph, max_len: int):
+    """Facts between two distinct parallel paths of ``graph``, none longer
+    than ``max_len``; any parallel facts where there is no such pair."""
+    groups: dict[tuple[str, str], list[Path]] = {}
+    for p in enumerate_paths(graph, max_len):
+        groups.setdefault((p.source, path_target(graph, p)), []).append(p)
+    proper = [Fact(p, q) for ps in groups.values() for p in ps for q in ps if p != q]
+    return st.sampled_from(proper) if proper else sts.parallel_facts(graph, max_len)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_validate_system_matches_edge_by_edge_on_two_nodes(data):
     # An edge a -> b, and maybe identity loops so that b has two incoming
-    # edges; facts may overflow the bound or fail to be preserved.
+    # edges; facts may overflow the bound or fail to be preserved. a declares
+    # one to three facts, between distinct paths where it has any, so that
+    # unpreserved facts are common.
     h = data.draw(sts.morphisms())
     bound = data.draw(st.integers(1, 3))
     lengths = st.sampled_from([bound, bound + 1])
-    s1 = data.draw(sts.specs_on(h.src, max_facts=3, max_len=data.draw(lengths)))
+    a_facts = st.lists(_proper_facts(h.src, data.draw(lengths)), min_size=1, max_size=3)
+    s1 = Specification(graph=h.src, facts=tuple(data.draw(a_facts)))
     s2 = data.draw(sts.specs_on(h.tgt, max_facts=1, max_len=data.draw(lengths)))
     edges, constraints = [("e", "a", "b")], {"e": h}
     if data.draw(st.booleans()):
