@@ -31,8 +31,10 @@ change in behaviour:
     python3 scripts/cli_sweep.py > sweep.jsonl
 
 ``--against REV`` does that in one step. It extracts REV with ``git archive``
-into a temporary directory, runs the sweep there and in this checkout, prints
-only the lines that differ (``-`` at REV, ``+`` here) and exits 1 if any do:
+into a temporary directory and copies this checkout's ``cli_sweep.py`` and
+``revision.py`` over REV's, so both sides run the same cases. It runs the
+sweep there and in this checkout, prints only the lines that differ (``-`` at
+REV, ``+`` here) and exits 1 if any do:
 
     python3 scripts/cli_sweep.py --against HEAD~1
 """
@@ -198,12 +200,13 @@ def commands() -> list[list[str]]:
 
 
 def mutate(text: str, rng: random.Random) -> str:
-    """One or two line-level edits: drop, repeat or swap lines, swap ids, add a sketch line."""
+    """One or two line-level edits: drop, repeat or swap lines, swap ids, add a
+    sketch line, or put a ``#`` or a ``"`` at some column of a line."""
     lines = text.splitlines()
     ids = sorted(set(IDENT_RE.findall(text)) - dsl.KEYWORDS) or ["x"]
     for _ in range(rng.randint(1, 2)):
         i = rng.randrange(len(lines))
-        op = rng.randrange(6)
+        op = rng.randrange(7)
         if op == 0:
             del lines[i]
         elif op == 1:
@@ -216,6 +219,9 @@ def mutate(text: str, rng: random.Random) -> str:
             if words:
                 w = rng.choice(words)
                 lines[i] = lines[i][: w.start()] + rng.choice(ids) + lines[i][w.end():]
+        elif op == 5:
+            col = rng.randrange(len(lines[i]) + 1)
+            lines[i] = lines[i][:col] + rng.choice('#"') + lines[i][col:]
         else:
             a, b, c, d, e, f = (rng.choice(ids) for _ in range(6))
             lines.insert(max(i, 1), "  " + rng.choice((
@@ -294,6 +300,8 @@ def against(rev: str) -> int:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     with tempfile.TemporaryDirectory() as old:
         extract(rev, Path(old))
+        for script in ("cli_sweep.py", "revision.py"):
+            shutil.copy(ROOT / "scripts" / script, Path(old) / "scripts" / script)
         runs = [
             subprocess.Popen([sys.executable, str(root / "scripts" / "cli_sweep.py")],
                              stdout=subprocess.PIPE, text=True, env=env)

@@ -335,7 +335,8 @@ def relation_to_span(
     taken = set(graph.type_by_id) | set(graph.aspect_by_id)
 
     def fresh(base: str) -> str:
-        ident = "".join(c if c.isalnum() or c == "_" else "_" for c in base) or "x"
+        # Ids are ASCII (see ``dsl``): every other character becomes ``_``.
+        ident = "".join(c if c.isascii() and c.isalnum() else "_" for c in base) or "x"
         if ident[0].isdigit():
             ident = "_" + ident
         cand, n = ident, 2

@@ -1,6 +1,7 @@
 """Text formats: `.olog` specifications, `.omap` morphisms, `.osys` systems.
 
-All three formats are line oriented, UTF-8, with `#` comments. Parsing is
+All three formats are line oriented, UTF-8, with `#` comments and ASCII ids,
+read with one lexical definition (``_TOKEN_RE`` and ``_ID``). Parsing is
 total: malformed input produces diagnostics with source positions, never an
 exception. Printing is canonical (declarations sorted by id), so printing a
 parsed file reproduces it byte for byte and printing is stable under
@@ -22,9 +23,8 @@ System files list nodes and edges: ``node n = file.olog`` and
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path as FsPath
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .core import (
     Aspect,
@@ -67,8 +67,7 @@ KEYWORDS = {
 }
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     file: str
     line: int
     column: int
@@ -77,8 +76,7 @@ class SourceSpan:
         return f"{self.file}:{self.line}:{self.column}"
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
+class ParseDiagnostic(NamedTuple):
     severity: str
     message: str
     at: SourceSpan
@@ -94,11 +92,17 @@ def has_errors(diagnostics) -> bool:
 # ---------------------------------------------------------------------------
 # Tokenizer
 
+# The one id pattern of all three formats: ASCII only.
+_ID = r"[A-Za-z_][A-Za-z0-9_]*"
+
+# A `#` outside a string starts a comment, which runs to the end of the text
+# tokenized: one line of a file, or all of a fact given on the command line.
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     (?P<STRING>"[^"\n]*")
-  | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<OP>->|=>|\*_|\+_|[{}();,=:*+])
+  | (?P<COMMENT>\#(?s:.*))
+  | (?P<IDENT>{_ID})
+  | (?P<OP>->|=>|\*_|\+_|[{{}}();,=:*+])
   | (?P<WS>[ \t]+)
   | (?P<BAD>.)
     """,
@@ -106,23 +110,10 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str
     text: str
     span: SourceSpan
-
-
-def _strip_comment(line: str) -> str:
-    out = []
-    in_string = False
-    for ch in line:
-        if ch == '"':
-            in_string = not in_string
-        if ch == "#" and not in_string:
-            break
-        out.append(ch)
-    return "".join(out)
 
 
 class _Cursor:
@@ -155,8 +146,8 @@ class _Parser:
     def tokenize(self, line: str, lineno: int) -> _Cursor:
         """A cursor over one line's tokens; each unexpected character is an error and dropped."""
         toks: list[_Tok] = []
-        for m in _TOKEN_RE.finditer(_strip_comment(line)):
-            if m.lastgroup == "WS":
+        for m in _TOKEN_RE.finditer(line):
+            if m.lastgroup in ("WS", "COMMENT"):
                 continue
             span = SourceSpan(self.filename, lineno, m.start() + 1)
             if m.lastgroup == "BAD":
@@ -756,10 +747,8 @@ def parse_morphism(
 # ---------------------------------------------------------------------------
 # .osys parsing
 
-_NODE_RE = re.compile(r"^\s*node\s+([A-Za-z_]\w*)\s*=\s*(\S+)\s*$")
-_EDGE_RE = re.compile(
-    r"^\s*edge\s+([A-Za-z_]\w*)\s*:\s*([A-Za-z_]\w*)\s*->\s*([A-Za-z_]\w*)\s*=\s*(\S+)\s*$"
-)
+_NODE_RE = re.compile(rf"node\s+({_ID})\s*=\s*(\S+)")
+_EDGE_RE = re.compile(rf"edge\s+({_ID})\s*:\s*({_ID})\s*->\s*({_ID})\s*=\s*(\S+)")
 
 
 def parse_system(
@@ -785,18 +774,19 @@ def parse_system(
     node_files: dict[str, str] = {}
     edge_decls: list[tuple[str, str, str, str, SourceSpan]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
+        # System files have no string literals, so a comment starts at the first `#`.
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         span = SourceSpan(filename, lineno, 1)
-        m = _NODE_RE.match(line)
+        m = _NODE_RE.fullmatch(line)
         if m:
             if m.group(1) in node_files:
                 p.error(f"node '{m.group(1)}' declared twice", span)
             else:
                 node_files[m.group(1)] = m.group(2)
             continue
-        m = _EDGE_RE.match(line)
+        m = _EDGE_RE.fullmatch(line)
         if m:
             edge_decls.append((m.group(1), m.group(2), m.group(3), m.group(4), span))
             continue

@@ -19,7 +19,9 @@ the universe was numbered, and ``validate_system_by_edges`` is
 runs ``is_spec_morphism`` per edge. Slow and obvious beats fast and clever
 here.
 ``DataclassPath`` and ``DataclassFact`` are ``core.Path`` and ``core.Fact``
-as they were before they became named tuples, kept to pin the value contract.
+as they were before they became named tuples, kept to pin the value contract;
+``DataclassSourceSpan`` and ``DataclassParseDiagnostic`` do the same for
+``dsl.SourceSpan`` and ``dsl.ParseDiagnostic``.
 """
 
 from __future__ import annotations
@@ -70,6 +72,26 @@ class DataclassFact:
 
     lhs: DataclassPath
     rhs: DataclassPath
+
+
+@dataclass(frozen=True)
+class DataclassSourceSpan:
+    file: str
+    line: int
+    column: int
+
+    def __str__(self) -> str:
+        return f"{self.file}:{self.line}:{self.column}"
+
+
+@dataclass(frozen=True)
+class DataclassParseDiagnostic:
+    severity: str
+    message: str
+    at: DataclassSourceSpan
+
+    def __str__(self) -> str:
+        return f"{self.at} - {self.severity}: {self.message}"
 
 
 def enumerate_equations(graph: Graph, bound: int) -> tuple[Fact, ...]:

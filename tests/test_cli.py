@@ -54,6 +54,18 @@ def test_entail_verdicts(capsys):
     assert code == 1 and "not-derivable-within-bound" in out
 
 
+def test_entail_asks_to_raise_the_bound_for_a_long_fact(capsys):
+    code, out, err = run(
+        capsys, "--bound", "2", "entail", FIXTURES / "employee.olog",
+        "--fact", "manager;manager;works_in = works_in",
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "fact 'manager;manager;works_in = works_in' has a side longer than bound 2; "
+        "raise --bound\n"
+    )
+
+
 def test_validate_employee_satisfied(capsys):
     code, out, _ = run(
         capsys, "validate", FIXTURES / "employee.olog", "--data",
@@ -88,6 +100,23 @@ def test_validate_duck_checks_modifier_free_coproduct(capsys):
     )
     assert code == 0
     assert "coproduct creature: check-passed" in out
+
+
+def test_validate_reports_a_failing_sketch_check_in_text_and_json(tmp_path, capsys):
+    # A creature that is neither a tagged flyer nor a tagged swimmer.
+    shutil.copytree(FIXTURES / "data_duck", tmp_path / "data")
+    with open(tmp_path / "data" / "creature.csv", "a") as f:
+        f.write("ghost\n")
+    argv = ["validate", FIXTURES / "duck.olog", "--data", tmp_path / "data"]
+    witness = "target key 'ghost' is not included from any summand"
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert out == f"coproduct creature: check-failed ({witness})\n"
+    code, out, _ = run(capsys, "--format", "json", *argv)
+    assert code == 1
+    assert [json.loads(line) for line in out.splitlines()] == [
+        {"kind": "coproduct", "subject": "creature", "status": "check-failed", "witness": witness}
+    ]
 
 
 def test_validate_load_error_exit_code(tmp_path, capsys):

@@ -180,6 +180,17 @@ def test_relation_to_span_uniquifies_ids():
     assert validate_specification(Specification(graph=g2)) == []
 
 
+def test_relation_to_span_ids_print_and_parse_back():
+    from olog import dsl
+
+    g = Graph(types=(TypeNode("a", "an a"),))
+    g2, apex = relation_to_span(g, "café", [("rôle", "a"), ("x²", "a"), ("2x", "a")])
+    assert apex.id == "caf_"
+    assert [a.id for a in g2.aspects] == ["_2x", "r_le", "x_"]
+    spec = Specification(graph=g2)
+    assert dsl.parse_olog(dsl.print_olog(spec))[0] == spec
+
+
 @given(data=st.data(), graph=sts.graphs())
 @settings(max_examples=40, deadline=None)
 def test_relation_to_span_always_validates(data, graph):

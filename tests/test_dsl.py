@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import olog
 from olog import dsl
+from olog.cli import main as olog_main
 from olog.core import (
     Fact,
     Graph,
@@ -24,8 +25,10 @@ from olog.errors import OlogError
 from olog.instances import key_diagram
 from olog.sketch import (
     CoproductDecl,
+    ImageDecl,
     ProductDecl,
     PullbackDecl,
+    PushoutDecl,
     check_all,
     decl_errors,
     validate_decls,
@@ -38,6 +41,7 @@ from .conftest import (
     write_overflowing_node,
     write_overflowing_system,
 )
+from .oracles import DataclassParseDiagnostic, DataclassSourceSpan
 
 FAMILY_TEXT = (FIXTURES / "family.olog").read_text()
 FAMILY = load_olog("family.olog")
@@ -145,6 +149,47 @@ def test_missing_square_fact_is_lint():
     assert any(
         d.severity == dsl.WARNING and "commuting fact" in d.message for d in diags
     )
+
+
+PUSHOUT_AND_IMAGE = (
+    "olog X {\n"
+    '  type a "an apex"\n'
+    '  type b "a left leg"\n'
+    '  type c "a right leg"\n'
+    '  type i "an image"\n'
+    '  type p "a gluing"\n'
+    '  aspect f : a -> b "has"\n'
+    '  aspect g : a -> c "has"\n'
+    '  aspect ib : b -> p "is"\n'
+    '  aspect ic : c -> p "is"\n'
+    '  aspect m : i -> b "is" injective\n'
+    '  aspect s : a -> i "has" surjective\n'
+    "{facts}"
+    "  image i of f via (s,m)\n"
+    "  pushout p = b +_a c via (ib,ic) span (f,g)\n"
+    "}\n"
+)
+
+
+def test_pushout_and_image_print_and_parse_back():
+    bare = PUSHOUT_AND_IMAGE.replace("{facts}", "")
+    spec, diags = dsl.parse_olog(bare, "x.olog")
+    assert spec is not None and not errors(diags)
+    assert spec.sketch == (
+        ImageDecl("i", Path("a", ("f",)), "s", "m"),
+        PushoutDecl("p", ("b", "ib"), ("c", "ic"), (Path("a", ("f",)), Path("a", ("g",)))),
+    )
+    assert [str(d) for d in diags] == [
+        "x.olog:1:1 - warning: ImageDecl on 'i': commuting fact f = s;m is not declared",
+        "x.olog:1:1 - warning: PushoutDecl on 'p': commuting fact f;ib = g;ic is not declared",
+    ]
+    # Printing gives back the text it was parsed from.
+    assert dsl.print_olog(spec) == bare
+
+    squares = PUSHOUT_AND_IMAGE.replace("{facts}", "  fact f = s;m\n  fact f;ib = g;ic\n")
+    spec, diags = dsl.parse_olog(squares, "x.olog")
+    assert spec is not None and diags == []
+    assert dsl.print_olog(spec) == squares
 
 
 SQUARE_TEXT = (
@@ -492,6 +537,31 @@ def test_unexpected_characters_are_reported_at_their_column(family_spec):
         dsl.parse_fact_text("parents;w ! = mother", family_spec.graph)
 
 
+def test_an_unterminated_quote_does_not_hide_a_comment(family_spec):
+    # A `#` outside a string starts a comment, even after a stray `"`: the
+    # comment is not read as code, so only the quote and what it leaves
+    # missing are reported.
+    spec, diags = dsl.parse_olog('olog X {\n  type a "label # note\n}\n', "x.olog")
+    assert spec is None
+    assert [str(d) for d in diags] == [
+        "x.olog:2:10 - error: unexpected character '\"'",
+        "x.olog:2:11 - error: expected a quoted label, found 'label'",
+    ]
+    with pytest.raises(OlogError, match="""^bad fact: unexpected character '"'; """
+                       "expected '=', found end of line$"):
+        dsl.parse_fact_text('"parents;w # = mother', family_spec.graph)
+    with pytest.raises(OlogError, match="""^bad fact: unexpected character '"'$"""):
+        dsl.parse_fact_text('parents;w = "mother # x', family_spec.graph)
+
+
+def test_a_hash_in_a_string_is_not_a_comment_and_a_fact_comment_ends_the_text(family_spec):
+    spec, diags = dsl.parse_olog('olog X {  # X\n  type a "a # sign"  # a\n}\n')
+    assert diags == [] and spec.graph.types[0].label == "a # sign"
+    # A fact is one line however many newlines it holds.
+    fact = dsl.parse_fact_text("parents;w = mother # note\nmother", family_spec.graph)
+    assert fact == family_spec.facts[0]
+
+
 # --- system files ------------------------------------------------------------
 
 
@@ -508,6 +578,42 @@ def test_parse_span_system():
     assert sysm is not None and not errors(diags)
     assert len(sysm.shape.nodes) == 3
     assert len(sysm.shape.edges) == 2
+
+
+# An id on each line with `{}` holds the character under test there.
+_SYSTEMS_WITH_AN_ID = [
+    "node c{} = family.olog\n",
+    "node a = family.olog\nedge e{} : a -> a = id.omap\n",
+    "node a = family.olog\nnode b{} = family.olog\nedge e : a -> b{} = id.omap\n",
+]
+
+
+@pytest.mark.parametrize("template", _SYSTEMS_WITH_AN_ID, ids=["node", "edge", "endpoint"])
+@pytest.mark.parametrize("char", ["ö", "é", "²", "\u0663"])  # the last is ARABIC-INDIC DIGIT THREE
+def test_system_ids_are_ascii(tmp_path, template, char):
+    import shutil
+
+    shutil.copy(FIXTURES / "family.olog", tmp_path / "family.olog")
+    (tmp_path / "id.omap").write_text(
+        "type pair => pair\ntype person => person\ntype woman => woman\n"
+        "aspect mother => mother\naspect parents => parents\naspect w => w\n"
+    )
+    bad = tmp_path / "bad.osys"
+    bad.write_text(template.replace("{}", char), encoding="utf-8")
+    sysm, diags = dsl.parse_system(bad, bound=3)
+    assert sysm is None
+    assert [str(d) for d in errors(diags)] == [
+        f"{bad}:{lineno}:1 - error: expected 'node <n> = <file>' or "
+        "'edge <e> : <n> -> <m> = <file>'"
+        for lineno, line in enumerate(template.splitlines(), start=1)
+        if "{}" in line
+    ]
+    # Spelled in ASCII the system is read, and what `olog fuse` writes reads back.
+    good = tmp_path / "good.osys"
+    good.write_text(template.replace("{}", "x"))
+    assert olog_main(["--bound", "3", "fuse", str(good), "-o", str(tmp_path / "f.olog")]) == 0
+    fused, diags = dsl.parse_olog((tmp_path / "f.olog").read_text(encoding="utf-8"))
+    assert fused is not None and not errors(diags)
 
 
 def test_parse_single_node_system(tmp_path):
@@ -571,3 +677,34 @@ def test_parse_system_reports_an_overflowing_edge(tmp_path):
         f"{osys}:1:1 - error: edge 'e': translated fact 'g;h;g;h;g;h = g;h' "
         "has a side longer than bound 4"
     ]
+
+
+# --- SourceSpan and ParseDiagnostic are named tuples -------------------------
+
+_spans = st.tuples(st.sampled_from(["a.olog", "<fact>"]), st.integers(1, 3), st.integers(1, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_spans, _spans, st.sampled_from([dsl.ERROR, dsl.WARNING]), st.sampled_from(["m", "n"]))
+def test_span_and_diagnostic_behave_as_the_dataclasses_did(s, t, severity, message):
+    x, y = dsl.SourceSpan(*s), dsl.SourceSpan(*t)
+    ox, oy = DataclassSourceSpan(*s), DataclassSourceSpan(*t)
+    dx, odx = dsl.ParseDiagnostic(severity, message, x), DataclassParseDiagnostic(severity, message, ox)
+    for new, old in ((x, ox), (dx, odx)):
+        assert str(new) == str(old)
+        assert repr(new) == repr(old).replace("Dataclass", "")
+        assert hash(new) == hash(old)
+    assert (x == y, x != y) == (ox == oy, ox != oy)
+    assert (x.file, x.line, x.column) == (ox.file, ox.line, ox.column)
+    assert (dx.severity, dx.message, dx.at) == (odx.severity, odx.message, x)
+
+
+def test_span_and_diagnostic_are_plain_tuples_of_their_fields():
+    at = dsl.SourceSpan("a.olog", 2, 5)
+    d = dsl.ParseDiagnostic(dsl.ERROR, "m", at)
+    assert str(at) == "a.olog:2:5" and str(d) == "a.olog:2:5 - error: m"
+    assert at == ("a.olog", 2, 5) and d == ("error", "m", ("a.olog", 2, 5))
+    assert {d, dsl.ParseDiagnostic("error", "m", dsl.SourceSpan("a.olog", 2, 5))} == {d}
+    for cls in (dsl.SourceSpan, dsl.ParseDiagnostic):
+        assert cls.__hash__ is tuple.__hash__
+        assert cls.__eq__ is tuple.__eq__

@@ -8,11 +8,13 @@ from olog.core import Aspect, Fact, Graph, Path, Specification, TypeNode
 from olog.errors import SketchError, SynthesisError
 from olog.instances import key_diagram, satisfies_spec
 from olog.sketch import (
+    CheckResult,
     CoproductDecl,
     ImageDecl,
     ProductDecl,
     PullbackDecl,
     PushoutDecl,
+    check_all,
     check_coproduct,
     check_decl,
     check_image,
@@ -391,6 +393,31 @@ def test_injective_surjective_checks():
     did = key_diagram({"x": ["1", "2"]}, {"idx": {"1": "1", "2": "2"}})
     assert check_injective(did, gid, "idx").passed
     assert check_surjective(did, gid, "idx").passed
+
+
+def test_check_all_checks_each_declared_modifier():
+    g = Graph(
+        types=(TypeNode("a", "an a"), TypeNode("b", "a b")),
+        aspects=(
+            Aspect("f", "a", "b", "has", frozenset({"injective"})),
+            Aspect("g", "a", "b", "has", frozenset({"surjective"})),
+            Aspect("h", "a", "b", "has"),
+        ),
+    )
+    spec = Specification(graph=g)
+    sets = {"a": ["1", "2"], "b": ["x", "y"]}
+    onto = {"1": "x", "2": "y"}
+    d = key_diagram(sets, {"f": onto, "g": onto, "h": {"1": "x", "2": "x"}})
+    assert check_all(d, spec) == [
+        CheckResult("injective", "f", True),
+        CheckResult("surjective", "g", True),
+    ]
+    collapsed = {"1": "x", "2": "x"}
+    d = key_diagram(sets, {"f": collapsed, "g": collapsed, "h": onto})
+    assert check_all(d, spec) == [
+        CheckResult("injective", "f", False, "keys '1' and '2' share the image 'x'"),
+        CheckResult("surjective", "g", False, "target key 'y' is never hit"),
+    ]
 
 
 def father_image_world():

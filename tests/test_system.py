@@ -56,6 +56,28 @@ def w_system():
 
 
 @pytest.fixture(scope="module")
+def w_free_system(tmp_path_factory):
+    """W with one more aspect ``alt : go -> process``, in the first community
+    and its portal, that no fact ties to ``is_go``: so at both nodes
+    ``alt = is_go`` and ``going;alt = proc`` are parallel and not entailed."""
+    import shutil
+
+    where = tmp_path_factory.mktemp("w_free")
+    for f in FIXTURES.iterdir():
+        if f.suffix in (".osys", ".olog", ".omap"):
+            shutil.copy(f, where / f.name)
+    alt = '  aspect alt : go -> process "is planned as"\n}\n'
+    for name in ("community.olog", "portal.olog"):
+        text = (where / name).read_text()
+        (where / name).write_text(text[: text.rindex("}")] + alt)
+    with open(where / "community_to_portal.omap", "a") as f:
+        f.write("aspect alt => alt\n")
+    sysm, diags = dsl.parse_system(where / "w.osys", bound=6)
+    assert sysm is not None, [str(d) for d in diags]
+    return sysm
+
+
+@pytest.fixture(scope="module")
 def span_system():
     sysm, diags = dsl.parse_system(FIXTURES / "span.osys", bound=4)
     assert sysm is not None, [str(d) for d in diags]
@@ -592,6 +614,26 @@ def test_validate_system_matches_edge_by_edge_on_fixtures(request, name):
         )
 
 
+def test_validate_system_reports_each_structural_problem():
+    g = Graph(types=(TypeNode("x", "an x"),), aspects=(Aspect("f", "x", "x", "is"),))
+    other = Graph(types=(TypeNode("y", "a y"),))
+    spec = Specification(graph=g)
+    sysm = InformationSystem(
+        shape=Shape(
+            nodes=("a", "b", "c"),
+            edges=(("e1", "a", "b"), ("e2", "a", "c"), ("e3", "a", "b")),
+        ),
+        specs={"a": spec, "b": spec},
+        constraints={"e2": identity_morphism(g), "e3": identity_morphism(other)},
+    )
+    assert validate_system(sysm, 3) == [
+        "node 'c' has no specification",
+        "edge 'e1' has no morphism",
+        "edge 'e2' references unknown nodes",
+        "edge 'e3': morphism endpoints do not match the node graphs",
+    ]
+
+
 def _proper_facts(graph: Graph, max_len: int):
     """Facts between two distinct parallel paths of ``graph``, none longer
     than ``max_len``; any parallel facts where there is no such pair."""
@@ -704,17 +746,39 @@ def _representables(spec: Specification, sources, bound: int) -> KeyDiagram:
     return KeyDiagram(sets={t: frozenset(ks) for t, ks in sets.items()}, funcs=funcs)
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.data())
-def test_system_consequence_holds_on_pull_backs_of_models_of_w(w_system, data):
+def _holds_on_pull_backs_of_models_of_w(sysm, data):
     # W's core is acyclic with paths of length at most 3, so representables
     # of the fusion plus a few drawn facts are finite models of the fusion.
     bound = data.draw(st.integers(2, 4))
-    channel = optimal_channel(w_system.distributed())
-    fused = fusion(w_system, bound)
+    channel = optimal_channel(sysm.distributed())
+    fused = fusion(sysm, bound)
     extra = data.draw(sts.specs_on(channel.core, max_facts=2, max_len=3))
     theory = Specification(graph=fused.graph, facts=fused.facts + extra.facts)
     type_ids = [t.id for t in fused.graph.types]
     sources = data.draw(st.sets(st.sampled_from(type_ids), min_size=1))
     d = _representables(theory, sources, 4)
-    _holds_on_pull_backs(w_system, bound, channel, d)
+    _holds_on_pull_backs(sysm, bound, channel, d)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_system_consequence_holds_on_pull_backs_of_models_of_w(w_system, data):
+    _holds_on_pull_backs_of_models_of_w(w_system, data)
+
+
+def test_w_free_system_has_parallel_pairs_that_are_not_entailed(w_free_system):
+    # In W itself every parallel pair within the bound is entailed, so a
+    # system consequence that equated all of them would pass the W tests.
+    free = {Fact(Path("go", ("alt",)), Path("go", ("is_go",))),
+            Fact(Path("event", ("going", "alt")), Path("event", ("proc",)))}
+    for n in ("community", "portal"):
+        facts = set(system_consequence(w_free_system, 3)[n].facts)
+        assert not free & {f for g in facts for f in (g, Fact(g.rhs, g.lhs))}, n
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_system_consequence_holds_on_pull_backs_of_models_of_w_with_a_free_pair(
+    w_free_system, data
+):
+    _holds_on_pull_backs_of_models_of_w(w_free_system, data)
