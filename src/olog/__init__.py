@@ -11,13 +11,14 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "core": (
-        "Aspect", "Fact", "Graph", "Path", "Specification", "TypeNode",
-        "compose_paths", "enumerate_paths", "format_fact", "format_path",
-        "identity_path", "relation_to_span", "validate_specification",
+        "DEFAULT_BOUND", "Aspect", "Fact", "Graph", "Path", "Specification",
+        "TypeNode", "compose_paths", "enumerate_paths", "format_fact",
+        "format_path", "identity_path", "relation_to_span",
+        "validate_specification",
     ),
     "entail": (
-        "DEFAULT_BOUND", "ENTAILED", "NOT_DERIVABLE", "Congruence",
-        "consequence", "entails", "saturate", "spec_leq",
+        "ENTAILED", "NOT_DERIVABLE", "Congruence", "consequence", "entails",
+        "saturate", "spec_leq",
     ),
     "errors": ("OlogError",),
     "flow": (

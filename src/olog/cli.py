@@ -13,11 +13,10 @@ import argparse
 import sys
 from pathlib import Path as FsPath
 
-# Every command reads an olog, which loads dsl, entail and sketch; each
-# handler imports the other modules it runs, so a command loads only what
-# it uses.
-from . import dsl, entail, sketch
-from .core import Specification, format_fact, format_path
+# Every command reads an olog, which loads dsl and core; each handler
+# imports the other modules it runs, so a command loads only what it uses.
+from . import dsl
+from .core import DEFAULT_BOUND, Specification, format_fact, format_path, synthesized_aspects
 from .errors import InstanceLoadError, OlogError
 
 
@@ -75,6 +74,8 @@ def _cmd_check(args, out: _Out) -> int:
 
 
 def _cmd_entail(args, out: _Out) -> int:
+    from . import entail
+
     spec = _load_spec(args.olog, out)
     fact = dsl.parse_fact_text(args.fact, spec.graph)
     if max(len(fact.lhs), len(fact.rhs)) > args.bound:
@@ -144,7 +145,7 @@ def _emit_sketch_checks(results, out: _Out) -> bool:
 
 
 def _cmd_validate(args, out: _Out) -> int:
-    from . import instances
+    from . import instances, sketch
 
     spec = _load_spec(args.olog, out)
     try:
@@ -174,13 +175,13 @@ def _cmd_synth(args, out: _Out) -> int:
     they may be missing from the data directory; every other table must load
     cleanly. Writes the affected tables.
     """
-    from . import instances
+    from . import instances, sketch
 
     spec = _load_spec(args.olog, out)
     decl = next((x for x in spec.sketch if x.target == args.decl), None)
     if decl is None:
         raise OlogError(f"no sketch declaration targets '{args.decl}'")
-    generated = frozenset(sketch.synthesized_aspects(decl))
+    generated = frozenset(synthesized_aspects(decl))
     ungenerated = [
         a.id for a in spec.graph.aspects_from.get(decl.target, ()) if a.id not in generated
     ]
@@ -219,7 +220,7 @@ def _cmd_synth(args, out: _Out) -> int:
 
 
 def _csv_cell(cell: str) -> str:
-    if any(c in cell for c in ',"\n'):
+    if any(c in cell for c in ',"\n\r'):
         return '"' + cell.replace('"', '""') + '"'
     return cell
 
@@ -346,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="olog", description="Author, validate, and connect ologs."
     )
-    parser.add_argument("--bound", type=_bound, default=entail.DEFAULT_BOUND,
+    parser.add_argument("--bound", type=_bound, default=DEFAULT_BOUND,
                         help="maximum path length for entailment (default 6)")
     parser.add_argument("--format", choices=["text", "json"], default="text")
     parser.add_argument("--quiet", action="store_true")

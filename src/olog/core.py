@@ -1,15 +1,17 @@
-"""Core model: graphs of labeled types and aspects, paths, facts, specifications.
+"""Core model, an olog's schema: graphs of labeled types and aspects, paths,
+facts, sketch declarations, specifications, and all their structural checks.
 
 A specification presents a category by generators and relations: the graph
 carries the vocabulary (types as nodes, aspects as edges, every aspect read
-as a total function), and each fact declares two parallel paths equal.
-Values are immutable after construction; types and aspects are identified by
-their id string, labels are display metadata and never participate in
-equality.
+as a total function), each fact declares two parallel paths equal, and each
+sketch declaration marks a type as a limit or colimit of others. Values are
+immutable after construction; types and aspects are identified by their id
+string, labels are display metadata and never participate in equality.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -20,6 +22,20 @@ from .errors import CompositionError, OlogError
 INJECTIVE = "injective"
 SURJECTIVE = "surjective"
 MODIFIERS = frozenset({INJECTIVE, SURJECTIVE})
+
+#: Maximum path length for entailment unless a caller gives another.
+DEFAULT_BOUND = 6
+
+#: Words of the text formats that cannot be ids.
+KEYWORDS = frozenset({
+    "olog", "type", "aspect", "fact", "product", "pullback", "coproduct",
+    "pushout", "singleton", "empty", "image", "via", "legs", "span", "of",
+    INJECTIVE, SURJECTIVE, "id", "node", "edge",
+})
+
+# The one id pattern of the text formats: ASCII only.
+_ID = r"[A-Za-z_][A-Za-z0-9_]*"
+_ID_RE = re.compile(_ID)
 
 
 @dataclass(frozen=True)
@@ -198,6 +214,88 @@ def fact_errors(graph: Graph, fact: Fact) -> list[str]:
     return errs
 
 
+@dataclass(frozen=True, order=True)
+class ProductDecl:
+    """target = cartesian product of the factors; one projection aspect each.
+
+    With no factors this is a ``singleton`` type: the empty product.
+    """
+
+    target: str
+    factors: tuple[tuple[str, str], ...]  # (factor type, projection aspect)
+
+    @property
+    def kind(self) -> str:
+        return "product" if self.factors else "singleton"
+
+
+@dataclass(frozen=True, order=True)
+class PullbackDecl:
+    """target = pairs from the two legs agreeing along the cospan paths."""
+
+    kind = "pullback"
+    target: str
+    leg_b: tuple[str, str]  # (type, projection aspect)
+    leg_c: tuple[str, str]
+    cospan: tuple[Path, Path]  # paths B -> D and C -> D
+
+
+@dataclass(frozen=True, order=True)
+class CoproductDecl:
+    """target = tagged disjoint union of the summands; one inclusion each.
+
+    With no summands this is an ``empty`` type: the empty coproduct.
+    """
+
+    target: str
+    summands: tuple[tuple[str, str], ...]  # (summand type, inclusion aspect)
+
+    @property
+    def kind(self) -> str:
+        return "coproduct" if self.summands else "empty"
+
+
+@dataclass(frozen=True, order=True)
+class PushoutDecl:
+    """target = disjoint union of the legs, identified along a common span."""
+
+    kind = "pushout"
+    target: str
+    leg_b: tuple[str, str]  # (type, inclusion aspect into target)
+    leg_c: tuple[str, str]
+    span: tuple[Path, Path]  # paths A -> B and A -> C
+
+
+@dataclass(frozen=True, order=True)
+class ImageDecl:
+    """target is the image of a path, factored surjection-then-injection."""
+
+    kind = "image"
+    target: str
+    of: Path
+    surjection: str  # aspect source-of-path -> target
+    injection: str  # aspect target -> target-of-path
+
+
+SketchDecl = ProductDecl | PullbackDecl | CoproductDecl | PushoutDecl | ImageDecl
+
+
+def legs(decl) -> tuple[tuple[str, str], ...]:
+    """The (type, aspect) legs of a product, pullback, coproduct or pushout."""
+    if isinstance(decl, ProductDecl):
+        return decl.factors
+    if isinstance(decl, CoproductDecl):
+        return decl.summands
+    return (decl.leg_b, decl.leg_c)
+
+
+def synthesized_aspects(decl: SketchDecl) -> tuple[str, ...]:
+    """Aspect ids whose functions are outputs of synthesizing ``decl``."""
+    if isinstance(decl, ImageDecl):
+        return (decl.surjection, decl.injection)
+    return tuple(a for _, a in legs(decl))
+
+
 @dataclass(frozen=True)
 class Specification:
     """A graph plus declared facts plus limit/colimit annotations.
@@ -218,14 +316,30 @@ class Specification:
         object.__setattr__(self, "sketch", tuple(sketch))
 
 
+def _text_errors(kind: str, ident: str, label: str) -> list[str]:
+    """Why the text format cannot write a type or aspect (empty if it can)."""
+    errs: list[str] = []
+    if ident in KEYWORDS:
+        errs.append(f"{kind} id '{ident}' is reserved")
+    elif not _ID_RE.fullmatch(ident):
+        errs.append(f"{kind} id {ident!r} is not an ASCII identifier")
+    # A label is written between quotes on one line.
+    if '"' in label or label.splitlines() not in ([], [label]):
+        errs.append(f"{kind} '{ident}' has a label with a quote or a line break")
+    return errs
+
+
 def validate_specification(spec: Specification) -> list[str]:
     """Diagnose a specification: dangling endpoints, ill-typed facts, duplicate ids.
 
+    Also reports a name, id or label that the text format cannot write back.
     Returns a list of human-readable problems; empty exactly when the graph
     and fact invariants all hold. Never raises: these are diagnostics.
     """
     g = spec.graph
     problems: list[str] = []
+    if not _ID_RE.fullmatch(spec.name):
+        problems.append(f"name {spec.name!r} is not an ASCII identifier")
 
     seen_types: set[str] = set()
     for t in g.types:
@@ -234,12 +348,14 @@ def validate_specification(spec: Specification) -> list[str]:
         seen_types.add(t.id)
         if not t.label:
             problems.append(f"type '{t.id}' has an empty label")
+        problems.extend(_text_errors("type", t.id, t.label))
 
     seen_aspects: set[str] = set()
     for a in g.aspects:
         if a.id in seen_aspects:
             problems.append(f"duplicate aspect id '{a.id}'")
         seen_aspects.add(a.id)
+        problems.extend(_text_errors("aspect", a.id, a.label))
         if a.id in seen_types:
             problems.append(f"id '{a.id}' is used for both a type and an aspect")
         if a.src not in g.type_by_id:
@@ -255,6 +371,136 @@ def validate_specification(spec: Specification) -> list[str]:
             problems.append(f"fact {format_fact(fact)}: {msg}")
 
     return problems
+
+
+# ---------------------------------------------------------------------------
+# Structural checks of sketch declarations
+
+
+def decl_errors(graph: Graph, decl: SketchDecl) -> list[str]:
+    """Endpoint problems of one sketch declaration over ``graph`` (empty if fine).
+
+    The counterpart of :func:`fact_errors`: the parser reports
+    these at the declaration, and :func:`validate_decls` collects them for
+    specifications built in code.
+    """
+    problems: list[str] = []
+    ctx = f"{type(decl).__name__} on '{decl.target}'"
+
+    def need_type(tid: str):
+        if not graph.has_type(tid):
+            problems.append(f"{ctx}: unknown type '{tid}'")
+            return False
+        return True
+
+    # An unknown target skips only the checks that compare against it.
+    known = need_type(decl.target)
+
+    def need_arrow(role: str, aid: str, src: str, tgt: str):
+        a = graph.aspect_by_id.get(aid)
+        if a is None:
+            problems.append(f"{ctx}: unknown aspect '{aid}'")
+        elif known and (a.src, a.tgt) != (src, tgt):
+            problems.append(
+                f"{ctx}: {role} must run {src} -> {tgt}, it runs {a.src} -> {a.tgt}"
+            )
+
+    def need_path(p: Path, src: str, tgt: str | None):
+        errs = path_errors(graph, p)
+        if errs:
+            problems.append(f"{ctx}: {errs[0]}")
+            return
+        if p.source != src:
+            problems.append(f"{ctx}: path {format_path(p)} must start at '{src}'")
+        elif tgt is not None and path_target(graph, p) != tgt:
+            problems.append(f"{ctx}: path {format_path(p)} must end at '{tgt}'")
+
+    if isinstance(decl, (ProductDecl, PullbackDecl)):
+        for tid, aid in legs(decl):
+            if need_type(tid):
+                need_arrow(f"projection '{aid}'", aid, decl.target, tid)
+    elif isinstance(decl, (CoproductDecl, PushoutDecl)):
+        for tid, aid in legs(decl):
+            if need_type(tid):
+                need_arrow(f"inclusion '{aid}'", aid, tid, decl.target)
+
+    if isinstance(decl, PullbackDecl):
+        pf, pg = decl.cospan
+        need_path(pf, decl.leg_b[0], None)
+        need_path(pg, decl.leg_c[0], None)
+        if not (path_errors(graph, pf) or path_errors(graph, pg)):
+            if path_target(graph, pf) != path_target(graph, pg):
+                problems.append(f"{ctx}: cospan paths end at different types")
+    elif isinstance(decl, PushoutDecl):
+        pf, pg = decl.span
+        if path_errors(graph, pf) or path_errors(graph, pg):
+            problems.extend(f"{ctx}: {e}" for e in path_errors(graph, pf))
+            problems.extend(f"{ctx}: {e}" for e in path_errors(graph, pg))
+        elif pf.source != pg.source:
+            problems.append(f"{ctx}: span paths start at different types")
+        else:
+            need_path(pf, pf.source, decl.leg_b[0])
+            need_path(pg, pg.source, decl.leg_c[0])
+    elif isinstance(decl, ImageDecl):
+        errs = path_errors(graph, decl.of)
+        if errs:
+            problems.append(f"{ctx}: {errs[0]}")
+        else:
+            need_arrow("surjection part", decl.surjection, decl.of.source, decl.target)
+            need_arrow("injection part", decl.injection, decl.target, path_target(graph, decl.of))
+
+    # Synthesis writes one function per part, so no aspect may serve two.
+    aids = synthesized_aspects(decl)
+    for aid in dict.fromkeys(a for a in aids if aids.count(a) > 1):
+        problems.append(f"{ctx}: aspect '{aid}' is used for more than one part")
+    return problems
+
+
+def validate_decls(spec: Specification) -> list[str]:
+    """Endpoint sanity of every sketch declaration (empty when all fine)."""
+    return [msg for decl in spec.sketch for msg in decl_errors(spec.graph, decl)]
+
+
+def square_fact(spec: Specification, decl) -> Fact | None:
+    """The commuting equation a pullback/pushout/image declaration presumes."""
+    g = spec.graph
+    if isinstance(decl, PullbackDecl):
+        (tb, ab), (tc, ac) = decl.leg_b, decl.leg_c
+        lhs = compose_paths(g, Path(decl.target, (ab,)), decl.cospan[0])
+        rhs = compose_paths(g, Path(decl.target, (ac,)), decl.cospan[1])
+        return Fact(lhs, rhs)
+    if isinstance(decl, PushoutDecl):
+        (tb, ab), (tc, ac) = decl.leg_b, decl.leg_c
+        lhs = compose_paths(g, decl.span[0], Path(tb, (ab,)))
+        rhs = compose_paths(g, decl.span[1], Path(tc, (ac,)))
+        return Fact(lhs, rhs)
+    if isinstance(decl, ImageDecl):
+        rhs = Path(decl.of.source, (decl.surjection, decl.injection))
+        return Fact(decl.of, rhs)
+    return None
+
+
+def missing_square_facts(spec: Specification) -> list[str]:
+    """Lint: declarations whose commuting square is not declared as a fact.
+
+    The square is part of the construction's meaning; its absence is flagged
+    as a warning rather than an error.
+    """
+    declared = set(spec.facts)
+    out: list[str] = []
+    for decl in spec.sketch:
+        try:
+            sq = square_fact(spec, decl)
+        except OlogError:
+            continue  # structural problems are reported by decl_errors
+        if sq is None:
+            continue
+        if sq not in declared and Fact(sq.rhs, sq.lhs) not in declared:
+            out.append(
+                f"{type(decl).__name__} on '{decl.target}': commuting fact "
+                f"{format_fact(sq)} is not declared"
+            )
+    return out
 
 
 def enumerate_paths(graph: Graph, max_len: int) -> tuple[Path, ...]:
@@ -324,7 +570,7 @@ def relation_to_span(
 
     ``legs`` is a sequence of (role label, target type id) pairs. Returns the
     extended graph and the apex node. Ids are derived from the relation name
-    and role labels, uniquified against existing ids.
+    and role labels, uniquified against existing ids and :data:`KEYWORDS`.
     """
     if not legs:
         raise OlogError("a relation needs at least one leg")
@@ -332,10 +578,10 @@ def relation_to_span(
         if not graph.has_type(tid):
             raise OlogError(f"unknown leg type '{tid}'")
 
-    taken = set(graph.type_by_id) | set(graph.aspect_by_id)
+    taken = set(graph.type_by_id) | set(graph.aspect_by_id) | KEYWORDS
 
     def fresh(base: str) -> str:
-        # Ids are ASCII (see ``dsl``): every other character becomes ``_``.
+        # Ids match ``_ID``: every other character becomes ``_``.
         ident = "".join(c if c.isascii() and c.isalnum() else "_" for c in base) or "x"
         if ident[0].isdigit():
             ident = "_" + ident

@@ -1,8 +1,8 @@
 """Text formats: `.olog` specifications, `.omap` morphisms, `.osys` systems.
 
 All three formats are line oriented, UTF-8, with `#` comments and ASCII ids,
-read with one lexical definition (``_TOKEN_RE`` and ``_ID``). Parsing is
-total: malformed input produces diagnostics with source positions, never an
+read with one lexical definition (``_TOKEN_RE``, built on ``core._ID``). Parsing
+is total: malformed input produces diagnostics with source positions, never an
 exception. Printing is canonical (declarations sorted by id), so printing a
 parsed file reproduces it byte for byte and printing is stable under
 re-parsing.
@@ -27,29 +27,29 @@ from pathlib import Path as FsPath
 from typing import TYPE_CHECKING, NamedTuple
 
 from .core import (
+    _ID,
+    DEFAULT_BOUND,
+    KEYWORDS,
     Aspect,
+    CoproductDecl,
     Fact,
     Graph,
-    Path,
-    Specification,
-    TypeNode,
-    fact_errors,
-    format_path,
-    path_errors,
-    path_target,
-)
-from .entail import DEFAULT_BOUND
-from .errors import OlogError
-from .sketch import (
-    CoproductDecl,
     ImageDecl,
+    Path,
     ProductDecl,
     PullbackDecl,
     PushoutDecl,
+    Specification,
+    TypeNode,
     decl_errors,
+    fact_errors,
+    format_path,
     legs,
     missing_square_facts,
+    path_errors,
+    path_target,
 )
+from .errors import OlogError
 
 # ``parse_morphism`` and ``parse_system`` import ``flow`` and ``system``
 # themselves, so reading an olog loads neither.
@@ -59,12 +59,6 @@ if TYPE_CHECKING:
 
 ERROR = "error"
 WARNING = "warning"
-
-KEYWORDS = {
-    "olog", "type", "aspect", "fact", "product", "pullback", "coproduct",
-    "pushout", "singleton", "empty", "image", "via", "legs", "span", "of",
-    "injective", "surjective", "id", "node", "edge",
-}
 
 
 class SourceSpan(NamedTuple):
@@ -91,9 +85,6 @@ def has_errors(diagnostics) -> bool:
 
 # ---------------------------------------------------------------------------
 # Tokenizer
-
-# The one id pattern of all three formats: ASCII only.
-_ID = r"[A-Za-z_][A-Za-z0-9_]*"
 
 # A `#` outside a string starts a comment, which runs to the end of the text
 # tokenized: one line of a file, or all of a fact given on the command line.

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .core import (
+    DEFAULT_BOUND,
     Fact,
     Graph,
     Path,
@@ -22,11 +23,10 @@ from .core import (
     enumerate_paths,
     fact_errors,
     format_fact,
+    path_errors,
     path_target,
 )
 from .errors import BoundExceededError, GraphMismatchError, OlogError
-
-DEFAULT_BOUND = 6
 
 ENTAILED = "entailed"
 NOT_DERIVABLE = "not-derivable-within-bound"
@@ -95,6 +95,9 @@ class Congruence:
     def representative(self, path: Path) -> Path:
         idx = self._index
         if path not in idx:
+            if len(path) <= self.bound:
+                # the universe holds every well-formed path within the bound
+                raise OlogError(path_errors(self.graph, path)[0])
             raise BoundExceededError(
                 f"path of length {len(path)} exceeds bound {self.bound}"
             )

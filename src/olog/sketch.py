@@ -1,7 +1,8 @@
-"""Limit and colimit annotations checked against instance data.
+"""Sketch annotations checked against instance data.
 
-Annotations (products, pullbacks, coproducts, pushouts, singleton and empty
-types, images, injective and surjective aspects) are verified semantically on
+The declarations (products, pullbacks, coproducts, pushouts, singleton and
+empty types, images) and their structural checks are in :mod:`olog.core`.
+Here they, and injective and surjective aspects, are verified semantically on
 finite key diagrams using the set-level constructions directly. They are
 never used as inference rules by the entailment engine; that keeps the
 congruence sound while the sketch semantics stay where they are decidable.
@@ -15,110 +16,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iter_product
-from typing import TYPE_CHECKING
 
 from .core import (
+    DEFAULT_BOUND,
     Aspect,
+    CoproductDecl,
     Fact,
     Graph,
+    ImageDecl,
     Path,
+    ProductDecl,
+    PullbackDecl,
+    PushoutDecl,
+    SketchDecl,
     Specification,
     UnionFind,
     compose_paths,
-    format_fact,
     format_path,
+    legs,
     path_errors,
     path_target,
+    synthesized_aspects,
 )
-from .entail import DEFAULT_BOUND, ENTAILED, entails
-from .errors import OlogError, SketchError, SynthesisError
-
-# Reading an olog needs the declarations but no instance data, so the
-# functions that evaluate data import ``instances`` themselves, once per call.
-if TYPE_CHECKING:
-    from .instances import KeyDiagram
-
-
-@dataclass(frozen=True, order=True)
-class ProductDecl:
-    """target = cartesian product of the factors; one projection aspect each.
-
-    With no factors this is a ``singleton`` type: the empty product.
-    """
-
-    target: str
-    factors: tuple[tuple[str, str], ...]  # (factor type, projection aspect)
-
-    @property
-    def kind(self) -> str:
-        return "product" if self.factors else "singleton"
-
-
-@dataclass(frozen=True, order=True)
-class PullbackDecl:
-    """target = pairs from the two legs agreeing along the cospan paths."""
-
-    kind = "pullback"
-    target: str
-    leg_b: tuple[str, str]  # (type, projection aspect)
-    leg_c: tuple[str, str]
-    cospan: tuple[Path, Path]  # paths B -> D and C -> D
-
-
-@dataclass(frozen=True, order=True)
-class CoproductDecl:
-    """target = tagged disjoint union of the summands; one inclusion each.
-
-    With no summands this is an ``empty`` type: the empty coproduct.
-    """
-
-    target: str
-    summands: tuple[tuple[str, str], ...]  # (summand type, inclusion aspect)
-
-    @property
-    def kind(self) -> str:
-        return "coproduct" if self.summands else "empty"
-
-
-@dataclass(frozen=True, order=True)
-class PushoutDecl:
-    """target = disjoint union of the legs, identified along a common span."""
-
-    kind = "pushout"
-    target: str
-    leg_b: tuple[str, str]  # (type, inclusion aspect into target)
-    leg_c: tuple[str, str]
-    span: tuple[Path, Path]  # paths A -> B and A -> C
-
-
-@dataclass(frozen=True, order=True)
-class ImageDecl:
-    """target is the image of a path, factored surjection-then-injection."""
-
-    kind = "image"
-    target: str
-    of: Path
-    surjection: str  # aspect source-of-path -> target
-    injection: str  # aspect target -> target-of-path
-
-
-SketchDecl = ProductDecl | PullbackDecl | CoproductDecl | PushoutDecl | ImageDecl
-
-
-def legs(decl) -> tuple[tuple[str, str], ...]:
-    """The (type, aspect) legs of a product, pullback, coproduct or pushout."""
-    if isinstance(decl, ProductDecl):
-        return decl.factors
-    if isinstance(decl, CoproductDecl):
-        return decl.summands
-    return (decl.leg_b, decl.leg_c)
-
-
-def synthesized_aspects(decl: SketchDecl) -> tuple[str, ...]:
-    """Aspect ids whose functions are outputs of synthesizing ``decl``."""
-    if isinstance(decl, ImageDecl):
-        return (decl.surjection, decl.injection)
-    return tuple(a for _, a in legs(decl))
+from .entail import ENTAILED, entails
+from .errors import SketchError, SynthesisError
+from .instances import KeyDiagram, eval_path
 
 
 def encode_tuple(keys) -> str:
@@ -127,136 +49,6 @@ def encode_tuple(keys) -> str:
 
 def encode_tagged(aspect_id: str, key: str) -> str:
     return f"in{aspect_id}:{key}"
-
-
-# ---------------------------------------------------------------------------
-# Structural validation
-
-
-def decl_errors(graph: Graph, decl: SketchDecl) -> list[str]:
-    """Endpoint problems of one sketch declaration over ``graph`` (empty if fine).
-
-    The counterpart of :func:`olog.core.fact_errors`: the parser reports
-    these at the declaration, and :func:`validate_decls` collects them for
-    specifications built in code.
-    """
-    problems: list[str] = []
-    ctx = f"{type(decl).__name__} on '{decl.target}'"
-
-    def need_type(tid: str):
-        if not graph.has_type(tid):
-            problems.append(f"{ctx}: unknown type '{tid}'")
-            return False
-        return True
-
-    # An unknown target skips only the checks that compare against it.
-    known = need_type(decl.target)
-
-    def need_arrow(role: str, aid: str, src: str, tgt: str):
-        a = graph.aspect_by_id.get(aid)
-        if a is None:
-            problems.append(f"{ctx}: unknown aspect '{aid}'")
-        elif known and (a.src, a.tgt) != (src, tgt):
-            problems.append(
-                f"{ctx}: {role} must run {src} -> {tgt}, it runs {a.src} -> {a.tgt}"
-            )
-
-    def need_path(p: Path, src: str, tgt: str | None):
-        errs = path_errors(graph, p)
-        if errs:
-            problems.append(f"{ctx}: {errs[0]}")
-            return
-        if p.source != src:
-            problems.append(f"{ctx}: path {format_path(p)} must start at '{src}'")
-        elif tgt is not None and path_target(graph, p) != tgt:
-            problems.append(f"{ctx}: path {format_path(p)} must end at '{tgt}'")
-
-    if isinstance(decl, (ProductDecl, PullbackDecl)):
-        for tid, aid in legs(decl):
-            if need_type(tid):
-                need_arrow(f"projection '{aid}'", aid, decl.target, tid)
-    elif isinstance(decl, (CoproductDecl, PushoutDecl)):
-        for tid, aid in legs(decl):
-            if need_type(tid):
-                need_arrow(f"inclusion '{aid}'", aid, tid, decl.target)
-
-    if isinstance(decl, PullbackDecl):
-        pf, pg = decl.cospan
-        need_path(pf, decl.leg_b[0], None)
-        need_path(pg, decl.leg_c[0], None)
-        if not (path_errors(graph, pf) or path_errors(graph, pg)):
-            if path_target(graph, pf) != path_target(graph, pg):
-                problems.append(f"{ctx}: cospan paths end at different types")
-    elif isinstance(decl, PushoutDecl):
-        pf, pg = decl.span
-        if path_errors(graph, pf) or path_errors(graph, pg):
-            problems.extend(f"{ctx}: {e}" for e in path_errors(graph, pf))
-            problems.extend(f"{ctx}: {e}" for e in path_errors(graph, pg))
-        elif pf.source != pg.source:
-            problems.append(f"{ctx}: span paths start at different types")
-        else:
-            need_path(pf, pf.source, decl.leg_b[0])
-            need_path(pg, pg.source, decl.leg_c[0])
-    elif isinstance(decl, ImageDecl):
-        errs = path_errors(graph, decl.of)
-        if errs:
-            problems.append(f"{ctx}: {errs[0]}")
-        else:
-            need_arrow("surjection part", decl.surjection, decl.of.source, decl.target)
-            need_arrow("injection part", decl.injection, decl.target, path_target(graph, decl.of))
-
-    # Synthesis writes one function per part, so no aspect may serve two.
-    aids = synthesized_aspects(decl)
-    for aid in dict.fromkeys(a for a in aids if aids.count(a) > 1):
-        problems.append(f"{ctx}: aspect '{aid}' is used for more than one part")
-    return problems
-
-
-def validate_decls(spec: Specification) -> list[str]:
-    """Endpoint sanity of every sketch declaration (empty when all fine)."""
-    return [msg for decl in spec.sketch for msg in decl_errors(spec.graph, decl)]
-
-
-def square_fact(spec: Specification, decl) -> Fact | None:
-    """The commuting equation a pullback/pushout/image declaration presumes."""
-    g = spec.graph
-    if isinstance(decl, PullbackDecl):
-        (tb, ab), (tc, ac) = decl.leg_b, decl.leg_c
-        lhs = compose_paths(g, Path(decl.target, (ab,)), decl.cospan[0])
-        rhs = compose_paths(g, Path(decl.target, (ac,)), decl.cospan[1])
-        return Fact(lhs, rhs)
-    if isinstance(decl, PushoutDecl):
-        (tb, ab), (tc, ac) = decl.leg_b, decl.leg_c
-        lhs = compose_paths(g, decl.span[0], Path(tb, (ab,)))
-        rhs = compose_paths(g, decl.span[1], Path(tc, (ac,)))
-        return Fact(lhs, rhs)
-    if isinstance(decl, ImageDecl):
-        rhs = Path(decl.of.source, (decl.surjection, decl.injection))
-        return Fact(decl.of, rhs)
-    return None
-
-
-def missing_square_facts(spec: Specification) -> list[str]:
-    """Lint: declarations whose commuting square is not declared as a fact.
-
-    The square is part of the construction's meaning; its absence is flagged
-    as a warning rather than an error.
-    """
-    declared = set(spec.facts)
-    out: list[str] = []
-    for decl in spec.sketch:
-        try:
-            sq = square_fact(spec, decl)
-        except OlogError:
-            continue  # structural problems are reported by decl_errors
-        if sq is None:
-            continue
-        if sq not in declared and Fact(sq.rhs, sq.lhs) not in declared:
-            out.append(
-                f"{type(decl).__name__} on '{decl.target}': commuting fact "
-                f"{format_fact(sq)} is not declared"
-            )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +102,6 @@ def _limit_tuples(d: KeyDiagram, decl: ProductDecl | PullbackDecl) -> list[tuple
     is evaluated once, so the cost is |B| + |C| + pairs, not |B|·|C|. With
     an empty leg nothing is evaluated.
     """
-    from .instances import eval_path
-
     key_sets = [sorted(d.sets.get(t, frozenset())) for t, _ in legs(decl)]
     if isinstance(decl, ProductDecl):
         return list(iter_product(*key_sets))
@@ -371,8 +161,6 @@ def check_coproduct(d: KeyDiagram, decl: CoproductDecl) -> CheckResult:
 
 def _pushout_classes(d: KeyDiagram, decl: PushoutDecl) -> dict[str, list[str]]:
     """Quotient the tagged union of the legs by the span identifications."""
-    from .instances import eval_path
-
     (_, ab), (_, ac) = legs(decl)
     pf, pg = decl.span
     uf = UnionFind([
@@ -448,8 +236,6 @@ def check_surjective(d: KeyDiagram, graph: Graph, aspect_id: str) -> CheckResult
 
 
 def check_image(d: KeyDiagram, graph: Graph, decl: ImageDecl) -> CheckResult:
-    from .instances import eval_path
-
     surj = check_surjective(d, graph, decl.surjection)
     if not surj.passed:
         return CheckResult("image", decl.target, False, surj.witness)
@@ -498,8 +284,6 @@ def synthesize(decl: SketchDecl, d: KeyDiagram) -> KeyDiagram:
     Refuses if the target set is already populated. For a declaration that
     :func:`decl_errors` accepts, the result passes the corresponding check.
     """
-    from .instances import KeyDiagram, eval_path
-
     if d.sets.get(decl.target):
         raise SynthesisError(
             f"target '{decl.target}' is already populated; refusing to overwrite"
@@ -602,8 +386,6 @@ def populate_mediator(
 ) -> KeyDiagram:
     """Instance semantics of a mediating aspect: each key maps to the tuple of
     its cone evaluations (matching the canonical synthesized target keys)."""
-    from .instances import KeyDiagram, eval_path
-
     funcs = {k: dict(v) for k, v in d.funcs.items()}
     funcs[aspect_id] = {
         k: encode_tuple(tuple(eval_path(d, p, k) for p in cone))

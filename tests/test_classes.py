@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from olog import dsl, instances
+from olog import dsl, sketch
 from olog.core import Aspect, Fact, Graph, Path, Specification, TypeNode, path_target
 from olog.entail import consequence
 from olog.errors import OlogError
@@ -336,9 +336,8 @@ def _count_evaluations(fn, *args) -> int:
         calls.append(key)
         return real(d, path, key)
 
-    # sketch imports eval_path from instances inside each evaluating function.
-    real = instances.eval_path
-    with mock.patch.object(instances, "eval_path", counting):
+    real = sketch.eval_path
+    with mock.patch.object(sketch, "eval_path", counting):
         outcome(fn, *args)
     return len(calls)
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 import json
 import shutil
 
-from olog import core, sketch, system
+from olog import core, system
 from olog.cli import main
 
 from .conftest import FIXTURES, write_overflowing_node, write_overflowing_system
@@ -203,6 +203,23 @@ def test_synth_builds_missing_target(tmp_path, capsys):
     assert "inas_swimmer:duck" in (out_dir / "creature.csv").read_text()
 
 
+def test_synth_writes_tables_that_validate_reads_back(tmp_path, capsys):
+    olog = tmp_path / "p.olog"
+    olog.write_text(
+        'olog P {\n  type a "an a"\n  type b "a b"\n  type p "a pair"\n'
+        '  aspect pa : p -> a "has"\n  aspect pb : p -> b "has"\n'
+        "  product p = a * b via (pa,pb)\n}\n"
+    )
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "a.csv").write_bytes(b'Id\n"x\ry"\n')
+    (data / "b.csv").write_bytes(b"Id\nz\n")
+    code, _, _ = run(capsys, "synth", olog, "--data", data, "--decl", "p", "-o", data)
+    assert code == 0
+    code, out, _ = run(capsys, "validate", olog, "--data", data)
+    assert code == 0, out
+
+
 def test_synth_refuses_populated_target(capsys):
     code, _, err = run(
         capsys, "synth", FIXTURES / "duck.olog",
@@ -388,7 +405,7 @@ def test_check_reports_parse_diagnostics_only(capsys, monkeypatch):
     def refuse(spec):
         raise AssertionError("structural checks re-run")
 
-    monkeypatch.setattr(sketch, "validate_decls", refuse)
+    monkeypatch.setattr(core, "validate_decls", refuse)
     monkeypatch.setattr(core, "validate_specification", refuse)
     code, out, _ = run(capsys, "check", FIXTURES / "metric.olog")
     assert code == 0 and out.startswith("ok: ")

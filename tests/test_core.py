@@ -135,6 +135,22 @@ def test_validate_reports_duplicates_and_empty_labels():
     assert any("empty label" in m for m in report)
 
 
+def test_validate_reports_what_the_text_format_cannot_write():
+    g = Graph(
+        types=(TypeNode("a", 'a "quoted" thing'), TypeNode("of", "an of"),
+               TypeNode("b c", "a b\x85c")),
+        aspects=(Aspect("f", "a", "of", "is\r"), Aspect("g", "a", "of", "")),
+    )
+    assert validate_specification(Specification(graph=g, name="my olog")) == [
+        "name 'my olog' is not an ASCII identifier",
+        "type 'a' has a label with a quote or a line break",
+        "type id 'b c' is not an ASCII identifier",
+        "type 'b c' has a label with a quote or a line break",
+        "type id 'of' is reserved",
+        "aspect 'f' has a label with a quote or a line break",
+    ]
+
+
 def test_relation_to_span_star():
     g = Graph(
         types=(
@@ -187,6 +203,16 @@ def test_relation_to_span_ids_print_and_parse_back():
     g2, apex = relation_to_span(g, "café", [("rôle", "a"), ("x²", "a"), ("2x", "a")])
     assert apex.id == "caf_"
     assert [a.id for a in g2.aspects] == ["_2x", "r_le", "x_"]
+    spec = Specification(graph=g2)
+    assert dsl.parse_olog(dsl.print_olog(spec))[0] == spec
+
+
+def test_relation_to_span_ids_are_not_keywords():
+    from olog import dsl
+
+    g = Graph(types=(TypeNode("a", "an a"),))
+    g2, apex = relation_to_span(g, "of", [("id", "a")])
+    assert (apex.id, g2.aspects[0].id) == ("of_2", "id_2")
     spec = Specification(graph=g2)
     assert dsl.parse_olog(dsl.print_olog(spec))[0] == spec
 

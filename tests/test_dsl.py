@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import os
 import subprocess
 import sys
@@ -13,26 +14,25 @@ import olog
 from olog import dsl
 from olog.cli import main as olog_main
 from olog.core import (
+    Aspect,
+    CoproductDecl,
     Fact,
     Graph,
+    ImageDecl,
     Path,
+    ProductDecl,
+    PullbackDecl,
+    PushoutDecl,
     Specification,
     TypeNode,
+    decl_errors,
     identity_path,
+    validate_decls,
     validate_specification,
 )
 from olog.errors import OlogError
 from olog.instances import key_diagram
-from olog.sketch import (
-    CoproductDecl,
-    ImageDecl,
-    ProductDecl,
-    PullbackDecl,
-    PushoutDecl,
-    check_all,
-    decl_errors,
-    validate_decls,
-)
+from olog.sketch import check_all
 
 from . import strategies as sts
 from .conftest import (
@@ -396,8 +396,7 @@ def test_parsed_singleton_is_the_nullary_product():
 
 _PRINT_TWO_PRODUCTS = """
 from olog import dsl
-from olog.core import Aspect, Graph, Specification, TypeNode
-from olog.sketch import ProductDecl
+from olog.core import Aspect, Graph, ProductDecl, Specification, TypeNode
 
 graph = Graph(
     types=(TypeNode("a", "an a"), TypeNode("b", "a b"), TypeNode("c", "a c")),
@@ -441,6 +440,49 @@ def test_print_parse_print_random(data, graph):
     reparsed, diags = dsl.parse_olog(once)
     assert reparsed is not None and not errors(diags)
     assert dsl.print_olog(reparsed) == once
+
+
+# Id characters, what the text format treats specially, and any character.
+_CHARS = st.one_of(
+    st.sampled_from("abc_1"), st.sampled_from('"#\n\r\x0b\x85\u2028 ;(),:=-é'), st.characters()
+)
+_IDS = st.one_of(st.sampled_from(["a", "of", "id", "olog"]), st.text(_CHARS, max_size=3))
+_LABELS = st.one_of(st.sampled_from(["", "a thing"]), st.text(_CHARS, max_size=4))
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_what_validation_accepts_prints_and_parses_back(data):
+    # One id, label or name, at a drawn position, comes from the wide
+    # strategies; with a position past the last there is none.
+    odd = data.draw(st.integers(0, 13))
+    position = itertools.count()
+
+    def pick(plain, wide):
+        return data.draw(wide) if next(position) == odd else plain
+
+    types = tuple(
+        TypeNode(pick(f"T{i}", _IDS), pick("a thing", _LABELS))
+        for i in range(data.draw(st.integers(1, 3)))
+    )
+    ends = st.sampled_from([t.id for t in types])
+    aspects = tuple(
+        Aspect(pick(f"e{i}", _IDS), data.draw(ends), data.draw(ends), pick("has", _LABELS))
+        for i in range(data.draw(st.integers(0, 3)))
+    )
+    graph = Graph(types, aspects)
+    facts = ()
+    if len(graph.aspect_by_id) == len(aspects):  # paths need unique aspect ids
+        facts = tuple(data.draw(st.lists(sts.parallel_facts(graph), max_size=2)))
+    sketch = ()
+    if aspects and data.draw(st.booleans()):
+        parts = data.draw(st.lists(st.sampled_from(aspects), max_size=2))
+        target = parts[0].src if parts else data.draw(ends)
+        sketch = (ProductDecl(target, tuple((a.tgt, a.id) for a in parts)),)
+    spec = Specification(graph, facts, sketch, name=pick("X", _IDS))
+    if validate_specification(spec) or validate_decls(spec):
+        return
+    assert dsl.parse_olog(dsl.print_olog(spec))[0] == spec
 
 
 # --- fact text ---------------------------------------------------------------

@@ -125,6 +125,13 @@ def test_saturate_rejects_oversized_fact(family_spec):
     assert exc.value.fact == big
 
 
+def test_representative_of_an_ill_formed_path_names_its_fault(family_spec):
+    cong = saturate(family_spec, 3)
+    with pytest.raises(OlogError, match="unknown aspect 'nope'") as exc:
+        cong.representative(Path("person", ("nope",)))
+    assert not isinstance(exc.value, BoundExceededError)
+
+
 @pytest.mark.parametrize(
     "lhs, rhs, reason",
     [

@@ -94,16 +94,33 @@ def test_each_module_imports_first_in_a_fresh_interpreter(first):
     assert fresh(f"import olog.{first}; print(1)") == 1
 
 
-BASE = {"olog", "olog.cli", "olog.core", "olog.dsl", "olog.entail", "olog.errors", "olog.sketch"}
+def test_reading_the_text_formats_loads_only_the_schema():
+    assert fresh(
+        "import sys, olog.dsl\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'olog'))\n"
+    ) == ["olog", "olog.core", "olog.dsl", "olog.errors"]
+
+
+BASE = {"olog", "olog.cli", "olog.core", "olog.dsl", "olog.errors"}
+DATA = BASE | {"olog.entail", "olog.instances", "olog.sketch"}
+FLOW = BASE | {"olog.entail", "olog.flow"}
+SYSTEM = FLOW | {"olog.system"}
+# Stands for the test's temporary directory: a data directory without the
+# synthesized table, and an output directory.
+TMP = "<tmp>"
 COMMANDS = [
     (["check", "fixtures/employee.olog"], BASE),
-    (["entail", "fixtures/family.olog", "--fact", "parents;w = mother"], BASE),
-    (["validate", "fixtures/family.olog", "--data", "fixtures/data_family"],
-     BASE | {"olog.instances"}),
+    (["entail", "fixtures/family.olog", "--fact", "parents;w = mother"], BASE | {"olog.entail"}),
+    (["validate", "fixtures/family.olog", "--data", "fixtures/data_family"], DATA),
+    (["synth", "fixtures/duck.olog", "--data", TMP, "--decl", "creature"], DATA),
     (["flow", "dir", "--morphism", "fixtures/community_to_portal.omap",
-      "--source", "fixtures/community.olog", "--target", "fixtures/portal.olog"],
-     BASE | {"olog.flow"}),
-    (["fuse", "fixtures/w.osys"], BASE | {"olog.flow", "olog.system"}),
+      "--source", "fixtures/community.olog", "--target", "fixtures/portal.olog"], FLOW),
+    (["morphism", "check", "--morphism", "fixtures/community_to_portal.omap",
+      "--source", "fixtures/community.olog", "--target", "fixtures/portal.olog"], FLOW),
+    (["lot", "expand", "fixtures/employee.olog",
+      "--fact", "manager;manager;works_in = works_in"], FLOW),
+    (["fuse", "fixtures/w.osys"], SYSTEM),
+    (["consequence", "fixtures/w.osys", "--out-dir", TMP], SYSTEM),
     (["sqlgen", "fixtures/family.olog"], BASE | {"olog.sqlgen"}),
 ]
 
@@ -121,8 +138,10 @@ def run_command(*argv: str) -> tuple:
 
 
 @pytest.mark.parametrize("argv, modules", COMMANDS, ids=[argv[0] for argv, _ in COMMANDS])
-def test_command_imports_only_what_it_runs(argv, modules):
-    code, loaded, with_json = run_command(*argv)
+def test_command_imports_only_what_it_runs(argv, modules, tmp_path):
+    (tmp_path / "flyer.csv").write_text("Id\nduck\n")
+    (tmp_path / "swimmer.csv").write_text("Id\nduck\n")
+    code, loaded, with_json = run_command(*(str(tmp_path) if a == TMP else a for a in argv))
     assert code == 0
     assert set(loaded) == modules
     assert not with_json
@@ -132,5 +151,5 @@ def test_json_format_imports_json():
     argv = ["--format", "json", "entail", "fixtures/family.olog", "--fact", "parents;w = mother"]
     code, loaded, with_json = run_command(*argv)
     assert code == 0
-    assert set(loaded) == BASE
+    assert set(loaded) == BASE | {"olog.entail"}
     assert with_json

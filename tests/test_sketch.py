@@ -4,16 +4,26 @@ import random
 
 import pytest
 
-from olog.core import Aspect, Fact, Graph, Path, Specification, TypeNode
+from olog.core import (
+    Aspect,
+    CoproductDecl,
+    Fact,
+    Graph,
+    ImageDecl,
+    Path,
+    ProductDecl,
+    PullbackDecl,
+    PushoutDecl,
+    Specification,
+    TypeNode,
+    decl_errors,
+    missing_square_facts,
+    validate_decls,
+)
 from olog.errors import SketchError, SynthesisError
 from olog.instances import key_diagram, satisfies_spec
 from olog.sketch import (
     CheckResult,
-    CoproductDecl,
-    ImageDecl,
-    ProductDecl,
-    PullbackDecl,
-    PushoutDecl,
     check_all,
     check_coproduct,
     check_decl,
@@ -23,12 +33,9 @@ from olog.sketch import (
     check_pullback,
     check_pushout,
     check_surjective,
-    decl_errors,
     derive_mediating_aspect,
-    missing_square_facts,
     populate_mediator,
     synthesize,
-    validate_decls,
 )
 
 from .worlds import KINDS, random_world
