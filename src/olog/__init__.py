@@ -27,8 +27,9 @@ _EXPORTS = {
         "lot_revise", "pullback_instances", "translate_fact", "translate_path",
     ),
     "instances": (
-        "KeyDiagram", "SatisfactionReport", "eval_path", "intent",
-        "key_diagram", "load_instances", "satisfies_fact", "satisfies_spec",
+        "KeyDiagram", "SatisfactionReport", "eval_column", "eval_path",
+        "intent", "key_diagram", "load_instances", "satisfies_fact",
+        "satisfies_spec",
     ),
     "system": (
         "Channel", "DistributedSystem", "InformationSystem", "Shape",

@@ -87,9 +87,10 @@ class Graph:
 
     @cached_property
     def aspects_from(self) -> dict[str, tuple[Aspect, ...]]:
-        """Outgoing aspects per type id, in id order."""
+        """Outgoing aspects per type id, in id order, each id resolved as by
+        :attr:`aspect_by_id`."""
         out: dict[str, list[Aspect]] = {t.id: [] for t in self.types}
-        for a in self.aspects:
+        for a in self.aspect_by_id.values():
             out.setdefault(a.src, []).append(a)
         return {k: tuple(v) for k, v in out.items()}
 
@@ -311,8 +312,10 @@ class Specification:
     name: str = "olog"
 
     def __post_init__(self):
-        object.__setattr__(self, "facts", tuple(sorted(set(self.facts))))
-        sketch = sorted(set(self.sketch), key=lambda d: (d.kind, d))
+        # dict.fromkeys keeps the given order, so facts that arrive sorted
+        # sort in linear time.
+        object.__setattr__(self, "facts", tuple(sorted(dict.fromkeys(self.facts))))
+        sketch = sorted(dict.fromkeys(self.sketch), key=lambda d: (d.kind, d))
         object.__setattr__(self, "sketch", tuple(sketch))
 
 
@@ -332,9 +335,10 @@ def _text_errors(kind: str, ident: str, label: str) -> list[str]:
 def validate_specification(spec: Specification) -> list[str]:
     """Diagnose a specification: dangling endpoints, ill-typed facts, duplicate ids.
 
-    Also reports a name, id or label that the text format cannot write back.
-    Returns a list of human-readable problems; empty exactly when the graph
-    and fact invariants all hold. Never raises: these are diagnostics.
+    Also reports a name, id or label that the text format cannot write back,
+    and then the findings of :func:`validate_decls`. Returns a list of
+    human-readable problems; empty exactly when the graph, fact and sketch
+    invariants all hold. Never raises: these are diagnostics.
     """
     g = spec.graph
     problems: list[str] = []
@@ -370,7 +374,7 @@ def validate_specification(spec: Specification) -> list[str]:
         for msg in fact_errors(g, fact):
             problems.append(f"fact {format_fact(fact)}: {msg}")
 
-    return problems
+    return problems + validate_decls(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -182,13 +182,13 @@ def pullback_instances(h: GraphMorphism, d2: KeyDiagram) -> KeyDiagram:
     Each source type borrows the key set of its image; each source aspect
     becomes the composite function along its image path.
     """
-    from .instances import KeyDiagram, eval_path
+    from .instances import KeyDiagram, eval_column
 
     sets = {t.id: d2.sets[h.type_map[t.id]] for t in h.src.types}
     funcs = {}
     for a in h.src.aspects:
-        img = h.aspect_map[a.id]
-        funcs[a.id] = {k: eval_path(d2, img, k) for k in sorted(sets[a.src])}
+        keys = sorted(sets[a.src])
+        funcs[a.id] = dict(zip(keys, eval_column(d2, h.aspect_map[a.id], keys)))
     return KeyDiagram(sets=sets, funcs=funcs)
 
 

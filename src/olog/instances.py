@@ -15,7 +15,6 @@ from typing import Mapping
 
 from .core import Fact, Graph, Path, Specification, enumerate_paths
 from .errors import EvaluationError, InstanceLoadError
-from .entail import _check_bound, _pairs_within
 
 
 @dataclass(frozen=True, eq=True)
@@ -37,6 +36,24 @@ def key_diagram(sets: Mapping[str, object], funcs: Mapping[str, Mapping[str, str
         sets={t: frozenset(ks) for t, ks in sets.items()},
         funcs={a: dict(f) for a, f in funcs.items()},
     )
+
+
+def _columns(rows: list[list[str]], width: int) -> tuple[set[str], list[tuple]] | None:
+    """The Ids and the columns of a table's non-blank rows, or None if a row is faulty.
+
+    A row is faulty if it has the wrong width, an empty or repeated Id, or an
+    empty cell; only then must the rows be read one at a time for diagnostics.
+    """
+    body = list(filter(any, rows))  # a blank row has no non-empty cell
+    if not body:
+        return set(), [()] * width
+    if set(map(len, body)) != {width}:
+        return None
+    columns = list(zip(*body))
+    ids = set(columns[0])
+    if len(ids) != len(body) or any("" in col for col in columns):
+        return None
+    return ids, columns
 
 
 def load_tables(
@@ -86,6 +103,14 @@ def load_tables(
             sets[t.id] = frozenset()
             continue
         present = header[1:]
+        clean = _columns(rows[1:], len(header))
+        if clean is not None:
+            ids, columns = clean
+            del rows  # the columns hold the cells
+            for aid, col in zip(present, columns[1:]):
+                funcs[aid].update(zip(columns[0], col))
+            sets[t.id] = frozenset(ids)
+            continue
         keys: set[str] = set()
         for lineno, row in enumerate(rows[1:], start=2):
             if not row or all(cell == "" for cell in row):
@@ -143,18 +168,26 @@ def load_instances(directory: str | FsPath, spec: Specification) -> KeyDiagram:
     return d
 
 
-def eval_path(d: KeyDiagram, path: Path, key: str) -> str:
-    """Evaluate a path at a key by composing aspect functions left to right.
+def eval_column(d: KeyDiagram, path: Path, keys) -> list[str]:
+    """Evaluate a path at each of ``keys``, one aspect function at a time.
 
-    The identity path returns the key unchanged. Raises
-    :class:`EvaluationError` if ``key`` is not in the source set.
+    Returns the values in the order of ``keys``; the identity path returns
+    the keys. Raises :class:`EvaluationError` naming the first key that is
+    not in the source set.
     """
-    if key not in d.sets.get(path.source, frozenset()):
-        raise EvaluationError(f"key '{key}' is not in the set of '{path.source}'")
-    val = key
+    vals = list(keys)
+    source = d.sets.get(path.source, frozenset())
+    if not source.issuperset(vals):
+        bad = next(k for k in vals if k not in source)
+        raise EvaluationError(f"key '{bad}' is not in the set of '{path.source}'")
     for eid in path.edges:
-        val = d.funcs[eid][val]
-    return val
+        vals = list(map(d.funcs[eid].__getitem__, vals))
+    return vals
+
+
+def eval_path(d: KeyDiagram, path: Path, key: str) -> str:
+    """Evaluate a path at one key: :func:`eval_column` on that key alone."""
+    return eval_column(d, path, (key,))[0]
 
 
 @dataclass(frozen=True)
@@ -193,13 +226,14 @@ def satisfies_fact(d: KeyDiagram, fact: Fact) -> FactCheck:
 
     A fact over an empty source set is vacuously satisfied.
     """
-    bad: list[Counterexample] = []
-    for key in sorted(d.sets.get(fact.lhs.source, frozenset())):
-        lv = eval_path(d, fact.lhs, key)
-        rv = eval_path(d, fact.rhs, key)
-        if lv != rv:
-            bad.append(Counterexample(fact, key, lv, rv))
-    return FactCheck(fact, tuple(bad))
+    keys = sorted(d.sets.get(fact.lhs.source, frozenset()))
+    lhs = eval_column(d, fact.lhs, keys)
+    rhs = eval_column(d, fact.rhs, keys)
+    if lhs == rhs:
+        return FactCheck(fact, ())
+    return FactCheck(fact, tuple(
+        Counterexample(fact, key, lv, rv) for key, lv, rv in zip(keys, lhs, rhs) if lv != rv
+    ))
 
 
 def satisfies_spec(d: KeyDiagram, spec: Specification) -> SatisfactionReport:
@@ -212,6 +246,8 @@ def intent(d: KeyDiagram, graph: Graph, bound: int) -> tuple[Fact, ...]:
     A diagram models a specification exactly when the specification's bounded
     facts are contained in this set.
     """
+    from .entail import _check_bound, _pairs_within
+
     # Two parallel paths agree exactly when their value vectors over the
     # source's sorted keys agree; each vector is one step from its prefix's.
     vectors: dict[Path, tuple[str, ...]] = {}

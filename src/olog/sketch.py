@@ -38,9 +38,8 @@ from .core import (
     path_target,
     synthesized_aspects,
 )
-from .entail import ENTAILED, entails
 from .errors import SketchError, SynthesisError
-from .instances import KeyDiagram, eval_path
+from .instances import KeyDiagram, eval_column
 
 
 def encode_tuple(keys) -> str:
@@ -49,6 +48,16 @@ def encode_tuple(keys) -> str:
 
 def encode_tagged(aspect_id: str, key: str) -> str:
     return f"in{aspect_id}:{key}"
+
+
+def _tag_column(aspect_id: str, keys) -> list[str]:
+    """:func:`encode_tagged` of each key."""
+    return list(map(encode_tagged(aspect_id, "").__add__, keys))
+
+
+def _rows(columns: list[list[str]], n: int):
+    """The ``n`` rows of ``columns`` as tuples; empty tuples if there are no columns."""
+    return zip(*columns) if columns else [()] * n
 
 
 # ---------------------------------------------------------------------------
@@ -68,15 +77,18 @@ class CheckResult:
 
 
 def _tupling(d: KeyDiagram, target: str, projections) -> dict[str, tuple[str, ...]]:
-    return {
-        x: tuple(d.funcs[aid][x] for aid in projections)
-        for x in sorted(d.sets.get(target, frozenset()))
-    }
+    xs = sorted(d.sets.get(target, frozenset()))
+    columns = [list(map(d.funcs[aid].__getitem__, xs)) for aid in projections]
+    return dict(zip(xs, _rows(columns, len(xs))))
 
 
 def _bijection_onto(
     kind: str, target: str, got: dict[str, tuple[str, ...]], want: set
 ) -> CheckResult:
+    # A bijection exactly when as many keys as tuples hit every tuple; the
+    # loop below only finds the first witness of a failure.
+    if len(got) == len(want) and want == set(got.values()):
+        return CheckResult(kind, target, True)
     seen: dict[tuple[str, ...], str] = {}
     for x, tup in got.items():
         if tup not in want:
@@ -110,9 +122,9 @@ def _limit_tuples(d: KeyDiagram, decl: ProductDecl | PullbackDecl) -> list[tuple
         return []
     pf, pg = decl.cospan
     bucket: dict[str, list[str]] = {}
-    for c in cs:
-        bucket.setdefault(eval_path(d, pg, c), []).append(c)
-    return [(b, c) for b in bs for c in bucket.get(eval_path(d, pf, b), ())]
+    for c, v in zip(cs, eval_column(d, pg, cs)):
+        bucket.setdefault(v, []).append(c)
+    return [(b, c) for b, v in zip(bs, eval_column(d, pf, bs)) for c in bucket.get(v, ())]
 
 
 def check_limit(d: KeyDiagram, decl: ProductDecl | PullbackDecl) -> CheckResult:
@@ -132,6 +144,14 @@ check_product = check_pullback = check_limit
 def check_coproduct(d: KeyDiagram, decl: CoproductDecl) -> CheckResult:
     """Inclusions must be injective with pairwise disjoint images covering the target."""
     target_keys = set(d.sets.get(decl.target, frozenset()))
+    # Injective and disjoint exactly when no value repeats across the
+    # summands; the loop below only finds the first witness of a failure.
+    hits: list[str] = []
+    for tid, aid in decl.summands:
+        hits += map(d.funcs[aid].__getitem__, d.sets.get(tid, frozenset()))
+    hit = set(hits)
+    if len(hit) == len(hits) and hit >= target_keys:
+        return CheckResult(decl.kind, decl.target, True)
     covered: dict[str, tuple[str, str]] = {}
     for tid, aid in decl.summands:
         seen: dict[str, str] = {}
@@ -159,61 +179,75 @@ def check_coproduct(d: KeyDiagram, decl: CoproductDecl) -> CheckResult:
     return CheckResult(decl.kind, decl.target, True)
 
 
-def _pushout_classes(d: KeyDiagram, decl: PushoutDecl) -> dict[str, list[str]]:
-    """Quotient the tagged union of the legs by the span identifications."""
+def _pushout_quotient(d: KeyDiagram, decl: PushoutDecl) -> UnionFind:
+    """Quotient the tagged union of the legs by the span identifications.
+
+    The universe is sorted, so its classes come in the order of their
+    representatives, each with its members sorted.
+    """
     (_, ab), (_, ac) = legs(decl)
     pf, pg = decl.span
-    uf = UnionFind([
-        encode_tagged(aid, k)
-        for tid, aid in legs(decl)
-        for k in sorted(d.sets.get(tid, frozenset()))
-    ])
-    apex = pf.source
-    for akey in sorted(d.sets.get(apex, frozenset())):
-        uf.union(
-            encode_tagged(ab, eval_path(d, pf, akey)),
-            encode_tagged(ac, eval_path(d, pg, akey)),
-        )
-    return {rep: sorted(members) for rep, members in uf.classes().items()}
+    universe: list[str] = []
+    for tid, aid in legs(decl):
+        universe += _tag_column(aid, d.sets.get(tid, frozenset()))
+    uf = UnionFind(sorted(universe))
+    akeys = sorted(d.sets.get(pf.source, frozenset()))
+    for b, c in zip(_tag_column(ab, eval_column(d, pf, akeys)),
+                    _tag_column(ac, eval_column(d, pg, akeys))):
+        uf.union(b, c)
+    return uf
 
 
 def check_pushout(d: KeyDiagram, decl: PushoutDecl) -> CheckResult:
     """The map from the span quotient to the target must be a bijection."""
-    tagged_val = {
-        encode_tagged(aid, k): d.funcs[aid][k]
-        for tid, aid in legs(decl)
-        for k in d.sets.get(tid, frozenset())
-    }
+    tagged_val: dict[str, str] = {}
+    for tid, aid in legs(decl):
+        keys = list(d.sets.get(tid, frozenset()))
+        tagged_val.update(zip(_tag_column(aid, keys), map(d.funcs[aid].__getitem__, keys)))
 
-    classes = _pushout_classes(d, decl)
+    target_keys = d.sets.get(decl.target, frozenset())
+    uf = _pushout_quotient(d, decl)
+    # A bijection exactly when there are as many classes as (class, target)
+    # pairs and as target keys hit, and every target key is hit; the loop
+    # below only finds the first witness of a failure.
+    roots = list(map(uf.find, tagged_val))
+    hit = set(tagged_val.values())
+    n = len(set(roots))
+    if len(set(zip(roots, tagged_val.values()))) == n == len(hit) and hit >= target_keys:
+        return CheckResult("pushout", decl.target, True)
+
     class_of: dict[str, str] = {}  # target key -> the class the induced map sends to it
-    for rep, members in sorted(classes.items()):
-        values = sorted({tagged_val[m] for m in members})
+    for rep, members in uf.classes().items():
+        values = set(map(tagged_val.__getitem__, members))
         if len(values) > 1:
             return CheckResult(
                 "pushout", decl.target, False,
-                f"identified keys {members} land on distinct targets {values}",
+                f"identified keys {members} land on distinct targets {sorted(values)}",
             )
-        val = values[0]
+        (val,) = values
         if val in class_of:
             return CheckResult(
                 "pushout", decl.target, False,
                 f"distinct classes '{class_of[val]}' and '{rep}' both map to '{val}'",
             )
         class_of[val] = rep
-    uncovered = set(d.sets.get(decl.target, frozenset())) - class_of.keys()
-    if uncovered:
-        return CheckResult(
-            "pushout", decl.target, False,
-            f"target key '{sorted(uncovered)[0]}' is not reached from either leg",
-        )
-    return CheckResult("pushout", decl.target, True)
+    # The induced map is well defined and injective, so it misses a target key.
+    uncovered = set(target_keys) - class_of.keys()
+    return CheckResult(
+        "pushout", decl.target, False,
+        f"target key '{sorted(uncovered)[0]}' is not reached from either leg",
+    )
 
 
 def check_injective(d: KeyDiagram, graph: Graph, aspect_id: str) -> CheckResult:
     fn = d.funcs[aspect_id]
+    keys = d.sets.get(graph.aspect_by_id[aspect_id].src, frozenset())
+    # Injective exactly when no value repeats; the loop below only finds the
+    # first witness of a failure.
+    if len(set(map(fn.__getitem__, keys))) == len(keys):
+        return CheckResult("injective", aspect_id, True)
     seen: dict[str, str] = {}
-    for k in sorted(d.sets.get(graph.aspect_by_id[aspect_id].src, frozenset())):
+    for k in sorted(keys):
         v = fn[k]
         if v in seen:
             return CheckResult(
@@ -242,14 +276,15 @@ def check_image(d: KeyDiagram, graph: Graph, decl: ImageDecl) -> CheckResult:
     inj = check_injective(d, graph, decl.injection)
     if not inj.passed:
         return CheckResult("image", decl.target, False, inj.witness)
-    for k in sorted(d.sets.get(decl.of.source, frozenset())):
-        via = d.funcs[decl.injection][d.funcs[decl.surjection][k]]
-        direct = eval_path(d, decl.of, k)
-        if via != direct:
-            return CheckResult(
-                "image", decl.target, False,
-                f"factorization disagrees at '{k}': {via} vs {direct}",
-            )
+    keys = sorted(d.sets.get(decl.of.source, frozenset()))
+    vias = eval_column(d, Path(decl.of.source, (decl.surjection, decl.injection)), keys)
+    directs = eval_column(d, decl.of, keys)
+    if vias != directs:
+        k, via, direct = next(t for t in zip(keys, vias, directs) if t[1] != t[2])
+        return CheckResult(
+            "image", decl.target, False,
+            f"factorization disagrees at '{k}': {via} vs {direct}",
+        )
     return CheckResult("image", decl.target, True)
 
 
@@ -302,27 +337,25 @@ def synthesize(decl: SketchDecl, d: KeyDiagram) -> KeyDiagram:
     elif isinstance(decl, CoproductDecl):
         keys = []
         for tid, aid in decl.summands:
-            for k in sorted(d.sets.get(tid, frozenset())):
-                key = encode_tagged(aid, k)
-                keys.append(key)
-                funcs[aid][k] = key
+            ks = sorted(d.sets.get(tid, frozenset()))
+            tagged = _tag_column(aid, ks)
+            keys += tagged
+            funcs[aid].update(zip(ks, tagged))
         sets[decl.target] = frozenset(keys)
     elif isinstance(decl, PushoutDecl):
-        classes = _pushout_classes(d, decl)
+        classes = _pushout_quotient(d, decl).classes()
         rep_of = {m: rep for rep, members in classes.items() for m in members}
         sets[decl.target] = frozenset(classes)
         for tid, aid in legs(decl):
-            for k in d.sets.get(tid, frozenset()):
-                funcs[aid][k] = rep_of[encode_tagged(aid, k)]
+            ks = list(d.sets.get(tid, frozenset()))
+            funcs[aid].update(zip(ks, map(rep_of.__getitem__, _tag_column(aid, ks))))
     else:
-        values = sorted(
-            {eval_path(d, decl.of, k) for k in d.sets.get(decl.of.source, frozenset())}
-        )
+        ks = list(d.sets.get(decl.of.source, frozenset()))
+        col = eval_column(d, decl.of, ks)
+        values = sorted(set(col))
         sets[decl.target] = frozenset(values)
-        for k in d.sets.get(decl.of.source, frozenset()):
-            funcs[decl.surjection][k] = eval_path(d, decl.of, k)
-        for v in values:
-            funcs[decl.injection][v] = v
+        funcs[decl.surjection].update(zip(ks, col))
+        funcs[decl.injection].update(zip(values, values))
 
     return KeyDiagram(sets=sets, funcs=funcs)
 
@@ -343,6 +376,8 @@ def derive_mediating_aspect(
     pullback the cone must provably commute with the cospan; otherwise the
     call is rejected naming the two paths that fail.
     """
+    from .entail import ENTAILED, entails
+
     g = spec.graph
     parts = legs(decl)
     if len(cone) != len(parts):
@@ -387,8 +422,7 @@ def populate_mediator(
     """Instance semantics of a mediating aspect: each key maps to the tuple of
     its cone evaluations (matching the canonical synthesized target keys)."""
     funcs = {k: dict(v) for k, v in d.funcs.items()}
-    funcs[aspect_id] = {
-        k: encode_tuple(tuple(eval_path(d, p, k) for p in cone))
-        for k in sorted(d.sets.get(x, frozenset()))
-    }
+    xs = sorted(d.sets.get(x, frozenset()))
+    columns = [eval_column(d, p, xs) for p in cone]
+    funcs[aspect_id] = dict(zip(xs, map(encode_tuple, _rows(columns, len(xs)))))
     return KeyDiagram(sets=dict(d.sets), funcs=funcs)

@@ -10,6 +10,7 @@ vendor features.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import TYPE_CHECKING
 
 from .core import Specification, format_fact
@@ -54,10 +55,6 @@ def emit_ddl(spec: Specification) -> str:
     return "\n".join(out) + "\n"
 
 
-def _quote(value: str) -> str:
-    return "'" + value.replace("'", "''") + "'"
-
-
 def emit_inserts(spec: Specification, d: KeyDiagram) -> str:
     """INSERT statements for a loaded key diagram, in canonical order.
 
@@ -68,9 +65,10 @@ def emit_inserts(spec: Specification, d: KeyDiagram) -> str:
     out: list[str] = []
     for t in g.types:
         aspect_ids = [a.id for a in g.aspects_from.get(t.id, ())]
-        col_list = ", ".join(["Id"] + aspect_ids)
-        for key in sorted(d.sets.get(t.id, frozenset())):
-            values = [key] + [d.funcs[aid][key] for aid in aspect_ids]
-            rendered = ", ".join(_quote(v) for v in values)
-            out.append(f"INSERT INTO {t.id} ({col_list}) VALUES ({rendered});")
+        head = f"INSERT INTO {t.id} ({', '.join(['Id'] + aspect_ids)}) VALUES ("
+        keys = sorted(d.sets.get(t.id, frozenset()))
+        columns = [keys] + [map(d.funcs[aid].__getitem__, keys) for aid in aspect_ids]
+        # Each value doubles its quotes; the joins put the quotes around it.
+        escaped = [map(str.replace, col, repeat("'"), repeat("''")) for col in columns]
+        out.extend(f"{head}'{row}');" for row in map("', '".join, zip(*escaped)))
     return "\n".join(out) + ("\n" if out else "")

@@ -22,29 +22,52 @@ here.
 as they were before they became named tuples, kept to pin the value contract;
 ``DataclassSourceSpan`` and ``DataclassParseDiagnostic`` do the same for
 ``dsl.SourceSpan`` and ``dsl.ParseDiagnostic``.
+The ``*_by_rows`` and ``*_by_keys`` oracles are the row layer as it was
+before it worked a column at a time: ``load_tables`` reading one row at a
+time, facts, sketch checks and pullback instances evaluated one key at a
+time, and INSERT statements quoted one value at a time. Each check decides
+its verdict inside the loop that finds its witness.
 """
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 from itertools import product as iter_product
+from pathlib import Path as FsPath
 
 from olog.core import (
+    CoproductDecl,
     Fact,
     Graph,
+    ImageDecl,
     Path,
+    ProductDecl,
+    PullbackDecl,
+    PushoutDecl,
+    SketchDecl,
     Specification,
     UnionFind,
     enumerate_paths,
     fact_errors,
     format_fact,
+    legs,
     path_target,
+    synthesized_aspects,
 )
 from olog.entail import Congruence, _canon_key, _check_bound, check_fits, saturate
 from olog.errors import BoundExceededError, OlogError, SynthesisError
-from olog.flow import is_spec_morphism, translate_fact
-from olog.instances import KeyDiagram, eval_path, satisfies_fact
-from olog.sketch import CheckResult, _bijection_onto, _tupling, encode_tuple
+from olog.flow import GraphMorphism, is_spec_morphism, translate_fact
+from olog.instances import Counterexample, FactCheck, KeyDiagram, eval_path, satisfies_fact
+from olog.sketch import (
+    CheckResult,
+    _bijection_onto,
+    _limit_tuples,
+    _tupling,
+    check_surjective,
+    encode_tagged,
+    encode_tuple,
+)
 from olog.system import fusion, optimal_channel
 
 
@@ -521,3 +544,327 @@ def simulate_foreign_keys(sql_text: str) -> list[str]:
                         f"{tname}.{col} value '{r[col]}' missing from {ref}.Id"
                     )
     return problems
+
+
+# --- the row layer one row or key at a time ----------------------------------
+
+
+def load_tables_by_rows(
+    directory: str | FsPath,
+    spec: Specification,
+    optional_types: frozenset[str] = frozenset(),
+    optional_aspects: frozenset[str] = frozenset(),
+) -> tuple[KeyDiagram, list[str]]:
+    """``instances.load_tables`` reading every table one row at a time."""
+    base = FsPath(directory)
+    g = spec.graph
+    problems: list[str] = []
+    sets: dict[str, frozenset[str]] = {}
+    funcs: dict[str, dict[str, str]] = {a.id: {} for a in g.aspects}
+
+    for t in g.types:
+        table = base / f"{t.id}.csv"
+        out_aspects = [a.id for a in g.aspects_from.get(t.id, ())]
+        if not table.exists():
+            if t.id not in optional_types:
+                problems.append(f"missing table '{table.name}' for type '{t.id}'")
+            sets[t.id] = frozenset()
+            continue
+        try:
+            with open(table, newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8
+            problems.append(f"cannot read table '{table.name}': {exc}")
+            sets[t.id] = frozenset()
+            continue
+        if not rows:
+            problems.append(f"table '{table.name}' has no header row")
+            sets[t.id] = frozenset()
+            continue
+        header = rows[0]
+        expected = ["Id"] + out_aspects
+        required = ["Id"] + [a for a in out_aspects if a not in optional_aspects]
+        if header != expected and header != required:
+            problems.append(
+                f"table '{table.name}' has header {header}, expected {expected}"
+            )
+            sets[t.id] = frozenset()
+            continue
+        present = header[1:]
+        keys: set[str] = set()
+        for lineno, row in enumerate(rows[1:], start=2):
+            if not row or all(cell == "" for cell in row):
+                continue
+            if len(row) != len(header):
+                problems.append(
+                    f"table '{table.name}' row {lineno}: expected "
+                    f"{len(header)} cells, got {len(row)}"
+                )
+                continue
+            key = row[0]
+            if key == "":
+                problems.append(f"table '{table.name}' row {lineno}: empty Id cell")
+                continue
+            if key in keys:
+                problems.append(f"table '{table.name}': duplicate Id '{key}'")
+                continue
+            keys.add(key)
+            for col, aid in enumerate(present, start=1):
+                cell = row[col]
+                if cell == "":
+                    problems.append(
+                        f"table '{table.name}' row '{key}': empty cell in column '{aid}'"
+                    )
+                else:
+                    funcs[aid][key] = cell
+        sets[t.id] = frozenset(keys)
+
+    for a in g.aspects:
+        if a.id in optional_aspects:
+            continue
+        tgt_keys = sets.get(a.tgt, frozenset())
+        if tgt_keys.issuperset(funcs[a.id].values()):
+            continue
+        for k, v in sorted(funcs[a.id].items()):
+            if v not in tgt_keys:
+                problems.append(
+                    f"dangling key: table '{a.src}.csv' row '{k}' column '{a.id}' "
+                    f"refers to '{v}', not an Id of '{a.tgt}.csv'"
+                )
+
+    return KeyDiagram(sets=sets, funcs=funcs), problems
+
+
+def satisfies_fact_by_keys(d: KeyDiagram, fact: Fact) -> FactCheck:
+    """``instances.satisfies_fact`` evaluating both sides one key at a time."""
+    bad: list[Counterexample] = []
+    for key in sorted(d.sets.get(fact.lhs.source, frozenset())):
+        lv = eval_path(d, fact.lhs, key)
+        rv = eval_path(d, fact.rhs, key)
+        if lv != rv:
+            bad.append(Counterexample(fact, key, lv, rv))
+    return FactCheck(fact, tuple(bad))
+
+
+def quote_value(value: str) -> str:
+    """One value as an SQL string literal."""
+    return "'" + value.replace("'", "''") + "'"
+
+
+def emit_inserts_by_rows(spec: Specification, d: KeyDiagram) -> str:
+    """``sqlgen.emit_inserts`` quoting one value at a time."""
+    g = spec.graph
+    out: list[str] = []
+    for t in g.types:
+        aspect_ids = [a.id for a in g.aspects_from.get(t.id, ())]
+        col_list = ", ".join(["Id"] + aspect_ids)
+        for key in sorted(d.sets.get(t.id, frozenset())):
+            values = [key] + [d.funcs[aid][key] for aid in aspect_ids]
+            rendered = ", ".join(quote_value(v) for v in values)
+            out.append(f"INSERT INTO {t.id} ({col_list}) VALUES ({rendered});")
+    return "\n".join(out) + ("\n" if out else "")
+
+
+def pullback_instances_by_keys(h: GraphMorphism, d2: KeyDiagram) -> KeyDiagram:
+    """``flow.pullback_instances`` evaluating one key at a time."""
+    sets = {t.id: d2.sets[h.type_map[t.id]] for t in h.src.types}
+    funcs = {}
+    for a in h.src.aspects:
+        img = h.aspect_map[a.id]
+        funcs[a.id] = {k: eval_path(d2, img, k) for k in sorted(sets[a.src])}
+    return KeyDiagram(sets=sets, funcs=funcs)
+
+
+def tupling_by_keys(d: KeyDiagram, target: str, projections) -> dict[str, tuple[str, ...]]:
+    """``sketch._tupling`` one key at a time."""
+    return {
+        x: tuple(d.funcs[aid][x] for aid in projections)
+        for x in sorted(d.sets.get(target, frozenset()))
+    }
+
+
+def bijection_onto_by_keys(
+    kind: str, target: str, got: dict[str, tuple[str, ...]], want: set
+) -> CheckResult:
+    """``sketch._bijection_onto`` deciding by one loop over the keys."""
+    seen: dict[tuple[str, ...], str] = {}
+    for x, tup in got.items():
+        if tup not in want:
+            return CheckResult(kind, target, False, f"extra tuple {tup} from key '{x}'")
+        if tup in seen:
+            return CheckResult(
+                kind, target, False,
+                f"duplicated tuple {tup} from keys '{seen[tup]}' and '{x}'",
+            )
+        seen[tup] = x
+    missing = want - set(seen)
+    if missing:
+        return CheckResult(kind, target, False, f"missing tuple {sorted(missing)[0]}")
+    return CheckResult(kind, target, True)
+
+
+def check_limit_by_keys(d: KeyDiagram, decl: ProductDecl | PullbackDecl) -> CheckResult:
+    """``sketch.check_limit`` with the per-key tupling and bijection test."""
+    want = set(_limit_tuples(d, decl))
+    got = tupling_by_keys(d, decl.target, [aid for _, aid in legs(decl)])
+    return bijection_onto_by_keys(decl.kind, decl.target, got, want)
+
+
+def check_coproduct_by_keys(d: KeyDiagram, decl: CoproductDecl) -> CheckResult:
+    """``sketch.check_coproduct`` deciding by one loop over the summand keys."""
+    target_keys = set(d.sets.get(decl.target, frozenset()))
+    covered: dict[str, tuple[str, str]] = {}
+    for tid, aid in decl.summands:
+        seen: dict[str, str] = {}
+        for k in sorted(d.sets.get(tid, frozenset())):
+            v = d.funcs[aid][k]
+            if v in seen:
+                return CheckResult(
+                    decl.kind, decl.target, False,
+                    f"inclusion '{aid}' is not injective: '{seen[v]}' and '{k}' "
+                    f"both map to '{v}'",
+                )
+            seen[v] = k
+            if v in covered:
+                return CheckResult(
+                    decl.kind, decl.target, False,
+                    f"target key '{v}' is hit by both '{covered[v][0]}' and '{aid}'",
+                )
+            covered[v] = (aid, k)
+    uncovered = target_keys - set(covered)
+    if uncovered:
+        return CheckResult(
+            decl.kind, decl.target, False,
+            f"target key '{sorted(uncovered)[0]}' is not included from any summand",
+        )
+    return CheckResult(decl.kind, decl.target, True)
+
+
+def pushout_classes_by_keys(d: KeyDiagram, decl: PushoutDecl) -> dict[str, list[str]]:
+    """The pushout quotient, one apex key at a time."""
+    (_, ab), (_, ac) = legs(decl)
+    pf, pg = decl.span
+    uf = UnionFind([
+        encode_tagged(aid, k)
+        for tid, aid in legs(decl)
+        for k in sorted(d.sets.get(tid, frozenset()))
+    ])
+    apex = pf.source
+    for akey in sorted(d.sets.get(apex, frozenset())):
+        uf.union(
+            encode_tagged(ab, eval_path(d, pf, akey)),
+            encode_tagged(ac, eval_path(d, pg, akey)),
+        )
+    return {rep: sorted(members) for rep, members in uf.classes().items()}
+
+
+def check_pushout_by_keys(d: KeyDiagram, decl: PushoutDecl) -> CheckResult:
+    """``sketch.check_pushout`` deciding by one loop over the classes."""
+    tagged_val = {
+        encode_tagged(aid, k): d.funcs[aid][k]
+        for tid, aid in legs(decl)
+        for k in d.sets.get(tid, frozenset())
+    }
+
+    classes = pushout_classes_by_keys(d, decl)
+    class_of: dict[str, str] = {}  # target key -> the class the induced map sends to it
+    for rep, members in sorted(classes.items()):
+        values = sorted({tagged_val[m] for m in members})
+        if len(values) > 1:
+            return CheckResult(
+                "pushout", decl.target, False,
+                f"identified keys {members} land on distinct targets {values}",
+            )
+        val = values[0]
+        if val in class_of:
+            return CheckResult(
+                "pushout", decl.target, False,
+                f"distinct classes '{class_of[val]}' and '{rep}' both map to '{val}'",
+            )
+        class_of[val] = rep
+    uncovered = set(d.sets.get(decl.target, frozenset())) - class_of.keys()
+    if uncovered:
+        return CheckResult(
+            "pushout", decl.target, False,
+            f"target key '{sorted(uncovered)[0]}' is not reached from either leg",
+        )
+    return CheckResult("pushout", decl.target, True)
+
+
+def check_injective_by_keys(d: KeyDiagram, graph: Graph, aspect_id: str) -> CheckResult:
+    """``sketch.check_injective`` deciding by one loop over the keys."""
+    fn = d.funcs[aspect_id]
+    seen: dict[str, str] = {}
+    for k in sorted(d.sets.get(graph.aspect_by_id[aspect_id].src, frozenset())):
+        v = fn[k]
+        if v in seen:
+            return CheckResult(
+                "injective", aspect_id, False,
+                f"keys '{seen[v]}' and '{k}' share the image '{v}'",
+            )
+        seen[v] = k
+    return CheckResult("injective", aspect_id, True)
+
+
+def check_image_by_keys(d: KeyDiagram, graph: Graph, decl: ImageDecl) -> CheckResult:
+    """``sketch.check_image`` comparing the factorization one key at a time."""
+    surj = check_surjective(d, graph, decl.surjection)
+    if not surj.passed:
+        return CheckResult("image", decl.target, False, surj.witness)
+    inj = check_injective_by_keys(d, graph, decl.injection)
+    if not inj.passed:
+        return CheckResult("image", decl.target, False, inj.witness)
+    for k in sorted(d.sets.get(decl.of.source, frozenset())):
+        via = d.funcs[decl.injection][d.funcs[decl.surjection][k]]
+        direct = eval_path(d, decl.of, k)
+        if via != direct:
+            return CheckResult(
+                "image", decl.target, False,
+                f"factorization disagrees at '{k}': {via} vs {direct}",
+            )
+    return CheckResult("image", decl.target, True)
+
+
+def synthesize_by_keys(decl: SketchDecl, d: KeyDiagram) -> KeyDiagram:
+    """``sketch.synthesize`` filling the colimits and images one key at a time."""
+    if d.sets.get(decl.target):
+        raise SynthesisError(
+            f"target '{decl.target}' is already populated; refusing to overwrite"
+        )
+    sets = dict(d.sets)
+    funcs = {k: dict(v) for k, v in d.funcs.items()}
+    for aid in synthesized_aspects(decl):
+        funcs.setdefault(aid, {})
+
+    if isinstance(decl, (ProductDecl, PullbackDecl)):
+        tuples = _limit_tuples(d, decl)
+        keys = list(map(encode_tuple, tuples))
+        for i, (_, aid) in enumerate(legs(decl)):
+            funcs[aid].update(zip(keys, [t[i] for t in tuples]))
+        sets[decl.target] = frozenset(keys)
+    elif isinstance(decl, CoproductDecl):
+        keys = []
+        for tid, aid in decl.summands:
+            for k in sorted(d.sets.get(tid, frozenset())):
+                key = encode_tagged(aid, k)
+                keys.append(key)
+                funcs[aid][k] = key
+        sets[decl.target] = frozenset(keys)
+    elif isinstance(decl, PushoutDecl):
+        classes = pushout_classes_by_keys(d, decl)
+        rep_of = {m: rep for rep, members in classes.items() for m in members}
+        sets[decl.target] = frozenset(classes)
+        for tid, aid in legs(decl):
+            for k in d.sets.get(tid, frozenset()):
+                funcs[aid][k] = rep_of[encode_tagged(aid, k)]
+    else:
+        values = sorted(
+            {eval_path(d, decl.of, k) for k in d.sets.get(decl.of.source, frozenset())}
+        )
+        sets[decl.target] = frozenset(values)
+        for k in d.sets.get(decl.of.source, frozenset()):
+            funcs[decl.surjection][k] = eval_path(d, decl.of, k)
+        for v in values:
+            funcs[decl.injection][v] = v
+
+    return KeyDiagram(sets=sets, funcs=funcs)

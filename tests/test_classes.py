@@ -332,12 +332,13 @@ def test_synthesize_pullback_matches_pair_loop(world):
 def _count_evaluations(fn, *args) -> int:
     calls = []
 
-    def counting(d, path, key):
-        calls.append(key)
-        return real(d, path, key)
+    def counting(d, path, keys):
+        keys = list(keys)
+        calls.extend(keys)
+        return real(d, path, keys)
 
-    real = sketch.eval_path
-    with mock.patch.object(sketch, "eval_path", counting):
+    real = sketch.eval_column
+    with mock.patch.object(sketch, "eval_column", counting):
         outcome(fn, *args)
     return len(calls)
 

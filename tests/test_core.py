@@ -22,6 +22,7 @@ from olog.core import (
     compose_paths,
     enumerate_paths,
     identity_path,
+    path_errors,
     path_target,
     relation_to_span,
     validate_specification,
@@ -133,6 +134,48 @@ def test_validate_reports_duplicates_and_empty_labels():
     assert any("duplicate type id 'x'" in m for m in report)
     assert any("duplicate aspect id 'f'" in m for m in report)
     assert any("empty label" in m for m in report)
+
+
+def test_validate_reports_sketch_declarations_after_the_graph_and_facts():
+    from olog.core import ProductDecl, validate_decls
+    from olog.dsl import parse_olog, print_olog
+
+    g = Graph(
+        types=(TypeNode("a", "an a"), TypeNode("b", "a b")),
+        aspects=(Aspect("f", "b", "a", "maps to"),),  # runs the wrong way
+    )
+    spec = Specification(graph=g, sketch=(ProductDecl("a", (("b", "f"),)),))
+    assert validate_specification(spec) == validate_decls(spec) == [
+        "ProductDecl on 'a': projection 'f' must run a -> b, it runs b -> a"
+    ]
+    assert parse_olog(print_olog(spec))[0] is None
+    unnamed = Specification(graph=g, sketch=spec.sketch, name="no name")
+    assert validate_specification(unnamed)[1:] == validate_decls(spec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_paths_resolve_a_duplicate_aspect_id_as_the_index_does(data):
+    g = data.draw(sts.graphs(max_aspects=4))
+    ids = [t.id for t in g.types]
+    twins = tuple(
+        Aspect(data.draw(st.sampled_from([a.id for a in g.aspects])),
+               data.draw(st.sampled_from(ids)), data.draw(st.sampled_from(ids)), "twin")
+        for _ in range(data.draw(st.integers(1, 3)))
+    ) if g.aspects else ()
+    g = Graph(types=g.types, aspects=g.aspects + twins)
+    for p in enumerate_paths(g, 3):
+        assert path_errors(g, p) == []
+    assert {a for out in g.aspects_from.values() for a in out} == set(g.aspect_by_id.values())
+
+
+def test_enumerate_paths_skips_a_shadowed_aspect():
+    g = Graph(
+        types=(TypeNode("a", "an a"), TypeNode("b", "a b")),
+        aspects=(Aspect("f", "a", "a", "loops"), Aspect("f", "b", "a", "maps to")),
+    )
+    assert Path("b", ("f",)) not in enumerate_paths(g, 2)
+    assert g.aspects_from == {"a": (g.aspect_by_id["f"],), "b": ()}
 
 
 def test_validate_reports_what_the_text_format_cannot_write():

@@ -102,7 +102,7 @@ def test_reading_the_text_formats_loads_only_the_schema():
 
 
 BASE = {"olog", "olog.cli", "olog.core", "olog.dsl", "olog.errors"}
-DATA = BASE | {"olog.entail", "olog.instances", "olog.sketch"}
+DATA = BASE | {"olog.instances", "olog.sketch"}
 FLOW = BASE | {"olog.entail", "olog.flow"}
 SYSTEM = FLOW | {"olog.system"}
 # Stands for the test's temporary directory: a data directory without the
