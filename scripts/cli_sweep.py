@@ -9,7 +9,9 @@ and every file it wrote. The commands are:
 
 - ``check`` on every fixture olog, text and json, with and without --quiet;
 - ``entail`` text and json at bounds 2-6, for each declared fact, a few
-  pairs of parallel paths, an ill-typed fact and an unknown aspect;
+  pairs of parallel paths, an ill-typed fact and an unknown aspect, and the
+  same queries at bound 8 on ``employee.olog`` and ``metric.olog``, whose
+  universes hold 459 and 3,832 paths over several types;
 - ``validate`` and ``sqlgen`` on every olog with data (and the mutated and
   triangle data sets), and ``synth`` of every sketch target, with the data
   as shipped and with the target table removed, with and without ``-o``;
@@ -71,6 +73,8 @@ OMAP_MUTANTS = 1000
 FACT_MUTANTS = 2000
 BOUNDS = (2, 3, 4, 5, 6)
 FLOW_BOUNDS = (2, 3, 4, 6)
+# Ologs queried again above the default bound: (olog, bound).
+WIDE = (("employee.olog", 8), ("metric.olog", 8))
 DATA = {
     "family.olog": ("data_family", "data_family_mutated"),
     "employee.olog": ("data_employee",),
@@ -151,6 +155,11 @@ def commands() -> list[list[str]]:
                 for fmt in ("text", "json"):
                     cmds.append(["--bound", str(bound), "--format", fmt, "entail",
                                  f"fixtures/{name}", "--fact", query])
+    for name, bound in WIDE:
+        for query in entail_queries(load(name)):
+            for fmt in ("text", "json"):
+                cmds.append(["--bound", str(bound), "--format", fmt, "entail",
+                             f"fixtures/{name}", "--fact", query])
     for name, datas in sorted(DATA.items()):
         spec = load(name)
         for data in datas:

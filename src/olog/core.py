@@ -14,9 +14,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
-from .errors import CompositionError, OlogError
+from .errors import BoundExceededError, CompositionError, OlogError
 
 #: Modifier names an aspect may carry.
 INJECTIVE = "injective"
@@ -507,26 +508,93 @@ def missing_square_facts(spec: Specification) -> list[str]:
     return out
 
 
+#: Most paths a path universe may hold; a larger one is refused unbuilt.
+PATH_BUDGET = 1_000_000
+
+
+def count_paths(graph: Graph, bound: int) -> int:
+    """The paths of length at most ``bound``, counted per end type and
+    length; past :data:`PATH_BUDGET` the count stops, at a lower bound."""
+    level = dict.fromkeys(graph.type_by_id, 1)
+    total = len(level)
+    for _ in range(bound):
+        if not level or total > PATH_BUDGET:
+            break
+        nxt: dict[str, int] = {}
+        for a in graph.aspect_by_id.values():
+            if a.src in level:
+                nxt[a.tgt] = nxt.get(a.tgt, 0) + level[a.src]
+        level = nxt
+        total += sum(level.values())
+    return total
+
+
+class PathUniverse(NamedTuple):
+    """Paths numbered by :func:`path_universe`. Path i is ``paths[i]`` and
+    ends at ``end[i]``; dropping its last aspect gives path ``parent[i]`` (-1
+    for an identity), and ``right[i]`` are the ids of its one-aspect
+    extensions in aspect id order (none at the bound). ``start[t]`` is the
+    id of the identity at type t."""
+
+    paths: list[Path]
+    end: list[str]
+    parent: list[int]
+    right: list
+    start: dict[str, int]
+
+    def index(self, path: Path) -> int:
+        """The id of a well-formed path no longer than the bound."""
+        i = self.start[path.source]
+        for e in path.edges:
+            i = next(j for j in self.right[i] if self.paths[j].edges[-1] == e)
+        return i
+
+
+def path_universe(graph: Graph, bound: int) -> PathUniverse:
+    """Number the well-formed paths of ``graph`` up to ``bound``: by length,
+    then edge ids, then source. Level 1 is every aspect from a type, in id
+    order, and each later level the previous one's right extensions, so no
+    level needs sorting. Over :data:`PATH_BUDGET` paths, by
+    :func:`count_paths`, it raises :class:`BoundExceededError` instead.
+    """
+    if bound < 0:
+        raise ValueError("bound must be non-negative")
+    count = count_paths(graph, bound)
+    if count > PATH_BUDGET:
+        raise BoundExceededError(
+            f"bound {bound} gives at least {count} paths, more than the path "
+            f"budget of {PATH_BUDGET}; lower the bound"
+        )
+    out, start = graph.aspects_from, {t: i for i, t in enumerate(graph.type_by_id)}
+    steps = {t: ([(a.id,) for a in ext], [a.tgt for a in ext]) for t, ext in out.items()}
+    firsts = [a for a in graph.aspect_by_id.values() if a.src in start] if bound else []
+    first = {a.id: len(start) + k for k, a in enumerate(firsts)}
+    paths = [Path(t, ()) for t in start] + [Path(a.src, (a.id,)) for a in firsts]
+    end = list(start) + [a.tgt for a in firsts]
+    parent = [-1] * len(start) + [start[a.src] for a in firsts]
+    right: list = [[first[a.id] for a in out[t]] for t in start] if bound else []
+    new, i = tuple.__new__, len(start)  # Path's own __new__ costs a call per path
+    while i < len(paths) and len(paths[i].edges) < bound:
+        ext, tgts = steps.get(end[i], ((), ()))
+        right.append(range(len(paths), len(paths) + len(ext)) if ext else ())
+        src, edges = paths[i]
+        paths += [new(Path, (src, edges + e)) for e in ext]
+        end += tgts
+        parent += [i] * len(ext)
+        i += 1
+    return PathUniverse(paths, end, parent, right + [()] * (len(paths) - len(right)), start)
+
+
 def enumerate_paths(graph: Graph, max_len: int) -> tuple[Path, ...]:
-    """All well-formed paths of length at most ``max_len``.
+    """All well-formed paths of length at most ``max_len``, from
+    :func:`path_universe` and under its budget.
 
     Deterministic order: by source id, then by length, then lexicographically
     by edge ids. Identity paths (length 0) are included for every type.
     """
     if max_len < 0:
         raise ValueError("max_len must be non-negative")
-    out: list[Path] = []
-    for src in (t.id for t in graph.types):
-        level: list[tuple[Path, str]] = [(identity_path(src), src)]
-        out.append(level[0][0])
-        for _ in range(max_len):
-            nxt: list[tuple[Path, str]] = []
-            for path, at in level:
-                for a in graph.aspects_from.get(at, ()):
-                    nxt.append((Path(src, path.edges + (a.id,)), a.tgt))
-            level = nxt
-            out.extend(p for p, _ in level)
-    return tuple(dict.fromkeys(out))
+    return tuple(sorted(path_universe(graph, max_len).paths, key=itemgetter(0)))
 
 
 class UnionFind:

@@ -20,11 +20,10 @@ from .core import (
     Graph,
     Path,
     Specification,
-    enumerate_paths,
     fact_errors,
     format_fact,
     path_errors,
-    path_target,
+    path_universe,
 )
 from .errors import BoundExceededError, GraphMismatchError, OlogError
 
@@ -50,25 +49,21 @@ def check_fits(fact: Fact, bound: int, role: str) -> None:
         )
 
 
-def _pairs_within(graph: Graph, keyed) -> tuple[Fact, ...]:
-    """Every ordered pair of parallel paths that share a key, sorted.
+def _pairs_within(keyed) -> tuple[Fact, ...]:
+    """Every ordered pair of paths that share a key, sorted.
 
-    ``keyed`` yields (path, key) pairs, one per path. The answer is every
-    ordered pair of parallel paths filtered to the pairs with equal keys,
-    but it is built group by group, so its cost follows the pairs emitted.
+    ``keyed`` yields (path, key) pairs, one per path, and paths that share a
+    key are parallel. The answer is built group by group, so its cost
+    follows the pairs emitted.
     """
     groups: dict = {}
     group_of: dict[Path, list[Path]] = {}
     for p, key in keyed:
-        group = group_of[p] = groups.setdefault((p.source, path_target(graph, p), key), [])
+        group = group_of[p] = groups.setdefault(key, [])
         group.append(p)
     for group in groups.values():
         group.sort()
     return tuple(Fact(p, q) for p in sorted(group_of) for q in group_of[p])
-
-
-def _canon_key(path: Path):
-    return (len(path.edges), path.edges, path.source)
 
 
 @dataclass(frozen=True)
@@ -117,12 +112,10 @@ def saturate(spec: Specification, bound: int = DEFAULT_BOUND) -> Congruence:
     is a hard error (silently dropping it would make every downstream
     comparison unsound).
 
-    The universe is sorted by length, then edge ids, and numbered once, and
-    each path shorter than the bound lists the ids of its one-aspect
-    extensions on either side. The closure is then one worklist of id pairs
-    over a list union-find whose roots are least ids, that is, each class's
-    shortest member. Whiskering the merged roots is complete because every
-    member's whiskering already equals its root's.
+    The closure runs on the ids of :func:`core.path_universe`: one worklist
+    of id pairs over a list union-find whose roots are least ids, that is,
+    each class's shortest member. Whiskering the merged roots is complete
+    because every member's whiskering already equals its root's.
     """
     _check_bound(bound)
     g = spec.graph
@@ -132,30 +125,31 @@ def saturate(spec: Specification, bound: int = DEFAULT_BOUND) -> Congruence:
             raise OlogError(f"declared fact {format_fact(fact)}: {errs[0]}")
         check_fits(fact, bound, "declared")
 
-    paths = sorted(enumerate_paths(g, bound), key=_canon_key)
-    n = len(paths)
-    ids = {p: i for i, p in enumerate(paths)}
-    aspects_from, aspect_by_id = g.aspects_from, g.aspect_by_id
-    aspects_into: dict[str, list] = {}
-    for a in g.aspects:
-        if a.src in g.type_by_id:  # no path of the universe starts anywhere else
-            aspects_into.setdefault(a.tgt, []).append(a)
-    # right[i] and left[i]: ids of the one-aspect extensions of path i, in
-    # aspect id order; empty at the bound.
-    right: list = [()] * n
-    left: list = [()] * n
-    for i, (src, edges) in enumerate(paths):
-        if len(edges) == bound:
+    u = path_universe(g, bound)
+    paths, end, right, start = u.paths, u.end, u.right, u.start
+    n, n0 = len(paths), len(start)  # the identities come first
+    # left[i]: ids of the one-aspect extensions of path i on the left, in
+    # aspect id order; empty at the bound. An identity's are the paths of
+    # length 1 into its type. Since left_a(q;e) = right_e(left_a(q)), the
+    # children of q take the columns of its left extensions' right lists.
+    left: list = [[] for _ in range(n0)] + [()] * (n - n0)
+    for i in range(n0, n):
+        if len(paths[i].edges) > 1:
             break
-        at = aspect_by_id[edges[-1]].tgt if edges else src
-        right[i] = [ids[src, edges + (a.id,)] for a in aspects_from.get(at, ())]
-        left[i] = [ids[a.src, (a.id,) + edges] for a in aspects_into.get(src, ())]
+        if end[i] in start:
+            left[start[end[i]]].append(i)
+    for q in range(n):
+        if len(paths[q].edges) + 1 >= bound:
+            break
+        if left[q]:
+            for i, ls in zip(right[q], zip(*map(right.__getitem__, left[q]))):
+                left[i] = ls
 
     # Parallel paths have extensions in the same order, so a merge of roots
     # x < y pushes the pairs of their extensions; when y is at the bound its
     # lists are empty and nothing is pushed.
     parent = list(range(n))
-    pending = [(ids[f.lhs], ids[f.rhs]) for f in spec.facts]
+    pending = [(u.index(f.lhs), u.index(f.rhs)) for f in spec.facts]
     while pending:
         x, y = pending.pop()
         while parent[x] != x:
@@ -205,7 +199,7 @@ def consequence(spec: Specification, bound: int = DEFAULT_BOUND) -> tuple[Fact, 
     everything derivable from them inside the bounded universe.
     """
     cong = saturate(spec, bound)
-    return _pairs_within(spec.graph, ((p, i) for i, cls in enumerate(cong.classes) for p in cls))
+    return _pairs_within((p, i) for i, cls in enumerate(cong.classes) for p in cls)
 
 
 def spec_leq(e1: Specification, e2: Specification, bound: int = DEFAULT_BOUND) -> bool:

@@ -19,11 +19,11 @@ from .core import (
     Graph,
     Path,
     Specification,
-    enumerate_paths,
     fact_errors,
     format_fact,
     path_errors,
     path_target,
+    path_universe,
 )
 from .entail import (
     DEFAULT_BOUND,
@@ -168,12 +168,16 @@ def _flow_back(h: GraphMorphism, cong: Congruence, bound: int) -> tuple[Fact, ..
     Source paths are grouped by the class of their translation; a path whose
     translation is longer than ``cong.bound`` joins no group.
     """
+    u = path_universe(h.src, _check_bound(bound))
+    images: list[tuple[str, ...]] = []  # each path's image extends its parent's
     keyed = []
-    for p in enumerate_paths(h.src, _check_bound(bound)):
-        img = translate_path(h, p)
+    for p, q, end in zip(u.paths, u.parent, u.end):
+        img = images[q] + h.aspect_map[p.edges[-1]].edges if p.edges else ()
+        images.append(img)
         if len(img) <= cong.bound:
-            keyed.append((p, cong.representative(img)))
-    return _pairs_within(h.src, keyed)
+            rep = cong.representative(Path(h.type_map[p.source], img))
+            keyed.append((p, (p.source, end, rep)))
+    return _pairs_within(keyed)
 
 
 def pullback_instances(h: GraphMorphism, d2: KeyDiagram) -> KeyDiagram:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path as FsPath
 from typing import Mapping
 
-from .core import Fact, Graph, Path, Specification, enumerate_paths
+from .core import Fact, Graph, Path, Specification, path_universe
 from .errors import EvaluationError, InstanceLoadError
 
 
@@ -85,7 +85,8 @@ def load_tables(
         try:
             with open(table, newline="", encoding="utf-8") as fh:
                 rows = list(csv.reader(fh))
-        except (OSError, ValueError) as exc:  # ValueError: not UTF-8
+        # ValueError: not UTF-8; csv.Error: a cell over the field size limit
+        except (OSError, ValueError, csv.Error) as exc:
             problems.append(f"cannot read table '{table.name}': {exc}")
             sets[t.id] = frozenset()
             continue
@@ -249,12 +250,13 @@ def intent(d: KeyDiagram, graph: Graph, bound: int) -> tuple[Fact, ...]:
     from .entail import _check_bound, _pairs_within
 
     # Two parallel paths agree exactly when their value vectors over the
-    # source's sorted keys agree; each vector is one step from its prefix's.
-    vectors: dict[Path, tuple[str, ...]] = {}
-    for p in enumerate_paths(graph, _check_bound(bound)):
-        if p.edges:
-            prefix = vectors[Path(p.source, p.edges[:-1])]
-            vectors[p] = tuple(map(d.funcs[p.edges[-1]].__getitem__, prefix)) if prefix else ()
+    # source's sorted keys agree; each vector is one step from its parent's.
+    u = path_universe(graph, _check_bound(bound))
+    vectors: list[tuple[str, ...]] = []
+    for (src, edges), q in zip(u.paths, u.parent):
+        if edges:
+            prefix = vectors[q]
+            vectors.append(tuple(map(d.funcs[edges[-1]].__getitem__, prefix)) if prefix else ())
         else:
-            vectors[p] = tuple(sorted(d.sets.get(p.source, frozenset())))
-    return _pairs_within(graph, vectors.items())
+            vectors.append(tuple(sorted(d.sets.get(src, frozenset()))))
+    return _pairs_within((p, (p.source, t, v)) for p, t, v in zip(u.paths, u.end, vectors))

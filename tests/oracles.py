@@ -18,6 +18,10 @@ the universe was numbered, and ``validate_system_by_edges`` is
 ``system.validate_system`` from before it saturated each target once: it
 runs ``is_spec_morphism`` per edge. Slow and obvious beats fast and clever
 here.
+``enumerate_paths_by_levels`` is ``core.enumerate_paths`` as it was before
+it read the numbered universe of ``core.path_universe``: it grows each
+source's paths a level at a time. The oracles enumerate paths with it and
+order them with their own ``_canon_key``, not with the universe.
 ``DataclassPath`` and ``DataclassFact`` are ``core.Path`` and ``core.Fact``
 as they were before they became named tuples, kept to pin the value contract;
 ``DataclassSourceSpan`` and ``DataclassParseDiagnostic`` do the same for
@@ -48,14 +52,13 @@ from olog.core import (
     SketchDecl,
     Specification,
     UnionFind,
-    enumerate_paths,
     fact_errors,
     format_fact,
     legs,
     path_target,
     synthesized_aspects,
 )
-from olog.entail import Congruence, _canon_key, _check_bound, check_fits, saturate
+from olog.entail import Congruence, _check_bound, check_fits, saturate
 from olog.errors import BoundExceededError, OlogError, SynthesisError
 from olog.flow import GraphMorphism, is_spec_morphism, translate_fact
 from olog.instances import Counterexample, FactCheck, KeyDiagram, eval_path, satisfies_fact
@@ -117,6 +120,31 @@ class DataclassParseDiagnostic:
         return f"{self.at} - {self.severity}: {self.message}"
 
 
+def enumerate_paths_by_levels(graph: Graph, max_len: int) -> tuple[Path, ...]:
+    """``core.enumerate_paths`` as it was before it read the numbered
+    universe: each source's paths grown a level at a time, by source id,
+    then length, then edge ids."""
+    if max_len < 0:
+        raise ValueError("max_len must be non-negative")
+    out: list[Path] = []
+    for src in (t.id for t in graph.types):
+        level: list[tuple[Path, str]] = [(Path(src, ()), src)]
+        out.append(level[0][0])
+        for _ in range(max_len):
+            nxt: list[tuple[Path, str]] = []
+            for path, at in level:
+                for a in graph.aspects_from.get(at, ()):
+                    nxt.append((Path(src, path.edges + (a.id,)), a.tgt))
+            level = nxt
+            out.extend(p for p, _ in level)
+    return tuple(dict.fromkeys(out))
+
+
+def _canon_key(path: Path):
+    """Shortest first, ties broken by edge ids, then by source."""
+    return (len(path.edges), path.edges, path.source)
+
+
 def enumerate_equations(graph: Graph, bound: int) -> tuple[Fact, ...]:
     """Every ordered pair of parallel paths with both sides of length <= bound.
 
@@ -124,7 +152,7 @@ def enumerate_equations(graph: Graph, bound: int) -> tuple[Fact, ...]:
     """
     _check_bound(bound)
     by_endpoints: dict[tuple[str, str], list[Path]] = {}
-    for p in enumerate_paths(graph, bound):
+    for p in enumerate_paths_by_levels(graph, bound):
         by_endpoints.setdefault((p.source, path_target(graph, p)), []).append(p)
     out: list[Fact] = []
     for _, group in sorted(by_endpoints.items()):
@@ -137,7 +165,7 @@ def enumerate_equations(graph: Graph, bound: int) -> tuple[Fact, ...]:
 def naive_consequence(graph: Graph, facts, bound: int) -> set[Fact]:
     """Fixpoint of reflexivity, symmetry, transitivity, and composition of
     equal pairs over the bounded path universe."""
-    paths = enumerate_paths(graph, bound)
+    paths = enumerate_paths_by_levels(graph, bound)
     universe = set(paths)
     tgt = {p: path_target(graph, p) for p in paths}
 
@@ -186,7 +214,7 @@ def naive_consequence(graph: Graph, facts, bound: int) -> set[Fact]:
 
 class CanonUnionFind(UnionFind):
     """``core.UnionFind`` whose root is each class's least member under
-    ``entail._canon_key``: shortest first, ties broken by edge ids."""
+    ``_canon_key``: shortest first, ties broken by edge ids."""
 
     __slots__ = ()
 
@@ -205,7 +233,7 @@ def saturate_by_paths(spec: Specification, bound: int) -> Congruence:
     union-find, whiskering the two old roots of every merge."""
     _check_bound(bound)
     g = spec.graph
-    uf = CanonUnionFind(enumerate_paths(g, bound))
+    uf = CanonUnionFind(enumerate_paths_by_levels(g, bound))
 
     for fact in spec.facts:
         errs = fact_errors(g, fact)
@@ -246,7 +274,7 @@ def saturate_by_rounds(spec: Specification, bound: int) -> Congruence:
     against its representative, until a round merges nothing."""
     _check_bound(bound)
     g = spec.graph
-    universe = enumerate_paths(g, bound)
+    universe = enumerate_paths_by_levels(g, bound)
     in_universe = set(universe)
     uf = CanonUnionFind(universe)
 

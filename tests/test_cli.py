@@ -496,6 +496,19 @@ def test_undecodable_table_is_a_load_error(tmp_path, capsys):
     assert err == ""
 
 
+def test_an_oversized_cell_is_a_load_error(tmp_path, capsys):
+    # csv refuses a field over 131,072 characters; the limit stays as it is.
+    for f in (FIXTURES / "data_family").iterdir():
+        shutil.copy(f, tmp_path / f.name)
+    person = tmp_path / "person.csv"
+    header, first, *rest = person.read_text(encoding="utf-8").splitlines(keepends=True)
+    person.write_text(header + "x" * 200_000 + first[first.index(","):] + "".join(rest))
+    code, out, err = run(capsys, "validate", FIXTURES / "family.olog", "--data", tmp_path)
+    assert code == 1
+    assert out.startswith("load error: cannot read table 'person.csv': field larger than")
+    assert "Traceback" not in out + err
+
+
 def test_fuse_reports_an_overflowing_edge_at_the_system_file(tmp_path, capsys):
     osys = write_overflowing_system(tmp_path)
     code, out, err = run(capsys, "--bound", "4", "fuse", osys)

@@ -1,8 +1,9 @@
 """Byte-level fuzz of the system and table readers.
 
 Hypothesis bytes replace one file in a temporary copy of a fixture system or
-data directory: either arbitrary bytes or the file's own bytes with a few
-byte-level edits. The readers must answer with diagnostics or problems and
+data directory: arbitrary bytes, the file's own bytes with a few byte-level
+edits, or the file with 140,000 ``x`` bytes inserted, a cell longer than
+csv's field size limit. The readers must answer with diagnostics or problems and
 raise nothing, and the commands built on them must exit 0, 1 or 2.
 """
 
@@ -59,7 +60,13 @@ def _bytes_for(original: bytes):
         st.integers(0, len(original)), st.integers(0, 2), st.binary(min_size=1, max_size=4)
     )
     edits = st.lists(edit, min_size=1, max_size=4)
-    return st.one_of(st.binary(max_size=200), edits.map(lambda e: _edit(original, e)))
+    # A cell over csv's field size limit of 131,072 characters.
+    long_cell = st.integers(0, len(original)).map(
+        lambda pos: _edit(original, [(pos, 0, b"x" * 140_000)])
+    )
+    return st.one_of(
+        st.binary(max_size=200), edits.map(lambda e: _edit(original, e)), long_cell
+    )
 
 
 def _replacing_one_of(where: Path, names):

@@ -1,0 +1,131 @@
+"""The numbered path universe of ``core``: its order, its tables, its budget,
+and the consumers that read it instead of enumerating paths themselves."""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from olog.cli import main
+from olog.core import (
+    PATH_BUDGET,
+    Aspect,
+    Fact,
+    Graph,
+    Path,
+    Specification,
+    TypeNode,
+    count_paths,
+    enumerate_paths,
+    path_target,
+    path_universe,
+)
+from olog.entail import consequence, saturate
+from olog.errors import BoundExceededError
+from olog.instances import intent, key_diagram
+
+from . import strategies as sts
+from .oracles import _canon_key, enumerate_paths_by_levels
+
+# A target that is no type, a type id given twice, and aspect ids whose
+# order is not their sources' order.
+DANGLING = Graph(
+    types=(TypeNode("a", "an a"),),
+    aspects=(Aspect("f", "a", "x", "leaves to"), Aspect("g", "x", "a", "comes back to")),
+)
+DUPLICATE = Graph(
+    types=(TypeNode("a", "an a"), TypeNode("a", "another a"), TypeNode("b", "a b")),
+    aspects=(Aspect("f", "a", "b", "maps to"), Aspect("e", "b", "a", "maps back to")),
+)
+UNSORTED = Graph(
+    types=(TypeNode("a", "an a"), TypeNode("b", "a b")),
+    aspects=(
+        Aspect("z", "a", "b", "maps to"),
+        Aspect("c", "b", "a", "maps back to"),
+        Aspect("m", "a", "a", "steps to"),
+    ),
+)
+LOOPS = Graph(
+    types=(TypeNode("m", "a monoid element"),),
+    aspects=tuple(Aspect(f"g{i}", "m", "m", f"acts by {i}") for i in range(3)),
+)
+
+
+def _check_universe(g: Graph, bound: int):
+    u = path_universe(g, bound)
+    assert u.paths == sorted(enumerate_paths_by_levels(g, bound), key=_canon_key)
+    assert enumerate_paths(g, bound) == enumerate_paths_by_levels(g, bound)
+    assert count_paths(g, bound) == len(u.paths) == len(u.end) == len(u.parent) == len(u.right)
+    ids = {p: i for i, p in enumerate(u.paths)}
+    for i, (src, edges) in enumerate(u.paths):
+        assert u.end[i] == path_target(g, u.paths[i])
+        assert u.index(u.paths[i]) == i
+        assert u.parent[i] == (ids[Path(src, edges[:-1])] if edges else -1)
+        if len(edges) < bound:
+            want = [ids[Path(src, edges + (a.id,))] for a in g.aspects_from.get(u.end[i], ())]
+        else:
+            want = []
+        assert list(u.right[i]) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(sts.graphs(), sts.cyclic_graphs()), st.integers(0, 4))
+def test_universe_is_the_level_generator_in_canonical_order(g, bound):
+    _check_universe(g, bound)
+
+
+@pytest.mark.parametrize(
+    "g", [DANGLING, DUPLICATE, UNSORTED], ids=["dangling", "duplicate", "unsorted"]
+)
+@pytest.mark.parametrize("bound", range(5))
+def test_universe_of_an_irregular_graph(g, bound):
+    _check_universe(g, bound)
+
+
+def test_a_negative_bound_is_a_value_error():
+    with pytest.raises(ValueError, match="max_len must be non-negative"):
+        enumerate_paths(LOOPS, -1)
+    with pytest.raises(ValueError):
+        path_universe(LOOPS, -1)
+
+
+def test_the_budget_refuses_before_building():
+    # 3^0 + ... + 3^40 paths, about 1.8e19: only a refusal can return.
+    assert count_paths(LOOPS, 12) == (3**13 - 1) // 2 <= PATH_BUDGET
+    assert count_paths(LOOPS, 40) > PATH_BUDGET
+    for call in (path_universe, enumerate_paths):
+        with pytest.raises(BoundExceededError) as exc:
+            call(LOOPS, 40)
+        message = str(exc.value)
+        assert "bound 40" in message and str(PATH_BUDGET) in message
+        assert str(count_paths(LOOPS, 40)) in message
+    spec = Specification(graph=LOOPS)
+    with pytest.raises(BoundExceededError):
+        saturate(spec, 40)
+
+
+def test_entail_at_a_large_bound_exits_2(tmp_path, capsys):
+    olog = tmp_path / "loops.olog"
+    olog.write_text(
+        'olog loops {\n  type m "a monoid element"\n'
+        + "".join(f'  aspect g{i} : m -> m "acts by {i}"\n' for i in range(3))
+        + "}\n"
+    )
+    assert main(["--bound", "40", "entail", str(olog), "--fact", "g0;g1 = g1;g0"]) == 2
+    err = capsys.readouterr().err
+    assert "bound 40" in err and f"path budget of {PATH_BUDGET}" in err
+
+
+def test_a_shadowed_aspect_id_is_resolved_as_the_index_does():
+    types = (TypeNode("A", "an a"), TypeNode("B", "a b"))
+    f = Aspect("f", "A", "B", "maps to")
+    shadowed = Graph(types=types, aspects=(f, Aspect("f", "B", "A", "maps back to")))
+    plain = Graph(types=types, aspects=(f,))
+    fact = Fact(Path("A", ("f",)), Path("A", ("f",)))
+    for bound in (1, 2, 3):
+        got, want = (Specification(graph=g, facts=(fact,)) for g in (shadowed, plain))
+        assert saturate(got, bound).classes == saturate(want, bound).classes
+        assert consequence(got, bound) == consequence(want, bound)
+        d = key_diagram({"A": {"a1", "a2"}, "B": {"b1"}}, {"f": {"a1": "b1", "a2": "b1"}})
+        assert intent(d, shadowed, bound) == intent(d, plain, bound)
