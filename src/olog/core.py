@@ -12,9 +12,8 @@ string, labels are display metadata and never participate in equality.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
+from operator import attrgetter, ge, gt, itemgetter, le, lt
 from typing import NamedTuple, Sequence
 
 from .errors import BoundExceededError, CompositionError, OlogError
@@ -39,15 +38,107 @@ _ID = r"[A-Za-z_][A-Za-z0-9_]*"
 _ID_RE = re.compile(_ID)
 
 
-@dataclass(frozen=True)
+def record(cls=None, /, *, order: bool = False, uncompared: tuple[str, ...] = ()):
+    """Make ``cls`` a frozen record of the fields it annotates, building each
+    method from plain functions, not from generated source.
+
+    The constructor takes the fields by position or keyword, in annotation
+    order, a class attribute of a field's name being its default, and then
+    runs ``__post_init__`` if the class has one. Equality, and with ``order``
+    the four comparisons, hold only between instances of one class and
+    compare their fields in order, less those named in ``uncompared``; the
+    hash is over the same fields. ``repr`` is ``Name(field=value, ...)``.
+    Assigning or deleting an attribute raises :class:`AttributeError`; the
+    fields live in the instance ``__dict__``.
+    """
+    if cls is None:
+        return lambda c: record(c, order=order, uncompared=uncompared)
+    names = tuple(cls.__annotations__)
+    defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+    required = frozenset(names[: len(names) - len(defaults)])
+    if not required.isdisjoint(defaults):
+        raise TypeError(f"{cls.__name__}: fields with defaults must come last")
+    post_init = getattr(cls, "__post_init__", None)
+
+    def __init__(self, *args, **kwargs):
+        values = self.__dict__
+        values.update(defaults)
+        values.update(zip(names, args))
+        if kwargs:
+            values.update(kwargs)
+            if args or len(values) > len(names) or not kwargs.keys() >= required:
+                _check_call(cls, names, required, args, kwargs)
+        elif not len(required) <= len(args) <= len(names):
+            _check_call(cls, names, required, args, kwargs)
+        if post_init is not None:
+            post_init(self)
+
+    def __repr__(self):
+        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in names)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    get = attrgetter(*(n for n in names if n not in uncompared))
+    # attrgetter of one name gives the value itself, not a 1-tuple.
+    key = get if len(names) - len(uncompared) > 1 else lambda self: (get(self),)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(key(self))
+
+    methods = {"__init__": __init__, "__repr__": __repr__, "__eq__": __eq__, "__hash__": __hash__}
+    if order:
+        for op in (lt, le, gt, ge):
+            methods[f"__{op.__name__}__"] = _comparison(op, key)
+    for name, fn in methods.items():
+        fn.__name__, fn.__qualname__ = name, f"{cls.__qualname__}.{name}"
+        setattr(cls, name, fn)
+    cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
+    cls.__match_args__ = names
+    return cls
+
+
+def _check_call(cls, names, required, args, kwargs):
+    """Raise ``TypeError`` unless the arguments bind one to each field, with
+    every field in ``required`` among them."""
+    given = {*names[: len(args)], *kwargs}
+    twice = len(given) < len(args) + len(kwargs)
+    if len(args) > len(names) or twice or not required <= given <= set(names):
+        raise TypeError(
+            f"{cls.__name__}() takes {', '.join(names)}, the first {len(required)} "
+            f"required; got {len(args)} by position and {', '.join(kwargs) or 'none'} by keyword"
+        )
+
+
+def _comparison(op, key):
+    def compare(self, other):
+        if other.__class__ is self.__class__:
+            return op(key(self), key(other))
+        return NotImplemented
+
+    return compare
+
+
+def _frozen_setattr(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+@record(uncompared=("lint_flags",))
 class TypeNode:
     id: str
     label: str = ""
     # style-lint results are derived metadata, not part of the value
-    lint_flags: frozenset[str] = field(default=frozenset(), compare=False)
+    lint_flags: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True)
+@record
 class Aspect:
     id: str
     src: str
@@ -56,7 +147,7 @@ class Aspect:
     modifiers: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True)
+@record
 class Graph:
     """Finite directed multigraph of types and aspects.
 
@@ -216,7 +307,7 @@ def fact_errors(graph: Graph, fact: Fact) -> list[str]:
     return errs
 
 
-@dataclass(frozen=True, order=True)
+@record(order=True)
 class ProductDecl:
     """target = cartesian product of the factors; one projection aspect each.
 
@@ -231,7 +322,7 @@ class ProductDecl:
         return "product" if self.factors else "singleton"
 
 
-@dataclass(frozen=True, order=True)
+@record(order=True)
 class PullbackDecl:
     """target = pairs from the two legs agreeing along the cospan paths."""
 
@@ -242,7 +333,7 @@ class PullbackDecl:
     cospan: tuple[Path, Path]  # paths B -> D and C -> D
 
 
-@dataclass(frozen=True, order=True)
+@record(order=True)
 class CoproductDecl:
     """target = tagged disjoint union of the summands; one inclusion each.
 
@@ -257,7 +348,7 @@ class CoproductDecl:
         return "coproduct" if self.summands else "empty"
 
 
-@dataclass(frozen=True, order=True)
+@record(order=True)
 class PushoutDecl:
     """target = disjoint union of the legs, identified along a common span."""
 
@@ -268,7 +359,7 @@ class PushoutDecl:
     span: tuple[Path, Path]  # paths A -> B and A -> C
 
 
-@dataclass(frozen=True, order=True)
+@record(order=True)
 class ImageDecl:
     """target is the image of a path, factored surjection-then-injection."""
 
@@ -298,7 +389,7 @@ def synthesized_aspects(decl: SketchDecl) -> tuple[str, ...]:
     return tuple(a for _, a in legs(decl))
 
 
-@dataclass(frozen=True)
+@record
 class Specification:
     """A graph plus declared facts plus limit/colimit annotations.
 
@@ -510,14 +601,27 @@ def missing_square_facts(spec: Specification) -> list[str]:
 
 #: Most paths a path universe may hold; a larger one is refused unbuilt.
 PATH_BUDGET = 1_000_000
+#: Most aspect ids the paths of a universe may hold in all, the sum of their
+#: lengths; a universe within the path budget but over this one is refused too.
+EDGE_BUDGET = 10_000_000
+
+
+def _over_budget(bound: int, count: int, what: str, budget: str, limit: int):
+    return BoundExceededError(
+        f"bound {bound} gives at least {count} {what}, more than the {budget} "
+        f"budget of {limit}; lower the bound"
+    )
 
 
 def count_paths(graph: Graph, bound: int) -> int:
     """The paths of length at most ``bound``, counted per end type and
-    length; past :data:`PATH_BUDGET` the count stops, at a lower bound."""
+    length; past :data:`PATH_BUDGET` the count stops, at a lower bound. The
+    aspect ids of the paths are summed in the same loop: past
+    :data:`EDGE_BUDGET`, within the path budget, it raises
+    :class:`BoundExceededError`."""
     level = dict.fromkeys(graph.type_by_id, 1)
-    total = len(level)
-    for _ in range(bound):
+    total, edges = len(level), 0
+    for length in range(1, bound + 1):
         if not level or total > PATH_BUDGET:
             break
         nxt: dict[str, int] = {}
@@ -525,7 +629,10 @@ def count_paths(graph: Graph, bound: int) -> int:
             if a.src in level:
                 nxt[a.tgt] = nxt.get(a.tgt, 0) + level[a.src]
         level = nxt
-        total += sum(level.values())
+        count = sum(level.values())
+        total, edges = total + count, edges + length * count
+        if edges > EDGE_BUDGET and total <= PATH_BUDGET:
+            raise _over_budget(bound, edges, "aspect ids in its paths", "edge", EDGE_BUDGET)
     return total
 
 
@@ -554,17 +661,15 @@ def path_universe(graph: Graph, bound: int) -> PathUniverse:
     """Number the well-formed paths of ``graph`` up to ``bound``: by length,
     then edge ids, then source. Level 1 is every aspect from a type, in id
     order, and each later level the previous one's right extensions, so no
-    level needs sorting. Over :data:`PATH_BUDGET` paths, by
-    :func:`count_paths`, it raises :class:`BoundExceededError` instead.
+    level needs sorting. Over :data:`PATH_BUDGET` paths or
+    :data:`EDGE_BUDGET` aspect ids in them, by :func:`count_paths`, it raises
+    :class:`BoundExceededError` instead.
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
     count = count_paths(graph, bound)
     if count > PATH_BUDGET:
-        raise BoundExceededError(
-            f"bound {bound} gives at least {count} paths, more than the path "
-            f"budget of {PATH_BUDGET}; lower the bound"
-        )
+        raise _over_budget(bound, count, "paths", "path", PATH_BUDGET)
     out, start = graph.aspects_from, {t: i for i, t in enumerate(graph.type_by_id)}
     steps = {t: ([(a.id,) for a in ext], [a.tgt for a in ext]) for t, ext in out.items()}
     firsts = [a for a in graph.aspect_by_id.values() if a.src in start] if bound else []

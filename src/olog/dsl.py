@@ -633,8 +633,12 @@ def print_olog(spec: Specification) -> str:
             f" {m}" for m in ("injective", "surjective") if m in a.modifiers
         )
         lines.append(f'  aspect {a.id} : {a.src} -> {a.tgt} "{a.label}"{mods}')
-    for f in spec.facts:
-        lines.append(f"  fact {format_path(f.lhs)} = {format_path(f.rhs)}")
+    # A class of m paths gives m * m facts: format each distinct path once.
+    text: dict[Path, str] = {}
+    for lhs, rhs in spec.facts:
+        left = text.get(lhs) or text.setdefault(lhs, format_path(lhs))
+        right = text.get(rhs) or text.setdefault(rhs, format_path(rhs))
+        lines.append(f"  fact {left} = {right}")
     for d in spec.sketch:
         lines.append("  " + format_decl(spec.graph, d))
     lines.append("}")

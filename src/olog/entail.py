@@ -11,7 +11,6 @@ non-entailment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .core import (
@@ -24,6 +23,7 @@ from .core import (
     format_fact,
     path_errors,
     path_universe,
+    record,
 )
 from .errors import BoundExceededError, GraphMismatchError, OlogError
 
@@ -66,7 +66,7 @@ def _pairs_within(keyed) -> tuple[Fact, ...]:
     return tuple(Fact(p, q) for p in sorted(group_of) for q in group_of[p])
 
 
-@dataclass(frozen=True)
+@record
 class Congruence:
     """Result of saturating a specification up to a path-length bound.
 

@@ -11,7 +11,6 @@ one over the source.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
 from .core import (
@@ -24,6 +23,7 @@ from .core import (
     path_errors,
     path_target,
     path_universe,
+    record,
 )
 from .entail import (
     DEFAULT_BOUND,
@@ -43,7 +43,7 @@ if TYPE_CHECKING:
     from .instances import KeyDiagram
 
 
-@dataclass(frozen=True)
+@record
 class GraphMorphism:
     """Total translation of one graph into another.
 

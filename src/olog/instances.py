@@ -9,15 +9,14 @@ outgoing aspect, columns in canonical (sorted) aspect order.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from pathlib import Path as FsPath
 from typing import Mapping
 
-from .core import Fact, Graph, Path, Specification, path_universe
+from .core import Fact, Graph, Path, Specification, path_universe, record
 from .errors import EvaluationError, InstanceLoadError
 
 
-@dataclass(frozen=True, eq=True)
+@record
 class KeyDiagram:
     """Finite key set per type plus a total key function per aspect.
 
@@ -191,7 +190,7 @@ def eval_path(d: KeyDiagram, path: Path, key: str) -> str:
     return eval_column(d, path, (key,))[0]
 
 
-@dataclass(frozen=True)
+@record
 class Counterexample:
     fact: Fact
     key: str
@@ -199,7 +198,7 @@ class Counterexample:
     rhs_result: str
 
 
-@dataclass(frozen=True)
+@record
 class FactCheck:
     fact: Fact
     counterexamples: tuple[Counterexample, ...]
@@ -209,7 +208,7 @@ class FactCheck:
         return not self.counterexamples
 
 
-@dataclass(frozen=True)
+@record
 class SatisfactionReport:
     checks: tuple[FactCheck, ...]
 

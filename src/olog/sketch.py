@@ -14,7 +14,6 @@ class representatives (the least tagged member).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iter_product
 
 from .core import (
@@ -37,6 +36,7 @@ from .core import (
     path_errors,
     path_target,
     synthesized_aspects,
+    record,
 )
 from .errors import SketchError, SynthesisError
 from .instances import KeyDiagram, eval_column
@@ -64,7 +64,7 @@ def _rows(columns: list[list[str]], n: int):
 # Semantic checks
 
 
-@dataclass(frozen=True)
+@record
 class CheckResult:
     kind: str
     subject: str

@@ -11,7 +11,6 @@ the fused facts back down to each node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
@@ -24,6 +23,7 @@ from .core import (
     TypeNode,
     UnionFind,
     format_fact,
+    record,
 )
 from .entail import DEFAULT_BOUND, Congruence, check_fits, saturate
 from .errors import BoundExceededError, GraphMismatchError, OlogError, UnsupportedLinkError
@@ -37,7 +37,7 @@ from .flow import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class Shape:
     """Finite index graph: node ids plus directed edges (id, src, tgt)."""
 
@@ -54,14 +54,14 @@ class Shape:
         return tuple(n for n in self.nodes if n not in out)
 
 
-@dataclass(frozen=True)
+@record
 class DistributedSystem:
     shape: Shape
     graphs: Mapping[str, Graph]
     links: Mapping[str, GraphMorphism]
 
 
-@dataclass(frozen=True)
+@record
 class InformationSystem:
     """Specifications over a shape, with a constraint morphism per edge.
 
@@ -86,13 +86,13 @@ class InformationSystem:
         )
 
 
-@dataclass(frozen=True)
+@record
 class Channel:
     core: Graph
     links: Mapping[str, GraphMorphism]
 
 
-@dataclass(frozen=True)
+@record
 class SystemMorphism:
     components: Mapping[str, GraphMorphism]
 

@@ -25,7 +25,11 @@ order them with their own ``_canon_key``, not with the universe.
 ``DataclassPath`` and ``DataclassFact`` are ``core.Path`` and ``core.Fact``
 as they were before they became named tuples, kept to pin the value contract;
 ``DataclassSourceSpan`` and ``DataclassParseDiagnostic`` do the same for
-``dsl.SourceSpan`` and ``dsl.ParseDiagnostic``.
+``dsl.SourceSpan`` and ``dsl.ParseDiagnostic``. The other ``Dataclass*``
+classes are the 21 value classes of ``core``, ``entail``, ``flow``,
+``instances``, ``sketch`` and ``system`` as they were before they became
+``core.record`` classes: their fields, options and ``__post_init__``, and
+no other method.
 The ``*_by_rows`` and ``*_by_keys`` oracles are the row layer as it was
 before it worked a column at a time: ``load_tables`` reading one row at a
 time, facts, sketch checks and pullback instances evaluated one key at a
@@ -36,9 +40,10 @@ its verdict inside the loop that finds its witness.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product as iter_product
 from pathlib import Path as FsPath
+from types import MappingProxyType
 
 from olog.core import (
     CoproductDecl,
@@ -118,6 +123,172 @@ class DataclassParseDiagnostic:
 
     def __str__(self) -> str:
         return f"{self.at} - {self.severity}: {self.message}"
+
+
+# --- the value classes as dataclasses ------------------------------------------
+
+
+@dataclass(frozen=True)
+class DataclassTypeNode:
+    id: str
+    label: str = ""
+    lint_flags: frozenset[str] = field(default=frozenset(), compare=False)
+
+
+@dataclass(frozen=True)
+class DataclassAspect:
+    id: str
+    src: str
+    tgt: str
+    label: str = ""
+    modifiers: frozenset[str] = frozenset()
+
+
+@dataclass(frozen=True)
+class DataclassGraph:
+    types: tuple = ()
+    aspects: tuple = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "types", tuple(sorted(self.types, key=lambda t: t.id)))
+        object.__setattr__(self, "aspects", tuple(sorted(self.aspects, key=lambda a: a.id)))
+
+
+@dataclass(frozen=True, order=True)
+class DataclassProductDecl:
+    target: str
+    factors: tuple
+
+
+@dataclass(frozen=True, order=True)
+class DataclassPullbackDecl:
+    target: str
+    leg_b: tuple
+    leg_c: tuple
+    cospan: tuple
+
+
+@dataclass(frozen=True, order=True)
+class DataclassCoproductDecl:
+    target: str
+    summands: tuple
+
+
+@dataclass(frozen=True, order=True)
+class DataclassPushoutDecl:
+    target: str
+    leg_b: tuple
+    leg_c: tuple
+    span: tuple
+
+
+@dataclass(frozen=True, order=True)
+class DataclassImageDecl:
+    target: str
+    of: Path
+    surjection: str
+    injection: str
+
+
+@dataclass(frozen=True)
+class DataclassSpecification:
+    graph: Graph
+    facts: tuple = ()
+    sketch: tuple = ()
+    name: str = "olog"
+
+    def __post_init__(self):
+        object.__setattr__(self, "facts", tuple(sorted(dict.fromkeys(self.facts))))
+        sketch = sorted(dict.fromkeys(self.sketch), key=lambda d: (d.kind, d))
+        object.__setattr__(self, "sketch", tuple(sketch))
+
+
+@dataclass(frozen=True)
+class DataclassCongruence:
+    graph: Graph
+    bound: int
+    classes: tuple
+
+
+@dataclass(frozen=True)
+class DataclassGraphMorphism:
+    src: Graph
+    tgt: Graph
+    type_map: dict
+    aspect_map: dict
+
+
+@dataclass(frozen=True, eq=True)
+class DataclassKeyDiagram:
+    sets: dict
+    funcs: dict
+
+
+@dataclass(frozen=True)
+class DataclassCounterexample:
+    fact: Fact
+    key: str
+    lhs_result: str
+    rhs_result: str
+
+
+@dataclass(frozen=True)
+class DataclassFactCheck:
+    fact: Fact
+    counterexamples: tuple
+
+
+@dataclass(frozen=True)
+class DataclassSatisfactionReport:
+    checks: tuple
+
+
+@dataclass(frozen=True)
+class DataclassCheckResult:
+    kind: str
+    subject: str
+    passed: bool
+    witness: str = ""
+
+
+@dataclass(frozen=True)
+class DataclassShape:
+    nodes: tuple
+    edges: tuple = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "nodes", tuple(sorted(self.nodes)))
+        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
+
+
+@dataclass(frozen=True)
+class DataclassDistributedSystem:
+    shape: object
+    graphs: dict
+    links: dict
+
+
+@dataclass(frozen=True)
+class DataclassInformationSystem:
+    shape: object
+    specs: dict
+    constraints: dict
+
+    def __post_init__(self):
+        object.__setattr__(self, "specs", MappingProxyType(dict(self.specs)))
+        object.__setattr__(self, "constraints", MappingProxyType(dict(self.constraints)))
+        object.__setattr__(self, "_passed_bounds", set())
+
+
+@dataclass(frozen=True)
+class DataclassChannel:
+    core: Graph
+    links: dict
+
+
+@dataclass(frozen=True)
+class DataclassSystemMorphism:
+    components: dict
 
 
 def enumerate_paths_by_levels(graph: Graph, max_len: int) -> tuple[Path, ...]:

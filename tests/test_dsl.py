@@ -26,10 +26,12 @@ from olog.core import (
     Specification,
     TypeNode,
     decl_errors,
+    format_fact,
     identity_path,
     validate_decls,
     validate_specification,
 )
+from olog.entail import consequence
 from olog.errors import OlogError
 from olog.instances import key_diagram
 from olog.sketch import check_all
@@ -338,6 +340,20 @@ def test_print_parse_print_stable(name):
     assert spec2 is not None and not errors(diags)
     assert spec2 == spec
     assert dsl.print_olog(spec2) == once
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_printed_facts_are_each_fact_formatted(data):
+    # The facts of a consequence share paths: a class of m paths gives m * m.
+    g = data.draw(st.one_of(sts.graphs(), sts.cyclic_graphs()))
+    spec = data.draw(sts.specs_on(g, max_facts=3, max_len=2))
+    derived = consequence(spec, data.draw(st.integers(2, 3)))
+    spec = Specification(graph=g, facts=spec.facts + derived)
+    lines = dsl.print_olog(spec).splitlines()
+    assert [line for line in lines if line.startswith("  fact ")] == [
+        f"  fact {format_fact(f)}" for f in spec.facts
+    ]
 
 
 def test_print_canonicalizes_unordered_input():

@@ -3,7 +3,10 @@
 ``import olog`` loads no submodule: each exported name is imported from its
 submodule on first use, and each CLI command imports only the modules it
 runs. The import checks run in fresh interpreters, because modules that one
-test imported stay in ``sys.modules`` for the rest of the session.
+test imported stay in ``sys.modules`` for the rest of the session. No
+``olog`` module loads ``dataclasses`` or ``inspect``, whose import costs
+every command; what a bare interpreter of the same environment already
+loads (a ``site`` hook may load ``inspect``) does not count.
 """
 
 from __future__ import annotations
@@ -125,31 +128,52 @@ COMMANDS = [
 ]
 
 
+# Standard modules no ``olog`` module may load.
+HEAVY = ("dataclasses", "inspect")
+# An expression for those of them that are loaded.
+LOADED_HEAVY = f"sorted(m for m in {HEAVY!r} if m in sys.modules)"
+
+
+@pytest.fixture(scope="module")
+def bare():
+    """The modules of ``HEAVY`` that a bare interpreter has loaded."""
+    return set(fresh(f"import sys; print({LOADED_HEAVY})"))
+
+
 def run_command(*argv: str) -> tuple:
-    """Exit code, loaded ``olog`` modules, and whether ``json`` was loaded."""
+    """Exit code, loaded ``olog`` modules, whether ``json`` was loaded, and
+    which modules of ``HEAVY`` were loaded."""
     return fresh(
         "import sys\n"
         "from olog.cli import main\n"
         "code = main(sys.argv[1:])\n"
         "print((code, sorted(m for m in sys.modules if m.split('.')[0] == 'olog'),"
-        " 'json' in sys.modules))\n",
+        f" 'json' in sys.modules, {LOADED_HEAVY}))\n",
         *argv,
     )
 
 
 @pytest.mark.parametrize("argv, modules", COMMANDS, ids=[argv[0] for argv, _ in COMMANDS])
-def test_command_imports_only_what_it_runs(argv, modules, tmp_path):
+def test_command_imports_only_what_it_runs(argv, modules, tmp_path, bare):
     (tmp_path / "flyer.csv").write_text("Id\nduck\n")
     (tmp_path / "swimmer.csv").write_text("Id\nduck\n")
-    code, loaded, with_json = run_command(*(str(tmp_path) if a == TMP else a for a in argv))
+    argv = [str(tmp_path) if a == TMP else a for a in argv]
+    code, loaded, with_json, heavy = run_command(*argv)
     assert code == 0
     assert set(loaded) == modules
     assert not with_json
+    assert set(heavy) <= bare
 
 
-def test_json_format_imports_json():
+def test_json_format_imports_json(bare):
     argv = ["--format", "json", "entail", "fixtures/family.olog", "--fact", "parents;w = mother"]
-    code, loaded, with_json = run_command(*argv)
+    code, loaded, with_json, heavy = run_command(*argv)
     assert code == 0
     assert set(loaded) == BASE | {"olog.entail"}
     assert with_json
+    assert set(heavy) <= bare
+
+
+def test_no_olog_module_loads_dataclasses_or_inspect(bare):
+    imports = "".join(f"import olog.{m}\n" for m in MODULES)
+    assert set(fresh(f"import sys\n{imports}print({LOADED_HEAVY})\n")) <= bare

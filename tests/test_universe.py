@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from olog.cli import main
 from olog.core import (
+    EDGE_BUDGET,
     PATH_BUDGET,
     Aspect,
     Fact,
@@ -46,6 +47,7 @@ UNSORTED = Graph(
         Aspect("m", "a", "a", "steps to"),
     ),
 )
+LOOP = Graph(types=(TypeNode("m", "a step"),), aspects=(Aspect("f", "m", "m", "is followed by"),))
 LOOPS = Graph(
     types=(TypeNode("m", "a monoid element"),),
     aspects=tuple(Aspect(f"g{i}", "m", "m", f"acts by {i}") for i in range(3)),
@@ -129,3 +131,27 @@ def test_a_shadowed_aspect_id_is_resolved_as_the_index_does():
         assert consequence(got, bound) == consequence(want, bound)
         d = key_diagram({"A": {"a1", "a2"}, "B": {"b1"}}, {"f": {"a1": "b1", "a2": "b1"}})
         assert intent(d, shadowed, bound) == intent(d, plain, bound)
+
+
+def test_the_budget_counts_aspect_ids_too():
+    # One loop: bound b gives b + 1 paths holding b(b + 1)/2 aspect ids.
+    # Within the edge budget up to b = 4471; none of these universes is built.
+    assert count_paths(LOOP, 4471) == 4472 and 4471 * 4472 // 2 <= EDGE_BUDGET
+    for bound in (4472, 999_999):
+        with pytest.raises(BoundExceededError) as exc:
+            count_paths(LOOP, bound)
+        message = str(exc.value)
+        assert f"bound {bound} gives at least 10001628 aspect ids in its paths" in message
+        assert f"edge budget of {EDGE_BUDGET}; lower the bound" in message
+    # Three loops pass both budgets at bound 13: the path budget is named.
+    assert count_paths(LOOPS, 13) > PATH_BUDGET
+    with pytest.raises(BoundExceededError, match="path budget"):
+        path_universe(LOOPS, 13)
+
+
+def test_entail_at_a_bound_with_too_many_aspect_ids_exits_2(tmp_path, capsys):
+    olog = tmp_path / "loop.olog"
+    olog.write_text('olog loop {\n  type m "a step"\n  aspect f : m -> m "is followed by"\n}\n')
+    assert main(["entail", str(olog), "--bound", "999999", "--fact", "f;f = f"]) == 2
+    err = capsys.readouterr().err
+    assert "bound 999999" in err and f"edge budget of {EDGE_BUDGET}" in err
