@@ -7,11 +7,16 @@ in "wrote ..." notes are then the same wherever the checkout lives. Each
 command's line holds its exit code and the sha256 of its stdout, its stderr
 and every file it wrote. The commands are:
 
+- ``--help`` of ``olog`` and of every command and subcommand, an unknown
+  and a missing command, and a bad ``--bound`` before and after a command;
 - ``check`` on every fixture olog, text and json, with and without --quiet;
 - ``entail`` text and json at bounds 2-6, for each declared fact, a few
   pairs of parallel paths, an ill-typed fact and an unknown aspect, and the
   same queries at bound 8 on ``employee.olog`` and ``metric.olog``, whose
-  universes hold 459 and 3,832 paths over several types;
+  universes hold 459 and 3,832 paths over several types, and text and json
+  queries at bound 8 on a commutative monoid of three loops on one type,
+  written into the temporary directory: its 9,841 paths fall into classes
+  of up to 560 members, so the witness chosen from each class is pinned;
 - ``validate`` and ``sqlgen`` on every olog with data (and the mutated and
   triangle data sets), and ``synth`` of every sketch target, with the data
   as shipped and with the target table removed, with and without ``-o``;
@@ -75,6 +80,32 @@ BOUNDS = (2, 3, 4, 5, 6)
 FLOW_BOUNDS = (2, 3, 4, 6)
 # Ologs queried again above the default bound: (olog, bound).
 WIDE = (("employee.olog", 8), ("metric.olog", 8))
+# Every command and subcommand, each asked for its --help.
+HELP = ("check", "entail", "validate", "synth", "sqlgen", "flow", "morphism", "morphism check",
+        "fuse", "consequence", "lot", "lot contract", "lot expand", "lot revise", "lot analogy")
+MONOID = """olog Monoid {
+  type m "a state"
+  aspect g0 : m -> m "acts by 0 on"
+  aspect g1 : m -> m "acts by 1 on"
+  aspect g2 : m -> m "acts by 2 on"
+  fact g0;g1 = g1;g0
+  fact g0;g2 = g2;g0
+  fact g1;g2 = g2;g1
+}
+"""
+# Entailed words out of their least order, words that differ as multisets,
+# an identity, and a side longer than the bound.
+MONOID_QUERIES = (
+    "g1;g0 = g0;g1",
+    "g2;g1;g0 = g1;g2;g0",
+    "g2;g2;g1;g0;g1;g0 = g0;g2;g1;g2;g0;g1",
+    "g2;g1;g0;g2;g1;g0;g2;g1 = g1;g2;g1;g0;g2;g0;g1;g2",
+    "g2;g2;g2;g1;g1;g1;g0;g0 = g0;g0;g1;g1;g1;g2;g2;g2",
+    "g0;g0 = g1;g1",
+    "g2;g1;g0;g2 = g2;g1;g0;g1",
+    "id(m) = id(m)",
+    "g0;g0;g0;g0;g0;g0;g0;g0;g0 = g0",
+)
 DATA = {
     "family.olog": ("data_family", "data_family_mutated"),
     "employee.olog": ("data_employee",),
@@ -144,7 +175,11 @@ def morphisms() -> list[tuple[str, str, str]]:
 
 def commands() -> list[list[str]]:
     ologs = sorted(p.name for p in Path("fixtures").glob("*.olog"))
-    cmds: list[list[str]] = []
+    cmds: list[list[str]] = [["--help"], ["nope"], []]
+    cmds += [command.split() + ["--help"] for command in HELP]
+    for bad in ("0", "-3", "x"):
+        cmds.append(["--bound", bad, "check", "fixtures/family.olog"])
+        cmds.append(["check", "fixtures/family.olog", "--bound", bad])
     for name in ologs:
         for fmt in ("text", "json"):
             cmds.append(["--format", fmt, "check", f"fixtures/{name}"])
@@ -160,6 +195,12 @@ def commands() -> list[list[str]]:
             for fmt in ("text", "json"):
                 cmds.append(["--bound", str(bound), "--format", fmt, "entail",
                              f"fixtures/{name}", "--fact", query])
+    Path("inputs").mkdir(exist_ok=True)
+    Path("inputs/monoid.olog").write_text(MONOID, encoding="utf-8")
+    for query in MONOID_QUERIES:
+        for fmt in ("text", "json"):
+            cmds.append(["--bound", "8", "--format", fmt, "entail", "inputs/monoid.olog",
+                         "--fact", query])
     for name, datas in sorted(DATA.items()):
         spec = load(name)
         for data in datas:

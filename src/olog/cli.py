@@ -83,11 +83,11 @@ def _cmd_entail(args, out: _Out) -> int:
             f"fact '{format_fact(fact)}' has a side longer than bound {args.bound}; "
             f"raise --bound"
         )
-    cong = entail.saturate(spec, args.bound)
-    status = entail.entails_in(cong, fact)
-    witness = ""
-    if status == entail.ENTAILED:
-        witness = format_path(cong.representative(fact.lhs))
+    u, root = entail.closure(spec, args.bound)
+    lhs = root[u.index(fact.lhs)]
+    status = entail.ENTAILED if lhs == root[u.index(fact.rhs)] else entail.NOT_DERIVABLE
+    # The class representative is its root, the one path built here.
+    witness = format_path(u.path(lhs)) if status == entail.ENTAILED else ""
     out.verdict(
         {
             "kind": "entailment",
@@ -343,6 +343,37 @@ def _bound(text: str) -> int:
     return bound
 
 
+class _Commands(argparse._SubParsersAction):
+    """Subcommands whose parsers are configured only when one is run.
+
+    ``@command(name, help)`` records a function that configures the parser of
+    ``name``. The parent parser's help, usage and errors read only the names
+    and the help lines, so they are the same as with every parser built.
+    """
+
+    def __init__(self, *args, parents, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._parents = parents
+
+    def command(self, name: str, help: str | None = None):
+        def register(configure):
+            if help is not None:
+                self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
+            self._name_parser_map[name] = configure
+            return configure
+
+        return register
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        name = values[0]
+        configure = self._name_parser_map[name]
+        if not isinstance(configure, argparse.ArgumentParser):
+            sub = self._parser_class(prog=f"{self._prog_prefix} {name}", parents=self._parents)
+            configure(sub)
+            self._name_parser_map[name] = sub
+        super().__call__(parser, namespace, values, option_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="olog", description="Author, validate, and connect ologs."
@@ -359,83 +390,104 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=["text", "json"], default=argparse.SUPPRESS)
     common.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS)
 
-    sub = parser.add_subparsers(dest="command", required=True)
+    def commands(p: argparse.ArgumentParser, dest: str) -> _Commands:
+        return p.add_subparsers(dest=dest, required=True, action=_Commands, parents=[common])
 
-    s = sub.add_parser("check", parents=[common], help="parse and structurally validate an olog")
-    s.add_argument("olog")
-    s.set_defaults(fn=_cmd_check)
+    sub = commands(parser, "command")
 
-    s = sub.add_parser("entail", parents=[common], help="decide one fact within the bound")
-    s.add_argument("olog")
-    s.add_argument("--fact", required=True, help='e.g. "parents;w = mother"')
-    s.add_argument("--require-entailed", action="store_true",
-                   help="exit 1 unless the fact is entailed")
-    s.set_defaults(fn=_cmd_entail)
+    @sub.command("check", help="parse and structurally validate an olog")
+    def check(s):
+        s.add_argument("olog")
+        s.set_defaults(fn=_cmd_check)
 
-    s = sub.add_parser("validate", parents=[common], help="check instance data: facts and sketch checks")
-    s.add_argument("olog")
-    s.add_argument("--data", required=True, help="directory of <type>.csv tables")
-    s.set_defaults(fn=_cmd_validate)
+    @sub.command("entail", help="decide one fact within the bound")
+    def entail(s):
+        s.add_argument("olog")
+        s.add_argument("--fact", required=True, help='e.g. "parents;w = mother"')
+        s.add_argument("--require-entailed", action="store_true",
+                       help="exit 1 unless the fact is entailed")
+        s.set_defaults(fn=_cmd_entail)
 
-    s = sub.add_parser("synth", parents=[common], help="synthesize a sketch target from instance data")
-    s.add_argument("olog")
-    s.add_argument("--data", required=True)
-    s.add_argument("--decl", required=True, help="target type of the declaration")
-    s.add_argument("-o", "--out", help="directory for the generated tables")
-    s.set_defaults(fn=_cmd_synth)
+    @sub.command("validate", help="check instance data: facts and sketch checks")
+    def validate(s):
+        s.add_argument("olog")
+        s.add_argument("--data", required=True, help="directory of <type>.csv tables")
+        s.set_defaults(fn=_cmd_validate)
 
-    s = sub.add_parser("sqlgen", parents=[common], help="emit a relational schema")
-    s.add_argument("olog")
-    s.add_argument("-o", "--out")
-    s.add_argument("--with-inserts", metavar="DATADIR")
-    s.set_defaults(fn=_cmd_sqlgen)
+    @sub.command("synth", help="synthesize a sketch target from instance data")
+    def synth(s):
+        s.add_argument("olog")
+        s.add_argument("--data", required=True)
+        s.add_argument("--decl", required=True, help="target type of the declaration")
+        s.add_argument("-o", "--out", help="directory for the generated tables")
+        s.set_defaults(fn=_cmd_synth)
 
-    s = sub.add_parser("flow", parents=[common], help="move facts along a morphism")
-    s.add_argument("direction", choices=["dir", "inv"])
-    s.add_argument("--morphism", required=True)
-    s.add_argument("--source", required=True, help="source .olog")
-    s.add_argument("--target", required=True, help="target .olog")
-    s.add_argument("-o", "--out")
-    s.set_defaults(fn=_cmd_flow)
+    @sub.command("sqlgen", help="emit a relational schema")
+    def sqlgen(s):
+        s.add_argument("olog")
+        s.add_argument("-o", "--out")
+        s.add_argument("--with-inserts", metavar="DATADIR")
+        s.set_defaults(fn=_cmd_sqlgen)
 
-    s = sub.add_parser("morphism", parents=[common], help="morphism tools")
-    msub = s.add_subparsers(dest="subcommand", required=True)
-    mc = msub.add_parser("check", parents=[common], help="does the morphism preserve entailment?")
-    mc.add_argument("--morphism", required=True)
-    mc.add_argument("--source", required=True)
-    mc.add_argument("--target", required=True)
-    mc.set_defaults(fn=_cmd_morphism_check)
+    @sub.command("flow", help="move facts along a morphism")
+    def flow(s):
+        s.add_argument("direction", choices=["dir", "inv"])
+        s.add_argument("--morphism", required=True)
+        s.add_argument("--source", required=True, help="source .olog")
+        s.add_argument("--target", required=True, help="target .olog")
+        s.add_argument("-o", "--out")
+        s.set_defaults(fn=_cmd_flow)
 
-    s = sub.add_parser("fuse", parents=[common], help="fuse a system onto its optimal core")
-    s.add_argument("system")
-    s.add_argument("-o", "--out")
-    s.set_defaults(fn=_cmd_fuse)
+    @sub.command("morphism", help="morphism tools")
+    def morphism(s):
+        @commands(s, "subcommand").command("check", help="does the morphism preserve entailment?")
+        def morphism_check(m):
+            m.add_argument("--morphism", required=True)
+            m.add_argument("--source", required=True)
+            m.add_argument("--target", required=True)
+            m.set_defaults(fn=_cmd_morphism_check)
 
-    s = sub.add_parser("consequence", parents=[common], help="system consequence, one olog per node")
-    s.add_argument("system")
-    s.add_argument("--out-dir", required=True)
-    s.set_defaults(fn=_cmd_consequence)
+    @sub.command("fuse", help="fuse a system onto its optimal core")
+    def fuse(s):
+        s.add_argument("system")
+        s.add_argument("-o", "--out")
+        s.set_defaults(fn=_cmd_fuse)
 
-    s = sub.add_parser("lot", parents=[common], help="lattice-of-theories moves")
-    lsub = s.add_subparsers(dest="move", required=True)
-    for move in ("contract", "expand"):
-        m = lsub.add_parser(move, parents=[common])
-        m.add_argument("olog")
-        m.add_argument("--fact", action="append", required=True)
-        m.add_argument("-o", "--out")
-        m.set_defaults(fn=_cmd_lot, move=move)
-    m = lsub.add_parser("revise", parents=[common])
-    m.add_argument("olog")
-    m.add_argument("--delete", action="append", default=[])
-    m.add_argument("--add", action="append", default=[])
-    m.add_argument("-o", "--out")
-    m.set_defaults(fn=_cmd_lot, move="revise")
-    m = lsub.add_parser("analogy", parents=[common])
-    m.add_argument("olog")
-    m.add_argument("--morphism", required=True)
-    m.add_argument("--target", required=True)
-    m.add_argument("-o", "--out")
-    m.set_defaults(fn=_cmd_lot, move="analogy")
+    @sub.command("consequence", help="system consequence, one olog per node")
+    def consequence(s):
+        s.add_argument("system")
+        s.add_argument("--out-dir", required=True)
+        s.set_defaults(fn=_cmd_consequence)
+
+    # Each move's name is its ``move``, the dest of the move parsers.
+    @sub.command("lot", help="lattice-of-theories moves")
+    def lot(s):
+        moves = commands(s, "move")
+
+        def facts_move(m):
+            m.add_argument("olog")
+            m.add_argument("--fact", action="append", required=True)
+            m.add_argument("-o", "--out")
+            m.set_defaults(fn=_cmd_lot)
+
+        moves.command("contract")(facts_move)
+        moves.command("expand")(facts_move)
+
+        @moves.command("revise")
+        def revise(m):
+            m.add_argument("olog")
+            m.add_argument("--delete", action="append", default=[])
+            m.add_argument("--add", action="append", default=[])
+            m.add_argument("-o", "--out")
+            m.set_defaults(fn=_cmd_lot)
+
+        @moves.command("analogy")
+        def analogy(m):
+            m.add_argument("olog")
+            m.add_argument("--morphism", required=True)
+            m.add_argument("--target", required=True)
+            m.add_argument("-o", "--out")
+            m.set_defaults(fn=_cmd_lot)
 
     return parser
 

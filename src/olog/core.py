@@ -636,34 +636,85 @@ def count_paths(graph: Graph, bound: int) -> int:
     return total
 
 
-class PathUniverse(NamedTuple):
-    """Paths numbered by :func:`path_universe`. Path i is ``paths[i]`` and
-    ends at ``end[i]``; dropping its last aspect gives path ``parent[i]`` (-1
-    for an identity), and ``right[i]`` are the ids of its one-aspect
-    extensions in aspect id order (none at the bound). ``start[t]`` is the
-    id of the identity at type t."""
+class PathUniverse:
+    """Paths numbered by :func:`path_universe`, held by id. Path i ends at
+    ``end[i]``; dropping its last aspect ``last[i]`` gives path ``parent[i]``
+    (-1 and None for an identity), and ``right[i]`` are the ids of its
+    one-aspect extensions in aspect id order (none at the bound). ``start[t]``
+    is the id of the identity at type t, and ``level[k]`` counts the paths
+    shorter than k, for k up to ``bound + 1``. The ``Path`` objects are built
+    only when ``paths`` or :meth:`path` asks for them."""
 
-    paths: list[Path]
-    end: list[str]
-    parent: list[int]
-    right: list
-    start: dict[str, int]
+    def __init__(self, graph, bound, end, parent, last, right, start, level):
+        self.graph, self.bound, self.start, self.level = graph, bound, start, level
+        self.end, self.parent, self.last, self.right = end, parent, last, right
+
+    @cached_property
+    def paths(self) -> list[Path]:
+        """Path i for every id i, in one pass that extends each parent."""
+        steps = {t: [(a.id,) for a in ext] for t, ext in self.graph.aspects_from.items()}
+        end, right, n0 = self.end, self.right, len(self.start)
+        new = tuple.__new__  # Path's own __new__ costs a call per path
+        paths = [new(Path, (t, ())) for t in self.start]
+        paths += [new(Path, (end[q], (e,))) for q, e in
+                  zip(self.parent[n0:self.level[2]], self.last[n0:self.level[2]])]
+        for i in range(n0, self.level[self.bound]):
+            if right[i]:
+                src, edges = paths[i]
+                paths += [new(Path, (src, edges + e)) for e in steps[end[i]]]
+        return paths
+
+    def path(self, i: int) -> Path:
+        """Path i alone, read back through its parents."""
+        edges = []
+        while self.parent[i] >= 0:
+            edges.append(self.last[i])
+            i = self.parent[i]
+        return Path(self.end[i], tuple(reversed(edges)))
+
+    @cached_property
+    def _position(self) -> dict[str, tuple[str, int]]:
+        # Each aspect's source and its position among that source's aspects,
+        # which is its position in every right list of a path ending there.
+        return {a.id: (t, k) for t, ext in self.graph.aspects_from.items()
+                for k, a in enumerate(ext)}
+
+    def extend(self, i: int, edges) -> int:
+        """The id of path i followed by ``edges``, one O(1) step per aspect;
+        -1 when i is -1 or the result is longer than the bound. An aspect that
+        does not continue the path raises :class:`KeyError`."""
+        position, end, right = self._position, self.end, self.right
+        for e in edges:
+            if i < 0:
+                break
+            src, k = position[e]
+            if src != end[i]:
+                raise KeyError(e)
+            i = right[i][k] if right[i] else -1
+        return i
 
     def index(self, path: Path) -> int:
-        """The id of a well-formed path no longer than the bound."""
-        i = self.start[path.source]
-        for e in path.edges:
-            i = next(j for j in self.right[i] if self.paths[j].edges[-1] == e)
-        return i
+        """The id of ``path``. A path longer than the bound raises
+        :class:`BoundExceededError`, any other path outside the universe
+        :class:`OlogError` with the first of its :func:`path_errors`."""
+        try:
+            i = self.extend(self.start[path.source], path.edges)
+        except KeyError:
+            i = -1
+        if i >= 0:
+            return i
+        if len(path) > self.bound:
+            raise BoundExceededError(f"path of length {len(path)} exceeds bound {self.bound}")
+        raise OlogError(path_errors(self.graph, path)[0])
 
 
 def path_universe(graph: Graph, bound: int) -> PathUniverse:
     """Number the well-formed paths of ``graph`` up to ``bound``: by length,
     then edge ids, then source. Level 1 is every aspect from a type, in id
     order, and each later level the previous one's right extensions, so no
-    level needs sorting. Over :data:`PATH_BUDGET` paths or
-    :data:`EDGE_BUDGET` aspect ids in them, by :func:`count_paths`, it raises
-    :class:`BoundExceededError` instead.
+    level needs sorting. Only ids are made here. Over :data:`PATH_BUDGET`
+    paths or :data:`EDGE_BUDGET` aspect ids in them, by :func:`count_paths`,
+    it raises :class:`BoundExceededError` instead.
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
@@ -671,23 +722,24 @@ def path_universe(graph: Graph, bound: int) -> PathUniverse:
     if count > PATH_BUDGET:
         raise _over_budget(bound, count, "paths", "path", PATH_BUDGET)
     out, start = graph.aspects_from, {t: i for i, t in enumerate(graph.type_by_id)}
-    steps = {t: ([(a.id,) for a in ext], [a.tgt for a in ext]) for t, ext in out.items()}
+    steps = {t: ([a.id for a in ext], [a.tgt for a in ext]) for t, ext in out.items()}
     firsts = [a for a in graph.aspect_by_id.values() if a.src in start] if bound else []
     first = {a.id: len(start) + k for k, a in enumerate(firsts)}
-    paths = [Path(t, ()) for t in start] + [Path(a.src, (a.id,)) for a in firsts]
     end = list(start) + [a.tgt for a in firsts]
     parent = [-1] * len(start) + [start[a.src] for a in firsts]
+    last = [None] * len(start) + [a.id for a in firsts]
     right: list = [[first[a.id] for a in out[t]] for t in start] if bound else []
-    new, i = tuple.__new__, len(start)  # Path's own __new__ costs a call per path
-    while i < len(paths) and len(paths[i].edges) < bound:
-        ext, tgts = steps.get(end[i], ((), ()))
-        right.append(range(len(paths), len(paths) + len(ext)) if ext else ())
-        src, edges = paths[i]
-        paths += [new(Path, (src, edges + e)) for e in ext]
-        end += tgts
-        parent += [i] * len(ext)
-        i += 1
-    return PathUniverse(paths, end, parent, right + [()] * (len(paths) - len(right)), start)
+    level = [0, len(start), len(end)]
+    for _ in range(1, bound):
+        for i in range(level[-2], level[-1]):
+            ids, tgts = steps.get(end[i], ((), ()))
+            right.append(range(len(end), len(end) + len(ids)) if ids else ())
+            end += tgts
+            last += ids
+            parent += [i] * len(ids)
+        level.append(len(end))
+    right += [()] * (len(end) - len(right))
+    return PathUniverse(graph, bound, end, parent, last, right, start, level)
 
 
 def enumerate_paths(graph: Graph, max_len: int) -> tuple[Path, ...]:

@@ -12,12 +12,14 @@ non-entailment.
 from __future__ import annotations
 
 from functools import cached_property
+from typing import NamedTuple
 
 from .core import (
     DEFAULT_BOUND,
     Fact,
     Graph,
     Path,
+    PathUniverse,
     Specification,
     fact_errors,
     format_fact,
@@ -102,8 +104,22 @@ class Congruence:
         return self.representative(p) is self.representative(q)
 
 
-def saturate(spec: Specification, bound: int = DEFAULT_BOUND) -> Congruence:
-    """Least bounded congruence containing the declared facts.
+class Closure(NamedTuple):
+    """The least bounded congruence on the ids of a :class:`core.PathUniverse`:
+    ``root[i]`` is the least id in the class of path i, its shortest member,
+    ties broken lexicographically by edge ids."""
+
+    universe: PathUniverse
+    root: list[int]
+
+    def same(self, p: Path, q: Path) -> bool:
+        """Are ``p`` and ``q`` in one class? Each must be a well-formed path
+        within the bound, as :meth:`core.PathUniverse.index` requires."""
+        return self.root[self.universe.index(p)] == self.root[self.universe.index(q)]
+
+
+def closure(spec: Specification, bound: int = DEFAULT_BOUND) -> Closure:
+    """Least bounded congruence containing the declared facts, on path ids.
 
     Closure rules: reflexivity, symmetry, transitivity, composition of equal
     pairs, and composition with an arbitrary path on the left or right, all
@@ -115,7 +131,8 @@ def saturate(spec: Specification, bound: int = DEFAULT_BOUND) -> Congruence:
     The closure runs on the ids of :func:`core.path_universe`: one worklist
     of id pairs over a list union-find whose roots are least ids, that is,
     each class's shortest member. Whiskering the merged roots is complete
-    because every member's whiskering already equals its root's.
+    because every member's whiskering already equals its root's. No ``Path``
+    of the universe is built.
     """
     _check_bound(bound)
     g = spec.graph
@@ -126,21 +143,17 @@ def saturate(spec: Specification, bound: int = DEFAULT_BOUND) -> Congruence:
         check_fits(fact, bound, "declared")
 
     u = path_universe(g, bound)
-    paths, end, right, start = u.paths, u.end, u.right, u.start
-    n, n0 = len(paths), len(start)  # the identities come first
+    end, right, start, level = u.end, u.right, u.start, u.level
+    n, n0 = len(end), len(start)  # the identities come first
     # left[i]: ids of the one-aspect extensions of path i on the left, in
     # aspect id order; empty at the bound. An identity's are the paths of
     # length 1 into its type. Since left_a(q;e) = right_e(left_a(q)), the
     # children of q take the columns of its left extensions' right lists.
     left: list = [[] for _ in range(n0)] + [()] * (n - n0)
-    for i in range(n0, n):
-        if len(paths[i].edges) > 1:
-            break
+    for i in range(n0, level[2]):
         if end[i] in start:
             left[start[end[i]]].append(i)
-    for q in range(n):
-        if len(paths[q].edges) + 1 >= bound:
-            break
+    for q in range(level[bound - 1]):
         if left[q]:
             for i, ls in zip(right[q], zip(*map(right.__getitem__, left[q]))):
                 left[i] = ls
@@ -165,31 +178,34 @@ def saturate(spec: Specification, bound: int = DEFAULT_BOUND) -> Congruence:
         pending.extend(zip(left[x], left[y]))
 
     # Every parent is at most its child, so one ascending pass resolves each
-    # id to its root, and a root opens its class before any member joins it.
+    # id to its root.
+    for i in range(n):
+        parent[i] = parent[parent[i]]
+    return Closure(u, parent)
+
+
+def saturate(spec: Specification, bound: int = DEFAULT_BOUND) -> Congruence:
+    """The bounded congruence of :func:`closure` as classes of paths, each in
+    id order, so its root opens it, and the classes in their roots' order."""
+    u, root = closure(spec, bound)
     groups: dict[int, list[Path]] = {}
-    for i, p in enumerate(paths):
-        root = parent[i] = parent[parent[i]]
-        groups.setdefault(root, []).append(p)
-    return Congruence(graph=g, bound=bound, classes=tuple(map(tuple, groups.values())))
+    for p, r in zip(u.paths, root):
+        groups.setdefault(r, []).append(p)
+    return Congruence(graph=spec.graph, bound=bound, classes=tuple(map(tuple, groups.values())))
 
 
 def entails(spec: Specification, fact: Fact, bound: int = DEFAULT_BOUND) -> str:
     """Decide a single fact within the bound.
 
-    Returns :data:`ENTAILED` or :data:`NOT_DERIVABLE`. The query fact must be
-    well formed and both sides must fit the bound.
+    Returns :data:`ENTAILED` or :data:`NOT_DERIVABLE`. The bound must be
+    positive, the query fact well formed and both its sides within the bound.
     """
+    _check_bound(bound)
     errs = fact_errors(spec.graph, fact)
     if errs:
         raise OlogError(f"fact {format_fact(fact)}: {errs[0]}")
     check_fits(fact, bound, "queried")
-    cong = saturate(spec, bound)
-    return entails_in(cong, fact)
-
-
-def entails_in(cong: Congruence, fact: Fact) -> str:
-    """Decide a fact against an already computed congruence."""
-    return ENTAILED if cong.same(fact.lhs, fact.rhs) else NOT_DERIVABLE
+    return ENTAILED if closure(spec, bound).same(fact.lhs, fact.rhs) else NOT_DERIVABLE
 
 
 def consequence(spec: Specification, bound: int = DEFAULT_BOUND) -> tuple[Fact, ...]:
@@ -210,5 +226,5 @@ def spec_leq(e1: Specification, e2: Specification, bound: int = DEFAULT_BOUND) -
     """
     if e1.graph != e2.graph:
         raise GraphMismatchError("spec_leq compares specifications over one graph")
-    cong = saturate(e1, bound)
-    return all(cong.same(f.lhs, f.rhs) for f in e2.facts)
+    cl = closure(e1, bound)
+    return all(cl.same(f.lhs, f.rhs) for f in e2.facts)

@@ -25,16 +25,7 @@ from .core import (
     path_universe,
     record,
 )
-from .entail import (
-    DEFAULT_BOUND,
-    ENTAILED,
-    Congruence,
-    _check_bound,
-    _pairs_within,
-    check_fits,
-    entails_in,
-    saturate,
-)
+from .entail import DEFAULT_BOUND, Closure, _check_bound, _pairs_within, check_fits, closure
 from .errors import GraphMismatchError, LotError, MorphismError
 
 # Only ``pullback_instances`` reads instance data; it imports ``instances``
@@ -159,24 +150,31 @@ def inv_flow(
     """
     tb = bound if target_bound is None else target_bound
     target_spec = Specification(graph=h.tgt, facts=tuple(target_facts))
-    return _flow_back(h, saturate(target_spec, tb), bound)
+    return _flow_back(h, closure(target_spec, tb), bound)
 
 
-def _flow_back(h: GraphMorphism, cong: Congruence, bound: int) -> tuple[Fact, ...]:
-    """Source equations up to ``bound`` whose translations ``cong`` identifies.
+def _flow_back(h: GraphMorphism, cl: Closure, bound: int) -> tuple[Fact, ...]:
+    """Source equations up to ``bound`` whose translations ``cl`` identifies.
 
-    Source paths are grouped by the class of their translation; a path whose
-    translation is longer than ``cong.bound`` joins no group.
+    Source paths are grouped by the root of their translation's id; a path
+    whose translation is longer than the target universe's bound joins no
+    group.
     """
-    u = path_universe(h.src, _check_bound(bound))
-    images: list[tuple[str, ...]] = []  # each path's image extends its parent's
+    u, t, root = path_universe(h.src, _check_bound(bound)), cl.universe, cl.root
+    images: list[int] = []  # each path's image id extends its parent's; -1 past t.bound
     keyed = []
-    for p, q, end in zip(u.paths, u.parent, u.end):
-        img = images[q] + h.aspect_map[p.edges[-1]].edges if p.edges else ()
-        images.append(img)
-        if len(img) <= cong.bound:
-            rep = cong.representative(Path(h.type_map[p.source], img))
-            keyed.append((p, (p.source, end, rep)))
+    for p, q, e, end in zip(u.paths, u.parent, u.last, u.end):
+        try:
+            if q < 0:
+                i = t.start[h.type_map[p.source]]
+            else:
+                i = t.extend(images[q], h.aspect_map[e].edges)
+        except KeyError:  # an image off the target graph: fail as its index does
+            img = translate_path(h, p)
+            i = -1 if len(img) > t.bound else t.index(img)
+        images.append(i)
+        if i >= 0:
+            keyed.append((p, (p.source, end, root[i])))
     return _pairs_within(keyed)
 
 
@@ -209,21 +207,21 @@ def is_spec_morphism(
     """
     if h.src != s1.graph or h.tgt != s2.graph:
         raise GraphMismatchError("morphism endpoints do not match the specifications")
-    offenders = _unpreserved(h, s1, saturate(s2, bound))
+    offenders = _unpreserved(h, s1, closure(s2, bound))
     return (not offenders, offenders)
 
 
-def _unpreserved(h: GraphMorphism, s1: Specification, cong: Congruence) -> tuple[Fact, ...]:
-    """Declared facts of ``s1`` whose translations along ``h`` ``cong`` does not identify.
+def _unpreserved(h: GraphMorphism, s1: Specification, cl: Closure) -> tuple[Fact, ...]:
+    """Declared facts of ``s1`` whose translations along ``h`` ``cl`` does not identify.
 
-    A translation with a side longer than ``cong.bound`` raises
+    A translation with a side longer than the bound of ``cl`` raises
     :class:`BoundExceededError`.
     """
     offenders = []
     for fact in s1.facts:
         img = translate_fact(h, fact)
-        check_fits(img, cong.bound, "translated")
-        if entails_in(cong, img) != ENTAILED:
+        check_fits(img, cl.universe.bound, "translated")
+        if not cl.same(img.lhs, img.rhs):
             offenders.append(fact)
     return tuple(offenders)
 

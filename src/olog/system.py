@@ -25,7 +25,7 @@ from .core import (
     format_fact,
     record,
 )
-from .entail import DEFAULT_BOUND, Congruence, check_fits, saturate
+from .entail import DEFAULT_BOUND, Closure, check_fits, closure
 from .errors import BoundExceededError, GraphMismatchError, OlogError, UnsupportedLinkError
 from .flow import (
     GraphMorphism,
@@ -110,7 +110,7 @@ def validate_system(sys: InformationSystem, bound: int = DEFAULT_BOUND) -> list[
         return []
     problems: list[str] = []
     overflowing: set[str] = set()
-    congs: dict[str, Congruence] = {}
+    closures: dict[str, Closure] = {}
     for n in sys.shape.nodes:
         if n not in sys.specs:
             problems.append(f"node '{n}' has no specification")
@@ -135,9 +135,9 @@ def validate_system(sys: InformationSystem, bound: int = DEFAULT_BOUND) -> list[
         if tgt in overflowing:
             continue
         try:
-            if tgt not in congs:
-                congs[tgt] = saturate(sys.specs[tgt], bound)
-            offenders = _unpreserved(h, sys.specs[src], congs[tgt])
+            if tgt not in closures:
+                closures[tgt] = closure(sys.specs[tgt], bound)
+            offenders = _unpreserved(h, sys.specs[src], closures[tgt])
         except BoundExceededError as exc:
             problems.append(f"edge '{eid}': {exc}")
             continue
@@ -339,10 +339,10 @@ def system_consequence(
     translation overflows the bound.
     """
     channel, fused = _fuse(sys, bound)
-    cong = saturate(fused, bound)
+    cl = closure(fused, bound)
     return {
         n: Specification(
-            graph=sys.specs[n].graph, facts=_flow_back(channel.links[n], cong, bound), name=n
+            graph=sys.specs[n].graph, facts=_flow_back(channel.links[n], cl, bound), name=n
         )
         for n in sys.shape.nodes
     }

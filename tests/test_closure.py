@@ -1,0 +1,114 @@
+"""Decisions on path ids: ``entail.closure`` and the verdicts read from it.
+
+``entails``, ``spec_leq``, ``is_spec_morphism``, ``validate_system`` and
+``olog entail`` compare the roots of path ids and build no ``Path`` of the
+universe; ``olog entail`` builds only the witness it prints, the least member
+of the fact's class.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path as FsPath
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from olog import core, dsl
+from olog.cli import main
+from olog.core import Aspect, Fact, Graph, Path, Specification, TypeNode, format_fact, format_path
+from olog.entail import ENTAILED, NOT_DERIVABLE, entails, saturate, spec_leq
+from olog.flow import is_spec_morphism
+from olog.system import InformationSystem, validate_system
+
+from . import strategies as sts
+from .conftest import FIXTURES
+from .oracles import saturate_by_rounds
+
+GENS = ("g0", "g1", "g2")
+MONOID = Specification(
+    graph=Graph(
+        types=(TypeNode("m", "a monoid element"),),
+        aspects=tuple(Aspect(g, "m", "m", f"acts by {g}") for g in GENS),
+    ),
+    facts=tuple(
+        Fact(Path("m", (a, b)), Path("m", (b, a))) for i, a in enumerate(GENS) for b in GENS[i + 1:]
+    ),
+)
+
+
+def _entail_cli(spec: Specification, fact: Fact, bound: int) -> dict:
+    """The JSON verdict of ``olog entail`` on ``spec`` printed to a file."""
+    with tempfile.TemporaryDirectory() as work:
+        olog = FsPath(work) / "spec.olog"
+        olog.write_text(dsl.print_olog(spec), encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["--bound", str(bound), "--format", "json", "entail", str(olog),
+                         "--fact", format_fact(fact)])
+    assert code == 0
+    return json.loads(out.getvalue())
+
+
+def _check_against_round_loop(spec: Specification, queries, bound: int):
+    want = saturate_by_rounds(spec, bound)
+    verdicts = [want.same(f.lhs, f.rhs) for f in queries]
+    assert [entails(spec, f, bound) == ENTAILED for f in queries] == verdicts
+    assert spec_leq(spec, Specification(graph=spec.graph, facts=tuple(queries)), bound) is all(
+        verdicts
+    )
+    for f, same in zip(queries, verdicts):
+        got = _entail_cli(spec, f, bound)
+        assert got["status"] == (ENTAILED if same else NOT_DERIVABLE)
+        # The witness is the least member of the class, the oracle's first.
+        assert got["witness"] == (format_path(want.representative(f.lhs)) if same else "")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_id_decisions_match_round_loop(data):
+    # The specs of test_saturate_matches_round_loop_at_bound_length_facts.
+    bound = data.draw(st.integers(1, 4))
+    graph = data.draw(sts.cyclic_graphs())
+    spec = data.draw(sts.specs_on(graph, max_facts=3, max_len=bound))
+    queries = data.draw(st.lists(sts.parallel_facts(graph, max_len=bound), max_size=3))
+    _check_against_round_loop(spec, spec.facts + tuple(queries), bound)
+
+
+def test_id_decisions_match_round_loop_on_monoid():
+    words = [("g2", "g1", "g0"), ("g1", "g0", "g2", "g0"), ("g2", "g2", "g0", "g1", "g0")]
+    queries = [Fact(Path("m", w), Path("m", w[::-1])) for w in words]
+    queries += [Fact(Path("m", ("g1", "g0")), Path("m", ("g0", "g0")))]
+    _check_against_round_loop(MONOID, queries, 5)
+
+
+def test_decisions_build_no_path_of_the_universe(tmp_path, monkeypatch, capsys):
+    sysm, diags = dsl.parse_system(FIXTURES / "w.osys", bound=5)
+    assert sysm is not None, [str(d) for d in diags]
+    olog = tmp_path / "monoid.olog"
+    olog.write_text(dsl.print_olog(MONOID), encoding="utf-8")
+
+    def refuse(self):
+        raise AssertionError("the universe's Path list was built")
+
+    monkeypatch.setattr(core.PathUniverse, "paths", property(refuse))
+    with pytest.raises(AssertionError, match="Path list"):
+        saturate(MONOID, 2)  # the guard holds where paths are output
+
+    fact = Fact(Path("m", ("g2", "g1", "g0")), Path("m", ("g0", "g1", "g2")))
+    assert entails(MONOID, fact, 6) == ENTAILED
+    assert spec_leq(MONOID, MONOID, 6)
+    for eid, src, tgt in sysm.shape.edges:
+        h = sysm.constraints[eid]
+        assert is_spec_morphism(h, sysm.specs[src], sysm.specs[tgt], 5) == (True, ())
+    fresh = InformationSystem(shape=sysm.shape, specs=sysm.specs, constraints=sysm.constraints)
+    assert validate_system(fresh, 5) == []
+    argv = ["--bound", "6", "entail", str(olog), "--fact", format_fact(fact)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (
+        "g2;g1;g0 = g0;g1;g2: entailed (class representative g0;g1;g2)\n"
+    )

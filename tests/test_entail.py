@@ -194,6 +194,20 @@ def test_entails_query_bound_overflow(employee_spec):
         entails(employee_spec, q, 3)
 
 
+def test_entails_checks_the_bound_before_the_fact(employee_spec):
+    # As saturate, spec_leq and consequence do: the bound is checked first.
+    q = Fact(Path("employee", ("manager",)), Path("employee", ("manager",)))
+    ident = Fact(identity_path("employee"), identity_path("employee"))
+    for fact, bound in ((q, 0), (ident, 0), (ident, -1)):
+        with pytest.raises(ValueError, match="bound must be a positive integer"):
+            entails(employee_spec, fact, bound)
+    for call in (saturate, consequence):
+        with pytest.raises(ValueError, match="bound must be a positive integer"):
+            call(employee_spec, 0)
+    with pytest.raises(ValueError, match="bound must be a positive integer"):
+        spec_leq(employee_spec, employee_spec, 0)
+
+
 # --- consequence ------------------------------------------------------------
 
 

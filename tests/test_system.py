@@ -592,14 +592,15 @@ def _problems_or_error(validate, sysm, bound):
 
 
 def test_validate_system_saturates_each_target_once(w_system, monkeypatch):
+    # Validation decides on the ids of one closure per target node.
     calls = []
-    real = system.saturate
+    real = system.closure
 
     def counted(spec, bound):
         calls.append(spec)
         return real(spec, bound)
 
-    monkeypatch.setattr(system, "saturate", counted)
+    monkeypatch.setattr(system, "closure", counted)
     assert validate_system(_fresh(w_system), 5) == []
     # Four edges, two into each portal.
     assert calls == [w_system.specs["portal"], w_system.specs["portal2"]]

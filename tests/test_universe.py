@@ -15,6 +15,7 @@ from olog.core import (
     Fact,
     Graph,
     Path,
+    PathUniverse,
     Specification,
     TypeNode,
     count_paths,
@@ -23,7 +24,7 @@ from olog.core import (
     path_universe,
 )
 from olog.entail import consequence, saturate
-from olog.errors import BoundExceededError
+from olog.errors import BoundExceededError, OlogError
 from olog.instances import intent, key_diagram
 
 from . import strategies as sts
@@ -60,9 +61,12 @@ def _check_universe(g: Graph, bound: int):
     assert enumerate_paths(g, bound) == enumerate_paths_by_levels(g, bound)
     assert count_paths(g, bound) == len(u.paths) == len(u.end) == len(u.parent) == len(u.right)
     ids = {p: i for i, p in enumerate(u.paths)}
+    for k in range(bound + 2):
+        assert u.level[k] == sum(len(p.edges) < k for p in u.paths)
     for i, (src, edges) in enumerate(u.paths):
         assert u.end[i] == path_target(g, u.paths[i])
-        assert u.index(u.paths[i]) == i
+        assert u.index(u.paths[i]) == i and u.path(i) == u.paths[i]
+        assert u.last[i] == (edges[-1] if edges else None)
         assert u.parent[i] == (ids[Path(src, edges[:-1])] if edges else -1)
         if len(edges) < bound:
             want = [ids[Path(src, edges + (a.id,))] for a in g.aspects_from.get(u.end[i], ())]
@@ -155,3 +159,50 @@ def test_entail_at_a_bound_with_too_many_aspect_ids_exits_2(tmp_path, capsys):
     assert main(["entail", str(olog), "--bound", "999999", "--fact", "f;f = f"]) == 2
     err = capsys.readouterr().err
     assert "bound 999999" in err and f"edge budget of {EDGE_BUDGET}" in err
+
+
+def test_index_outside_the_universe_raises_as_representative_does():
+    u = path_universe(LOOPS, 2)
+    with pytest.raises(BoundExceededError, match="path of length 3 exceeds bound 2"):
+        u.index(Path("m", ("g0", "g1", "g2")))
+    with pytest.raises(OlogError, match="path mentions unknown aspect 'nope'") as exc:
+        u.index(Path("m", ("g0", "nope")))
+    assert type(exc.value) is OlogError
+    with pytest.raises(OlogError, match="path source 'x' is not a type"):
+        u.index(Path("x", ()))
+    # A malformed path past the bound is refused for its length, as before.
+    with pytest.raises(BoundExceededError):
+        u.index(Path("m", ("nope", "g0", "g1")))
+
+
+def _index_or_error(find, path):
+    try:
+        return find(path)
+    except OlogError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_index_matches_representative_on_any_path(data):
+    # Sources and edges drawn from the graph's ids and two unknown ones, so a
+    # path may start nowhere, name an unknown aspect, break the chain or pass
+    # the bound.
+    g = data.draw(st.one_of(sts.graphs(), sts.cyclic_graphs()))
+    bound = data.draw(st.integers(1, 3))
+    u, cong = path_universe(g, bound), saturate(Specification(graph=g), bound)
+    path = Path(
+        data.draw(st.sampled_from([t.id for t in g.types] + ["x"])),
+        tuple(data.draw(st.lists(st.sampled_from([a.id for a in g.aspects] + ["nope"]),
+                                 max_size=bound + 2))),
+    )
+    got = _index_or_error(lambda p: u.paths[u.index(p)], path)
+    assert got == _index_or_error(cong.representative, path)
+
+
+def test_index_and_path_read_no_path_list(monkeypatch):
+    # Each step of index reads one right list at the aspect's position, and
+    # path(i) reads one path back through its parents.
+    monkeypatch.setattr(PathUniverse, "paths", property(lambda self: pytest.fail("paths built")))
+    u = path_universe(UNSORTED, 4)
+    assert [u.index(u.path(i)) for i in range(len(u.end))] == list(range(len(u.end)))
