@@ -17,6 +17,9 @@ and every file it wrote. The commands are:
   queries at bound 8 on a commutative monoid of three loops on one type,
   written into the temporary directory: its 9,841 paths fall into classes
   of up to 560 members, so the witness chosen from each class is pinned;
+  and text and json queries on ``family.olog`` whose fact text holds a tab,
+  a carriage return, a form feed, a newline, a trailing comment, an
+  unterminated quote, a non-ASCII id, an empty step or a ``->``;
 - ``validate`` and ``sqlgen`` on every olog with data (and the mutated and
   triangle data sets), and ``synth`` of every sketch target, with the data
   as shipped and with the target table removed, with and without ``-o``;
@@ -105,6 +108,18 @@ MONOID_QUERIES = (
     "g2;g1;g0;g2 = g2;g1;g0;g1",
     "id(m) = id(m)",
     "g0;g0;g0;g0;g0;g0;g0;g0;g0 = g0",
+)
+# Fact texts on family.olog that stress the tokenizer.
+ODD_FACTS = (
+    "parents;w\t=\tmother",
+    "parents;w = mother\r",
+    "parents;w\f= mother",
+    "parents;w =\nmother",
+    "parents;w = mother # the declared fact",
+    'parents;w = "mother',
+    "parents;wé = mother",
+    "parents;;w = mother",
+    "parents->w = mother",
 )
 DATA = {
     "family.olog": ("data_family", "data_family_mutated"),
@@ -201,6 +216,9 @@ def commands() -> list[list[str]]:
         for fmt in ("text", "json"):
             cmds.append(["--bound", "8", "--format", fmt, "entail", "inputs/monoid.olog",
                          "--fact", query])
+    for query in ODD_FACTS:
+        for fmt in ("text", "json"):
+            cmds.append(["--format", fmt, "entail", "fixtures/family.olog", "--fact", query])
     for name, datas in sorted(DATA.items()):
         spec = load(name)
         for data in datas:

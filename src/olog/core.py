@@ -404,9 +404,11 @@ class Specification:
     name: str = "olog"
 
     def __post_init__(self):
-        # dict.fromkeys keeps the given order, so facts that arrive sorted
-        # sort in linear time.
-        object.__setattr__(self, "facts", tuple(sorted(dict.fromkeys(self.facts))))
+        # Facts that arrive strictly increasing are kept after one pass.
+        facts = tuple(self.facts)
+        if not all(map(lt, facts, facts[1:])):
+            facts = tuple(sorted(dict.fromkeys(facts)))
+        object.__setattr__(self, "facts", facts)
         sketch = sorted(dict.fromkeys(self.sketch), key=lambda d: (d.kind, d))
         object.__setattr__(self, "sketch", tuple(sketch))
 
@@ -663,6 +665,17 @@ class PathUniverse:
                 src, edges = paths[i]
                 paths += [new(Path, (src, edges + e)) for e in steps[end[i]]]
         return paths
+
+    @cached_property
+    def order(self) -> list[int]:
+        """The ids in ``Path`` order, by source and then edges: a preorder walk
+        of ``right``, which is in aspect id order, from each identity."""
+        right, order, stack = self.right, [], [*reversed(self.start.values())]
+        pop, push, add = stack.pop, stack.extend, order.append
+        while stack:
+            add(i := pop())
+            push(reversed(right[i]))
+        return order
 
     def path(self, i: int) -> Path:
         """Path i alone, read back through its parents."""

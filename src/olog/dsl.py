@@ -88,23 +88,34 @@ def has_errors(diagnostics) -> bool:
 
 # A `#` outside a string starts a comment, which runs to the end of the text
 # tokenized: one line of a file, or all of a fact given on the command line.
+# Each match is one token after any blanks, of the kind its group names. No
+# kind starts with a blank or a line break, so none is ever a token.
 _TOKEN_RE = re.compile(
     rf"""
-    (?P<STRING>"[^"\n]*")
-  | (?P<COMMENT>\#(?s:.*))
-  | (?P<IDENT>{_ID})
-  | (?P<OP>->|=>|\*_|\+_|[{{}}();,=:*+])
-  | (?P<WS>[ \t]+)
-  | (?P<BAD>.)
+    [ \t]*(?:
+      (?P<STRING>"[^"\n]*")
+    | (?P<COMMENT>\#(?s:.*))
+    | (?P<IDENT>{_ID})
+    | (?P<OP>->|=>|\*_|\+_|[{{}}();,=:*+])
+    | (?P<BAD>[^ \t\n])
+    )
     """,
     re.VERBOSE,
 )
 
 
 class _Tok(NamedTuple):
+    """A token and where it starts; its :class:`SourceSpan` is made on demand."""
+
     kind: str
     text: str
-    span: SourceSpan
+    file: str
+    line: int
+    column: int
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.file, self.line, self.column)
 
 
 class _Cursor:
@@ -137,15 +148,15 @@ class _Parser:
     def tokenize(self, line: str, lineno: int) -> _Cursor:
         """A cursor over one line's tokens; each unexpected character is an error and dropped."""
         toks: list[_Tok] = []
+        file, new = self.filename, tuple.__new__  # _Tok's own __new__ costs a call
         for m in _TOKEN_RE.finditer(line):
-            if m.lastgroup in ("WS", "COMMENT"):
-                continue
-            span = SourceSpan(self.filename, lineno, m.start() + 1)
-            if m.lastgroup == "BAD":
-                self.error(f"unexpected character '{m.group()}'", span)
-            else:
-                toks.append(_Tok(m.lastgroup, m.group(), span))
-        return _Cursor(toks, SourceSpan(self.filename, lineno, 1))
+            k, kind = m.lastindex, m.lastgroup
+            if kind == "BAD":
+                at = SourceSpan(file, lineno, m.start(k) + 1)
+                self.error(f"unexpected character '{m[k]}'", at)
+            elif kind != "COMMENT":
+                toks.append(new(_Tok, (kind, m[k], file, lineno, m.start(k) + 1)))
+        return _Cursor(toks, SourceSpan(file, lineno, 1))
 
     def error(self, message: str, at: SourceSpan):
         self.diagnostics.append(ParseDiagnostic(ERROR, message, at))
@@ -288,9 +299,9 @@ def parse_olog(
         return Specification(Graph(), name=name), p.diagnostics
 
     types: list[TypeNode] = []
-    aspects: list[tuple[Aspect, SourceSpan]] = []
+    aspects: list[tuple[Aspect, _Tok]] = []
     deferred: list[tuple[str, _Cursor]] = []
-    seen_ids: dict[str, SourceSpan] = {}
+    seen_ids: set[str] = set()
 
     def declare(ident: _Tok) -> bool:
         if ident.text in KEYWORDS:
@@ -299,7 +310,7 @@ def parse_olog(
         if ident.text in seen_ids:
             p.error(f"duplicate declaration of '{ident.text}'", ident.span)
             return False
-        seen_ids[ident.text] = ident.span
+        seen_ids.add(ident.text)
         return True
 
     for head, cur in body:
@@ -355,7 +366,7 @@ def parse_olog(
                         label=label,
                         modifiers=frozenset(mods),
                     ),
-                    ident.span,
+                    ident,
                 )
             )
         elif head in ("fact", "product", "pullback", "coproduct", "pushout",
@@ -366,11 +377,11 @@ def parse_olog(
             p.error(f"unknown declaration '{head}'", span)
 
     graph = Graph(types=tuple(types), aspects=tuple(a for a, _ in aspects))
-    for a, span in aspects:
+    for a, ident in aspects:
         if not graph.has_type(a.src):
-            p.error(f"aspect '{a.id}': unknown source type '{a.src}'", span)
+            p.error(f"aspect '{a.id}': unknown source type '{a.src}'", ident.span)
         if not graph.has_type(a.tgt):
-            p.error(f"aspect '{a.id}': unknown target type '{a.tgt}'", span)
+            p.error(f"aspect '{a.id}': unknown target type '{a.tgt}'", ident.span)
 
     facts: list[Fact] = []
     sketch: list = []
@@ -633,12 +644,14 @@ def print_olog(spec: Specification) -> str:
             f" {m}" for m in ("injective", "surjective") if m in a.modifiers
         )
         lines.append(f'  aspect {a.id} : {a.src} -> {a.tgt} "{a.label}"{mods}')
-    # A class of m paths gives m * m facts: format each distinct path once.
+    # A class of m paths gives m * m facts: format each distinct right side
+    # once, and the head once per run of facts with one left side object.
     text: dict[Path, str] = {}
+    last = head = None
     for lhs, rhs in spec.facts:
-        left = text.get(lhs) or text.setdefault(lhs, format_path(lhs))
-        right = text.get(rhs) or text.setdefault(rhs, format_path(rhs))
-        lines.append(f"  fact {left} = {right}")
+        if lhs is not last:
+            last, head = lhs, f"  fact {format_path(lhs)} = "
+        lines.append(head + (text.get(rhs) or text.setdefault(rhs, format_path(rhs))))
     for d in spec.sketch:
         lines.append("  " + format_decl(spec.graph, d))
     lines.append("}")

@@ -51,21 +51,23 @@ def check_fits(fact: Fact, bound: int, role: str) -> None:
         )
 
 
-def _pairs_within(keyed) -> tuple[Fact, ...]:
-    """Every ordered pair of paths that share a key, sorted.
+def _pairs_within(u: PathUniverse, keys) -> tuple[Fact, ...]:
+    """Every ordered pair of paths of ``u`` that share a key, sorted.
 
-    ``keyed`` yields (path, key) pairs, one per path, and paths that share a
-    key are parallel. The answer is built group by group, so its cost
+    ``keys`` holds one key per id, None for a path in no pair, and paths
+    that share a key are parallel. The ids are walked in ``Path`` order, so
+    each group fills already sorted and the pairs come out sorted: the cost
     follows the pairs emitted.
     """
-    groups: dict = {}
-    group_of: dict[Path, list[Path]] = {}
-    for p, key in keyed:
-        group = group_of[p] = groups.setdefault(key, [])
-        group.append(p)
-    for group in groups.values():
-        group.sort()
-    return tuple(Fact(p, q) for p in sorted(group_of) for q in group_of[p])
+    paths, groups, rows = u.paths, {}, []
+    for i in u.order:
+        key = keys[i]
+        if key is not None:
+            group = groups.setdefault(key, [])
+            group.append(paths[i])
+            rows.append((paths[i], group))
+    new = tuple.__new__  # Fact's own __new__ costs a call per pair
+    return tuple([new(Fact, (p, q)) for p, group in rows for q in group])
 
 
 @record
@@ -200,12 +202,8 @@ def entails(spec: Specification, fact: Fact, bound: int = DEFAULT_BOUND) -> str:
     Returns :data:`ENTAILED` or :data:`NOT_DERIVABLE`. The bound must be
     positive, the query fact well formed and both its sides within the bound.
     """
-    _check_bound(bound)
-    errs = fact_errors(spec.graph, fact)
-    if errs:
-        raise OlogError(f"fact {format_fact(fact)}: {errs[0]}")
-    check_fits(fact, bound, "queried")
-    return ENTAILED if closure(spec, bound).same(fact.lhs, fact.rhs) else NOT_DERIVABLE
+    query = Specification(graph=spec.graph, facts=(fact,))
+    return ENTAILED if spec_leq(spec, query, bound) else NOT_DERIVABLE
 
 
 def consequence(spec: Specification, bound: int = DEFAULT_BOUND) -> tuple[Fact, ...]:
@@ -214,8 +212,8 @@ def consequence(spec: Specification, bound: int = DEFAULT_BOUND) -> tuple[Fact, 
     Contains every declared fact that fits the bound, every tautology, and
     everything derivable from them inside the bounded universe.
     """
-    cong = saturate(spec, bound)
-    return _pairs_within((p, i) for i, cls in enumerate(cong.classes) for p in cls)
+    u, root = closure(spec, bound)
+    return _pairs_within(u, root)
 
 
 def spec_leq(e1: Specification, e2: Specification, bound: int = DEFAULT_BOUND) -> bool:
@@ -223,8 +221,16 @@ def spec_leq(e1: Specification, e2: Specification, bound: int = DEFAULT_BOUND) -
 
     True when ``e1`` entails every declared fact of ``e2`` within the bound.
     Reflexive and transitive; the empty specification is the most general.
+    The bound must be positive, and each fact of ``e2`` a well-formed query
+    with both sides within the bound.
     """
     if e1.graph != e2.graph:
         raise GraphMismatchError("spec_leq compares specifications over one graph")
+    _check_bound(bound)
+    for f in e2.facts:
+        errs = fact_errors(e2.graph, f)
+        if errs:
+            raise OlogError(f"fact {format_fact(f)}: {errs[0]}")
+        check_fits(f, bound, "queried")
     cl = closure(e1, bound)
     return all(cl.same(f.lhs, f.rhs) for f in e2.facts)

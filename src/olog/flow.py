@@ -162,7 +162,7 @@ def _flow_back(h: GraphMorphism, cl: Closure, bound: int) -> tuple[Fact, ...]:
     """
     u, t, root = path_universe(h.src, _check_bound(bound)), cl.universe, cl.root
     images: list[int] = []  # each path's image id extends its parent's; -1 past t.bound
-    keyed = []
+    keys = []
     for p, q, e, end in zip(u.paths, u.parent, u.last, u.end):
         try:
             if q < 0:
@@ -173,9 +173,8 @@ def _flow_back(h: GraphMorphism, cl: Closure, bound: int) -> tuple[Fact, ...]:
             img = translate_path(h, p)
             i = -1 if len(img) > t.bound else t.index(img)
         images.append(i)
-        if i >= 0:
-            keyed.append((p, (p.source, end, root[i])))
-    return _pairs_within(keyed)
+        keys.append((p.source, end, root[i]) if i >= 0 else None)
+    return _pairs_within(u, keys)
 
 
 def pullback_instances(h: GraphMorphism, d2: KeyDiagram) -> KeyDiagram:

@@ -258,4 +258,4 @@ def intent(d: KeyDiagram, graph: Graph, bound: int) -> tuple[Fact, ...]:
             vectors.append(tuple(map(d.funcs[edges[-1]].__getitem__, prefix)) if prefix else ())
         else:
             vectors.append(tuple(sorted(d.sets.get(src, frozenset()))))
-    return _pairs_within((p, (p.source, t, v)) for p, t, v in zip(u.paths, u.end, vectors))
+    return _pairs_within(u, [(p.source, t, v) for p, t, v in zip(u.paths, u.end, vectors)])

@@ -35,17 +35,26 @@ before it worked a column at a time: ``load_tables`` reading one row at a
 time, facts, sketch checks and pullback instances evaluated one key at a
 time, and INSERT statements quoted one value at a time. Each check decides
 its verdict inside the loop that finds its witness.
+``pairs_within_by_sorting`` is ``entail._pairs_within`` as it was before it
+walked the universe's ids in ``Path`` order: it sorts each group and then
+the paths. ``tokenize_by_groups`` and ``TOKEN_RE_BY_GROUPS`` are the
+``dsl`` tokenizer as it was before it matched once per token: blanks are a
+token of their own, each token's kind is its group's name, and each token
+carries its ``SourceSpan``.
 """
 
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass, field
 from itertools import product as iter_product
 from pathlib import Path as FsPath
 from types import MappingProxyType
+from typing import NamedTuple
 
 from olog.core import (
+    _ID,
     CoproductDecl,
     Fact,
     Graph,
@@ -63,6 +72,7 @@ from olog.core import (
     path_target,
     synthesized_aspects,
 )
+from olog.dsl import SourceSpan, _Parser
 from olog.entail import Congruence, _check_bound, check_fits, saturate
 from olog.errors import BoundExceededError, OlogError, SynthesisError
 from olog.flow import GraphMorphism, is_spec_morphism, translate_fact
@@ -1067,3 +1077,56 @@ def synthesize_by_keys(decl: SketchDecl, d: KeyDiagram) -> KeyDiagram:
             funcs[decl.injection][v] = v
 
     return KeyDiagram(sets=sets, funcs=funcs)
+
+
+def pairs_within_by_sorting(keyed) -> tuple[Fact, ...]:
+    """Every ordered pair of paths that share a key, sorted.
+
+    ``keyed`` yields (path, key) pairs, one per path, and paths that share a
+    key are parallel. The answer is built group by group, so its cost
+    follows the pairs emitted.
+    """
+    groups: dict = {}
+    group_of: dict[Path, list[Path]] = {}
+    for p, key in keyed:
+        group = group_of[p] = groups.setdefault(key, [])
+        group.append(p)
+    for group in groups.values():
+        group.sort()
+    return tuple(Fact(p, q) for p in sorted(group_of) for q in group_of[p])
+
+
+# A `#` outside a string starts a comment, which runs to the end of the text
+# tokenized: one line of a file, or all of a fact given on the command line.
+TOKEN_RE_BY_GROUPS = re.compile(
+    rf"""
+    (?P<STRING>"[^"\n]*")
+  | (?P<COMMENT>\#(?s:.*))
+  | (?P<IDENT>{_ID})
+  | (?P<OP>->|=>|\*_|\+_|[{{}}();,=:*+])
+  | (?P<WS>[ \t]+)
+  | (?P<BAD>.)
+    """,
+    re.VERBOSE,
+)
+
+
+class TokByGroups(NamedTuple):
+    kind: str
+    text: str
+    span: SourceSpan
+
+
+def tokenize_by_groups(self: _Parser, line: str, lineno: int):
+    """One line's tokens and the line's span; each unexpected character is
+    an error on ``self`` and dropped."""
+    toks: list[TokByGroups] = []
+    for m in TOKEN_RE_BY_GROUPS.finditer(line):
+        if m.lastgroup in ("WS", "COMMENT"):
+            continue
+        span = SourceSpan(self.filename, lineno, m.start() + 1)
+        if m.lastgroup == "BAD":
+            self.error(f"unexpected character '{m.group()}'", span)
+        else:
+            toks.append(TokByGroups(m.lastgroup, m.group(), span))
+    return toks, SourceSpan(self.filename, lineno, 1)

@@ -3,7 +3,9 @@
 ``consequence``, ``intent``, ``inv_flow`` and ``system_consequence`` group
 paths into classes and emit the pairs within each group. The oracles in
 ``tests/oracles.py`` test every candidate pair instead. Results must be the
-same tuple, order included, and an error must be the same error.
+same tuple, order included, and an error must be the same error. Each must
+also give what it gives with the emitter that sorted its groups,
+``pairs_within_by_sorting``, in place of the one that walks path order.
 
 ``check_pullback`` and pullback synthesis join the legs on the cospan value;
 their oracles test every pair of leg keys. Results must be equal and an
@@ -38,6 +40,7 @@ from .oracles import (
     consequence_by_pairs,
     intent_by_pairs,
     inv_flow_by_pairs,
+    pairs_within_by_sorting,
     synthesize_product_by_factors,
     synthesize_pullback_by_pairs,
     system_consequence_by_pairs,
@@ -55,6 +58,17 @@ def outcome(fn, *args, **kwargs):
         return ("raised", type(exc), str(exc))
 
 
+def _sorting_emitter(u, keys):
+    return pairs_within_by_sorting((p, k) for p, k in zip(u.paths, keys) if k is not None)
+
+
+def by_sorting(fn, *args, **kwargs):
+    """The outcome of ``fn`` with the emitter that sorted its groups."""
+    with mock.patch("olog.entail._pairs_within", _sorting_emitter), \
+            mock.patch("olog.flow._pairs_within", _sorting_emitter):
+        return outcome(fn, *args, **kwargs)
+
+
 # --- consequence --------------------------------------------------------------
 
 
@@ -64,7 +78,9 @@ def test_consequence_matches_pair_loop(data):
     g = data.draw(sts.graphs())
     spec = data.draw(sts.specs_on(g, max_facts=4, max_len=3))
     bound = data.draw(st.integers(1, 3))
-    assert outcome(consequence, spec, bound) == outcome(consequence_by_pairs, spec, bound)
+    got = outcome(consequence, spec, bound)
+    assert got == outcome(consequence_by_pairs, spec, bound)
+    assert got == by_sorting(consequence, spec, bound)
 
 
 def test_consequence_pairs_only_parallel_paths():
@@ -87,7 +103,9 @@ def test_intent_matches_pair_loop(data):
     g = data.draw(sts.graphs())
     d = data.draw(sts.key_diagrams_on(g, max_keys=3))
     bound = data.draw(st.integers(1, 3))
-    assert outcome(intent, d, g, bound) == outcome(intent_by_pairs, d, g, bound)
+    got = outcome(intent, d, g, bound)
+    assert got == outcome(intent_by_pairs, d, g, bound)
+    assert got == by_sorting(intent, d, g, bound)
 
 
 def test_intent_with_empty_key_sets_matches_pair_loop():
@@ -127,6 +145,7 @@ def test_inv_flow_matches_pair_loop(data):
     tb = data.draw(st.one_of(st.none(), st.integers(1, 4)))
     got = outcome(inv_flow, h, target.facts, bound, target_bound=tb)
     assert got == outcome(inv_flow_by_pairs, h, target.facts, bound, target_bound=tb)
+    assert got == by_sorting(inv_flow, h, target.facts, bound, target_bound=tb)
 
 
 def _collapse():
@@ -201,9 +220,9 @@ def two_node_systems(draw):
 @settings(max_examples=100, deadline=None)
 @given(two_node_systems(), st.integers(2, 3))
 def test_system_consequence_matches_pair_loop(sysm, bound):
-    assert outcome(system_consequence, sysm, bound) == outcome(
-        system_consequence_by_pairs, sysm, bound
-    )
+    got = outcome(system_consequence, sysm, bound)
+    assert got == outcome(system_consequence_by_pairs, sysm, bound)
+    assert got == by_sorting(system_consequence, sysm, bound)
 
 
 @pytest.mark.parametrize("name", ["w.osys", "span.osys", "constant.osys", "discrete.osys"])

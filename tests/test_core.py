@@ -286,6 +286,20 @@ def test_enumerate_paths_deterministic_and_bounded(employee_spec):
         path_target(g, p)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_specification_facts_are_sorted_and_deduplicated(data):
+    g = data.draw(sts.graphs())
+    facts = data.draw(st.lists(sts.parallel_facts(g), max_size=8))
+    again = data.draw(st.lists(st.sampled_from(facts), max_size=4)) if facts else []
+    given_facts = data.draw(st.permutations(facts + again))
+    want = tuple(sorted(set(facts)))
+    assert Specification(graph=g, facts=tuple(given_facts)).facts == want
+    assert Specification(graph=g, facts=given_facts).facts == want
+    # Facts already strictly increasing are kept as given.
+    assert Specification(graph=g, facts=want).facts is want
+
+
 # --- Path and Fact are named tuples -------------------------------------------
 
 # Few sources and edge ids, so random pairs share prefixes and often collide.

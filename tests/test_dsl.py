@@ -43,7 +43,7 @@ from .conftest import (
     write_overflowing_node,
     write_overflowing_system,
 )
-from .oracles import DataclassParseDiagnostic, DataclassSourceSpan
+from .oracles import DataclassParseDiagnostic, DataclassSourceSpan, tokenize_by_groups
 
 FAMILY_TEXT = (FIXTURES / "family.olog").read_text()
 FAMILY = load_olog("family.olog")
@@ -618,6 +618,25 @@ def test_a_hash_in_a_string_is_not_a_comment_and_a_fact_comment_ends_the_text(fa
     # A fact is one line however many newlines it holds.
     fact = dsl.parse_fact_text("parents;w = mother # note\nmother", family_spec.graph)
     assert fact == family_spec.facts[0]
+
+
+# Letters, digits, a non-ASCII letter, every blank and line break the
+# tokenizer treats apart, comment and string marks, and every operator.
+_TOKEN_PIECES = (
+    *"aZ_09é", *" \t\r\n\f\v", "#", '"',
+    "->", "=>", "*_", "+_", *"{}();,=:*+-><",
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_TOKEN_PIECES), max_size=30).map("".join), st.integers(1, 9))
+def test_tokenizer_matches_the_group_oracle(text, lineno):
+    new, old = dsl._Parser("t.olog"), dsl._Parser("t.olog")
+    cur = new.tokenize(text, lineno)
+    toks, line_span = tokenize_by_groups(old, text, lineno)
+    assert [(t.kind, t.text, t.span) for t in cur.toks] == [tuple(t) for t in toks]
+    assert cur.line_span == line_span and cur.span() == (toks[0].span if toks else line_span)
+    assert new.diagnostics == old.diagnostics
 
 
 # --- system files ------------------------------------------------------------

@@ -208,6 +208,34 @@ def test_entails_checks_the_bound_before_the_fact(employee_spec):
         spec_leq(employee_spec, employee_spec, 0)
 
 
+TAGGED_LOOP = Graph(
+    types=(TypeNode("m", "a step"), TypeNode("n", "a tag")),
+    aspects=(Aspect("f", "m", "m", "is followed by"), Aspect("t", "m", "n", "is tagged")),
+)
+
+
+@pytest.mark.parametrize("e2_first", [False, True], ids=["e2 queried", "e2 declared"])
+@pytest.mark.parametrize(
+    "fact, messages",
+    [
+        (Fact(Path("m", ("f",) * 4), Path("m", ("f",))),
+         ("queried fact 'f;f;f;f = f' has a side longer than bound 3",
+          "declared fact 'f;f;f;f = f' has a side longer than bound 3")),
+        (Fact(Path("m", ("t",)), Path("m")),
+         ("fact t = id(m): fact sides end at different types: 'n' vs 'm'",
+          "declared fact t = id(m): fact sides end at different types: 'n' vs 'm'")),
+    ],
+    ids=["overlong", "ill-formed"],
+)
+def test_spec_leq_names_a_bad_fact_on_either_side(fact, messages, e2_first):
+    e1, e2 = Specification(graph=TAGGED_LOOP), Specification(graph=TAGGED_LOOP, facts=(fact,))
+    with pytest.raises(OlogError) as exc:
+        spec_leq(*((e2, e1) if e2_first else (e1, e2)), 3)
+    assert str(exc.value) == messages[e2_first]
+    if isinstance(exc.value, BoundExceededError):
+        assert exc.value.fact == fact
+
+
 # --- consequence ------------------------------------------------------------
 
 

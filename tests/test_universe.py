@@ -60,6 +60,7 @@ def _check_universe(g: Graph, bound: int):
     assert u.paths == sorted(enumerate_paths_by_levels(g, bound), key=_canon_key)
     assert enumerate_paths(g, bound) == enumerate_paths_by_levels(g, bound)
     assert count_paths(g, bound) == len(u.paths) == len(u.end) == len(u.parent) == len(u.right)
+    assert u.order == sorted(range(len(u.paths)), key=u.paths.__getitem__)
     ids = {p: i for i, p in enumerate(u.paths)}
     for k in range(bound + 2):
         assert u.level[k] == sum(len(p.edges) < k for p in u.paths)
