@@ -162,7 +162,7 @@ def _cmd_validate(args, out: _Out) -> int:
 def _render_table(spec: Specification, d, type_id: str) -> str:
     aspect_ids = [a.id for a in spec.graph.aspects_from.get(type_id, ())]
     lines = [",".join(["Id"] + aspect_ids)]
-    for key in sorted(d.sets.get(type_id, frozenset())):
+    for key in d.keys(type_id):
         row = [key] + [d.funcs[aid][key] for aid in aspect_ids]
         lines.append(",".join(_csv_cell(c) for c in row))
     return "\n".join(lines) + "\n"

@@ -122,6 +122,18 @@ def _comparison(op, key):
     return compare
 
 
+def held(obj, name: str, bound, build):
+    """``build()``, kept with ``bound`` in ``obj.__dict__[name]``: the same
+    object while asked at that bound, replaced when asked at another. An
+    exception from ``build`` leaves the slot as it was."""
+    slot = obj.__dict__.get(name)
+    if slot is not None and slot[0] == bound:
+        return slot[1]
+    value = build()
+    obj.__dict__[name] = (bound, value)
+    return value
+
+
 def _frozen_setattr(self, name, value):
     raise AttributeError(f"cannot assign to field {name!r}")
 
@@ -645,7 +657,8 @@ class PathUniverse:
     one-aspect extensions in aspect id order (none at the bound). ``start[t]``
     is the id of the identity at type t, and ``level[k]`` counts the paths
     shorter than k, for k up to ``bound + 1``. The ``Path`` objects are built
-    only when ``paths`` or :meth:`path` asks for them."""
+    only when ``paths`` or :meth:`path` asks for them. A universe is shared by
+    every caller that asks its graph at its bound and must not be mutated."""
 
     def __init__(self, graph, bound, end, parent, last, right, start, level):
         self.graph, self.bound, self.start, self.level = graph, bound, start, level
@@ -727,10 +740,14 @@ def path_universe(graph: Graph, bound: int) -> PathUniverse:
     order, and each later level the previous one's right extensions, so no
     level needs sorting. Only ids are made here. Over :data:`PATH_BUDGET`
     paths or :data:`EDGE_BUDGET` aspect ids in them, by :func:`count_paths`,
-    it raises :class:`BoundExceededError` instead.
+    it raises :class:`BoundExceededError` instead. It is :func:`held` on the graph.
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
+    return held(graph, "_universe", bound, lambda: _number(graph, bound))
+
+
+def _number(graph: Graph, bound: int) -> PathUniverse:
     count = count_paths(graph, bound)
     if count > PATH_BUDGET:
         raise _over_budget(bound, count, "paths", "path", PATH_BUDGET)

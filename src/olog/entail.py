@@ -23,6 +23,7 @@ from .core import (
     Specification,
     fact_errors,
     format_fact,
+    held,
     path_errors,
     path_universe,
     record,
@@ -109,10 +110,11 @@ class Congruence:
 class Closure(NamedTuple):
     """The least bounded congruence on the ids of a :class:`core.PathUniverse`:
     ``root[i]`` is the least id in the class of path i, its shortest member,
-    ties broken lexicographically by edge ids."""
+    ties broken lexicographically by edge ids. A closure is shared by every
+    caller that asks its specification at its bound and must not be mutated."""
 
     universe: PathUniverse
-    root: list[int]
+    root: tuple[int, ...]
 
     def same(self, p: Path, q: Path) -> bool:
         """Are ``p`` and ``q`` in one class? Each must be a well-formed path
@@ -134,9 +136,14 @@ def closure(spec: Specification, bound: int = DEFAULT_BOUND) -> Closure:
     of id pairs over a list union-find whose roots are least ids, that is,
     each class's shortest member. Whiskering the merged roots is complete
     because every member's whiskering already equals its root's. No ``Path``
-    of the universe is built.
+    of the universe is built. The closure is :func:`core.held` on ``spec``;
+    the fact checks run when it is built.
     """
     _check_bound(bound)
+    return held(spec, "_closure", bound, lambda: _close(spec, bound))
+
+
+def _close(spec: Specification, bound: int) -> Closure:
     g = spec.graph
     for fact in spec.facts:
         errs = fact_errors(g, fact)
@@ -183,7 +190,7 @@ def closure(spec: Specification, bound: int = DEFAULT_BOUND) -> Closure:
     # id to its root.
     for i in range(n):
         parent[i] = parent[parent[i]]
-    return Closure(u, parent)
+    return Closure(u, tuple(parent))
 
 
 def saturate(spec: Specification, bound: int = DEFAULT_BOUND) -> Congruence:

@@ -188,7 +188,7 @@ def pullback_instances(h: GraphMorphism, d2: KeyDiagram) -> KeyDiagram:
     sets = {t.id: d2.sets[h.type_map[t.id]] for t in h.src.types}
     funcs = {}
     for a in h.src.aspects:
-        keys = sorted(sets[a.src])
+        keys = d2.keys(h.type_map[a.src])
         funcs[a.id] = dict(zip(keys, eval_column(d2, h.aspect_map[a.id], keys)))
     return KeyDiagram(sets=sets, funcs=funcs)
 

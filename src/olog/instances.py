@@ -28,6 +28,14 @@ class KeyDiagram:
     sets: Mapping[str, frozenset[str]]
     funcs: Mapping[str, Mapping[str, str]]
 
+    def keys(self, t: str) -> tuple[str, ...]:
+        """The keys of type ``t`` sorted, none for a type without a set. The
+        tuple is sorted once and kept while ``sets[t]`` is the same object."""
+        keys, memo = self.sets.get(t, ()), self.__dict__.setdefault("_sorted", {})
+        if t not in memo or memo[t][0] is not keys:
+            memo[t] = (keys, tuple(sorted(keys)))
+        return memo[t][1]
+
 
 def key_diagram(sets: Mapping[str, object], funcs: Mapping[str, Mapping[str, str]]) -> KeyDiagram:
     """Normalize plain dicts into a KeyDiagram."""
@@ -226,7 +234,7 @@ def satisfies_fact(d: KeyDiagram, fact: Fact) -> FactCheck:
 
     A fact over an empty source set is vacuously satisfied.
     """
-    keys = sorted(d.sets.get(fact.lhs.source, frozenset()))
+    keys = d.keys(fact.lhs.source)
     lhs = eval_column(d, fact.lhs, keys)
     rhs = eval_column(d, fact.rhs, keys)
     if lhs == rhs:
@@ -257,5 +265,5 @@ def intent(d: KeyDiagram, graph: Graph, bound: int) -> tuple[Fact, ...]:
             prefix = vectors[q]
             vectors.append(tuple(map(d.funcs[edges[-1]].__getitem__, prefix)) if prefix else ())
         else:
-            vectors.append(tuple(sorted(d.sets.get(src, frozenset()))))
+            vectors.append(d.keys(src))
     return _pairs_within(u, [(p.source, t, v) for p, t, v in zip(u.paths, u.end, vectors)])

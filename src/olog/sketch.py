@@ -77,7 +77,7 @@ class CheckResult:
 
 
 def _tupling(d: KeyDiagram, target: str, projections) -> dict[str, tuple[str, ...]]:
-    xs = sorted(d.sets.get(target, frozenset()))
+    xs = d.keys(target)
     columns = [list(map(d.funcs[aid].__getitem__, xs)) for aid in projections]
     return dict(zip(xs, _rows(columns, len(xs))))
 
@@ -114,7 +114,7 @@ def _limit_tuples(d: KeyDiagram, decl: ProductDecl | PullbackDecl) -> list[tuple
     is evaluated once, so the cost is |B| + |C| + pairs, not |B|·|C|. With
     an empty leg nothing is evaluated.
     """
-    key_sets = [sorted(d.sets.get(t, frozenset())) for t, _ in legs(decl)]
+    key_sets = [d.keys(t) for t, _ in legs(decl)]
     if isinstance(decl, ProductDecl):
         return list(iter_product(*key_sets))
     bs, cs = key_sets
@@ -155,7 +155,7 @@ def check_coproduct(d: KeyDiagram, decl: CoproductDecl) -> CheckResult:
     covered: dict[str, tuple[str, str]] = {}
     for tid, aid in decl.summands:
         seen: dict[str, str] = {}
-        for k in sorted(d.sets.get(tid, frozenset())):
+        for k in d.keys(tid):
             v = d.funcs[aid][k]
             if v in seen:
                 return CheckResult(
@@ -191,7 +191,7 @@ def _pushout_quotient(d: KeyDiagram, decl: PushoutDecl) -> UnionFind:
     for tid, aid in legs(decl):
         universe += _tag_column(aid, d.sets.get(tid, frozenset()))
     uf = UnionFind(sorted(universe))
-    akeys = sorted(d.sets.get(pf.source, frozenset()))
+    akeys = d.keys(pf.source)
     for b, c in zip(_tag_column(ab, eval_column(d, pf, akeys)),
                     _tag_column(ac, eval_column(d, pg, akeys))):
         uf.union(b, c)
@@ -240,14 +240,14 @@ def check_pushout(d: KeyDiagram, decl: PushoutDecl) -> CheckResult:
 
 
 def check_injective(d: KeyDiagram, graph: Graph, aspect_id: str) -> CheckResult:
-    fn = d.funcs[aspect_id]
-    keys = d.sets.get(graph.aspect_by_id[aspect_id].src, frozenset())
+    fn, src = d.funcs[aspect_id], graph.aspect_by_id[aspect_id].src
+    keys = d.sets.get(src, frozenset())
     # Injective exactly when no value repeats; the loop below only finds the
     # first witness of a failure.
     if len(set(map(fn.__getitem__, keys))) == len(keys):
         return CheckResult("injective", aspect_id, True)
     seen: dict[str, str] = {}
-    for k in sorted(keys):
+    for k in d.keys(src):
         v = fn[k]
         if v in seen:
             return CheckResult(
@@ -276,7 +276,7 @@ def check_image(d: KeyDiagram, graph: Graph, decl: ImageDecl) -> CheckResult:
     inj = check_injective(d, graph, decl.injection)
     if not inj.passed:
         return CheckResult("image", decl.target, False, inj.witness)
-    keys = sorted(d.sets.get(decl.of.source, frozenset()))
+    keys = d.keys(decl.of.source)
     vias = eval_column(d, Path(decl.of.source, (decl.surjection, decl.injection)), keys)
     directs = eval_column(d, decl.of, keys)
     if vias != directs:
@@ -337,7 +337,7 @@ def synthesize(decl: SketchDecl, d: KeyDiagram) -> KeyDiagram:
     elif isinstance(decl, CoproductDecl):
         keys = []
         for tid, aid in decl.summands:
-            ks = sorted(d.sets.get(tid, frozenset()))
+            ks = d.keys(tid)
             tagged = _tag_column(aid, ks)
             keys += tagged
             funcs[aid].update(zip(ks, tagged))
@@ -422,7 +422,7 @@ def populate_mediator(
     """Instance semantics of a mediating aspect: each key maps to the tuple of
     its cone evaluations (matching the canonical synthesized target keys)."""
     funcs = {k: dict(v) for k, v in d.funcs.items()}
-    xs = sorted(d.sets.get(x, frozenset()))
+    xs = d.keys(x)
     columns = [eval_column(d, p, xs) for p in cone]
     funcs[aspect_id] = dict(zip(xs, map(encode_tuple, _rows(columns, len(xs)))))
     return KeyDiagram(sets=dict(d.sets), funcs=funcs)

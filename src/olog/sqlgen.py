@@ -66,7 +66,7 @@ def emit_inserts(spec: Specification, d: KeyDiagram) -> str:
     for t in g.types:
         aspect_ids = [a.id for a in g.aspects_from.get(t.id, ())]
         head = f"INSERT INTO {t.id} ({', '.join(['Id'] + aspect_ids)}) VALUES ("
-        keys = sorted(d.sets.get(t.id, frozenset()))
+        keys = d.keys(t.id)
         columns = [keys] + [map(d.funcs[aid].__getitem__, keys) for aid in aspect_ids]
         # Each value doubles its quotes; the joins put the quotes around it.
         escaped = [map(str.replace, col, repeat("'"), repeat("''")) for col in columns]

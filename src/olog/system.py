@@ -23,6 +23,7 @@ from .core import (
     TypeNode,
     UnionFind,
     format_fact,
+    held,
     record,
 )
 from .entail import DEFAULT_BOUND, Closure, check_fits, closure
@@ -306,7 +307,12 @@ def induced_refinement(optimal: Channel, other: Channel) -> GraphMorphism:
 
 
 def _fuse(sys: InformationSystem, bound: int) -> tuple[Channel, Specification]:
-    """Validate the system, then build its optimal channel and the fusion on it."""
+    """Validate the system, then build its optimal channel and the fusion on it,
+    :func:`core.held` on ``sys``, so :func:`fusion` and :func:`system_consequence` share it."""
+    return held(sys, "_fusion", bound, lambda: _fuse_anew(sys, bound))
+
+
+def _fuse_anew(sys: InformationSystem, bound: int) -> tuple[Channel, Specification]:
     problems = validate_system(sys, bound)
     if problems:
         raise OlogError("invalid information system: " + "; ".join(problems))
