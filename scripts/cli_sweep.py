@@ -32,8 +32,9 @@ Then seeded line-level mutants, all made by ``mutate``, go through the
 readers: mutants of the fixture ologs through ``dsl.parse_olog``, of the
 fixture morphisms through ``dsl.parse_morphism`` against their source and
 target, and of the ``entail`` fact strings through ``dsl.parse_fact_text``.
-Their lines hold whether the text was accepted and the sha256 of the
-diagnostics (or the error) and of what was read.
+Their lines hold whether the text was accepted, the diagnostics (or the
+error) as text, so that a differing line shows what changed, and the sha256
+of what was read.
 
 Run it in two checkouts and diff the output; every differing line is a
 change in behaviour:
@@ -316,7 +317,7 @@ def mutants() -> list[dict]:
         out.append({
             "case": f"mutant {i} of {source.name}",
             "accepted": spec is not None,
-            "diagnostics": digest("\n".join(map(str, diags))),
+            "diagnostics": list(map(str, diags)),
             "printed": digest(dsl.print_olog(spec)) if spec is not None else None,
         })
     return out
@@ -338,7 +339,7 @@ def omap_mutants() -> list[dict]:
         out.append({
             "case": f"omap mutant {i} of {Path(omap).name}",
             "accepted": h is not None,
-            "diagnostics": digest("\n".join(map(str, diags))),
+            "diagnostics": list(map(str, diags)),
             "read": read,
         })
     return out
@@ -358,7 +359,7 @@ def fact_mutants() -> list[dict]:
         try:
             record["read"] = digest(format_fact(dsl.parse_fact_text(text, load(name).graph)))
         except OlogError as exc:
-            record["error"] = digest(str(exc))
+            record["error"] = str(exc)
         out.append(record)
     return out
 

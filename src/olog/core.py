@@ -466,6 +466,8 @@ def validate_specification(spec: Specification) -> list[str]:
             problems.append(f"duplicate aspect id '{a.id}'")
         seen_aspects.add(a.id)
         problems.extend(_text_errors("aspect", a.id, a.label))
+        if a.id == "Id":
+            problems.append("aspect id 'Id' names the key column of every table")
         if a.id in seen_types:
             problems.append(f"id '{a.id}' is used for both a type and an aspect")
         if a.src not in g.type_by_id:
@@ -829,7 +831,7 @@ def relation_to_span(
 
     ``legs`` is a sequence of (role label, target type id) pairs. Returns the
     extended graph and the apex node. Ids are derived from the relation name
-    and role labels, uniquified against existing ids and :data:`KEYWORDS`.
+    and role labels, uniquified against existing ids, :data:`KEYWORDS` and ``Id``.
     """
     if not legs:
         raise OlogError("a relation needs at least one leg")
@@ -837,7 +839,8 @@ def relation_to_span(
         if not graph.has_type(tid):
             raise OlogError(f"unknown leg type '{tid}'")
 
-    taken = set(graph.type_by_id) | set(graph.aspect_by_id) | KEYWORDS
+    # ``Id`` names the key column of every table.
+    taken = set(graph.type_by_id) | set(graph.aspect_by_id) | KEYWORDS | {"Id"}
 
     def fresh(base: str) -> str:
         # Ids match ``_ID``: every other character becomes ``_``.

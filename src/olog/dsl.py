@@ -30,6 +30,7 @@ from .core import (
     _ID,
     DEFAULT_BOUND,
     KEYWORDS,
+    MODIFIERS,
     Aspect,
     CoproductDecl,
     Fact,
@@ -117,25 +118,31 @@ class _Tok(NamedTuple):
     def span(self) -> SourceSpan:
         return SourceSpan(self.file, self.line, self.column)
 
+    @property
+    def found(self) -> str:
+        return "end of line" if self.kind == "END" else f"'{self.text}'"
+
+
+class _Stop(Exception):
+    """A reader reported an error and gives up the rest of its line."""
+
 
 class _Cursor:
-    def __init__(self, toks: list[_Tok], line_span: SourceSpan):
+    """One line's tokens, ending in an ``END`` token at column 1 that
+    :meth:`next` never passes."""
+
+    def __init__(self, toks: list[_Tok]):
         self.toks = toks
         self.pos = 0
-        self.line_span = line_span
 
-    def peek(self) -> _Tok | None:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
+    def peek(self) -> _Tok:
+        return self.toks[self.pos]
 
-    def next(self) -> _Tok | None:
-        t = self.peek()
-        if t is not None:
+    def next(self) -> _Tok:
+        t = self.toks[self.pos]
+        if t.kind != "END":
             self.pos += 1
         return t
-
-    def span(self) -> SourceSpan:
-        t = self.peek()
-        return t.span if t is not None else self.line_span
 
 
 class _Parser:
@@ -156,7 +163,8 @@ class _Parser:
                 self.error(f"unexpected character '{m[k]}'", at)
             elif kind != "COMMENT":
                 toks.append(new(_Tok, (kind, m[k], file, lineno, m.start(k) + 1)))
-        return _Cursor(toks, SourceSpan(file, lineno, 1))
+        toks.append(new(_Tok, ("END", "", file, lineno, 1)))
+        return _Cursor(toks)
 
     def error(self, message: str, at: SourceSpan):
         self.diagnostics.append(ParseDiagnostic(ERROR, message, at))
@@ -164,76 +172,74 @@ class _Parser:
     def warn(self, message: str, at: SourceSpan):
         self.diagnostics.append(ParseDiagnostic(WARNING, message, at))
 
+    def fail(self, message: str, at: SourceSpan):
+        self.error(message, at)
+        raise _Stop
+
+    def attempt(self, read, *args, **kwargs):
+        """``read(*args, **kwargs)``, or None if it stopped at an error; for a
+        step after which the rest of the line is still checked."""
+        try:
+            return read(*args, **kwargs)
+        except _Stop:
+            return None
+
     def expect(
         self, cur: _Cursor, kind: str, text: str | None = None, what: str | None = None
-    ) -> _Tok | None:
+    ) -> _Tok:
         t = cur.next()
+        if t.kind == kind and (text is None or t.text == text):
+            return t
         if what is None:
             what = f"'{text}'" if text is not None else kind.lower()
-        if t is None:
-            self.error(f"expected {what}, found end of line", cur.line_span)
-            return None
-        if t.kind != kind or (text is not None and t.text != text):
-            self.error(f"expected {what}, found '{t.text}'", t.span)
-            return None
-        return t
+        self.fail(f"expected {what}, found {t.found}", t.span)
 
     def expect_end(self, cur: _Cursor):
         t = cur.peek()
-        if t is not None:
+        if t.kind != "END":
             self.error(f"unexpected trailing '{t.text}'", t.span)
 
-    def parse_path_tokens(self, cur: _Cursor) -> tuple[list[_Tok], SourceSpan] | None:
+    def parse_path_tokens(self, cur: _Cursor) -> tuple[list[_Tok], SourceSpan]:
         """Collect the tokens of one path: `id(T)` or `a;b;c`."""
-        first = cur.peek()
-        if first is None:
-            self.error("expected a path, found end of line", cur.line_span)
-            return None
-        toks = [cur.next()]
-        if first.kind == "IDENT" and first.text == "id":
-            if self.expect(cur, "OP", "(") is None:
-                return None
-            t = self.expect(cur, "IDENT", what="a type id")
-            if t is None:
-                return None
-            toks.append(t)
-            if self.expect(cur, "OP", ")") is None:
-                return None
-            return toks, first.span
+        first = cur.next()
         if first.kind != "IDENT":
-            self.error(f"expected a path, found '{first.text}'", first.span)
-            return None
-        while cur.peek() is not None and cur.peek().text == ";":
+            self.fail(f"expected a path, found {first.found}", first.span)
+        toks = [first]
+        if first.text == "id":
+            self.expect(cur, "OP", "(")
+            toks.append(self.expect(cur, "IDENT", what="a type id"))
+            self.expect(cur, "OP", ")")
+            return toks, first.span
+        while cur.peek().text == ";":
             cur.next()
-            t = self.expect(cur, "IDENT", what="an aspect id")
-            if t is None:
-                return None
-            toks.append(t)
+            toks.append(self.expect(cur, "IDENT", what="an aspect id"))
         return toks, first.span
 
 
 def _resolve_path(
     parser: _Parser, graph: Graph, toks: list[_Tok], span: SourceSpan
-) -> Path | None:
+) -> Path:
     if toks[0].text == "id" and len(toks) == 2:
         tid = toks[1].text
         if not graph.has_type(tid):
-            parser.error(f"unknown type '{tid}'", toks[1].span)
-            return None
+            parser.fail(f"unknown type '{tid}'", toks[1].span)
         return Path(tid, ())
-    edges = []
     for t in toks:
-        a = graph.aspect_by_id.get(t.text)
-        if a is None:
-            parser.error(f"unknown aspect '{t.text}'", t.span)
-            return None
-        edges.append(t.text)
-    p = Path(graph.aspect_by_id[edges[0]].src, tuple(edges))
+        if t.text not in graph.aspect_by_id:
+            parser.fail(f"unknown aspect '{t.text}'", t.span)
+    p = Path(graph.aspect_by_id[toks[0].text].src, tuple(t.text for t in toks))
     errs = path_errors(graph, p)
     if errs:
-        parser.error(errs[0], span)
-        return None
+        parser.fail(errs[0], span)
     return p
+
+
+def _resolve_paths(parser: _Parser, graph: Graph, got) -> list[Path]:
+    """Resolve each path of a declaration, reporting every one that fails."""
+    paths = [parser.attempt(_resolve_path, parser, graph, *g) for g in got]
+    if None in paths:
+        raise _Stop
+    return paths
 
 
 _ARTICLE_RE = re.compile(r"^(a|an)\s", re.IGNORECASE)
@@ -268,31 +274,26 @@ def parse_olog(
     opened = closed = False
     for lineno, raw in enumerate(lines, start=1):
         cur = p.tokenize(raw, lineno)
-        if not cur.toks:
+        head = cur.next()
+        if head.kind == "END":
             continue
-        head = cur.toks[0]
         if not opened:
             if head.text == "olog":
-                cur.next()
-                t = p.expect(cur, "IDENT", what="the olog name")
+                t = p.attempt(p.expect, cur, "IDENT", what="the olog name")
                 if t is not None:
                     name = t.text
-                p.expect(cur, "OP", "{")
+                p.attempt(p.expect, cur, "OP", "{")
                 p.expect_end(cur)
                 opened = True
             else:
                 p.error("expected 'olog <Name> {'", head.span)
-            continue
-        if closed:
+        elif closed:
             p.error("content after closing '}'", head.span)
-            continue
-        if head.text == "}":
-            cur.next()
+        elif head.text == "}":
             p.expect_end(cur)
             closed = True
-            continue
-        cur.next()
-        body.append((head.text, cur))
+        else:
+            body.append((head.text, cur))
     if opened and not closed:
         p.error("missing closing '}'", SourceSpan(filename, len(lines) or 1, 1))
     if not opened and not body and not has_errors(p.diagnostics):
@@ -303,78 +304,55 @@ def parse_olog(
     deferred: list[tuple[str, _Cursor]] = []
     seen_ids: set[str] = set()
 
-    def declare(ident: _Tok) -> bool:
+    def declare(ident: _Tok):
         if ident.text in KEYWORDS:
-            p.error(f"'{ident.text}' is reserved and cannot be an id", ident.span)
-            return False
+            p.fail(f"'{ident.text}' is reserved and cannot be an id", ident.span)
         if ident.text in seen_ids:
-            p.error(f"duplicate declaration of '{ident.text}'", ident.span)
-            return False
+            p.fail(f"duplicate declaration of '{ident.text}'", ident.span)
         seen_ids.add(ident.text)
-        return True
 
     for head, cur in body:
-        if head == "type":
-            ident = p.expect(cur, "IDENT", what="a type id")
-            if ident is None:
-                continue
-            label_tok = p.expect(cur, "STRING", what="a quoted label")
-            p.expect_end(cur)
-            if label_tok is None or not declare(ident):
-                continue
-            label = label_tok.text[1:-1]
-            if not label:
-                p.error(f"type '{ident.text}' has an empty label", label_tok.span)
-                continue
-            lints = _label_lints(label)
-            for flag in sorted(lints):
-                p.warn(f"type '{ident.text}': style lint {flag}", label_tok.span)
-            types.append(TypeNode(id=ident.text, label=label, lint_flags=lints))
-        elif head == "aspect":
-            ident = p.expect(cur, "IDENT", what="an aspect id")
-            if ident is None:
-                continue
-            if p.expect(cur, "OP", ":") is None:
-                continue
-            src = p.expect(cur, "IDENT", what="a source type id")
-            if src is None or p.expect(cur, "OP", "->") is None:
-                continue
-            tgt = p.expect(cur, "IDENT", what="a target type id")
-            if tgt is None:
-                continue
-            label = ""
-            mods = set()
-            t = cur.peek()
-            if t is not None and t.kind == "STRING":
-                cur.next()
-                label = t.text[1:-1]
-            while cur.peek() is not None:
-                t = cur.next()
-                if t.text in ("injective", "surjective"):
+        try:
+            if head == "type":
+                ident = p.expect(cur, "IDENT", what="a type id")
+                label_tok = p.attempt(p.expect, cur, "STRING", what="a quoted label")
+                p.expect_end(cur)
+                if label_tok is None:
+                    continue
+                declare(ident)
+                label = label_tok.text[1:-1]
+                if not label:
+                    p.fail(f"type '{ident.text}' has an empty label", label_tok.span)
+                lints = _label_lints(label)
+                for flag in sorted(lints):
+                    p.warn(f"type '{ident.text}': style lint {flag}", label_tok.span)
+                types.append(TypeNode(id=ident.text, label=label, lint_flags=lints))
+            elif head == "aspect":
+                ident = p.expect(cur, "IDENT", what="an aspect id")
+                p.expect(cur, "OP", ":")
+                src = p.expect(cur, "IDENT", what="a source type id")
+                p.expect(cur, "OP", "->")
+                tgt = p.expect(cur, "IDENT", what="a target type id")
+                label = cur.next().text[1:-1] if cur.peek().kind == "STRING" else ""
+                mods = set()
+                while cur.peek().kind != "END":
+                    t = cur.next()
+                    if t.text not in MODIFIERS:
+                        p.error(f"unexpected '{t.text}' after aspect", t.span)
+                        break
                     mods.add(t.text)
-                else:
-                    p.error(f"unexpected '{t.text}' after aspect", t.span)
-                    break
-            if not declare(ident):
-                continue
-            aspects.append(
-                (
-                    Aspect(
-                        id=ident.text,
-                        src=src.text,
-                        tgt=tgt.text,
-                        label=label,
-                        modifiers=frozenset(mods),
-                    ),
-                    ident,
-                )
-            )
-        elif head in ("fact", "product", "pullback", "coproduct", "pushout",
-                      "singleton", "empty", "image"):
-            deferred.append((head, cur))
-        else:
-            span = cur.toks[0].span if cur.toks else cur.line_span
-            p.error(f"unknown declaration '{head}'", span)
+                if ident.text == "Id":
+                    p.fail("'Id' names the key column and cannot be an aspect id", ident.span)
+                declare(ident)
+                aspect = Aspect(ident.text, src.text, tgt.text, label, frozenset(mods))
+                aspects.append((aspect, ident))
+            elif head in ("fact", "product", "pullback", "coproduct", "pushout",
+                          "singleton", "empty", "image"):
+                deferred.append((head, cur))
+            else:
+                p.error(f"unknown declaration '{head}'", cur.toks[0].span)
+        except _Stop:
+            pass
 
     graph = Graph(types=tuple(types), aspects=tuple(a for a, _ in aspects))
     for a, ident in aspects:
@@ -386,16 +364,16 @@ def parse_olog(
     facts: list[Fact] = []
     sketch: list = []
     for head, cur in deferred:
-        if head == "fact":
-            fact = _parse_fact(p, graph, cur)
-            if fact is not None:
-                facts.append(fact)
-        else:
-            decl = _parse_sketch_decl(p, graph, head, cur)
-            if decl is not None:
+        try:
+            if head == "fact":
+                facts.append(_parse_fact(p, graph, cur))
+            else:
+                decl = _parse_sketch_decl(p, graph, head, cur)
                 for msg in decl_errors(graph, decl):
                     p.error(msg, cur.toks[0].span)
                 sketch.append(decl)
+        except _Stop:
+            pass
 
     if has_errors(p.diagnostics):
         return None, p.diagnostics
@@ -408,65 +386,43 @@ def parse_olog(
     return spec, p.diagnostics
 
 
-def _parse_fact(p: _Parser, graph: Graph, cur: _Cursor) -> Fact | None:
+def _parse_fact(p: _Parser, graph: Graph, cur: _Cursor) -> Fact:
     """``path = path``; the whole line is read before either side is resolved."""
     lhs_got = p.parse_path_tokens(cur)
-    if lhs_got is None or p.expect(cur, "OP", "=") is None:
-        return None
+    p.expect(cur, "OP", "=")
     rhs_got = p.parse_path_tokens(cur)
-    if rhs_got is None:
-        return None
     p.expect_end(cur)
-    lhs = _resolve_path(p, graph, *lhs_got)
-    rhs = _resolve_path(p, graph, *rhs_got)
-    if lhs is None or rhs is None:
-        return None
-    fact = Fact(lhs, rhs)
+    fact = Fact(*_resolve_paths(p, graph, (lhs_got, rhs_got)))
     errs = fact_errors(graph, fact)
     if errs:
-        p.error(errs[0], lhs_got[1])
-        return None
+        p.fail(errs[0], lhs_got[1])
     return fact
 
 
-def _parse_id_tuple(p: _Parser, cur: _Cursor) -> list[_Tok] | None:
-    if p.expect(cur, "OP", "(") is None:
-        return None
+def _parse_id_tuple(p: _Parser, cur: _Cursor) -> list[_Tok]:
+    p.expect(cur, "OP", "(")
     out: list[_Tok] = []
-    t = cur.peek()
-    if t is not None and t.text == ")":
+    if cur.peek().text == ")":
         cur.next()
         return out
     while True:
-        t = p.expect(cur, "IDENT", what="an aspect id")
-        if t is None:
-            return None
-        out.append(t)
+        out.append(p.expect(cur, "IDENT", what="an aspect id"))
         t = cur.next()
-        if t is None:
-            p.error("expected ',' or ')', found end of line", cur.line_span)
-            return None
         if t.text == ")":
             return out
         if t.text != ",":
-            p.error(f"expected ',' or ')', found '{t.text}'", t.span)
-            return None
+            p.fail(f"expected ',' or ')', found {t.found}", t.span)
 
 
 def _parse_path_tuple(p: _Parser, cur: _Cursor, n: int):
     """n comma-separated paths in parentheses."""
-    if p.expect(cur, "OP", "(") is None:
-        return None
+    p.expect(cur, "OP", "(")
     out = []
     for i in range(n):
-        got = p.parse_path_tokens(cur)
-        if got is None:
-            return None
-        out.append(got)
-        if i < n - 1 and p.expect(cur, "OP", ",") is None:
-            return None
-    if p.expect(cur, "OP", ")") is None:
-        return None
+        if i:
+            p.expect(cur, "OP", ",")
+        out.append(p.parse_path_tokens(cur))
+    p.expect(cur, "OP", ")")
     return out
 
 
@@ -480,94 +436,65 @@ _NARY = {
 def _parse_nary(p: _Parser, head: str, target: _Tok, cur: _Cursor):
     """``A <op> B ... via (a,b,...)``: one part type and one arrow per part."""
     cls, op, part, arrow = _NARY[head]
-    parts = []
-    while True:
-        t = p.expect(cur, "IDENT", what=f"a {part} type id")
-        if t is None:
-            return None
-        parts.append(t)
-        if cur.peek() is None or cur.peek().text != op:
-            break
+    parts = [p.expect(cur, "IDENT", what=f"a {part} type id")]
+    while cur.peek().text == op:
         cur.next()
-    if p.expect(cur, "IDENT", "via") is None:
-        return None
-    arrows = _parse_id_tuple(p, cur)
+        parts.append(p.expect(cur, "IDENT", what=f"a {part} type id"))
+    p.expect(cur, "IDENT", "via")
+    arrows = p.attempt(_parse_id_tuple, p, cur)
     p.expect_end(cur)
     if arrows is None or len(arrows) != len(parts):
-        p.error(f"{head} needs one {arrow} per {part}", cur.line_span)
-        return None
+        p.fail(f"{head} needs one {arrow} per {part}", cur.toks[-1].span)
     return cls(target.text, tuple((t.text, a.text) for t, a in zip(parts, arrows)))
 
 
 def _parse_square_legs(p: _Parser, cur: _Cursor, op: str, apex_what: str):
-    """``B <op>A C via``: the tokens of B, A and C, or None."""
+    """``B <op>A C via``: the tokens of B, A and C."""
     b = p.expect(cur, "IDENT", what="a leg type id")
-    if b is None or p.expect(cur, "OP", op) is None:
-        return None
+    p.expect(cur, "OP", op)
     apex = p.expect(cur, "IDENT", what=apex_what)
-    if apex is None:
-        return None
     c = p.expect(cur, "IDENT", what="a leg type id")
-    if c is None or p.expect(cur, "IDENT", "via") is None:
-        return None
+    p.expect(cur, "IDENT", "via")
     return b, apex, c
 
 
 def _parse_sketch_decl(p: _Parser, graph: Graph, head: str, cur: _Cursor):
     if head in ("singleton", "empty"):
-        ident = p.expect(cur, "IDENT", what="a type id")
+        ident = p.attempt(p.expect, cur, "IDENT", what="a type id")
         p.expect_end(cur)
         if ident is None:
-            return None
+            raise _Stop
         return (ProductDecl if head == "singleton" else CoproductDecl)(ident.text, ())
 
     target = p.expect(cur, "IDENT", what="a target type id")
-    if target is None:
-        return None
 
     if head == "image":
-        if p.expect(cur, "IDENT", "of") is None:
-            return None
+        p.expect(cur, "IDENT", "of")
         got = p.parse_path_tokens(cur)
-        if got is None:
-            return None
-        ptoks, pspan = got
-        if p.expect(cur, "IDENT", "via") is None:
-            return None
-        pair = _parse_id_tuple(p, cur)
+        p.expect(cur, "IDENT", "via")
+        pair = p.attempt(_parse_id_tuple, p, cur)
         p.expect_end(cur)
-        if pair is None or len(pair) != 2:
-            if pair is not None:
-                p.error("image needs exactly two aspects in 'via'", cur.span())
-            return None
-        of = _resolve_path(p, graph, ptoks, pspan)
-        if of is None:
-            return None
+        if pair is None:
+            raise _Stop
+        if len(pair) != 2:
+            p.fail("image needs exactly two aspects in 'via'", cur.peek().span)
+        of = _resolve_path(p, graph, *got)
         return ImageDecl(target.text, of, pair[0].text, pair[1].text)
 
-    if p.expect(cur, "OP", "=") is None:
-        return None
+    p.expect(cur, "OP", "=")
 
     if head in _NARY:
         return _parse_nary(p, head, target, cur)
 
     if head == "pullback":
-        square = _parse_square_legs(p, cur, "*_", "the cospan target type id")
-        if square is None:
-            return None
-        b, apex, c = square
+        b, apex, c = _parse_square_legs(p, cur, "*_", "the cospan target type id")
         cospan = _parse_path_tuple(p, cur, 2)
-        if cospan is None or p.expect(cur, "IDENT", "legs") is None:
-            return None
-        legs = _parse_id_tuple(p, cur)
+        p.expect(cur, "IDENT", "legs")
+        legs = p.attempt(_parse_id_tuple, p, cur)
         p.expect_end(cur)
         if legs is None or len(legs) != 2:
-            p.error("pullback needs exactly two leg projections", cur.line_span)
-            return None
-        pf = _resolve_path(p, graph, *cospan[0])
-        pg = _resolve_path(p, graph, *cospan[1])
-        if pf is None or pg is None:
-            return None
+            p.fail("pullback needs exactly two leg projections", cur.toks[-1].span)
+        pf, pg = _resolve_paths(p, graph, cospan)
         if path_target(graph, pf) != apex.text or path_target(graph, pg) != apex.text:
             p.error(f"cospan paths must end at '{apex.text}'", cospan[0][1])
         return PullbackDecl(
@@ -578,24 +505,16 @@ def _parse_sketch_decl(p: _Parser, graph: Graph, head: str, cur: _Cursor):
         )
 
     # pushout
-    square = _parse_square_legs(p, cur, "+_", "the span source type id")
-    if square is None:
-        return None
-    b, apex, c = square
-    incls = _parse_id_tuple(p, cur)
+    b, apex, c = _parse_square_legs(p, cur, "+_", "the span source type id")
+    incls = p.attempt(_parse_id_tuple, p, cur)
     if incls is None or len(incls) != 2:
-        p.error("pushout needs exactly two inclusions", cur.line_span)
-        return None
-    if p.expect(cur, "IDENT", "span") is None:
-        return None
-    span_paths = _parse_path_tuple(p, cur, 2)
+        p.fail("pushout needs exactly two inclusions", cur.toks[-1].span)
+    p.expect(cur, "IDENT", "span")
+    span_paths = p.attempt(_parse_path_tuple, p, cur, 2)
     p.expect_end(cur)
     if span_paths is None:
-        return None
-    pf = _resolve_path(p, graph, *span_paths[0])
-    pg = _resolve_path(p, graph, *span_paths[1])
-    if pf is None or pg is None:
-        return None
+        raise _Stop
+    pf, pg = _resolve_paths(p, graph, span_paths)
     if pf.source != apex.text or pg.source != apex.text:
         p.error(f"span paths must start at '{apex.text}'", span_paths[0][1])
     return PushoutDecl(
@@ -665,7 +584,7 @@ def print_olog(spec: Specification) -> str:
 def parse_fact_text(text: str, graph: Graph) -> Fact:
     """Parse a fact given as ``path = path`` against an existing graph."""
     p = _Parser("<fact>")
-    fact = _parse_fact(p, graph, p.tokenize(text, 1))
+    fact = p.attempt(_parse_fact, p, graph, p.tokenize(text, 1))
     if has_errors(p.diagnostics):
         raise OlogError(
             "bad fact: " + "; ".join(d.message for d in p.diagnostics if d.severity == ERROR)
@@ -697,47 +616,41 @@ def parse_morphism(
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         cur = p.tokenize(raw, lineno)
-        if not cur.toks:
-            continue
         head = cur.next()
-        if head.text == "type":
-            a = p.expect(cur, "IDENT", what="a source type id")
-            if a is None or p.expect(cur, "OP", "=>") is None:
-                continue
-            b = p.expect(cur, "IDENT", what="a target type id")
-            p.expect_end(cur)
-            if b is None:
-                continue
-            if not src_graph.has_type(a.text):
-                p.error(f"unknown source type '{a.text}'", a.span)
-                continue
-            if not tgt_graph.has_type(b.text):
-                p.error(f"unknown target type '{b.text}'", b.span)
-                continue
-            if a.text in type_map:
-                p.error(f"type '{a.text}' mapped twice", a.span)
-                continue
-            type_map[a.text] = b.text
-        elif head.text == "aspect":
-            a = p.expect(cur, "IDENT", what="a source aspect id")
-            if a is None or p.expect(cur, "OP", "=>") is None:
-                continue
-            got = p.parse_path_tokens(cur)
-            p.expect_end(cur)
-            if got is None:
-                continue
-            if not src_graph.has_aspect(a.text):
-                p.error(f"unknown source aspect '{a.text}'", a.span)
-                continue
-            img = _resolve_path(p, tgt_graph, *got)
-            if img is None:
-                continue
-            if a.text in aspect_map:
-                p.error(f"aspect '{a.text}' mapped twice", a.span)
-                continue
-            aspect_map[a.text] = img
-        else:
-            p.error(f"expected 'type' or 'aspect', found '{head.text}'", head.span)
+        if head.kind == "END":
+            continue
+        try:
+            if head.text == "type":
+                a = p.expect(cur, "IDENT", what="a source type id")
+                p.expect(cur, "OP", "=>")
+                b = p.attempt(p.expect, cur, "IDENT", what="a target type id")
+                p.expect_end(cur)
+                if b is None:
+                    continue
+                if not src_graph.has_type(a.text):
+                    p.fail(f"unknown source type '{a.text}'", a.span)
+                if not tgt_graph.has_type(b.text):
+                    p.fail(f"unknown target type '{b.text}'", b.span)
+                if a.text in type_map:
+                    p.fail(f"type '{a.text}' mapped twice", a.span)
+                type_map[a.text] = b.text
+            elif head.text == "aspect":
+                a = p.expect(cur, "IDENT", what="a source aspect id")
+                p.expect(cur, "OP", "=>")
+                got = p.attempt(p.parse_path_tokens, cur)
+                p.expect_end(cur)
+                if got is None:
+                    continue
+                if not src_graph.has_aspect(a.text):
+                    p.fail(f"unknown source aspect '{a.text}'", a.span)
+                img = _resolve_path(p, tgt_graph, *got)
+                if a.text in aspect_map:
+                    p.fail(f"aspect '{a.text}' mapped twice", a.span)
+                aspect_map[a.text] = img
+            else:
+                p.error(f"expected 'type' or 'aspect', found '{head.text}'", head.span)
+        except _Stop:
+            pass
 
     if has_errors(p.diagnostics):
         return None, p.diagnostics

@@ -401,6 +401,8 @@ def derive_mediating_aspect(
             )
     if aspect_id in g.aspect_by_id or aspect_id in g.type_by_id:
         raise SketchError(f"id '{aspect_id}' is already taken")
+    if aspect_id == "Id":
+        raise SketchError("aspect id 'Id' names the key column of every table")
 
     mediator = Aspect(id=aspect_id, src=x, tgt=decl.target, label="")
     new_graph = Graph(g.types, g.aspects + (mediator,))

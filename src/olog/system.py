@@ -26,7 +26,7 @@ from .core import (
     held,
     record,
 )
-from .entail import DEFAULT_BOUND, Closure, check_fits, closure
+from .entail import DEFAULT_BOUND, check_fits, closure
 from .errors import BoundExceededError, GraphMismatchError, OlogError, UnsupportedLinkError
 from .flow import (
     GraphMorphism,
@@ -111,7 +111,6 @@ def validate_system(sys: InformationSystem, bound: int = DEFAULT_BOUND) -> list[
         return []
     problems: list[str] = []
     overflowing: set[str] = set()
-    closures: dict[str, Closure] = {}
     for n in sys.shape.nodes:
         if n not in sys.specs:
             problems.append(f"node '{n}' has no specification")
@@ -136,9 +135,7 @@ def validate_system(sys: InformationSystem, bound: int = DEFAULT_BOUND) -> list[
         if tgt in overflowing:
             continue
         try:
-            if tgt not in closures:
-                closures[tgt] = closure(sys.specs[tgt], bound)
-            offenders = _unpreserved(h, sys.specs[src], closures[tgt])
+            offenders = _unpreserved(h, sys.specs[src], closure(sys.specs[tgt], bound))
         except BoundExceededError as exc:
             problems.append(f"edge '{eid}': {exc}")
             continue

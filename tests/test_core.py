@@ -136,6 +136,13 @@ def test_validate_reports_duplicates_and_empty_labels():
     assert any("empty label" in m for m in report)
 
 
+def test_validate_reports_an_aspect_named_Id():
+    g = Graph(types=(TypeNode("x", "a thing"),), aspects=(Aspect("Id", "x", "x", "has"),))
+    assert validate_specification(Specification(graph=g)) == [
+        "aspect id 'Id' names the key column of every table"
+    ]
+
+
 def test_validate_reports_sketch_declarations_after_the_graph_and_facts():
     from olog.core import ProductDecl, validate_decls
     from olog.dsl import parse_olog, print_olog
@@ -258,6 +265,13 @@ def test_relation_to_span_ids_are_not_keywords():
     assert (apex.id, g2.aspects[0].id) == ("of_2", "id_2")
     spec = Specification(graph=g2)
     assert dsl.parse_olog(dsl.print_olog(spec))[0] == spec
+
+
+def test_relation_to_span_does_not_name_an_aspect_Id():
+    g = Graph(types=(TypeNode("a", "an a"),))
+    g2, apex = relation_to_span(g, "R", [("Id", "a")])
+    assert g2.aspects[0].id == "Id_2"
+    assert validate_specification(Specification(graph=g2)) == []
 
 
 @given(data=st.data(), graph=sts.graphs())

@@ -108,6 +108,18 @@ def test_parse_reserved_word_rejected():
     assert any("reserved" in d.message for d in errors(diags))
 
 
+def test_aspect_id_Id_is_rejected_at_its_column():
+    # `Id` is the key column of every table, so no aspect may take it.
+    text = 'olog X {\n  type a "an a"\n  aspect Id : a -> a "has"\n}\n'
+    spec, diags = dsl.parse_olog(text, "x.olog")
+    assert spec is None
+    assert [str(d) for d in diags] == [
+        "x.olog:3:10 - error: 'Id' names the key column and cannot be an aspect id"
+    ]
+    spec, diags = dsl.parse_olog(text.replace("aspect Id", "aspect id_"), "x.olog")
+    assert spec is not None and not errors(diags)
+
+
 def test_empty_type_label_is_error():
     spec, diags = dsl.parse_olog('olog X {\n  type x ""\n}\n')
     assert spec is None
@@ -634,8 +646,10 @@ def test_tokenizer_matches_the_group_oracle(text, lineno):
     new, old = dsl._Parser("t.olog"), dsl._Parser("t.olog")
     cur = new.tokenize(text, lineno)
     toks, line_span = tokenize_by_groups(old, text, lineno)
-    assert [(t.kind, t.text, t.span) for t in cur.toks] == [tuple(t) for t in toks]
-    assert cur.line_span == line_span and cur.span() == (toks[0].span if toks else line_span)
+    assert [(t.kind, t.text, t.span) for t in cur.toks[:-1]] == [tuple(t) for t in toks]
+    end = cur.toks[-1]
+    assert (end.kind, end.text, end.span, end.found) == ("END", "", line_span, "end of line")
+    assert cur.peek().span == (toks[0].span if toks else line_span)
     assert new.diagnostics == old.diagnostics
 
 
@@ -753,6 +767,158 @@ def test_parse_system_reports_an_overflowing_edge(tmp_path):
     assert [str(d) for d in errors(diags)] == [
         f"{osys}:1:1 - error: edge 'e': translated fact 'g;h;g;h;g;h = g;h' "
         "has a side longer than bound 4"
+    ]
+
+
+# --- one malformed line per error branch of the readers ----------------------
+
+_MALFORMED_BASE = """olog T {{
+  type a "an a"
+  type b "a b"
+  aspect f : a -> b "has"
+  aspect g : a -> b "has"
+  {}
+}}
+"""
+
+# (reader, text, ["line:column message", ...]): an `olog` text is one line of
+# the body above (line 6), a `header` text the first line of an olog whose
+# second line is `}`, an `omap` text the whole morphism file from the olog
+# above to itself, and an `osys` text the whole system file, whose nodes are
+# the olog above and whose edges map it to itself.
+_MALFORMED = [
+    ('olog', 'fact id = f', ["6:11 expected '(', found '='"]),
+    ('olog', 'fact id(', ['6:1 expected a type id, found end of line']),
+    ('olog', 'fact id(a = f', ["6:13 expected ')', found '='"]),
+    ('olog', 'fact f = g;', ['6:1 expected an aspect id, found end of line']),
+    ('olog', 'type', ['6:1 expected a type id, found end of line']),
+    ('olog', 'type c', ['6:1 expected a quoted label, found end of line']),
+    ('olog', 'aspect', ['6:1 expected an aspect id, found end of line']),
+    ('olog', 'aspect h', ["6:1 expected ':', found end of line"]),
+    ('olog', 'aspect h :', ['6:1 expected a source type id, found end of line']),
+    ('olog', 'aspect h : a', ["6:1 expected '->', found end of line"]),
+    ('olog', 'aspect h : a ->', ['6:1 expected a target type id, found end of line']),
+    ('olog', 'product p = a * b via f,g', [
+        "6:25 expected '(', found 'f'",
+        "6:26 unexpected trailing ','",
+        '6:1 product needs one projection per factor',
+    ]),
+    ('olog', 'product p = a * b via ()', ['6:1 product needs one projection per factor']),
+    ('olog', 'product p = a * b via (f,"x")', [
+        '6:28 expected an aspect id, found \'"x"\'',
+        "6:31 unexpected trailing ')'",
+        '6:1 product needs one projection per factor',
+    ]),
+    ('olog', 'product p = a * b via (f,g', [
+        "6:1 expected ',' or ')', found end of line",
+        '6:1 product needs one projection per factor',
+    ]),
+    ('olog', 'product p = a * b via (f;g)', [
+        "6:27 expected ',' or ')', found ';'",
+        "6:28 unexpected trailing 'g'",
+        '6:1 product needs one projection per factor',
+    ]),
+    ('olog', 'pullback p = a *_b a via', ["6:1 expected '(', found end of line"]),
+    ('olog', 'pullback p = a *_b a via (', ['6:1 expected a path, found end of line']),
+    ('olog', 'pullback p = a *_b a via (f', ["6:1 expected ',', found end of line"]),
+    ('olog', 'pullback p = a *_b a via (f,', ['6:1 expected a path, found end of line']),
+    ('olog', 'pullback p = a *_b a via (f,g', ["6:1 expected ')', found end of line"]),
+    ('olog', 'product p =', ['6:1 expected a factor type id, found end of line']),
+    ('olog', 'product p = a *', ['6:1 expected a factor type id, found end of line']),
+    ('olog', 'product p = a * b', ["6:1 expected 'via', found end of line"]),
+    ('olog', 'product p = a * b via (f)', ['6:1 product needs one projection per factor']),
+    ('olog', 'coproduct p = a +', ['6:1 expected a summand type id, found end of line']),
+    ('olog', 'coproduct p = a + b', ["6:1 expected 'via', found end of line"]),
+    ('olog', 'coproduct p = a + b via (f)', ['6:1 coproduct needs one inclusion per summand']),
+    ('olog', 'pullback p = a', ["6:1 expected '*_', found end of line"]),
+    ('olog', 'pullback p = a *_b', ['6:1 expected a leg type id, found end of line']),
+    ('olog', 'pullback p = a *_b a', ["6:1 expected 'via', found end of line"]),
+    ('olog', 'pullback p = a *_b a via (f,g) legs (f)', [
+        '6:1 pullback needs exactly two leg projections',
+    ]),
+    ('olog', 'pullback p = a *_b a via (f,g)', ["6:1 expected 'legs', found end of line"]),
+    ('olog', 'pushout p = b +_a', ['6:1 expected a leg type id, found end of line']),
+    ('olog', 'pushout p = b +_a b', ["6:1 expected 'via', found end of line"]),
+    ('olog', 'pushout p = b +_a b via (f)', ['6:1 pushout needs exactly two inclusions']),
+    ('olog', 'pushout p = b +_a b via (f,g)', ["6:1 expected 'span', found end of line"]),
+    ('olog', 'pushout p = b +_a b via (f,g) span (f', ["6:1 expected ',', found end of line"]),
+    ('olog', 'singleton', ['6:1 expected a type id, found end of line']),
+    ('olog', 'empty', ['6:1 expected a type id, found end of line']),
+    ('olog', 'image p f via (f,g)', ["6:11 expected 'of', found 'f'"]),
+    ('olog', 'image p of', ['6:1 expected a path, found end of line']),
+    ('olog', 'image p of f', ["6:1 expected 'via', found end of line"]),
+    ('olog', 'image p of f via (f,g,g)', ["6:1 image needs exactly two aspects in 'via'"]),
+    ('olog', 'product p a * b via (f,g)', ["6:13 expected '=', found 'a'"]),
+    ('olog', 'type c x y', [
+        "6:10 expected a quoted label, found 'x'",
+        "6:12 unexpected trailing 'y'",
+    ]),
+    ('olog', 'singleton "x" y', [
+        '6:13 expected a type id, found \'"x"\'',
+        "6:17 unexpected trailing 'y'",
+    ]),
+    ('olog', 'pullback p = a *_b a via (f,g) legs (f;g)', [
+        "6:41 expected ',' or ')', found ';'",
+        "6:42 unexpected trailing 'g'",
+        '6:1 pullback needs exactly two leg projections',
+    ]),
+    ('olog', 'image p of f via (f;g)', [
+        "6:22 expected ',' or ')', found ';'",
+        "6:23 unexpected trailing 'g'",
+    ]),
+    ('olog', 'pushout p = b +_a b via (f;g) span (f,g)', [
+        "6:29 expected ',' or ')', found ';'",
+        '6:1 pushout needs exactly two inclusions',
+    ]),
+    ('olog', 'pushout p = b +_a b via (f,g) span (f g)', [
+        "6:41 expected ',', found 'g'",
+        "6:42 unexpected trailing ')'",
+    ]),
+    ('header', 'olog', [
+        '1:1 expected the olog name, found end of line',
+        "1:1 expected '{', found end of line",
+    ]),
+    ('header', 'olog {', [
+        "1:6 expected the olog name, found '{'",
+        "1:1 expected '{', found end of line",
+    ]),
+    ('header', 'olog T', ["1:1 expected '{', found end of line"]),
+    ('omap', 'type a => "x" y', [
+        '1:11 expected a target type id, found \'"x"\'',
+        "1:15 unexpected trailing 'y'",
+    ]),
+    ('omap', 'aspect f => id(a b', ["1:18 expected ')', found 'b'"]),
+    ('omap', 'type a =>', ['1:1 expected a target type id, found end of line']),
+    ('omap', 'aspect f =>', ['1:1 expected a path, found end of line']),
+    ('omap', 'type a => a\ntype a => a', ["2:6 type 'a' mapped twice"]),
+    ('omap', 'aspect f => f\naspect f => f', ["2:8 aspect 'f' mapped twice"]),
+    ('osys', 'node n = a.olog\nnode n = a.olog', ["2:1 node 'n' declared twice"]),
+    ('osys', 'node n = a.olog\nedge e : n -> n = id.omap\nedge e : n -> n = id.omap', [
+        "3:1 edge 'e' declared twice",
+    ]),
+]
+
+
+@pytest.mark.parametrize(("reader", "text", "expected"), _MALFORMED)
+def test_each_malformed_line_reports_its_diagnostics(
+    tmp_path, monkeypatch, reader, text, expected
+):
+    olog_text = _MALFORMED_BASE.format("")
+    if reader == "olog":
+        file, diags = "t.olog", dsl.parse_olog(_MALFORMED_BASE.format(text), "t.olog")[1]
+    elif reader == "header":
+        file, diags = "t.olog", dsl.parse_olog(text + "\n}\n", "t.olog")[1]
+    elif reader == "omap":
+        spec = dsl.parse_olog(olog_text)[0]
+        file, diags = "t.omap", dsl.parse_morphism(text + "\n", spec, spec, "t.omap")[1]
+    else:
+        monkeypatch.chdir(tmp_path)
+        FsPath("a.olog").write_text(olog_text)
+        FsPath("id.omap").write_text("type a => a\ntype b => b\naspect f => f\naspect g => g\n")
+        FsPath("t.osys").write_text(text + "\n")
+        file, diags = "t.osys", dsl.parse_system("t.osys")[1]
+    assert [str(d) for d in diags] == [
+        f"{file}:{at} - error: {message}" for at, message in (e.split(" ", 1) for e in expected)
     ]
 
 

@@ -693,6 +693,14 @@ def test_mediating_identity_cone_behaves_as_identity():
         assert d.funcs["selfpair"][key] == key
 
 
+def test_mediating_aspect_cannot_be_named_Id():
+    g, pair_decl, _ = furniture_world()
+    spec = Specification(graph=g, sketch=(pair_decl,))
+    cone = (Path("pairfs", ("pf",)), Path("pairfs", ("ps",)))
+    with pytest.raises(SketchError, match="aspect id 'Id' names the key column"):
+        derive_mediating_aspect(spec, "pairfs", cone, pair_decl, "Id", bound=3)
+
+
 def test_mediating_pullback_rejects_noncommuting_cone():
     g, decl = customers_world()
     square = Fact(Path("both", ("qw", "iw")), Path("both", ("ql", "il")))

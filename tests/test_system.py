@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from olog import dsl, system
+from olog import dsl, entail, system
 from olog.core import (
     Aspect,
     Fact,
@@ -592,18 +592,19 @@ def _problems_or_error(validate, sysm, bound):
 
 
 def test_validate_system_saturates_each_target_once(w_system, monkeypatch):
-    # Validation decides on the ids of one closure per target node.
-    calls = []
-    real = system.closure
-
-    def counted(spec, bound):
-        calls.append(spec)
-        return real(spec, bound)
-
-    monkeypatch.setattr(system, "closure", counted)
-    assert validate_system(_fresh(w_system), 5) == []
+    # Validation decides on the ids of one closure per target node, built
+    # once on specs that hold none yet.
+    closed = []
+    close = entail._close
+    monkeypatch.setattr(entail, "_close", lambda s, b: closed.append(s) or close(s, b))
+    specs = {
+        n: Specification(graph=s.graph, facts=s.facts, sketch=s.sketch, name=s.name)
+        for n, s in w_system.specs.items()
+    }
+    sysm = InformationSystem(shape=w_system.shape, specs=specs, constraints=w_system.constraints)
+    assert validate_system(sysm, 5) == []
     # Four edges, two into each portal.
-    assert calls == [w_system.specs["portal"], w_system.specs["portal2"]]
+    assert list(map(id, closed)) == [id(specs["portal"]), id(specs["portal2"])]
 
 
 @pytest.mark.parametrize("name", ["constant", "discrete", "span", "w"])
