@@ -9,7 +9,11 @@ and every file it wrote. The commands are:
 
 - ``--help`` of ``olog`` and of every command and subcommand, an unknown
   and a missing command, and a bad ``--bound`` before and after a command;
-- ``check`` on every fixture olog, text and json, with and without --quiet;
+- ``check`` on every fixture olog, text and json, with and without --quiet,
+  and text and json on small ologs, written into the temporary directory,
+  that each hold one bad declaration: a reserved id, an aspect ``Id``, a
+  duplicate id, a type and an aspect of one id, an empty type label or an
+  unknown endpoint;
 - ``entail`` text and json at bounds 2-6, for each declared fact, a few
   pairs of parallel paths, an ill-typed fact and an unknown aspect, and the
   same queries at bound 8 on ``employee.olog`` and ``metric.olog``, whose
@@ -73,7 +77,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from olog import dsl  # noqa: E402
 from olog.cli import main as olog_main  # noqa: E402
-from olog.core import enumerate_paths, format_fact, format_path, path_target  # noqa: E402
+from olog.core import KEYWORDS, enumerate_paths, format_fact, format_path, path_target  # noqa: E402
 from olog.errors import OlogError  # noqa: E402
 from revision import extract  # noqa: E402
 
@@ -110,6 +114,16 @@ MONOID_QUERIES = (
     "id(m) = id(m)",
     "g0;g0;g0;g0;g0;g0;g0;g0;g0 = g0",
 )
+# One declaration fault per olog, each a rule of ``core.id_errors``,
+# ``label_errors`` or ``endpoint_errors``, for ``check``.
+FAULTS = {
+    "reserved": '  type of "an of"',
+    "aspect_id": '  aspect Id : a -> a "keys"',
+    "duplicate": '  type a "a second a"',
+    "clash": '  aspect a : a -> a "loops"',
+    "empty_label": '  type b ""',
+    "unknown_end": '  aspect f : a -> z "runs to"',
+}
 # Fact texts on family.olog that stress the tokenizer.
 ODD_FACTS = (
     "parents;w\t=\tmother",
@@ -217,6 +231,11 @@ def commands() -> list[list[str]]:
         for fmt in ("text", "json"):
             cmds.append(["--bound", "8", "--format", fmt, "entail", "inputs/monoid.olog",
                          "--fact", query])
+    for fault, line in FAULTS.items():
+        text = f'olog F {{\n  type a "an a"\n{line}\n}}\n'
+        Path(f"inputs/{fault}.olog").write_text(text, encoding="utf-8")
+        for fmt in ("text", "json"):
+            cmds.append(["--format", fmt, "check", f"inputs/{fault}.olog"])
     for query in ODD_FACTS:
         for fmt in ("text", "json"):
             cmds.append(["--format", fmt, "entail", "fixtures/family.olog", "--fact", query])
@@ -272,7 +291,7 @@ def mutate(text: str, rng: random.Random) -> str:
     """One or two line-level edits: drop, repeat or swap lines, swap ids, add a
     sketch line, or put a ``#`` or a ``"`` at some column of a line."""
     lines = text.splitlines()
-    ids = sorted(set(IDENT_RE.findall(text)) - dsl.KEYWORDS) or ["x"]
+    ids = sorted(set(IDENT_RE.findall(text)) - KEYWORDS) or ["x"]
     for _ in range(rng.randint(1, 2)):
         i = rng.randrange(len(lines))
         op = rng.randrange(7)

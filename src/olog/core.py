@@ -11,7 +11,6 @@ string, labels are display metadata and never participate in equality.
 
 from __future__ import annotations
 
-import re
 from functools import cached_property
 from operator import attrgetter, ge, gt, itemgetter, le, lt
 from typing import NamedTuple, Sequence
@@ -33,9 +32,9 @@ KEYWORDS = frozenset({
     INJECTIVE, SURJECTIVE, "id", "node", "edge",
 })
 
-# The one id pattern of the text formats: ASCII only.
+# The one id pattern of the text formats. It matches exactly the ASCII
+# strings that ``str.isidentifier`` accepts, the test the checkers make.
 _ID = r"[A-Za-z_][A-Za-z0-9_]*"
-_ID_RE = re.compile(_ID)
 
 
 def record(cls=None, /, *, order: bool = False, uncompared: tuple[str, ...] = ()):
@@ -425,58 +424,61 @@ class Specification:
         object.__setattr__(self, "sketch", tuple(sketch))
 
 
-def _text_errors(kind: str, ident: str, label: str) -> list[str]:
-    """Why the text format cannot write a type or aspect (empty if it can)."""
+def id_errors(kind: str, ident: str, taken) -> list[str]:
+    """Why ``ident`` cannot be a ``kind`` id beside the ids in ``taken`` (empty if it can)."""
     errs: list[str] = []
     if ident in KEYWORDS:
-        errs.append(f"{kind} id '{ident}' is reserved")
-    elif not _ID_RE.fullmatch(ident):
+        errs.append(f"'{ident}' is reserved and cannot be an id")
+    elif not (ident.isascii() and ident.isidentifier()):
         errs.append(f"{kind} id {ident!r} is not an ASCII identifier")
+    elif kind == "aspect" and ident == "Id":
+        errs.append("'Id' names the key column and cannot be an aspect id")
+    if ident in taken:
+        errs.append(f"duplicate declaration of '{ident}'")
+    return errs
+
+
+def label_errors(kind: str, ident: str, label: str) -> list[str]:
+    """Why the text format cannot write a type or aspect's label (empty if it can)."""
+    if kind == "type" and not label:
+        return [f"type '{ident}' has an empty label"]
     # A label is written between quotes on one line.
     if '"' in label or label.splitlines() not in ([], [label]):
-        errs.append(f"{kind} '{ident}' has a label with a quote or a line break")
+        return [f"{kind} '{ident}' has a label with a quote or a line break"]
+    return []
+
+
+def endpoint_errors(graph: Graph, aspect: Aspect) -> list[str]:
+    """An aspect's unknown source or target type and unknown modifiers."""
+    errs: list[str] = []
+    if aspect.src not in graph.type_by_id:
+        errs.append(f"aspect '{aspect.id}': unknown source type '{aspect.src}'")
+    if aspect.tgt not in graph.type_by_id:
+        errs.append(f"aspect '{aspect.id}': unknown target type '{aspect.tgt}'")
+    bad = aspect.modifiers - MODIFIERS
+    if bad:
+        errs.append(f"aspect '{aspect.id}' has unknown modifiers {sorted(bad)}")
     return errs
 
 
 def validate_specification(spec: Specification) -> list[str]:
-    """Diagnose a specification: dangling endpoints, ill-typed facts, duplicate ids.
+    """Diagnose a specification: ids, labels, endpoints and facts, as the text
+    reader words them, a name it cannot read, then :func:`validate_decls`.
 
-    Also reports a name, id or label that the text format cannot write back,
-    and then the findings of :func:`validate_decls`. Returns a list of
-    human-readable problems; empty exactly when the graph, fact and sketch
-    invariants all hold. Never raises: these are diagnostics.
+    Returns a list of human-readable problems; empty exactly when the graph,
+    fact and sketch invariants all hold. Never raises: these are diagnostics.
     """
     g = spec.graph
     problems: list[str] = []
-    if not _ID_RE.fullmatch(spec.name):
+    if not (spec.name.isascii() and spec.name.isidentifier()):
         problems.append(f"name {spec.name!r} is not an ASCII identifier")
 
-    seen_types: set[str] = set()
-    for t in g.types:
-        if t.id in seen_types:
-            problems.append(f"duplicate type id '{t.id}'")
-        seen_types.add(t.id)
-        if not t.label:
-            problems.append(f"type '{t.id}' has an empty label")
-        problems.extend(_text_errors("type", t.id, t.label))
-
-    seen_aspects: set[str] = set()
-    for a in g.aspects:
-        if a.id in seen_aspects:
-            problems.append(f"duplicate aspect id '{a.id}'")
-        seen_aspects.add(a.id)
-        problems.extend(_text_errors("aspect", a.id, a.label))
-        if a.id == "Id":
-            problems.append("aspect id 'Id' names the key column of every table")
-        if a.id in seen_types:
-            problems.append(f"id '{a.id}' is used for both a type and an aspect")
-        if a.src not in g.type_by_id:
-            problems.append(f"aspect '{a.id}' has dangling source '{a.src}'")
-        if a.tgt not in g.type_by_id:
-            problems.append(f"aspect '{a.id}' has dangling target '{a.tgt}'")
-        bad = a.modifiers - MODIFIERS
-        if bad:
-            problems.append(f"aspect '{a.id}' has unknown modifiers {sorted(bad)}")
+    taken: set[str] = set()
+    for kind, items in (("type", g.types), ("aspect", g.aspects)):
+        for x in items:
+            problems += id_errors(kind, x.id, taken) + label_errors(kind, x.id, x.label)
+            taken.add(x.id)
+    problems += [msg for a in g.aspects for msg in endpoint_errors(g, a)]
 
     for fact in spec.facts:
         for msg in fact_errors(g, fact):
@@ -831,7 +833,7 @@ def relation_to_span(
 
     ``legs`` is a sequence of (role label, target type id) pairs. Returns the
     extended graph and the apex node. Ids are derived from the relation name
-    and role labels, uniquified against existing ids, :data:`KEYWORDS` and ``Id``.
+    and role labels, made unique and legal by :func:`id_errors`.
     """
     if not legs:
         raise OlogError("a relation needs at least one leg")
@@ -839,8 +841,7 @@ def relation_to_span(
         if not graph.has_type(tid):
             raise OlogError(f"unknown leg type '{tid}'")
 
-    # ``Id`` names the key column of every table.
-    taken = set(graph.type_by_id) | set(graph.aspect_by_id) | KEYWORDS | {"Id"}
+    taken = set(graph.type_by_id) | set(graph.aspect_by_id)
 
     def fresh(base: str) -> str:
         # Ids match ``_ID``: every other character becomes ``_``.
@@ -848,7 +849,7 @@ def relation_to_span(
         if ident[0].isdigit():
             ident = "_" + ident
         cand, n = ident, 2
-        while cand in taken:
+        while id_errors("aspect", cand, taken):
             cand = f"{ident}_{n}"
             n += 1
         taken.add(cand)

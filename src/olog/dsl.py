@@ -29,7 +29,6 @@ from typing import TYPE_CHECKING, NamedTuple
 from .core import (
     _ID,
     DEFAULT_BOUND,
-    KEYWORDS,
     MODIFIERS,
     Aspect,
     CoproductDecl,
@@ -43,8 +42,11 @@ from .core import (
     Specification,
     TypeNode,
     decl_errors,
+    endpoint_errors,
     fact_errors,
     format_path,
+    id_errors,
+    label_errors,
     legs,
     missing_square_facts,
     path_errors,
@@ -304,11 +306,10 @@ def parse_olog(
     deferred: list[tuple[str, _Cursor]] = []
     seen_ids: set[str] = set()
 
-    def declare(ident: _Tok):
-        if ident.text in KEYWORDS:
-            p.fail(f"'{ident.text}' is reserved and cannot be an id", ident.span)
-        if ident.text in seen_ids:
-            p.fail(f"duplicate declaration of '{ident.text}'", ident.span)
+    def declare(kind: str, ident: _Tok):
+        errs = id_errors(kind, ident.text, seen_ids)
+        if errs:
+            p.fail(errs[0], ident.span)
         seen_ids.add(ident.text)
 
     for head, cur in body:
@@ -319,14 +320,15 @@ def parse_olog(
                 p.expect_end(cur)
                 if label_tok is None:
                     continue
-                declare(ident)
+                declare("type", ident)
                 label = label_tok.text[1:-1]
-                if not label:
-                    p.fail(f"type '{ident.text}' has an empty label", label_tok.span)
+                errs = label_errors("type", ident.text, label)
+                if errs:
+                    p.fail(errs[0], label_tok.span)
                 lints = _label_lints(label)
                 for flag in sorted(lints):
                     p.warn(f"type '{ident.text}': style lint {flag}", label_tok.span)
-                types.append(TypeNode(id=ident.text, label=label, lint_flags=lints))
+                types.append(TypeNode(ident.text, label, lints))
             elif head == "aspect":
                 ident = p.expect(cur, "IDENT", what="an aspect id")
                 p.expect(cur, "OP", ":")
@@ -341,9 +343,7 @@ def parse_olog(
                         p.error(f"unexpected '{t.text}' after aspect", t.span)
                         break
                     mods.add(t.text)
-                if ident.text == "Id":
-                    p.fail("'Id' names the key column and cannot be an aspect id", ident.span)
-                declare(ident)
+                declare("aspect", ident)
                 aspect = Aspect(ident.text, src.text, tgt.text, label, frozenset(mods))
                 aspects.append((aspect, ident))
             elif head in ("fact", "product", "pullback", "coproduct", "pushout",
@@ -356,10 +356,8 @@ def parse_olog(
 
     graph = Graph(types=tuple(types), aspects=tuple(a for a, _ in aspects))
     for a, ident in aspects:
-        if not graph.has_type(a.src):
-            p.error(f"aspect '{a.id}': unknown source type '{a.src}'", ident.span)
-        if not graph.has_type(a.tgt):
-            p.error(f"aspect '{a.id}': unknown target type '{a.tgt}'", ident.span)
+        for msg in endpoint_errors(graph, a):
+            p.error(msg, ident.span)
 
     facts: list[Fact] = []
     sketch: list = []

@@ -32,6 +32,7 @@ from .core import (
     UnionFind,
     compose_paths,
     format_path,
+    id_errors,
     legs,
     path_errors,
     path_target,
@@ -399,10 +400,9 @@ def derive_mediating_aspect(
                 f"cone does not commute with the cospan: "
                 f"{format_path(lhs)} = {format_path(rhs)} is not derivable"
             )
-    if aspect_id in g.aspect_by_id or aspect_id in g.type_by_id:
-        raise SketchError(f"id '{aspect_id}' is already taken")
-    if aspect_id == "Id":
-        raise SketchError("aspect id 'Id' names the key column of every table")
+    errs = id_errors("aspect", aspect_id, g.type_by_id.keys() | g.aspect_by_id.keys())
+    if errs:
+        raise SketchError(errs[0])
 
     mediator = Aspect(id=aspect_id, src=x, tgt=decl.target, label="")
     new_graph = Graph(g.types, g.aspects + (mediator,))

@@ -41,6 +41,10 @@ the paths. ``tokenize_by_groups`` and ``TOKEN_RE_BY_GROUPS`` are the
 ``dsl`` tokenizer as it was before it matched once per token: blanks are a
 token of their own, each token's kind is its group's name, and each token
 carries its ``SourceSpan``.
+``validate_specification_by_kinds`` is ``core.validate_specification`` as it
+was before ``core.id_errors``, ``label_errors`` and ``endpoint_errors`` owned
+its rules: one seen-set per kind, a type/aspect clash of its own, and its own
+wording.
 """
 
 from __future__ import annotations
@@ -55,6 +59,8 @@ from typing import NamedTuple
 
 from olog.core import (
     _ID,
+    KEYWORDS,
+    MODIFIERS,
     CoproductDecl,
     Fact,
     Graph,
@@ -71,6 +77,7 @@ from olog.core import (
     legs,
     path_target,
     synthesized_aspects,
+    validate_decls,
 )
 from olog.dsl import SourceSpan, _Parser
 from olog.entail import Congruence, _check_bound, check_fits, saturate
@@ -1130,3 +1137,57 @@ def tokenize_by_groups(self: _Parser, line: str, lineno: int):
         else:
             toks.append(TokByGroups(m.lastgroup, m.group(), span))
     return toks, SourceSpan(self.filename, lineno, 1)
+
+
+_ID_RE = re.compile(_ID)
+
+
+def _text_errors_by_kinds(kind: str, ident: str, label: str) -> list[str]:
+    errs: list[str] = []
+    if ident in KEYWORDS:
+        errs.append(f"{kind} id '{ident}' is reserved")
+    elif not _ID_RE.fullmatch(ident):
+        errs.append(f"{kind} id {ident!r} is not an ASCII identifier")
+    if '"' in label or label.splitlines() not in ([], [label]):
+        errs.append(f"{kind} '{ident}' has a label with a quote or a line break")
+    return errs
+
+
+def validate_specification_by_kinds(spec: Specification) -> list[str]:
+    g = spec.graph
+    problems: list[str] = []
+    if not _ID_RE.fullmatch(spec.name):
+        problems.append(f"name {spec.name!r} is not an ASCII identifier")
+
+    seen_types: set[str] = set()
+    for t in g.types:
+        if t.id in seen_types:
+            problems.append(f"duplicate type id '{t.id}'")
+        seen_types.add(t.id)
+        if not t.label:
+            problems.append(f"type '{t.id}' has an empty label")
+        problems.extend(_text_errors_by_kinds("type", t.id, t.label))
+
+    seen_aspects: set[str] = set()
+    for a in g.aspects:
+        if a.id in seen_aspects:
+            problems.append(f"duplicate aspect id '{a.id}'")
+        seen_aspects.add(a.id)
+        problems.extend(_text_errors_by_kinds("aspect", a.id, a.label))
+        if a.id == "Id":
+            problems.append("aspect id 'Id' names the key column of every table")
+        if a.id in seen_types:
+            problems.append(f"id '{a.id}' is used for both a type and an aspect")
+        if a.src not in g.type_by_id:
+            problems.append(f"aspect '{a.id}' has dangling source '{a.src}'")
+        if a.tgt not in g.type_by_id:
+            problems.append(f"aspect '{a.id}' has dangling target '{a.tgt}'")
+        bad = a.modifiers - MODIFIERS
+        if bad:
+            problems.append(f"aspect '{a.id}' has unknown modifiers {sorted(bad)}")
+
+    for fact in spec.facts:
+        for msg in fact_errors(g, fact):
+            problems.append(f"fact {format_fact(fact)}: {msg}")
+
+    return problems + validate_decls(spec)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import json
 import operator
+import re
 from dataclasses import astuple
 from pathlib import Path as FsPath
 
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 
 import olog
 from olog.core import (
+    _ID,
+    KEYWORDS,
     Aspect,
     Fact,
     Graph,
@@ -21,6 +24,7 @@ from olog.core import (
     UnionFind,
     compose_paths,
     enumerate_paths,
+    id_errors,
     identity_path,
     path_errors,
     path_target,
@@ -31,7 +35,7 @@ from olog.errors import CompositionError, OlogError
 
 from .conftest import load_olog
 from . import strategies as sts
-from .oracles import DataclassFact, DataclassPath, TagPartition
+from .oracles import DataclassFact, DataclassPath, TagPartition, validate_specification_by_kinds
 
 
 def test_compose_concatenates(family_spec):
@@ -131,15 +135,17 @@ def test_validate_reports_duplicates_and_empty_labels():
         aspects=(Aspect("f", "x", "y", "maps to"), Aspect("f", "x", "y", "maps to")),
     )
     report = validate_specification(Specification(graph=g))
-    assert any("duplicate type id 'x'" in m for m in report)
-    assert any("duplicate aspect id 'f'" in m for m in report)
-    assert any("empty label" in m for m in report)
+    assert report == [
+        "duplicate declaration of 'x'",
+        "type 'y' has an empty label",
+        "duplicate declaration of 'f'",
+    ]
 
 
 def test_validate_reports_an_aspect_named_Id():
     g = Graph(types=(TypeNode("x", "a thing"),), aspects=(Aspect("Id", "x", "x", "has"),))
     assert validate_specification(Specification(graph=g)) == [
-        "aspect id 'Id' names the key column of every table"
+        "'Id' names the key column and cannot be an aspect id"
     ]
 
 
@@ -196,9 +202,78 @@ def test_validate_reports_what_the_text_format_cannot_write():
         "type 'a' has a label with a quote or a line break",
         "type id 'b c' is not an ASCII identifier",
         "type 'b c' has a label with a quote or a line break",
-        "type id 'of' is reserved",
+        "'of' is reserved and cannot be an id",
         "aspect 'f' has a label with a quote or a line break",
     ]
+
+
+# Ids, labels and modifiers that break each declaration rule, beside good ones.
+ID_POOL = ("a", "b", "c", "of", "type", "id", "Id", "b c", "é", "", "1a", "_")
+LABEL_POOL = ("a thing", "an a", "", 'a "quoted" thing', "a\nb")
+MODIFIER_POOL = ("injective", "surjective", "bogus")
+
+
+def _quoted(problems: list[str]) -> set[str]:
+    return {name for msg in problems for name in re.findall(r"'([^']*)'", msg)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(max_size=4), st.from_regex(_ID, fullmatch=True)))
+def test_id_errors_accepts_the_ids_the_reader_tokenizes(ident):
+    tokenized = re.fullmatch(_ID, ident) is not None and ident not in KEYWORDS
+    assert (id_errors("type", ident, ()) == []) == tokenized
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_validate_specification_agrees_with_the_checker_by_kinds(data):
+    ids, labels = st.sampled_from(ID_POOL), st.sampled_from(LABEL_POOL)
+    types = data.draw(st.lists(st.builds(TypeNode, ids, labels), max_size=4))
+    aspects = data.draw(st.lists(st.builds(
+        Aspect, ids, ids, ids, labels, st.frozensets(st.sampled_from(MODIFIER_POOL)),
+    ), max_size=4))
+    name = data.draw(st.sampled_from(("olog", "my olog")))
+    spec = Specification(graph=Graph(tuple(types), tuple(aspects)), name=name)
+    old, new = validate_specification_by_kinds(spec), validate_specification(spec)
+    assert (old == []) == (new == [])
+    assert _quoted(old) <= _quoted(new)
+
+
+@st.composite
+def specs_with_one_fault(draw):
+    """A valid spec and one declaration the text format can write but not accept."""
+    base = draw(sts.specs_on(draw(sts.graphs(max_types=3, max_aspects=3))))
+    g = base.graph
+    type_ids = [t.id for t in g.types]
+    t0, t1 = draw(st.sampled_from(type_ids)), draw(st.sampled_from(type_ids))
+    taken = draw(st.sampled_from(type_ids + [a.id for a in g.aspects]))
+    word = draw(st.sampled_from(sorted(KEYWORDS)))
+    fault = draw(st.sampled_from((
+        TypeNode(word, "a reserved word"),
+        Aspect(word, t0, t1, "is reserved"),
+        Aspect("Id", t0, t1, "keys"),
+        TypeNode(taken, "a second thing"),
+        Aspect(taken, t0, t1, "is declared twice"),
+        TypeNode("U", ""),
+        Aspect("g", t0, "Z", "runs nowhere"),
+        Aspect("g", "Z", t1, "comes from nowhere"),
+    )))
+    if isinstance(fault, TypeNode):
+        g = Graph(g.types + (fault,), g.aspects)
+    else:
+        g = Graph(g.types, g.aspects + (fault,))
+    return Specification(graph=g, facts=base.facts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(specs_with_one_fault())
+def test_the_reader_words_a_fault_as_validate_specification_does(spec):
+    from olog.dsl import ERROR, parse_olog, print_olog
+
+    [problem] = validate_specification(spec)
+    read, diags = parse_olog(print_olog(spec))
+    assert read is None
+    assert next(d.message for d in diags if d.severity == ERROR) == problem
 
 
 def test_relation_to_span_star():

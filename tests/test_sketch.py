@@ -17,8 +17,10 @@ from olog.core import (
     Specification,
     TypeNode,
     decl_errors,
+    id_errors,
     missing_square_facts,
     validate_decls,
+    validate_specification,
 )
 from olog.errors import SketchError, SynthesisError
 from olog.instances import key_diagram, satisfies_spec
@@ -697,8 +699,31 @@ def test_mediating_aspect_cannot_be_named_Id():
     g, pair_decl, _ = furniture_world()
     spec = Specification(graph=g, sketch=(pair_decl,))
     cone = (Path("pairfs", ("pf",)), Path("pairfs", ("ps",)))
-    with pytest.raises(SketchError, match="aspect id 'Id' names the key column"):
+    with pytest.raises(SketchError, match="^'Id' names the key column and cannot be an aspect id$"):
         derive_mediating_aspect(spec, "pairfs", cone, pair_decl, "Id", bound=3)
+
+
+@pytest.mark.parametrize("aspect_id", ["type", "a b", "furn", "pf"])
+def test_mediating_aspect_refuses_an_id_the_reader_refuses(aspect_id):
+    g, pair_decl, _ = furniture_world()
+    spec = Specification(graph=g, sketch=(pair_decl,))
+    cone = (Path("pairfs", ("pf",)), Path("pairfs", ("ps",)))
+    [why, *_] = id_errors("aspect", aspect_id, {"furn", "pf"})
+    with pytest.raises(SketchError) as exc:
+        derive_mediating_aspect(spec, "pairfs", cone, pair_decl, aspect_id, bound=3)
+    assert str(exc.value) == why
+
+
+@pytest.mark.parametrize("aspect_id", ["selfpair", "Id_2", "types"])
+def test_mediating_aspect_gives_an_olog_the_reader_reads_back(aspect_id):
+    from olog.dsl import parse_olog, print_olog
+
+    g, pair_decl, _ = furniture_world()
+    spec = Specification(graph=g, sketch=(pair_decl,))
+    cone = (Path("pairfs", ("pf",)), Path("pairfs", ("ps",)))
+    spec2, _, _ = derive_mediating_aspect(spec, "pairfs", cone, pair_decl, aspect_id, bound=3)
+    assert validate_specification(spec2) == []
+    assert parse_olog(print_olog(spec2))[0] == spec2
 
 
 def test_mediating_pullback_rejects_noncommuting_cone():
