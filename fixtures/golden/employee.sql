@@ -1,31 +1,31 @@
 -- Schema generated from olog 'Employee'
 -- 3 types, 6 aspects, 2 facts
 
-CREATE TABLE department (
-    Id VARCHAR(255) NOT NULL,
-    name VARCHAR(255) NOT NULL,
-    secretary VARCHAR(255) NOT NULL,
-    PRIMARY KEY (Id),
-    FOREIGN KEY (name) REFERENCES string (Id),
-    FOREIGN KEY (secretary) REFERENCES employee (Id)
+CREATE TABLE "department" (
+    "Id" VARCHAR(255) NOT NULL,
+    "name" VARCHAR(255) NOT NULL,
+    "secretary" VARCHAR(255) NOT NULL,
+    PRIMARY KEY ("Id"),
+    FOREIGN KEY ("name") REFERENCES "string" ("Id"),
+    FOREIGN KEY ("secretary") REFERENCES "employee" ("Id")
 );
 
-CREATE TABLE employee (
-    Id VARCHAR(255) NOT NULL,
-    first_name VARCHAR(255) NOT NULL,
-    last_name VARCHAR(255) NOT NULL,
-    manager VARCHAR(255) NOT NULL,
-    works_in VARCHAR(255) NOT NULL,
-    PRIMARY KEY (Id),
-    FOREIGN KEY (first_name) REFERENCES string (Id),
-    FOREIGN KEY (last_name) REFERENCES string (Id),
-    FOREIGN KEY (manager) REFERENCES employee (Id),
-    FOREIGN KEY (works_in) REFERENCES department (Id)
+CREATE TABLE "employee" (
+    "Id" VARCHAR(255) NOT NULL,
+    "first_name" VARCHAR(255) NOT NULL,
+    "last_name" VARCHAR(255) NOT NULL,
+    "manager" VARCHAR(255) NOT NULL,
+    "works_in" VARCHAR(255) NOT NULL,
+    PRIMARY KEY ("Id"),
+    FOREIGN KEY ("first_name") REFERENCES "string" ("Id"),
+    FOREIGN KEY ("last_name") REFERENCES "string" ("Id"),
+    FOREIGN KEY ("manager") REFERENCES "employee" ("Id"),
+    FOREIGN KEY ("works_in") REFERENCES "department" ("Id")
 );
 
-CREATE TABLE string (
-    Id VARCHAR(255) NOT NULL,
-    PRIMARY KEY (Id)
+CREATE TABLE "string" (
+    "Id" VARCHAR(255) NOT NULL,
+    PRIMARY KEY ("Id")
 );
 
 -- TYPE department: "a department"

@@ -1,47 +1,47 @@
 -- Schema generated from olog 'Factorial'
 -- 5 types, 9 aspects, 4 facts
 
-CREATE TABLE nat (
-    Id VARCHAR(255) NOT NULL,
-    f VARCHAR(255) NOT NULL,
-    PRIMARY KEY (Id),
-    FOREIGN KEY (f) REFERENCES res (Id)
+CREATE TABLE "nat" (
+    "Id" VARCHAR(255) NOT NULL,
+    "f" VARCHAR(255) NOT NULL,
+    PRIMARY KEY ("Id"),
+    FOREIGN KEY ("f") REFERENCES "res" ("Id")
 );
 
-CREATE TABLE pair (
-    Id VARCHAR(255) NOT NULL,
-    m VARCHAR(255) NOT NULL,
-    p VARCHAR(255) NOT NULL,
-    q VARCHAR(255) NOT NULL,
-    PRIMARY KEY (Id),
-    FOREIGN KEY (m) REFERENCES res (Id),
-    FOREIGN KEY (p) REFERENCES pos (Id),
-    FOREIGN KEY (q) REFERENCES res (Id)
+CREATE TABLE "pair" (
+    "Id" VARCHAR(255) NOT NULL,
+    "m" VARCHAR(255) NOT NULL,
+    "p" VARCHAR(255) NOT NULL,
+    "q" VARCHAR(255) NOT NULL,
+    PRIMARY KEY ("Id"),
+    FOREIGN KEY ("m") REFERENCES "res" ("Id"),
+    FOREIGN KEY ("p") REFERENCES "pos" ("Id"),
+    FOREIGN KEY ("q") REFERENCES "res" ("Id")
 );
 
-CREATE TABLE pos (
-    Id VARCHAR(255) NOT NULL,
-    d VARCHAR(255) NOT NULL,
-    i1 VARCHAR(255) NOT NULL,
-    s VARCHAR(255) NOT NULL,
-    PRIMARY KEY (Id),
-    FOREIGN KEY (d) REFERENCES nat (Id),
-    FOREIGN KEY (i1) REFERENCES nat (Id),
-    FOREIGN KEY (s) REFERENCES pair (Id)
+CREATE TABLE "pos" (
+    "Id" VARCHAR(255) NOT NULL,
+    "d" VARCHAR(255) NOT NULL,
+    "i1" VARCHAR(255) NOT NULL,
+    "s" VARCHAR(255) NOT NULL,
+    PRIMARY KEY ("Id"),
+    FOREIGN KEY ("d") REFERENCES "nat" ("Id"),
+    FOREIGN KEY ("i1") REFERENCES "nat" ("Id"),
+    FOREIGN KEY ("s") REFERENCES "pair" ("Id")
 );
 
-CREATE TABLE res (
-    Id VARCHAR(255) NOT NULL,
-    PRIMARY KEY (Id)
+CREATE TABLE "res" (
+    "Id" VARCHAR(255) NOT NULL,
+    PRIMARY KEY ("Id")
 );
 
-CREATE TABLE zero (
-    Id VARCHAR(255) NOT NULL,
-    i0 VARCHAR(255) NOT NULL,
-    omega VARCHAR(255) NOT NULL,
-    PRIMARY KEY (Id),
-    FOREIGN KEY (i0) REFERENCES nat (Id),
-    FOREIGN KEY (omega) REFERENCES res (Id)
+CREATE TABLE "zero" (
+    "Id" VARCHAR(255) NOT NULL,
+    "i0" VARCHAR(255) NOT NULL,
+    "omega" VARCHAR(255) NOT NULL,
+    PRIMARY KEY ("Id"),
+    FOREIGN KEY ("i0") REFERENCES "nat" ("Id"),
+    FOREIGN KEY ("omega") REFERENCES "res" ("Id")
 );
 
 -- TYPE nat: "a natural number"

@@ -7,11 +7,13 @@ The workload is imported from ``bench/`` without writing bytecode there and
 its job runs in this process, against ``olog`` from this checkout's ``src``,
 as ``bench/run.py``'s worker runs it. Per round it prints how many path
 universes were numbered (and their paths in all), closures computed,
-channels built and key sets sorted (and their keys in all), counted by
-wrapping ``core.PathUniverse``, ``entail.Closure``, ``system.optimal_channel``
-and the ``sorted`` of the modules that sort a diagram's key sets. A job that
-derives each structure once per value it builds repeats the same counts in
-every round; what the first round builds and later rounds do not is what a
+channels built, key sets sorted (and their keys in all) and paths walked by
+the path rules (and their aspects in all), counted by wrapping
+``core.PathUniverse``, ``entail.Closure``, ``system.optimal_channel``, the
+``sorted`` of the modules that sort a diagram's key sets and
+``core.path_target`` in every module that imports it. A job that derives
+each structure once per value it builds repeats the same counts in every
+round; what the first round builds and later rounds do not is what a
 value held by the workload across rounds keeps, and it is listed by name.
 
 The exit code is 1 if any round after the first differs from the second or
@@ -28,6 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SORTING = ("instances", "sketch", "flow", "sqlgen", "cli")
+WALK = "path_target"
 
 
 def instrument(olog, events: list) -> None:
@@ -68,12 +71,23 @@ def instrument(olog, events: list) -> None:
         __import__(f"olog.{name}")
         sys.modules[f"olog.{name}"].sorted = counted_sorted
 
+    walk = getattr(core, WALK)
+
+    def walked(graph, path):
+        events.append(("walk", "path", len(path)))
+        return walk(graph, path)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("olog") and getattr(module, WALK, None) is walk:
+            setattr(module, WALK, walked)
+
 
 KINDS = (
     ("universe", "universes", "paths"),
     ("closure", "closures", "ids"),
     ("channel", "channels", None),
     ("keys", "key sets sorted", "keys"),
+    ("walk", "path walks", "aspects"),
 )
 
 

@@ -239,48 +239,38 @@ def identity_path(type_id: str) -> Path:
     return Path(type_id, ())
 
 
-def path_errors(graph: Graph, path: Path) -> list[str]:
-    """All reasons ``path`` is not well formed over ``graph`` (empty if fine)."""
-    errs: list[str] = []
-    if not graph.has_type(path.source):
-        errs.append(f"path source '{path.source}' is not a type")
-        return errs
-    at = path.source
-    for eid in path.edges:
-        asp = graph.aspect_by_id.get(eid)
-        if asp is None:
-            errs.append(f"path mentions unknown aspect '{eid}'")
-            return errs
-        if asp.src != at:
-            errs.append(
-                f"aspect '{eid}' starts at '{asp.src}' but the path has reached '{at}'"
-            )
-            return errs
-        at = asp.tgt
-    return errs
-
-
 def path_target(graph: Graph, path: Path) -> str:
-    """Target type of a well-formed path (its source if it is an identity)."""
-    errs = path_errors(graph, path)
-    if errs:
-        raise OlogError(errs[0])
-    if path.is_identity:
-        return path.source
-    return graph.aspect_by_id[path.edges[-1]].tgt
+    """The type where ``path`` ends over ``graph``, its source if it is an
+    identity: the one walk of the path rules. The source must be a type and
+    each aspect must exist and start where the path has reached; the first
+    rule broken raises :class:`OlogError` naming it."""
+    at = path.source
+    if at not in graph.type_by_id:
+        raise OlogError(f"path source '{at}' is not a type")
+    aspects = graph.aspect_by_id
+    for eid in path.edges:
+        asp = aspects.get(eid)
+        if asp is None:
+            raise OlogError(f"unknown aspect '{eid}'")
+        if asp.src != at:
+            raise OlogError(f"aspect '{eid}' starts at '{asp.src}' but the path has reached '{at}'")
+        at = asp.tgt
+    return at
 
 
 def compose_paths(graph: Graph, p: Path, q: Path) -> Path:
-    """Concatenate two paths, p first then q.
+    """Concatenate two well-formed paths, p first then q.
 
     Raises :class:`CompositionError` naming both types when the target of
-    ``p`` is not the source of ``q``. Identity paths are two-sided units.
+    ``p`` is not the source of ``q``, then :class:`OlogError` if ``q`` is
+    not a path. Identity paths are two-sided units.
     """
     tgt = path_target(graph, p)
     if tgt != q.source:
         raise CompositionError(
             f"cannot compose: first path ends at '{tgt}', second starts at '{q.source}'"
         )
+    path_target(graph, q)
     return Path(p.source, p.edges + q.edges)
 
 
@@ -301,21 +291,31 @@ def format_fact(fact: Fact) -> str:
     return f"{format_path(fact.lhs)} = {format_path(fact.rhs)}"
 
 
+def _walk(graph: Graph, path: Path, errs: list[str], prefix: str = "") -> str | None:
+    """:func:`path_target`, or None once its error, after ``prefix``, is in ``errs``."""
+    try:
+        return path_target(graph, path)
+    except OlogError as exc:
+        errs.append(f"{prefix}{exc}")
+        return None
+
+
+def parallel_errors(fact: Fact, lhs_end: str, rhs_end: str) -> list[str]:
+    """Why the sides of ``fact``, two paths that end at ``lhs_end`` and
+    ``rhs_end``, are not parallel (empty if they are)."""
+    lhs, rhs = fact
+    if lhs.source != rhs.source:
+        return [f"fact sides start at different types: '{lhs.source}' vs '{rhs.source}'"]
+    if lhs_end != rhs_end:
+        return [f"fact sides end at different types: '{lhs_end}' vs '{rhs_end}'"]
+    return []
+
+
 def fact_errors(graph: Graph, fact: Fact) -> list[str]:
-    errs = path_errors(graph, fact.lhs) + path_errors(graph, fact.rhs)
-    if errs:
-        return errs
-    if fact.lhs.source != fact.rhs.source:
-        errs.append(
-            f"fact sides start at different types: "
-            f"'{fact.lhs.source}' vs '{fact.rhs.source}'"
-        )
-        return errs
-    lt = path_target(graph, fact.lhs)
-    rt = path_target(graph, fact.rhs)
-    if lt != rt:
-        errs.append(f"fact sides end at different types: '{lt}' vs '{rt}'")
-    return errs
+    """Each side's path error, or else why the sides are not parallel."""
+    errs: list[str] = []
+    ends = [_walk(graph, side, errs) for side in fact]
+    return errs or parallel_errors(fact, *ends)
 
 
 @record(order=True)
@@ -519,16 +519,6 @@ def decl_errors(graph: Graph, decl: SketchDecl) -> list[str]:
                 f"{ctx}: {role} must run {src} -> {tgt}, it runs {a.src} -> {a.tgt}"
             )
 
-    def need_path(p: Path, src: str, tgt: str | None):
-        errs = path_errors(graph, p)
-        if errs:
-            problems.append(f"{ctx}: {errs[0]}")
-            return
-        if p.source != src:
-            problems.append(f"{ctx}: path {format_path(p)} must start at '{src}'")
-        elif tgt is not None and path_target(graph, p) != tgt:
-            problems.append(f"{ctx}: path {format_path(p)} must end at '{tgt}'")
-
     if isinstance(decl, (ProductDecl, PullbackDecl)):
         for tid, aid in legs(decl):
             if need_type(tid):
@@ -539,29 +529,26 @@ def decl_errors(graph: Graph, decl: SketchDecl) -> list[str]:
                 need_arrow(f"inclusion '{aid}'", aid, tid, decl.target)
 
     if isinstance(decl, PullbackDecl):
-        pf, pg = decl.cospan
-        need_path(pf, decl.leg_b[0], None)
-        need_path(pg, decl.leg_c[0], None)
-        if not (path_errors(graph, pf) or path_errors(graph, pg)):
-            if path_target(graph, pf) != path_target(graph, pg):
-                problems.append(f"{ctx}: cospan paths end at different types")
+        ends = []
+        for p, (tid, _) in zip(decl.cospan, legs(decl)):
+            ends.append(end := _walk(graph, p, problems, f"{ctx}: "))
+            if end is not None and p.source != tid:
+                problems.append(f"{ctx}: path {format_path(p)} must start at '{tid}'")
+        if None not in ends and ends[0] != ends[1]:
+            problems.append(f"{ctx}: cospan paths end at different types")
     elif isinstance(decl, PushoutDecl):
-        pf, pg = decl.span
-        if path_errors(graph, pf) or path_errors(graph, pg):
-            problems.extend(f"{ctx}: {e}" for e in path_errors(graph, pf))
-            problems.extend(f"{ctx}: {e}" for e in path_errors(graph, pg))
-        elif pf.source != pg.source:
+        ends = [_walk(graph, p, problems, f"{ctx}: ") for p in decl.span]
+        if None not in ends and decl.span[0].source != decl.span[1].source:
             problems.append(f"{ctx}: span paths start at different types")
-        else:
-            need_path(pf, pf.source, decl.leg_b[0])
-            need_path(pg, pg.source, decl.leg_c[0])
+        elif None not in ends:
+            for p, end, (tid, _) in zip(decl.span, ends, legs(decl)):
+                if end != tid:
+                    problems.append(f"{ctx}: path {format_path(p)} must end at '{tid}'")
     elif isinstance(decl, ImageDecl):
-        errs = path_errors(graph, decl.of)
-        if errs:
-            problems.append(f"{ctx}: {errs[0]}")
-        else:
+        end = _walk(graph, decl.of, problems, f"{ctx}: ")
+        if end is not None:
             need_arrow("surjection part", decl.surjection, decl.of.source, decl.target)
-            need_arrow("injection part", decl.injection, decl.target, path_target(graph, decl.of))
+            need_arrow("injection part", decl.injection, decl.target, end)
 
     # Synthesis writes one function per part, so no aspect may serve two.
     aids = synthesized_aspects(decl)
@@ -726,7 +713,7 @@ class PathUniverse:
     def index(self, path: Path) -> int:
         """The id of ``path``. A path longer than the bound raises
         :class:`BoundExceededError`, any other path outside the universe
-        :class:`OlogError` with the first of its :func:`path_errors`."""
+        :class:`OlogError` from :func:`path_target`."""
         try:
             i = self.extend(self.start[path.source], path.edges)
         except KeyError:
@@ -735,7 +722,8 @@ class PathUniverse:
             return i
         if len(path) > self.bound:
             raise BoundExceededError(f"path of length {len(path)} exceeds bound {self.bound}")
-        raise OlogError(path_errors(self.graph, path)[0])
+        path_target(self.graph, path)  # raises: each well-formed path within the bound has an id
+        raise AssertionError(f"{path} is well formed but has no id")
 
 
 def path_universe(graph: Graph, bound: int) -> PathUniverse:

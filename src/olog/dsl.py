@@ -43,13 +43,12 @@ from .core import (
     TypeNode,
     decl_errors,
     endpoint_errors,
-    fact_errors,
     format_path,
     id_errors,
     label_errors,
     legs,
     missing_square_facts,
-    path_errors,
+    parallel_errors,
     path_target,
 )
 from .errors import OlogError
@@ -220,23 +219,24 @@ class _Parser:
 
 def _resolve_path(
     parser: _Parser, graph: Graph, toks: list[_Tok], span: SourceSpan
-) -> Path:
+) -> tuple[Path, str]:
+    """The path the tokens name and the type where it ends."""
     if toks[0].text == "id" and len(toks) == 2:
         tid = toks[1].text
         if not graph.has_type(tid):
             parser.fail(f"unknown type '{tid}'", toks[1].span)
-        return Path(tid, ())
+        return Path(tid, ()), tid
     for t in toks:
         if t.text not in graph.aspect_by_id:
             parser.fail(f"unknown aspect '{t.text}'", t.span)
     p = Path(graph.aspect_by_id[toks[0].text].src, tuple(t.text for t in toks))
-    errs = path_errors(graph, p)
-    if errs:
-        parser.fail(errs[0], span)
-    return p
+    try:
+        return p, path_target(graph, p)
+    except OlogError as exc:
+        parser.fail(str(exc), span)
 
 
-def _resolve_paths(parser: _Parser, graph: Graph, got) -> list[Path]:
+def _resolve_paths(parser: _Parser, graph: Graph, got) -> list[tuple[Path, str]]:
     """Resolve each path of a declaration, reporting every one that fails."""
     paths = [parser.attempt(_resolve_path, parser, graph, *g) for g in got]
     if None in paths:
@@ -390,8 +390,9 @@ def _parse_fact(p: _Parser, graph: Graph, cur: _Cursor) -> Fact:
     p.expect(cur, "OP", "=")
     rhs_got = p.parse_path_tokens(cur)
     p.expect_end(cur)
-    fact = Fact(*_resolve_paths(p, graph, (lhs_got, rhs_got)))
-    errs = fact_errors(graph, fact)
+    (lhs, lhs_end), (rhs, rhs_end) = _resolve_paths(p, graph, (lhs_got, rhs_got))
+    fact = Fact(lhs, rhs)
+    errs = parallel_errors(fact, lhs_end, rhs_end)
     if errs:
         p.fail(errs[0], lhs_got[1])
     return fact
@@ -476,7 +477,7 @@ def _parse_sketch_decl(p: _Parser, graph: Graph, head: str, cur: _Cursor):
             raise _Stop
         if len(pair) != 2:
             p.fail("image needs exactly two aspects in 'via'", cur.peek().span)
-        of = _resolve_path(p, graph, *got)
+        of, _ = _resolve_path(p, graph, *got)
         return ImageDecl(target.text, of, pair[0].text, pair[1].text)
 
     p.expect(cur, "OP", "=")
@@ -492,8 +493,8 @@ def _parse_sketch_decl(p: _Parser, graph: Graph, head: str, cur: _Cursor):
         p.expect_end(cur)
         if legs is None or len(legs) != 2:
             p.fail("pullback needs exactly two leg projections", cur.toks[-1].span)
-        pf, pg = _resolve_paths(p, graph, cospan)
-        if path_target(graph, pf) != apex.text or path_target(graph, pg) != apex.text:
+        (pf, pf_end), (pg, pg_end) = _resolve_paths(p, graph, cospan)
+        if pf_end != apex.text or pg_end != apex.text:
             p.error(f"cospan paths must end at '{apex.text}'", cospan[0][1])
         return PullbackDecl(
             target.text,
@@ -512,7 +513,7 @@ def _parse_sketch_decl(p: _Parser, graph: Graph, head: str, cur: _Cursor):
     p.expect_end(cur)
     if span_paths is None:
         raise _Stop
-    pf, pg = _resolve_paths(p, graph, span_paths)
+    (pf, _), (pg, _) = _resolve_paths(p, graph, span_paths)
     if pf.source != apex.text or pg.source != apex.text:
         p.error(f"span paths must start at '{apex.text}'", span_paths[0][1])
     return PushoutDecl(
@@ -641,7 +642,7 @@ def parse_morphism(
                     continue
                 if not src_graph.has_aspect(a.text):
                     p.fail(f"unknown source aspect '{a.text}'", a.span)
-                img = _resolve_path(p, tgt_graph, *got)
+                img, _ = _resolve_path(p, tgt_graph, *got)
                 if a.text in aspect_map:
                     p.fail(f"aspect '{a.text}' mapped twice", a.span)
                 aspect_map[a.text] = img

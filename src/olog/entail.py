@@ -24,7 +24,6 @@ from .core import (
     fact_errors,
     format_fact,
     held,
-    path_errors,
     path_universe,
     record,
 )
@@ -93,14 +92,11 @@ class Congruence:
         return {p: cls[0] for cls in self.classes for p in cls}
 
     def representative(self, path: Path) -> Path:
+        """The representative of ``path``'s class. A path outside the
+        universe raises as :meth:`core.PathUniverse.index` does."""
         idx = self._index
         if path not in idx:
-            if len(path) <= self.bound:
-                # the universe holds every well-formed path within the bound
-                raise OlogError(path_errors(self.graph, path)[0])
-            raise BoundExceededError(
-                f"path of length {len(path)} exceeds bound {self.bound}"
-            )
+            path_universe(self.graph, self.bound).index(path)
         return idx[path]
 
     def same(self, p: Path, q: Path) -> bool:

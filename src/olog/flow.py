@@ -18,10 +18,9 @@ from .core import (
     Graph,
     Path,
     Specification,
+    _walk,
     fact_errors,
     format_fact,
-    path_errors,
-    path_target,
     path_universe,
     record,
 )
@@ -65,9 +64,8 @@ def morphism_errors(h: GraphMorphism) -> list[str]:
         if img is None:
             problems.append(f"aspect '{a.id}' is not mapped")
             continue
-        errs = path_errors(h.tgt, img)
-        if errs:
-            problems.append(f"aspect '{a.id}': image {errs[0]}")
+        end = _walk(h.tgt, img, problems, f"aspect '{a.id}': image ")
+        if end is None:
             continue
         want_src = h.type_map.get(a.src)
         want_tgt = h.type_map.get(a.tgt)
@@ -76,11 +74,8 @@ def morphism_errors(h: GraphMorphism) -> list[str]:
                 f"aspect '{a.id}': image starts at '{img.source}', "
                 f"expected '{want_src}'"
             )
-        if want_tgt is not None and path_target(h.tgt, img) != want_tgt:
-            problems.append(
-                f"aspect '{a.id}': image ends at '{path_target(h.tgt, img)}', "
-                f"expected '{want_tgt}'"
-            )
+        if want_tgt is not None and end != want_tgt:
+            problems.append(f"aspect '{a.id}': image ends at '{end}', expected '{want_tgt}'")
     return problems
 
 

@@ -33,13 +33,13 @@ from .core import (
     compose_paths,
     format_path,
     id_errors,
+    identity_path,
     legs,
-    path_errors,
     path_target,
     synthesized_aspects,
     record,
 )
-from .errors import SketchError, SynthesisError
+from .errors import OlogError, SketchError, SynthesisError
 from .instances import KeyDiagram, eval_column
 
 
@@ -384,17 +384,16 @@ def derive_mediating_aspect(
     if len(cone) != len(parts):
         raise SketchError(f"cone has {len(cone)} paths for {len(parts)} factors")
     for p, (tid, _) in zip(cone, parts):
-        errs = path_errors(g, p)
-        if errs:
-            raise SketchError(errs[0])
-        if p.source != x or path_target(g, p) != tid:
-            raise SketchError(
-                f"cone path {format_path(p)} must run {x} -> {tid}"
-            )
+        try:
+            end = path_target(g, p)
+        except OlogError as exc:
+            raise SketchError(str(exc)) from None
+        if p.source != x or end != tid:
+            raise SketchError(f"cone path {format_path(p)} must run {x} -> {tid}")
     if isinstance(decl, PullbackDecl):
-        pf, pg = decl.cospan
-        lhs = compose_paths(g, cone[0], pf)
-        rhs = compose_paths(g, cone[1], pg)
+        # Each cone path ends at its leg's type, where its cospan path must start.
+        lhs, rhs = (Path(x, p.edges + compose_paths(g, identity_path(t), c).edges)
+                    for p, c, (t, _) in zip(cone, decl.cospan, parts))
         if entails(spec, Fact(lhs, rhs), bound) != ENTAILED:
             raise SketchError(
                 f"cone does not commute with the cospan: "

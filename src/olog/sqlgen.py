@@ -5,7 +5,8 @@ column with a foreign key into its target's table. Path equations cannot be
 expressed as standard SQL constraints, so facts and sketch annotations are
 rendered as structured trailing comments; the instance loader is the
 enforcement point for them. Output is a deterministic SQL-92 subset with no
-vendor features.
+vendor features; every table and column id is a delimited identifier
+(``"order"``), so an id that is an SQL keyword is still a name.
 """
 
 from __future__ import annotations
@@ -22,6 +23,10 @@ if TYPE_CHECKING:
 _COL_TYPE = "VARCHAR(255)"
 
 
+def _name(ident: str) -> str:
+    return f'"{ident}"'
+
+
 def emit_ddl(spec: Specification) -> str:
     g = spec.graph
     out: list[str] = []
@@ -31,13 +36,13 @@ def emit_ddl(spec: Specification) -> str:
     )
     out.append("")
     for t in g.types:
-        cols = [f"    Id {_COL_TYPE} NOT NULL"]
+        cols = [f'    "Id" {_COL_TYPE} NOT NULL']
         fks = []
         for a in g.aspects_from.get(t.id, ()):
-            cols.append(f"    {a.id} {_COL_TYPE} NOT NULL")
-            fks.append(f"    FOREIGN KEY ({a.id}) REFERENCES {a.tgt} (Id)")
-        body = cols + ["    PRIMARY KEY (Id)"] + fks
-        out.append(f"CREATE TABLE {t.id} (")
+            cols.append(f"    {_name(a.id)} {_COL_TYPE} NOT NULL")
+            fks.append(f'    FOREIGN KEY ({_name(a.id)}) REFERENCES {_name(a.tgt)} ("Id")')
+        body = cols + ['    PRIMARY KEY ("Id")'] + fks
+        out.append(f"CREATE TABLE {_name(t.id)} (")
         out.append(",\n".join(body))
         out.append(");")
         out.append("")
@@ -65,7 +70,8 @@ def emit_inserts(spec: Specification, d: KeyDiagram) -> str:
     out: list[str] = []
     for t in g.types:
         aspect_ids = [a.id for a in g.aspects_from.get(t.id, ())]
-        head = f"INSERT INTO {t.id} ({', '.join(['Id'] + aspect_ids)}) VALUES ("
+        names = ", ".join(map(_name, ["Id"] + aspect_ids))
+        head = f"INSERT INTO {_name(t.id)} ({names}) VALUES ("
         keys = d.keys(t.id)
         columns = [keys] + [map(d.funcs[aid].__getitem__, keys) for aid in aspect_ids]
         # Each value doubles its quotes; the joins put the quotes around it.

@@ -45,6 +45,12 @@ carries its ``SourceSpan``.
 was before ``core.id_errors``, ``label_errors`` and ``endpoint_errors`` owned
 its rules: one seen-set per kind, a type/aspect clash of its own, and its own
 wording.
+``path_errors`` and the ``*_by_walks`` checkers are ``fact_errors``,
+``decl_errors`` and ``flow.morphism_errors`` as they were before
+``core.path_target`` owned the path rules: each path was checked by
+``path_errors`` and walked again for its end, up to six times per
+declaration, and an unknown aspect in a path was worded ``path mentions
+unknown aspect 'x'``.
 """
 
 from __future__ import annotations
@@ -74,6 +80,7 @@ from olog.core import (
     UnionFind,
     fact_errors,
     format_fact,
+    format_path,
     legs,
     path_target,
     synthesized_aspects,
@@ -723,29 +730,38 @@ def colimit_classes(ds) -> tuple[set[frozenset], set[frozenset]]:
     return types.classes(), aspects.classes()
 
 
-def simulate_foreign_keys(sql_text: str) -> list[str]:
-    """Check INSERT rows against the FOREIGN KEY clauses of the DDL in the
-    same text. Returns violation messages (empty when consistent)."""
+def foreign_keys(sql_text: str) -> dict[str, list[tuple[str, str]]]:
+    """The (column, referenced table) of each FOREIGN KEY clause, per table
+    of the DDL in ``sql_text``; every id is a delimited identifier."""
     import re
 
     fks: dict[str, list[tuple[str, str]]] = {}
     table = None
     for line in sql_text.splitlines():
-        m = re.match(r"CREATE TABLE (\w+) \(", line)
+        m = re.match(r'CREATE TABLE "(\w+)" \(', line)
         if m:
             table = m.group(1)
             fks.setdefault(table, [])
-        m = re.match(r"\s*FOREIGN KEY \((\w+)\) REFERENCES (\w+) \(Id\)", line)
+        m = re.match(r'\s*FOREIGN KEY \("(\w+)"\) REFERENCES "(\w+)" \("Id"\)', line)
         if m and table:
             fks[table].append((m.group(1), m.group(2)))
+    return fks
 
+
+def simulate_foreign_keys(sql_text: str) -> list[str]:
+    """Check INSERT rows against the FOREIGN KEY clauses of the DDL in the
+    same text. Returns violation messages (empty when consistent)."""
+    import re
+
+    fks = foreign_keys(sql_text)
     columns: dict[str, list[str]] = {}
     rows: dict[str, list[dict[str, str]]] = {}
     for line in sql_text.splitlines():
-        m = re.match(r"INSERT INTO (\w+) \(([^)]*)\) VALUES \((.*)\);", line)
+        m = re.match(r'INSERT INTO "(\w+)" \(([^)]*)\) VALUES \((.*)\);', line)
         if not m:
             continue
-        tname, cols, vals = m.group(1), m.group(2).split(", "), m.group(3)
+        tname, vals = m.group(1), m.group(3)
+        cols = re.findall(r'"(\w+)"', m.group(2))
         parsed = [v[1:-1].replace("''", "'") for v in re.findall(r"'(?:[^']|'')*'", vals)]
         columns[tname] = cols
         rows.setdefault(tname, []).append(dict(zip(cols, parsed)))
@@ -873,11 +889,11 @@ def emit_inserts_by_rows(spec: Specification, d: KeyDiagram) -> str:
     out: list[str] = []
     for t in g.types:
         aspect_ids = [a.id for a in g.aspects_from.get(t.id, ())]
-        col_list = ", ".join(["Id"] + aspect_ids)
+        col_list = ", ".join(f'"{c}"' for c in ["Id"] + aspect_ids)
         for key in sorted(d.sets.get(t.id, frozenset())):
             values = [key] + [d.funcs[aid][key] for aid in aspect_ids]
             rendered = ", ".join(quote_value(v) for v in values)
-            out.append(f"INSERT INTO {t.id} ({col_list}) VALUES ({rendered});")
+            out.append(f'INSERT INTO "{t.id}" ({col_list}) VALUES ({rendered});')
     return "\n".join(out) + ("\n" if out else "")
 
 
@@ -1191,3 +1207,161 @@ def validate_specification_by_kinds(spec: Specification) -> list[str]:
             problems.append(f"fact {format_fact(fact)}: {msg}")
 
     return problems + validate_decls(spec)
+
+
+# --- the path rules as each checker walked them ------------------------------
+
+
+def path_errors(graph: Graph, path: Path) -> list[str]:
+    """All reasons ``path`` is not well formed over ``graph`` (empty if fine)."""
+    errs: list[str] = []
+    if not graph.has_type(path.source):
+        errs.append(f"path source '{path.source}' is not a type")
+        return errs
+    at = path.source
+    for eid in path.edges:
+        asp = graph.aspect_by_id.get(eid)
+        if asp is None:
+            errs.append(f"path mentions unknown aspect '{eid}'")
+            return errs
+        if asp.src != at:
+            errs.append(
+                f"aspect '{eid}' starts at '{asp.src}' but the path has reached '{at}'"
+            )
+            return errs
+        at = asp.tgt
+    return errs
+
+
+def path_target_by_errors(graph: Graph, path: Path) -> str:
+    """Target type of a well-formed path (its source if it is an identity)."""
+    errs = path_errors(graph, path)
+    if errs:
+        raise OlogError(errs[0])
+    if path.is_identity:
+        return path.source
+    return graph.aspect_by_id[path.edges[-1]].tgt
+
+
+def fact_errors_by_walks(graph: Graph, fact: Fact) -> list[str]:
+    errs = path_errors(graph, fact.lhs) + path_errors(graph, fact.rhs)
+    if errs:
+        return errs
+    if fact.lhs.source != fact.rhs.source:
+        errs.append(
+            f"fact sides start at different types: "
+            f"'{fact.lhs.source}' vs '{fact.rhs.source}'"
+        )
+        return errs
+    lt = path_target_by_errors(graph, fact.lhs)
+    rt = path_target_by_errors(graph, fact.rhs)
+    if lt != rt:
+        errs.append(f"fact sides end at different types: '{lt}' vs '{rt}'")
+    return errs
+
+
+def decl_errors_by_walks(graph: Graph, decl: SketchDecl) -> list[str]:
+    problems: list[str] = []
+    ctx = f"{type(decl).__name__} on '{decl.target}'"
+
+    def need_type(tid: str):
+        if not graph.has_type(tid):
+            problems.append(f"{ctx}: unknown type '{tid}'")
+            return False
+        return True
+
+    known = need_type(decl.target)
+
+    def need_arrow(role: str, aid: str, src: str, tgt: str):
+        a = graph.aspect_by_id.get(aid)
+        if a is None:
+            problems.append(f"{ctx}: unknown aspect '{aid}'")
+        elif known and (a.src, a.tgt) != (src, tgt):
+            problems.append(
+                f"{ctx}: {role} must run {src} -> {tgt}, it runs {a.src} -> {a.tgt}"
+            )
+
+    def need_path(p: Path, src: str, tgt: str | None):
+        errs = path_errors(graph, p)
+        if errs:
+            problems.append(f"{ctx}: {errs[0]}")
+            return
+        if p.source != src:
+            problems.append(f"{ctx}: path {format_path(p)} must start at '{src}'")
+        elif tgt is not None and path_target_by_errors(graph, p) != tgt:
+            problems.append(f"{ctx}: path {format_path(p)} must end at '{tgt}'")
+
+    if isinstance(decl, (ProductDecl, PullbackDecl)):
+        for tid, aid in legs(decl):
+            if need_type(tid):
+                need_arrow(f"projection '{aid}'", aid, decl.target, tid)
+    elif isinstance(decl, (CoproductDecl, PushoutDecl)):
+        for tid, aid in legs(decl):
+            if need_type(tid):
+                need_arrow(f"inclusion '{aid}'", aid, tid, decl.target)
+
+    if isinstance(decl, PullbackDecl):
+        pf, pg = decl.cospan
+        need_path(pf, decl.leg_b[0], None)
+        need_path(pg, decl.leg_c[0], None)
+        if not (path_errors(graph, pf) or path_errors(graph, pg)):
+            if path_target_by_errors(graph, pf) != path_target_by_errors(graph, pg):
+                problems.append(f"{ctx}: cospan paths end at different types")
+    elif isinstance(decl, PushoutDecl):
+        pf, pg = decl.span
+        if path_errors(graph, pf) or path_errors(graph, pg):
+            problems.extend(f"{ctx}: {e}" for e in path_errors(graph, pf))
+            problems.extend(f"{ctx}: {e}" for e in path_errors(graph, pg))
+        elif pf.source != pg.source:
+            problems.append(f"{ctx}: span paths start at different types")
+        else:
+            need_path(pf, pf.source, decl.leg_b[0])
+            need_path(pg, pg.source, decl.leg_c[0])
+    elif isinstance(decl, ImageDecl):
+        errs = path_errors(graph, decl.of)
+        if errs:
+            problems.append(f"{ctx}: {errs[0]}")
+        else:
+            need_arrow("surjection part", decl.surjection, decl.of.source, decl.target)
+            need_arrow("injection part", decl.injection, decl.target,
+                       path_target_by_errors(graph, decl.of))
+
+    aids = synthesized_aspects(decl)
+    for aid in dict.fromkeys(a for a in aids if aids.count(a) > 1):
+        problems.append(f"{ctx}: aspect '{aid}' is used for more than one part")
+    return problems
+
+
+def morphism_errors_by_walks(h: GraphMorphism) -> list[str]:
+    problems = [f"unknown source type '{t}'" for t in h.type_map if not h.src.has_type(t)]
+    problems += [
+        f"unknown source aspect '{a}'" for a in h.aspect_map if not h.src.has_aspect(a)
+    ]
+    for t in h.src.types:
+        img = h.type_map.get(t.id)
+        if img is None:
+            problems.append(f"type '{t.id}' is not mapped")
+        elif not h.tgt.has_type(img):
+            problems.append(f"type '{t.id}' maps to unknown type '{img}'")
+    for a in h.src.aspects:
+        img = h.aspect_map.get(a.id)
+        if img is None:
+            problems.append(f"aspect '{a.id}' is not mapped")
+            continue
+        errs = path_errors(h.tgt, img)
+        if errs:
+            problems.append(f"aspect '{a.id}': image {errs[0]}")
+            continue
+        want_src = h.type_map.get(a.src)
+        want_tgt = h.type_map.get(a.tgt)
+        if want_src is not None and img.source != want_src:
+            problems.append(
+                f"aspect '{a.id}': image starts at '{img.source}', "
+                f"expected '{want_src}'"
+            )
+        if want_tgt is not None and path_target_by_errors(h.tgt, img) != want_tgt:
+            problems.append(
+                f"aspect '{a.id}': image ends at '{path_target_by_errors(h.tgt, img)}', "
+                f"expected '{want_tgt}'"
+            )
+    return problems

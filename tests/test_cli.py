@@ -173,7 +173,7 @@ def test_sqlgen_with_inserts(capsys):
         "--with-inserts", FIXTURES / "data_employee",
     )
     assert code == 0
-    assert "INSERT INTO employee" in out
+    assert 'INSERT INTO "employee"' in out
 
 
 def test_synth_builds_missing_target(tmp_path, capsys):

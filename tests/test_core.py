@@ -16,26 +16,43 @@ from olog.core import (
     _ID,
     KEYWORDS,
     Aspect,
+    CoproductDecl,
     Fact,
     Graph,
+    ImageDecl,
     Path,
+    ProductDecl,
+    PullbackDecl,
+    PushoutDecl,
     Specification,
     TypeNode,
     UnionFind,
     compose_paths,
+    decl_errors,
     enumerate_paths,
+    fact_errors,
     id_errors,
     identity_path,
-    path_errors,
     path_target,
     relation_to_span,
     validate_specification,
 )
 from olog.errors import CompositionError, OlogError
+from olog.flow import GraphMorphism, morphism_errors
 
 from .conftest import load_olog
 from . import strategies as sts
-from .oracles import DataclassFact, DataclassPath, TagPartition, validate_specification_by_kinds
+from .oracles import (
+    DataclassFact,
+    DataclassPath,
+    TagPartition,
+    decl_errors_by_walks,
+    fact_errors_by_walks,
+    morphism_errors_by_walks,
+    path_errors,
+    path_target_by_errors,
+    validate_specification_by_kinds,
+)
 
 
 def test_compose_concatenates(family_spec):
@@ -66,6 +83,18 @@ def test_compose_error_names_both_types(family_spec):
     with pytest.raises(CompositionError) as exc:
         compose_paths(g, Path("person", ("parents",)), Path("person", ("mother",)))
     assert "pair" in str(exc.value) and "person" in str(exc.value)
+
+
+def test_compose_refuses_a_second_path_that_is_not_a_path():
+    g = Graph(types=(TypeNode("a", "an a"), TypeNode("b", "a b")),
+              aspects=(Aspect("f", "a", "b", "f"),))
+    with pytest.raises(OlogError, match="aspect 'f' starts at 'a' but the path has reached 'b'"):
+        compose_paths(g, Path("a", ("f",)), Path("b", ("f",)))
+    with pytest.raises(OlogError, match="unknown aspect 'nope'"):
+        compose_paths(g, Path("a", ("f",)), Path("b", ("nope",)))
+    # A mismatch is named before the second path is walked.
+    with pytest.raises(CompositionError):
+        compose_paths(g, Path("a", ("f",)), Path("a", ("nope",)))
 
 
 @given(data=st.data(), graph=sts.graphs())
@@ -178,8 +207,62 @@ def test_paths_resolve_a_duplicate_aspect_id_as_the_index_does(data):
     ) if g.aspects else ()
     g = Graph(types=g.types, aspects=g.aspects + twins)
     for p in enumerate_paths(g, 3):
-        assert path_errors(g, p) == []
+        path_target(g, p)
     assert {a for out in g.aspects_from.values() for a in out} == set(g.aspect_by_id.values())
+
+
+def _any_paths(g: Graph):
+    """A path of ``g``, or a sequence that starts at no type, names an
+    unknown aspect or breaks the chain."""
+    return st.one_of(sts.paths_in(g, 3), st.builds(
+        Path,
+        st.sampled_from([t.id for t in g.types] + ["x"]),
+        st.lists(st.sampled_from([a.id for a in g.aspects] + ["nope"]), max_size=3).map(tuple),
+    ))
+
+
+def _any_decls(g: Graph):
+    tid = st.sampled_from([t.id for t in g.types] + ["x"])
+    aid = st.sampled_from([a.id for a in g.aspects] + ["nope"])
+    leg, two = st.tuples(tid, aid), st.tuples(_any_paths(g), _any_paths(g))
+    return st.one_of(
+        st.builds(ProductDecl, tid, st.lists(leg, max_size=3).map(tuple)),
+        st.builds(CoproductDecl, tid, st.lists(leg, max_size=3).map(tuple)),
+        st.builds(PullbackDecl, tid, leg, leg, two),
+        st.builds(PushoutDecl, tid, leg, leg, two),
+        st.builds(ImageDecl, tid, _any_paths(g), aid, aid),
+    )
+
+
+def _renamed(messages: list[str]) -> list[str]:
+    return [m.replace("path mentions unknown aspect", "unknown aspect") for m in messages]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_path_checkers_match_the_walks_before_path_target(data):
+    # One walk per path gives the verdicts and messages of the checkers that
+    # walked each path up to six times, with the one renamed wording.
+    g, tgt = (data.draw(st.one_of(sts.graphs(), sts.cyclic_graphs())) for _ in range(2))
+    p = data.draw(_any_paths(g))
+    errs = _renamed(path_errors(g, p))
+    if errs:
+        with pytest.raises(OlogError, match=re.escape(errs[0])):
+            path_target(g, p)
+    else:
+        assert path_target(g, p) == path_target_by_errors(g, p)
+    fact = Fact(p, data.draw(_any_paths(g)))
+    assert fact_errors(g, fact) == _renamed(fact_errors_by_walks(g, fact))
+    decl = data.draw(_any_decls(g))
+    assert decl_errors(g, decl) == _renamed(decl_errors_by_walks(g, decl))
+    h = GraphMorphism(
+        src=g, tgt=tgt,
+        type_map=data.draw(st.dictionaries(st.sampled_from([t.id for t in g.types] + ["x"]),
+                                           st.sampled_from([t.id for t in tgt.types] + ["x"]))),
+        aspect_map=data.draw(st.dictionaries(st.sampled_from([a.id for a in g.aspects] + ["nope"]),
+                                             _any_paths(tgt))),
+    )
+    assert morphism_errors(h) == _renamed(morphism_errors_by_walks(h))
 
 
 def test_enumerate_paths_skips_a_shadowed_aspect():

@@ -565,7 +565,7 @@ def test_decl_errors_with_unknown_target_still_checks_the_rest():
     image = ImageDecl("nowhere", Path("both", ("zz",)), "qw", "il")
     assert decl_errors(g, image) == [
         "ImageDecl on 'nowhere': unknown type 'nowhere'",
-        "ImageDecl on 'nowhere': path mentions unknown aspect 'zz'",
+        "ImageDecl on 'nowhere': unknown aspect 'zz'",
     ]
 
 

@@ -6,11 +6,12 @@ from contextlib import closing
 
 import pytest
 
-from olog.core import Graph, Specification
+from olog.core import Aspect, Graph, Specification, TypeNode
+from olog.instances import KeyDiagram
 from olog.sqlgen import emit_ddl, emit_inserts
 
 from .conftest import FIXTURES, load_data, load_olog
-from .oracles import simulate_foreign_keys
+from .oracles import foreign_keys, simulate_foreign_keys
 
 # Every fixture olog with each data set that loads under it.
 DATA_SETS = [
@@ -49,9 +50,9 @@ def test_factorial_ddl_matches_golden(factorial_spec):
 
 def test_employee_columns(employee_spec):
     ddl = emit_ddl(employee_spec)
-    table = ddl.split("CREATE TABLE employee (")[1].split(");")[0]
+    table = ddl.split('CREATE TABLE "employee" (')[1].split(");")[0]
     for col in ("first_name", "last_name", "manager", "works_in"):
-        assert f"\n    {col} VARCHAR(255) NOT NULL" in table
+        assert f'\n    "{col}" VARCHAR(255) NOT NULL' in table
 
 
 def test_ddl_is_deterministic(metric_spec):
@@ -66,9 +67,9 @@ def test_empty_spec_ddl_is_header_only():
 
 def test_one_table_per_type_one_fk_per_aspect(metric_spec):
     ddl = emit_ddl(metric_spec)
-    tables = re.findall(r"CREATE TABLE (\w+) \(", ddl)
+    tables = re.findall(r'CREATE TABLE "(\w+)" \(', ddl)
     assert sorted(tables) == sorted(t.id for t in metric_spec.graph.types)
-    fks = re.findall(r"FOREIGN KEY \((\w+)\) REFERENCES (\w+) \(Id\)", ddl)
+    fks = re.findall(r'FOREIGN KEY \("(\w+)"\) REFERENCES "(\w+)" \("Id"\)', ddl)
     assert len(fks) == len(metric_spec.graph.aspects)
     by_aspect = {a.id: a.tgt for a in metric_spec.graph.aspects}
     for col, ref in fks:
@@ -96,7 +97,9 @@ def test_inserts_quote_awkward_values(family_spec, family_data):
 def test_fk_simulator_catches_breakage(employee_spec, employee_data):
     sql = emit_ddl(employee_spec) + "\n" + emit_inserts(employee_spec, employee_data)
     broken = sql.replace("VALUES ('q10', 'Sales', '101')", "VALUES ('q10', 'Sales', '999')")
-    assert simulate_foreign_keys(broken)
+    assert broken != sql
+    assert simulate_foreign_keys(broken) == ["department.secretary value '999' missing from employee.Id"]
+    assert sum(map(len, foreign_keys(sql).values())) == len(employee_spec.graph.aspects)
 
 
 @pytest.mark.parametrize("olog_name, data_name", DATA_SETS)
@@ -118,3 +121,23 @@ def test_sqlite_rejects_broken_foreign_key(employee_spec, employee_data):
     assert broken != inserts
     with in_memory_sqlite() as con, pytest.raises(sqlite3.IntegrityError):
         sqlite_commit(con, emit_ddl(employee_spec), broken)
+
+
+def test_reserved_word_ids_commit_in_sqlite():
+    # Every id here is an SQL keyword, which SQLite refuses unquoted.
+    g = Graph(
+        types=(TypeNode("order", "an order"), TypeNode("group", "a group")),
+        aspects=(Aspect("select", "order", "group", "is placed by"),
+                 Aspect("table", "group", "group", "sits at")),
+    )
+    spec = Specification(graph=g)
+    d = KeyDiagram(
+        sets={"order": frozenset({"o1", "o2"}), "group": frozenset({"g"})},
+        funcs={"select": {"o1": "g", "o2": "g"}, "table": {"g": "g"}},
+    )
+    with in_memory_sqlite() as con:
+        sqlite_commit(con, emit_ddl(spec), emit_inserts(spec, d))
+        assert con.execute('SELECT "Id", "select" FROM "order" ORDER BY "Id"').fetchall() == [
+            ("o1", "g"), ("o2", "g"),
+        ]
+        assert con.execute("PRAGMA foreign_key_check").fetchall() == []
