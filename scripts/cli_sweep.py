@@ -20,13 +20,18 @@ and every file it wrote. The commands are:
   universes hold 459 and 3,832 paths over several types, and text and json
   queries at bound 8 on a commutative monoid of three loops on one type,
   written into the temporary directory: its 9,841 paths fall into classes
-  of up to 560 members, so the witness chosen from each class is pinned;
+  of up to 560 members, so the witness chosen from each class is pinned,
+  and one query at bound 40, past the path budget;
   and text and json queries on ``family.olog`` whose fact text holds a tab,
   a carriage return, a form feed, a newline, a trailing comment, an
   unterminated quote, a non-ASCII id, an empty step or a ``->``;
 - ``validate`` and ``sqlgen`` on every olog with data (and the mutated and
   triangle data sets), and ``synth`` of every sketch target, with the data
   as shipped and with the target table removed, with and without ``-o``;
+- ``sqlgen`` on small ologs, written into the temporary directory, whose
+  ids SQLite folds together: two types ``Employee`` and ``employee``, an
+  aspect ``ID`` beside the key column ``Id``, and two aspects ``F`` and
+  ``f`` from one type;
 - ``flow dir``, ``flow inv`` and ``morphism check`` on every fixture
   morphism at bounds 2, 3, 4 and 6, plus a morphism read backwards;
 - ``fuse`` and ``consequence`` on the four fixture systems at bounds 2-6;
@@ -123,6 +128,12 @@ FAULTS = {
     "clash": '  aspect a : a -> a "loops"',
     "empty_label": '  type b ""',
     "unknown_end": '  aspect f : a -> z "runs to"',
+}
+# Declarations whose ids SQLite folds together, for ``sqlgen``.
+FOLDED = {
+    "folded_types": '  type A "an a"',
+    "folded_key": '  aspect ID : a -> a "has as twin"',
+    "folded_columns": '  aspect F : a -> a "has as father"\n  aspect f : a -> a "has as friend"',
 }
 # Fact texts on family.olog that stress the tokenizer.
 ODD_FACTS = (
@@ -231,6 +242,7 @@ def commands() -> list[list[str]]:
         for fmt in ("text", "json"):
             cmds.append(["--bound", "8", "--format", fmt, "entail", "inputs/monoid.olog",
                          "--fact", query])
+    cmds.append(["--bound", "40", "entail", "inputs/monoid.olog", "--fact", MONOID_QUERIES[0]])
     for fault, line in FAULTS.items():
         text = f'olog F {{\n  type a "an a"\n{line}\n}}\n'
         Path(f"inputs/{fault}.olog").write_text(text, encoding="utf-8")
@@ -254,6 +266,10 @@ def commands() -> list[list[str]]:
                 for source in (f"fixtures/{data}", str(partial)):
                     base = ["synth", f"fixtures/{name}", "--data", source, "--decl", decl.target]
                     cmds += [base, base + ["-o", "out/synth"]]
+    for fold, lines in FOLDED.items():
+        text = f'olog F {{\n  type a "an a"\n{lines}\n}}\n'
+        Path(f"inputs/{fold}.olog").write_text(text, encoding="utf-8")
+        cmds.append(["sqlgen", f"inputs/{fold}.olog"])
     for name in ologs:
         cmds.append(["sqlgen", f"fixtures/{name}"])
         cmds.append(["sqlgen", f"fixtures/{name}", "-o", "out/schema.sql"])

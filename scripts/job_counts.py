@@ -6,10 +6,11 @@
 The workload is imported from ``bench/`` without writing bytecode there and
 its job runs in this process, against ``olog`` from this checkout's ``src``,
 as ``bench/run.py``'s worker runs it. Per round it prints how many path
-universes were numbered (and their paths in all), closures computed,
-channels built, key sets sorted (and their keys in all) and paths walked by
-the path rules (and their aspects in all), counted by wrapping
-``core.PathUniverse``, ``entail.Closure``, ``system.optimal_channel``, the
+universes were numbered (and their paths in all), class tables built (and
+the states they made in all), closures filled, channels built, key sets
+sorted (and their keys in all) and paths walked by the path rules (and
+their aspects in all), counted by wrapping ``core.PathUniverse``,
+``entail._tabulate``, ``entail.Closure``, ``system.optimal_channel``, the
 ``sorted`` of the modules that sort a diagram's key sets and
 ``core.path_target`` in every module that imports it. A job that derives
 each structure once per value it builds repeats the same counts in every
@@ -45,6 +46,15 @@ def instrument(olog, events: list) -> None:
         init(self, graph, bound, end, *rest)
 
     core.PathUniverse.__init__ = numbered
+
+    tabulate = entail._tabulate
+
+    def tabulated(spec, bound):
+        table = tabulate(spec, bound)
+        events.append(("table", f"bound {bound}", len(table.root)))
+        return table
+
+    entail._tabulate = tabulated
 
     made = entail.Closure
 
@@ -84,6 +94,7 @@ def instrument(olog, events: list) -> None:
 
 KINDS = (
     ("universe", "universes", "paths"),
+    ("table", "class tables", "states"),
     ("closure", "closures", "ids"),
     ("channel", "channels", None),
     ("keys", "key sets sorted", "keys"),

@@ -83,11 +83,11 @@ def _cmd_entail(args, out: _Out) -> int:
             f"fact '{format_fact(fact)}' has a side longer than bound {args.bound}; "
             f"raise --bound"
         )
-    u, root = entail.closure(spec, args.bound)
-    lhs = root[u.index(fact.lhs)]
-    status = entail.ENTAILED if lhs == root[u.index(fact.rhs)] else entail.NOT_DERIVABLE
+    table = entail.class_table(spec, args.bound)
+    lhs = table.state(fact.lhs)
+    status = entail.ENTAILED if lhs == table.state(fact.rhs) else entail.NOT_DERIVABLE
     # The class representative is its root, the one path built here.
-    witness = format_path(u.path(lhs)) if status == entail.ENTAILED else ""
+    witness = format_path(table.path(lhs)) if status == entail.ENTAILED else ""
     out.verdict(
         {
             "kind": "entailment",

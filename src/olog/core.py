@@ -739,10 +739,19 @@ def path_universe(graph: Graph, bound: int) -> PathUniverse:
     return held(graph, "_universe", bound, lambda: _number(graph, bound))
 
 
-def _number(graph: Graph, bound: int) -> PathUniverse:
+def check_budget(graph: Graph, bound: int) -> None:
+    """Raise :class:`BoundExceededError` when the paths of ``graph`` up to
+    ``bound`` pass :data:`PATH_BUDGET` or :data:`EDGE_BUDGET`, by
+    :func:`count_paths`. Every structure built per bound is checked here
+    first: a path universe, and a class table, which never has more states
+    than the universe has paths."""
     count = count_paths(graph, bound)
     if count > PATH_BUDGET:
         raise _over_budget(bound, count, "paths", "path", PATH_BUDGET)
+
+
+def _number(graph: Graph, bound: int) -> PathUniverse:
+    check_budget(graph, bound)
     out, start = graph.aspects_from, {t: i for i, t in enumerate(graph.type_by_id)}
     steps = {t: ([a.id for a in ext], [a.tgt for a in ext]) for t, ext in out.items()}
     firsts = [a for a in graph.aspect_by_id.values() if a.src in start] if bound else []
@@ -843,8 +852,6 @@ def relation_to_span(
         taken.add(cand)
         return cand
 
-    apex = TypeNode(id=fresh(name), label=name)
-    new_aspects = [
-        Aspect(id=fresh(role), src=apex.id, tgt=tid, label=role) for role, tid in legs
-    ]
+    apex = TypeNode(fresh(name), name)
+    new_aspects = [Aspect(fresh(role), apex.id, tid, role) for role, tid in legs]
     return Graph(graph.types + (apex,), graph.aspects + tuple(new_aspects)), apex

@@ -3,15 +3,22 @@
 The equations derivable from a set of declared facts form a congruence on
 paths: an equivalence per (source, target) pair that is closed under
 composition on either side. Over a graph with cycles the full congruence is
-infinite and the word problem is undecidable, so this engine saturates only
+infinite and the word problem is undecidable, so this engine closes only
 the finite universe of paths up to a configurable length bound. Verdicts are
 therefore ``entailed`` or ``not derivable within bound``, never a claim of
 non-entailment.
+
+One engine computes the classes: :func:`class_table` enumerates them as
+Todd-Coxeter enumerates cosets, with the bound as a depth limit, and the
+deciding callers read it without numbering the paths. :func:`closure` fills
+the classes of a whole path universe from the table for the callers that
+output paths.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from heapq import heappop, heappush
 from typing import NamedTuple
 
 from .core import (
@@ -21,9 +28,11 @@ from .core import (
     Path,
     PathUniverse,
     Specification,
+    check_budget,
     fact_errors,
     format_fact,
     held,
+    path_target,
     path_universe,
     record,
 )
@@ -103,90 +112,230 @@ class Congruence:
         return self.representative(p) is self.representative(q)
 
 
-class Closure(NamedTuple):
-    """The least bounded congruence on the ids of a :class:`core.PathUniverse`:
-    ``root[i]`` is the least id in the class of path i, its shortest member,
-    ties broken lexicographically by edge ids. A closure is shared by every
-    caller that asks its specification at its bound and must not be mutated."""
+class ClassTable:
+    """The classes of the paths of a specification up to a bound, one state
+    per class of paths from one type.
 
-    universe: PathUniverse
-    root: tuple[int, ...]
+    ``root[s]`` is the least member of class s (its shortest, ties broken by
+    edge ids) as each aspect's position among those leaving the type reached,
+    and ``parent[s]`` the state it was made from, whose root is one aspect
+    shorter. ``trans[s][k]`` is the state of that root followed by the k-th
+    aspect leaving its end type ``end[s]``, -1 until a run asks for it; it is
+    None at the bound. A path's class is the run of its aspects from
+    ``start[t]``, the identity state of its source t. A table is shared by
+    every caller that asks its specification at its bound: a run may add
+    states, but once built a table merges none.
+    """
+
+    def __init__(self, graph: Graph, bound: int, facts):
+        self.graph, self.bound, self._out = graph, bound, graph.aspects_from
+        self._position = {a.id: (t, k) for t, ext in self._out.items() for k, a in enumerate(ext)}
+        types = list(graph.type_by_id)
+        self.start = {t: s for s, t in enumerate(types)}
+        self.end: list[str] = types
+        self.root: list[tuple[int, ...]] = [()] * len(types)
+        self.parent: list[int] = [-1] * len(types)
+        self.trans: list = [[-1] * len(self._out[t]) for t in types]
+        self._merge(facts)
+
+    def _fresh(self, s: int, k: int) -> int:
+        """A new state for root[s] followed by aspect k, entered as trans[s][k]."""
+        t = self.trans[s][k] = len(self.root)
+        root, end = self.root[s] + (k,), self._out[self.end[s]][k].tgt
+        self.end.append(end)
+        self.root.append(root)
+        self.parent.append(s)
+        self.trans.append([-1] * len(self._out.get(end, ())) if len(root) < self.bound else None)
+        return t
+
+    def _merge(self, facts) -> None:
+        """Merge the states of each fact's sides and everything that follows.
+
+        Popping distinct live states x and y, the one with the smaller
+        (depth, root) survives and y joins it. Below the bound, the pairs of
+        their one-aspect extensions are pushed: on the right as far as y's
+        transitions were asked, and on the left for each aspect into their
+        source. Every member's whiskering already equals its root's, so this
+        is complete. Pairs pop shortest first, by the longer path that made
+        them, which keeps the table small.
+        """
+        root, trans, parent, dead, heap = self.root, self.trans, self.parent, {}, []
+        fresh = self._fresh
+        into: dict[str, list] = {}
+        for t, s in self.start.items():
+            for k, a in enumerate(self._out[t]):
+                into.setdefault(a.tgt, []).append((s, k))
+
+        def find(x: int) -> int:
+            while x in dead:
+                y = dead[x]
+                if y in dead:
+                    dead[x] = y = dead[y]
+                x = y
+            return x
+
+        def step(s: int, k: int) -> int:
+            tr = trans[s]
+            t = tr[k]
+            if t < 0:
+                return fresh(s, k)
+            if t in dead:
+                tr[k] = t = find(t)
+            return t
+
+        # left[x]: the states of a;root[x] for each aspect a into x's source,
+        # in the order of ``into``. Since a;(r;k) = (a;r);k, they are the
+        # states of x's parent's stepped by the last aspect of root[x].
+        left: dict[int, list[int]] = {}
+
+        def lefts(x: int) -> list[int]:
+            got = left.get(x)
+            if got is None:
+                if parent[x] < 0:
+                    got = [step(s, k) for s, k in into.get(self.end[x], ())]
+                else:
+                    k = root[x][-1]
+                    got = [step(find(a) if a in dead else a, k) for a in lefts(find(parent[x]))]
+                left[x] = got
+            return got
+
+        for f in facts:
+            x, y = (self.walk(self.start[p.source], p.edges) for p in f)
+            heappush(heap, (max(len(f.lhs), len(f.rhs)), x, y))
+        while heap:
+            _, x, y = heappop(heap)
+            if x in dead:
+                x = find(x)
+            if y in dead:
+                y = find(y)
+            if x == y:
+                continue
+            if (len(root[y]), root[y]) < (len(root[x]), root[x]):
+                x, y = y, x
+            dead[y] = x
+            if trans[y] is None:
+                continue
+            d = len(root[y]) + 1
+            for k, t in enumerate(trans[y]):
+                if t >= 0:
+                    heappush(heap, (d, step(x, k), t))
+            for a, b in zip(lefts(x), lefts(y)):
+                heappush(heap, (d, a, b))
+        # Every transition of a live state goes to a live state from now on,
+        # so a run after the build needs no find.
+        for s, tr in enumerate(trans):
+            if s in dead:
+                trans[s] = None
+            elif tr:
+                trans[s] = [find(t) if t in dead else t for t in tr]
+
+    def walk(self, s: int, edges) -> int:
+        """The state of state s's paths followed by ``edges``, which must fit
+        the bound with them. An aspect that does not continue the path raises
+        :class:`KeyError`."""
+        position, end, trans = self._position, self.end, self.trans
+        for e in edges:
+            src, k = position[e]
+            if src != end[s]:
+                raise KeyError(e)
+            t = trans[s][k]
+            s = t if t >= 0 else self._fresh(s, k)
+        return s
+
+    def state(self, path: Path) -> int:
+        """The state of ``path``. Outside the bound and the graph it raises as
+        :meth:`core.PathUniverse.index` does."""
+        if len(path) > self.bound:
+            raise BoundExceededError(f"path of length {len(path)} exceeds bound {self.bound}")
+        try:
+            return self.walk(self.start[path.source], path.edges)
+        except KeyError:
+            path_target(self.graph, path)  # raises: each well-formed path within the bound runs
+            raise AssertionError(f"{path} is well formed but has no state") from None
 
     def same(self, p: Path, q: Path) -> bool:
-        """Are ``p`` and ``q`` in one class? Each must be a well-formed path
-        within the bound, as :meth:`core.PathUniverse.index` requires."""
-        return self.root[self.universe.index(p)] == self.root[self.universe.index(q)]
+        return self.state(p) == self.state(q)
+
+    def path(self, s: int) -> Path:
+        """The root of state s as a ``Path``, read back through its parents."""
+        edges = []
+        while self.parent[s] >= 0:
+            s, k = self.parent[s], self.root[s][-1]
+            edges.append(self._out[self.end[s]][k].id)
+        return Path(self.end[s], tuple(reversed(edges)))
 
 
-def closure(spec: Specification, bound: int = DEFAULT_BOUND) -> Closure:
-    """Least bounded congruence containing the declared facts, on path ids.
+def class_table(spec: Specification, bound: int = DEFAULT_BOUND) -> ClassTable:
+    """The classes of the least bounded congruence containing the declared facts.
 
     Closure rules: reflexivity, symmetry, transitivity, composition of equal
     pairs, and composition with an arbitrary path on the left or right, all
     restricted to paths of length <= bound. A declared fact that is not a
     well-formed pair of parallel paths, or has a side longer than the bound,
     is a hard error (silently dropping it would make every downstream
-    comparison unsound).
+    comparison unsound), and so is a bound past :func:`core.check_budget`.
 
-    The closure runs on the ids of :func:`core.path_universe`: one worklist
-    of id pairs over a list union-find whose roots are least ids, that is,
-    each class's shortest member. Whiskering the merged roots is complete
-    because every member's whiskering already equals its root's. No ``Path``
-    of the universe is built. The closure is :func:`core.held` on ``spec``;
-    the fact checks run when it is built.
+    The classes are enumerated as Todd-Coxeter enumerates cosets, with the
+    bound as a depth limit (Carmody and Walters, "Computing quotients of
+    actions of a free category", 1991). The table is :func:`core.held` on
+    ``spec``; the checks run when it is built.
     """
     _check_bound(bound)
-    return held(spec, "_closure", bound, lambda: _close(spec, bound))
+    return held(spec, "_classes", bound, lambda: _tabulate(spec, bound))
 
 
-def _close(spec: Specification, bound: int) -> Closure:
-    g = spec.graph
+def _tabulate(spec: Specification, bound: int) -> ClassTable:
     for fact in spec.facts:
-        errs = fact_errors(g, fact)
+        errs = fact_errors(spec.graph, fact)
         if errs:
             raise OlogError(f"declared fact {format_fact(fact)}: {errs[0]}")
         check_fits(fact, bound, "declared")
+    check_budget(spec.graph, bound)
+    return ClassTable(spec.graph, bound, spec.facts)
 
-    u = path_universe(g, bound)
-    end, right, start, level = u.end, u.right, u.start, u.level
-    n, n0 = len(end), len(start)  # the identities come first
-    # left[i]: ids of the one-aspect extensions of path i on the left, in
-    # aspect id order; empty at the bound. An identity's are the paths of
-    # length 1 into its type. Since left_a(q;e) = right_e(left_a(q)), the
-    # children of q take the columns of its left extensions' right lists.
-    left: list = [[] for _ in range(n0)] + [()] * (n - n0)
-    for i in range(n0, level[2]):
-        if end[i] in start:
-            left[start[end[i]]].append(i)
-    for q in range(level[bound - 1]):
-        if left[q]:
-            for i, ls in zip(right[q], zip(*map(right.__getitem__, left[q]))):
-                left[i] = ls
 
-    # Parallel paths have extensions in the same order, so a merge of roots
-    # x < y pushes the pairs of their extensions; when y is at the bound its
-    # lists are empty and nothing is pushed.
-    parent = list(range(n))
-    pending = [(u.index(f.lhs), u.index(f.rhs)) for f in spec.facts]
-    while pending:
-        x, y = pending.pop()
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        while parent[y] != y:
-            parent[y] = y = parent[parent[y]]
-        if x == y:
-            continue
-        if y < x:
-            x, y = y, x
-        parent[y] = x
-        pending.extend(zip(right[x], right[y]))
-        pending.extend(zip(left[x], left[y]))
+class Closure(NamedTuple):
+    """The classes of :func:`class_table` on the ids of a
+    :class:`core.PathUniverse`: ``root[i]`` is the least id in the class of
+    path i. A closure is shared by every caller that asks its specification
+    at its bound and must not be mutated."""
 
-    # Every parent is at most its child, so one ascending pass resolves each
-    # id to its root.
-    for i in range(n):
-        parent[i] = parent[parent[i]]
-    return Closure(u, tuple(parent))
+    universe: PathUniverse
+    root: tuple[int, ...]
+
+
+def closure(spec: Specification, bound: int = DEFAULT_BOUND) -> Closure:
+    """The classes of :func:`class_table` for the callers that output paths,
+    :func:`core.held` on ``spec`` beside its table.
+
+    Each id's state is its parent's stepped by its last aspect, so one
+    ascending pass fills the universe, and an id's root is the first id seen
+    in its state.
+    """
+    _check_bound(bound)
+    return held(spec, "_closure", bound, lambda: _fill(class_table(spec, bound), bound))
+
+
+def _fill(table: ClassTable, bound: int) -> Closure:
+    u = path_universe(table.graph, bound)
+    right, trans, n0 = u.right, table.trans, len(u.start)
+    state = [0] * len(u.end)
+    for t, i in u.start.items():
+        state[i] = table.start[t]
+    for q in range(u.level[bound]):  # each path shorter than the bound
+        kids, s = right[q], state[q]
+        if kids:
+            tr = trans[s]
+            if -1 in tr:
+                for k in [k for k, t in enumerate(tr) if t < 0]:
+                    table._fresh(s, k)
+            if q < n0:  # an identity's extensions are not consecutive ids
+                for i, t in zip(kids, tr):
+                    state[i] = t
+            else:
+                state[kids.start:kids.stop] = tr
+    first = dict(zip(reversed(state), range(len(state) - 1, -1, -1)))
+    return Closure(u, tuple(map(first.__getitem__, state)))
 
 
 def saturate(spec: Specification, bound: int = DEFAULT_BOUND) -> Congruence:
@@ -235,5 +384,5 @@ def spec_leq(e1: Specification, e2: Specification, bound: int = DEFAULT_BOUND) -
         if errs:
             raise OlogError(f"fact {format_fact(f)}: {errs[0]}")
         check_fits(f, bound, "queried")
-    cl = closure(e1, bound)
-    return all(cl.same(f.lhs, f.rhs) for f in e2.facts)
+    table = class_table(e1, bound)
+    return all(table.same(f.lhs, f.rhs) for f in e2.facts)

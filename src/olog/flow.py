@@ -24,7 +24,14 @@ from .core import (
     path_universe,
     record,
 )
-from .entail import DEFAULT_BOUND, Closure, _check_bound, _pairs_within, check_fits, closure
+from .entail import (
+    DEFAULT_BOUND,
+    ClassTable,
+    _check_bound,
+    _pairs_within,
+    check_fits,
+    class_table,
+)
 from .errors import GraphMismatchError, LotError, MorphismError
 
 # Only ``pullback_instances`` reads instance data; it imports ``instances``
@@ -145,30 +152,34 @@ def inv_flow(
     """
     tb = bound if target_bound is None else target_bound
     target_spec = Specification(graph=h.tgt, facts=tuple(target_facts))
-    return _flow_back(h, closure(target_spec, tb), bound)
+    return _flow_back(h, class_table(target_spec, tb), bound)
 
 
-def _flow_back(h: GraphMorphism, cl: Closure, bound: int) -> tuple[Fact, ...]:
-    """Source equations up to ``bound`` whose translations ``cl`` identifies.
+def _flow_back(h: GraphMorphism, table: ClassTable, bound: int) -> tuple[Fact, ...]:
+    """Source equations up to ``bound`` whose translations ``table`` identifies.
 
-    Source paths are grouped by the root of their translation's id; a path
-    whose translation is longer than the target universe's bound joins no
-    group.
+    Source paths are grouped by the state of their translation; a path
+    whose translation is longer than the table's bound joins no group.
     """
-    u, t, root = path_universe(h.src, _check_bound(bound)), cl.universe, cl.root
-    images: list[int] = []  # each path's image id extends its parent's; -1 past t.bound
+    u = path_universe(h.src, _check_bound(bound))
+    images: list[int] = []  # each path's image state steps its parent's; -1 past the bound
+    lengths: list[int] = []
     keys = []
     for p, q, e, end in zip(u.paths, u.parent, u.last, u.end):
         try:
             if q < 0:
-                i = t.start[h.type_map[p.source]]
+                n, s = 0, table.start[h.type_map[p.source]]
             else:
-                i = t.extend(images[q], h.aspect_map[e].edges)
-        except KeyError:  # an image off the target graph: fail as its index does
+                edges = h.aspect_map[e].edges
+                n, s = lengths[q] + len(edges), images[q]
+                if s >= 0:
+                    s = table.walk(s, edges) if n <= table.bound else -1
+        except KeyError:  # an image off the target graph: fail as its state does
             img = translate_path(h, p)
-            i = -1 if len(img) > t.bound else t.index(img)
-        images.append(i)
-        keys.append((p.source, end, root[i]) if i >= 0 else None)
+            n, s = len(img), -1 if len(img) > table.bound else table.state(img)
+        images.append(s)
+        lengths.append(n)
+        keys.append((p.source, end, s) if s >= 0 else None)
     return _pairs_within(u, keys)
 
 
@@ -201,21 +212,21 @@ def is_spec_morphism(
     """
     if h.src != s1.graph or h.tgt != s2.graph:
         raise GraphMismatchError("morphism endpoints do not match the specifications")
-    offenders = _unpreserved(h, s1, closure(s2, bound))
+    offenders = _unpreserved(h, s1, class_table(s2, bound))
     return (not offenders, offenders)
 
 
-def _unpreserved(h: GraphMorphism, s1: Specification, cl: Closure) -> tuple[Fact, ...]:
-    """Declared facts of ``s1`` whose translations along ``h`` ``cl`` does not identify.
+def _unpreserved(h: GraphMorphism, s1: Specification, table: ClassTable) -> tuple[Fact, ...]:
+    """Declared facts of ``s1`` whose translations along ``h`` ``table`` does not identify.
 
-    A translation with a side longer than the bound of ``cl`` raises
+    A translation with a side longer than the bound of ``table`` raises
     :class:`BoundExceededError`.
     """
     offenders = []
     for fact in s1.facts:
         img = translate_fact(h, fact)
-        check_fits(img, cl.universe.bound, "translated")
-        if not cl.same(img.lhs, img.rhs):
+        check_fits(img, table.bound, "translated")
+        if not table.same(img.lhs, img.rhs):
             offenders.append(fact)
     return tuple(offenders)
 

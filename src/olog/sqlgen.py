@@ -6,7 +6,9 @@ expressed as standard SQL constraints, so facts and sketch annotations are
 rendered as structured trailing comments; the instance loader is the
 enforcement point for them. Output is a deterministic SQL-92 subset with no
 vendor features; every table and column id is a delimited identifier
-(``"order"``), so an id that is an SQL keyword is still a name.
+(``"order"``), so an id that is an SQL keyword is still a name. SQLite folds
+case even in delimited identifiers, so two type ids, or two column ids of
+one table, that differ only in case are refused.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ from __future__ import annotations
 from itertools import repeat
 from typing import TYPE_CHECKING
 
-from .core import Specification, format_fact
+from .core import Graph, Specification, format_fact
 from .dsl import format_decl
+from .errors import OlogError
 
 if TYPE_CHECKING:
     from .instances import KeyDiagram
@@ -27,8 +30,26 @@ def _name(ident: str) -> str:
     return f'"{ident}"'
 
 
+def _check_case(g: Graph) -> None:
+    """Raise :class:`OlogError` naming the first two type ids, or the first
+    two column ids of one table, that differ only in case."""
+    scopes = [("types", [t.id for t in g.types])]
+    scopes += [(f"type '{t}': columns", ["Id"] + [a.id for a in ext])
+               for t, ext in g.aspects_from.items()]
+    for what, ids in scopes:
+        seen: dict[str, str] = {}
+        for ident in ids:
+            other = seen.setdefault(ident.lower(), ident)
+            if other != ident:
+                raise OlogError(
+                    f"{what} '{other}' and '{ident}' differ only in case; "
+                    f"SQLite takes them for one name"
+                )
+
+
 def emit_ddl(spec: Specification) -> str:
     g = spec.graph
+    _check_case(g)
     out: list[str] = []
     out.append(f"-- Schema generated from olog '{spec.name}'")
     out.append(
@@ -67,6 +88,7 @@ def emit_inserts(spec: Specification, d: KeyDiagram) -> str:
     FOREIGN KEY constraint of :func:`emit_ddl`.
     """
     g = spec.graph
+    _check_case(g)
     out: list[str] = []
     for t in g.types:
         aspect_ids = [a.id for a in g.aspects_from.get(t.id, ())]

@@ -26,7 +26,7 @@ from .core import (
     held,
     record,
 )
-from .entail import DEFAULT_BOUND, check_fits, closure
+from .entail import DEFAULT_BOUND, check_fits, class_table
 from .errors import BoundExceededError, GraphMismatchError, OlogError, UnsupportedLinkError
 from .flow import (
     GraphMorphism,
@@ -103,8 +103,8 @@ def validate_system(sys: InformationSystem, bound: int = DEFAULT_BOUND) -> list[
 
     A fact that overflows the bound is reported, not raised: a node's own
     declared fact as a problem of that node, whose incoming edges are then
-    skipped, and a translated fact as a problem of its edge. Each target node
-    is saturated once, when its first edge is checked. A system that passed
+    skipped, and a translated fact as a problem of its edge. Each target node's
+    class table is built once, when its first edge is checked. A system that passed
     at a bound is not checked again at that bound.
     """
     if bound in sys._passed_bounds:
@@ -135,7 +135,7 @@ def validate_system(sys: InformationSystem, bound: int = DEFAULT_BOUND) -> list[
         if tgt in overflowing:
             continue
         try:
-            offenders = _unpreserved(h, sys.specs[src], closure(sys.specs[tgt], bound))
+            offenders = _unpreserved(h, sys.specs[src], class_table(sys.specs[tgt], bound))
         except BoundExceededError as exc:
             problems.append(f"edge '{eid}': {exc}")
             continue
@@ -217,7 +217,7 @@ def optimal_channel(ds: DistributedSystem) -> Channel:
     for cid, members in sorted(type_members.items()):
         rep = min(members)
         label = ds.graphs[rep[0]].type_by_id[rep[1]].label
-        core_types.append(TypeNode(id=cid, label=label))
+        core_types.append(TypeNode(cid, label))
 
     core_aspects = []
     for cid, members in sorted(aspect_members.items()):
@@ -228,11 +228,11 @@ def optimal_channel(ds: DistributedSystem) -> Channel:
         )
         core_aspects.append(
             Aspect(
-                id=cid,
-                src=type_class[(rep[0], rep_aspect.src)],
-                tgt=type_class[(rep[0], rep_aspect.tgt)],
-                label=rep_aspect.label,
-                modifiers=modifiers,
+                cid,
+                type_class[(rep[0], rep_aspect.src)],
+                type_class[(rep[0], rep_aspect.tgt)],
+                rep_aspect.label,
+                modifiers,
             )
         )
 
@@ -241,10 +241,10 @@ def optimal_channel(ds: DistributedSystem) -> Channel:
     for n in ds.shape.nodes:
         g = ds.graphs[n]
         links[n] = GraphMorphism(
-            src=g,
-            tgt=core,
-            type_map={t.id: type_class[(n, t.id)] for t in g.types},
-            aspect_map={
+            g,
+            core,
+            {t.id: type_class[(n, t.id)] for t in g.types},
+            {
                 a.id: Path(type_class[(n, a.src)], (aspect_class[(n, a.id)],))
                 for a in g.aspects
             },
@@ -342,10 +342,10 @@ def system_consequence(
     translation overflows the bound.
     """
     channel, fused = _fuse(sys, bound)
-    cl = closure(fused, bound)
+    table = class_table(fused, bound)
     return {
         n: Specification(
-            graph=sys.specs[n].graph, facts=_flow_back(channel.links[n], cl, bound), name=n
+            graph=sys.specs[n].graph, facts=_flow_back(channel.links[n], table, bound), name=n
         )
         for n in sys.shape.nodes
     }

@@ -51,6 +51,10 @@ wording.
 ``path_errors`` and walked again for its end, up to six times per
 declaration, and an unknown aspect in a path was worded ``path mentions
 unknown aspect 'x'``.
+``close_by_union_loop`` is ``entail.closure`` as it was before it read the
+classes of ``entail.class_table``: one worklist of id pairs over a list
+union-find on the whole path universe, whose left extensions it derives from
+the right ones.
 """
 
 from __future__ import annotations
@@ -83,11 +87,12 @@ from olog.core import (
     format_path,
     legs,
     path_target,
+    path_universe,
     synthesized_aspects,
     validate_decls,
 )
 from olog.dsl import SourceSpan, _Parser
-from olog.entail import Congruence, _check_bound, check_fits, saturate
+from olog.entail import Closure, Congruence, _check_bound, check_fits, saturate
 from olog.errors import BoundExceededError, OlogError, SynthesisError
 from olog.flow import GraphMorphism, is_spec_morphism, translate_fact
 from olog.instances import Counterexample, FactCheck, KeyDiagram, eval_path, satisfies_fact
@@ -1365,3 +1370,53 @@ def morphism_errors_by_walks(h: GraphMorphism) -> list[str]:
                 f"expected '{want_tgt}'"
             )
     return problems
+
+
+def close_by_union_loop(spec: Specification, bound: int) -> Closure:
+    g = spec.graph
+    for fact in spec.facts:
+        errs = fact_errors(g, fact)
+        if errs:
+            raise OlogError(f"declared fact {format_fact(fact)}: {errs[0]}")
+        check_fits(fact, bound, "declared")
+
+    u = path_universe(g, bound)
+    end, right, start, level = u.end, u.right, u.start, u.level
+    n, n0 = len(end), len(start)  # the identities come first
+    # left[i]: ids of the one-aspect extensions of path i on the left, in
+    # aspect id order; empty at the bound. An identity's are the paths of
+    # length 1 into its type. Since left_a(q;e) = right_e(left_a(q)), the
+    # children of q take the columns of its left extensions' right lists.
+    left: list = [[] for _ in range(n0)] + [()] * (n - n0)
+    for i in range(n0, level[2]):
+        if end[i] in start:
+            left[start[end[i]]].append(i)
+    for q in range(level[bound - 1]):
+        if left[q]:
+            for i, ls in zip(right[q], zip(*map(right.__getitem__, left[q]))):
+                left[i] = ls
+
+    # Parallel paths have extensions in the same order, so a merge of roots
+    # x < y pushes the pairs of their extensions; when y is at the bound its
+    # lists are empty and nothing is pushed.
+    parent = list(range(n))
+    pending = [(u.index(f.lhs), u.index(f.rhs)) for f in spec.facts]
+    while pending:
+        x, y = pending.pop()
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x == y:
+            continue
+        if y < x:
+            x, y = y, x
+        parent[y] = x
+        pending.extend(zip(right[x], right[y]))
+        pending.extend(zip(left[x], left[y]))
+
+    # Every parent is at most its child, so one ascending pass resolves each
+    # id to its root.
+    for i in range(n):
+        parent[i] = parent[parent[i]]
+    return Closure(u, tuple(parent))

@@ -176,6 +176,16 @@ def test_sqlgen_with_inserts(capsys):
     assert 'INSERT INTO "employee"' in out
 
 
+def test_sqlgen_refuses_ids_that_differ_only_in_case(tmp_path, capsys):
+    olog = tmp_path / "folded.olog"
+    olog.write_text('olog Folded {\n  type person "a person"\n'
+                    '  aspect ID : person -> person "has as twin"\n}\n')
+    code, out, err = run(capsys, "sqlgen", olog)
+    assert (code, out) == (2, "")
+    assert err == ("type 'person': columns 'Id' and 'ID' differ only in case; "
+                   "SQLite takes them for one name\n")
+
+
 def test_synth_builds_missing_target(tmp_path, capsys):
     data = tmp_path / "data"
     data.mkdir()

@@ -106,12 +106,12 @@ def test_another_bound_replaces_the_held_value():
 
 
 def test_a_network_derives_each_structure_once(monkeypatch):
-    # Each graph is numbered once, each specification closed once and the
-    # channel built once, however many calls ask for them.
+    # Each graph is numbered once, each specification's class table built
+    # once and the channel built once, however many calls ask for them.
     numbered, closed, channels = [], [], []
-    number, close, channel = core._number, entail._close, system.optimal_channel
+    number, tabulate, channel = core._number, entail._tabulate, system.optimal_channel
     monkeypatch.setattr(core, "_number", lambda g, b: numbered.append(g) or number(g, b))
-    monkeypatch.setattr(entail, "_close", lambda s, b: closed.append(s) or close(s, b))
+    monkeypatch.setattr(entail, "_tabulate", lambda s, b: closed.append(s) or tabulate(s, b))
     monkeypatch.setattr(system, "optimal_channel", lambda ds: channels.append(ds) or channel(ds))
 
     sysm, diags = dsl.parse_system(FIXTURES / "w.osys", bound=5)

@@ -7,6 +7,7 @@ from contextlib import closing
 import pytest
 
 from olog.core import Aspect, Graph, Specification, TypeNode
+from olog.errors import OlogError
 from olog.instances import KeyDiagram
 from olog.sqlgen import emit_ddl, emit_inserts
 
@@ -141,3 +142,41 @@ def test_reserved_word_ids_commit_in_sqlite():
             ("o1", "g"), ("o2", "g"),
         ]
         assert con.execute("PRAGMA foreign_key_check").fetchall() == []
+
+
+FOLDED = [
+    # Two tables whose names differ only in case.
+    ((TypeNode("Employee", "an employee"), TypeNode("employee", "a clerk")), (),
+     "types 'Employee' and 'employee'"),
+    # An aspect column beside the key column "Id".
+    ((TypeNode("person", "a person"),), (Aspect("ID", "person", "person", "has as twin"),),
+     "type 'person': columns 'Id' and 'ID'"),
+    # Two aspect columns of one table.
+    ((TypeNode("person", "a person"),),
+     (Aspect("F", "person", "person", "has as father"),
+      Aspect("f", "person", "person", "has as friend")),
+     "type 'person': columns 'F' and 'f'"),
+]
+
+
+@pytest.mark.parametrize("types, aspects, named", FOLDED)
+def test_ids_that_sqlite_folds_together_are_refused(types, aspects, named):
+    spec = Specification(graph=Graph(types=types, aspects=aspects))
+    d = KeyDiagram(sets={t.id: frozenset() for t in types}, funcs={a.id: {} for a in aspects})
+    for emit in (emit_ddl, lambda s: emit_inserts(s, d)):
+        with pytest.raises(OlogError, match=re.escape(named) + " differ only in case"):
+            emit(spec)
+
+
+def test_ids_that_differ_in_case_across_tables_commit_in_sqlite():
+    # Each table is its own scope: aspect "F" of one and "f" of another.
+    g = Graph(
+        types=(TypeNode("a", "an a"), TypeNode("b", "a b")),
+        aspects=(Aspect("F", "a", "b", "has"), Aspect("f", "b", "a", "has")),
+    )
+    spec = Specification(graph=g)
+    d = KeyDiagram(sets={"a": frozenset({"x"}), "b": frozenset({"y"})},
+                   funcs={"F": {"x": "y"}, "f": {"y": "x"}})
+    with in_memory_sqlite() as con:
+        sqlite_commit(con, emit_ddl(spec), emit_inserts(spec, d))
+        assert con.execute('SELECT "Id", "F" FROM "a"').fetchall() == [("x", "y")]

@@ -592,11 +592,11 @@ def _problems_or_error(validate, sysm, bound):
 
 
 def test_validate_system_saturates_each_target_once(w_system, monkeypatch):
-    # Validation decides on the ids of one closure per target node, built
-    # once on specs that hold none yet.
+    # Validation decides on one class table per target node, built once on
+    # specs that hold none yet.
     closed = []
-    close = entail._close
-    monkeypatch.setattr(entail, "_close", lambda s, b: closed.append(s) or close(s, b))
+    tabulate = entail._tabulate
+    monkeypatch.setattr(entail, "_tabulate", lambda s, b: closed.append(s) or tabulate(s, b))
     specs = {
         n: Specification(graph=s.graph, facts=s.facts, sketch=s.sketch, name=s.name)
         for n, s in w_system.specs.items()
