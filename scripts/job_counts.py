@@ -7,12 +7,12 @@ The workload is imported from ``bench/`` without writing bytecode there and
 its job runs in this process, against ``olog`` from this checkout's ``src``,
 as ``bench/run.py``'s worker runs it. Per round it prints how many path
 universes were numbered (and their paths in all), class tables built (and
-the states they made in all), closures filled, channels built, key sets
-sorted (and their keys in all) and paths walked by the path rules (and
-their aspects in all), counted by wrapping ``core.PathUniverse``,
-``entail._tabulate``, ``entail.Closure``, ``system.optimal_channel``, the
-``sorted`` of the modules that sort a diagram's key sets and
-``core.path_target`` in every module that imports it. A job that derives
+the states they made in all), universes filled with the states of a table
+(and their ids in all), channels built, key sets sorted (and their keys in
+all) and paths walked by the path rules (and their aspects in all), counted
+by wrapping ``core.PathUniverse``, ``entail._tabulate``, ``entail._states``,
+``system.optimal_channel``, the ``sorted`` of the modules that sort a
+diagram's key sets and ``core.path_target`` in every module that imports it. A job that derives
 each structure once per value it builds repeats the same counts in every
 round; what the first round builds and later rounds do not is what a
 value held by the workload across rounds keeps, and it is listed by name.
@@ -56,13 +56,14 @@ def instrument(olog, events: list) -> None:
 
     entail._tabulate = tabulated
 
-    made = entail.Closure
+    states = entail._states
 
-    def closed(universe, root):
-        events.append(("closure", f"bound {universe.bound}", len(root)))
-        return made(universe, root)
+    def filled(spec, bound):
+        universe, state = states(spec, bound)
+        events.append(("fill", f"bound {bound}", len(state)))
+        return universe, state
 
-    entail.Closure = closed
+    entail._states = filled
 
     channel = system.optimal_channel
 
@@ -95,7 +96,7 @@ def instrument(olog, events: list) -> None:
 KINDS = (
     ("universe", "universes", "paths"),
     ("table", "class tables", "states"),
-    ("closure", "closures", "ids"),
+    ("fill", "fills", "ids"),
     ("channel", "channels", None),
     ("keys", "key sets sorted", "keys"),
     ("walk", "path walks", "aspects"),

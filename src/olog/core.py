@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from operator import attrgetter, ge, gt, itemgetter, le, lt
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, NoReturn, Sequence
 
 from .errors import BoundExceededError, CompositionError, OlogError
 
@@ -256,6 +256,16 @@ def path_target(graph: Graph, path: Path) -> str:
             raise OlogError(f"aspect '{eid}' starts at '{asp.src}' but the path has reached '{at}'")
         at = asp.tgt
     return at
+
+
+def outside(graph: Graph, path: Path, bound: int) -> NoReturn:
+    """Refuse ``path``, which no structure of ``graph``'s paths up to
+    ``bound`` holds: :class:`BoundExceededError` past the bound, else the
+    :class:`OlogError` of :func:`path_target`."""
+    if len(path) > bound:
+        raise BoundExceededError(f"path of length {len(path)} exceeds bound {bound}")
+    path_target(graph, path)
+    raise AssertionError(f"{path} is well formed within bound {bound} but not held")
 
 
 def compose_paths(graph: Graph, p: Path, q: Path) -> Path:
@@ -648,7 +658,8 @@ class PathUniverse:
     one-aspect extensions in aspect id order (none at the bound). ``start[t]``
     is the id of the identity at type t, and ``level[k]`` counts the paths
     shorter than k, for k up to ``bound + 1``. The ``Path`` objects are built
-    only when ``paths`` or :meth:`path` asks for them. A universe is shared by
+    only when ``paths`` asks for them. A universe only lists paths: the class
+    table of :func:`entail.class_table` is what locates one. It is shared by
     every caller that asks its graph at its bound and must not be mutated."""
 
     def __init__(self, graph, bound, end, parent, last, right, start, level):
@@ -680,50 +691,6 @@ class PathUniverse:
             add(i := pop())
             push(reversed(right[i]))
         return order
-
-    def path(self, i: int) -> Path:
-        """Path i alone, read back through its parents."""
-        edges = []
-        while self.parent[i] >= 0:
-            edges.append(self.last[i])
-            i = self.parent[i]
-        return Path(self.end[i], tuple(reversed(edges)))
-
-    @cached_property
-    def _position(self) -> dict[str, tuple[str, int]]:
-        # Each aspect's source and its position among that source's aspects,
-        # which is its position in every right list of a path ending there.
-        return {a.id: (t, k) for t, ext in self.graph.aspects_from.items()
-                for k, a in enumerate(ext)}
-
-    def extend(self, i: int, edges) -> int:
-        """The id of path i followed by ``edges``, one O(1) step per aspect;
-        -1 when i is -1 or the result is longer than the bound. An aspect that
-        does not continue the path raises :class:`KeyError`."""
-        position, end, right = self._position, self.end, self.right
-        for e in edges:
-            if i < 0:
-                break
-            src, k = position[e]
-            if src != end[i]:
-                raise KeyError(e)
-            i = right[i][k] if right[i] else -1
-        return i
-
-    def index(self, path: Path) -> int:
-        """The id of ``path``. A path longer than the bound raises
-        :class:`BoundExceededError`, any other path outside the universe
-        :class:`OlogError` from :func:`path_target`."""
-        try:
-            i = self.extend(self.start[path.source], path.edges)
-        except KeyError:
-            i = -1
-        if i >= 0:
-            return i
-        if len(path) > self.bound:
-            raise BoundExceededError(f"path of length {len(path)} exceeds bound {self.bound}")
-        path_target(self.graph, path)  # raises: each well-formed path within the bound has an id
-        raise AssertionError(f"{path} is well formed but has no id")
 
 
 def path_universe(graph: Graph, bound: int) -> PathUniverse:

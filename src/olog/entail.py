@@ -9,17 +9,16 @@ therefore ``entailed`` or ``not derivable within bound``, never a claim of
 non-entailment.
 
 One engine computes the classes: :func:`class_table` enumerates them as
-Todd-Coxeter enumerates cosets, with the bound as a depth limit, and the
-deciding callers read it without numbering the paths. :func:`closure` fills
-the classes of a whole path universe from the table for the callers that
-output paths.
+Todd-Coxeter enumerates cosets, with the bound as a depth limit. It is the
+one structure that locates a path: the deciding callers read it without
+numbering the paths, and the callers that output paths read the state of
+each path of a :class:`core.PathUniverse`, which only lists them.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from heapq import heappop, heappush
-from typing import NamedTuple
 
 from .core import (
     DEFAULT_BOUND,
@@ -32,7 +31,7 @@ from .core import (
     fact_errors,
     format_fact,
     held,
-    path_target,
+    outside,
     path_universe,
     record,
 )
@@ -102,10 +101,10 @@ class Congruence:
 
     def representative(self, path: Path) -> Path:
         """The representative of ``path``'s class. A path outside the
-        universe raises as :meth:`core.PathUniverse.index` does."""
+        universe is refused by :func:`core.outside`."""
         idx = self._index
         if path not in idx:
-            path_universe(self.graph, self.bound).index(path)
+            outside(self.graph, path, self.bound)
         return idx[path]
 
     def same(self, p: Path, q: Path) -> bool:
@@ -243,15 +242,14 @@ class ClassTable:
         return s
 
     def state(self, path: Path) -> int:
-        """The state of ``path``. Outside the bound and the graph it raises as
-        :meth:`core.PathUniverse.index` does."""
-        if len(path) > self.bound:
-            raise BoundExceededError(f"path of length {len(path)} exceeds bound {self.bound}")
+        """The state of ``path``. Outside the bound and the graph it is
+        refused by :func:`core.outside`."""
         try:
-            return self.walk(self.start[path.source], path.edges)
+            if len(path) <= self.bound:
+                return self.walk(self.start[path.source], path.edges)
         except KeyError:
-            path_target(self.graph, path)  # raises: each well-formed path within the bound runs
-            raise AssertionError(f"{path} is well formed but has no state") from None
+            pass
+        outside(self.graph, path, self.bound)
 
     def same(self, p: Path, q: Path) -> bool:
         return self.state(p) == self.state(q)
@@ -294,29 +292,12 @@ def _tabulate(spec: Specification, bound: int) -> ClassTable:
     return ClassTable(spec.graph, bound, spec.facts)
 
 
-class Closure(NamedTuple):
-    """The classes of :func:`class_table` on the ids of a
-    :class:`core.PathUniverse`: ``root[i]`` is the least id in the class of
-    path i. A closure is shared by every caller that asks its specification
-    at its bound and must not be mutated."""
-
-    universe: PathUniverse
-    root: tuple[int, ...]
-
-
-def closure(spec: Specification, bound: int = DEFAULT_BOUND) -> Closure:
-    """The classes of :func:`class_table` for the callers that output paths,
-    :func:`core.held` on ``spec`` beside its table.
-
-    Each id's state is its parent's stepped by its last aspect, so one
-    ascending pass fills the universe, and an id's root is the first id seen
-    in its state.
-    """
-    _check_bound(bound)
-    return held(spec, "_closure", bound, lambda: _fill(class_table(spec, bound), bound))
-
-
-def _fill(table: ClassTable, bound: int) -> Closure:
+def _states(spec: Specification, bound: int) -> tuple[PathUniverse, list[int]]:
+    """The path universe of ``spec``'s graph up to ``bound`` and the state of
+    :func:`class_table` of each of its ids. An id's state is its parent's
+    stepped by its last aspect, so one ascending pass fills them all. States
+    are per source, so paths that share one are parallel."""
+    table = class_table(spec, bound)
     u = path_universe(table.graph, bound)
     right, trans, n0 = u.right, table.trans, len(u.start)
     state = [0] * len(u.end)
@@ -334,17 +315,17 @@ def _fill(table: ClassTable, bound: int) -> Closure:
                     state[i] = t
             else:
                 state[kids.start:kids.stop] = tr
-    first = dict(zip(reversed(state), range(len(state) - 1, -1, -1)))
-    return Closure(u, tuple(map(first.__getitem__, state)))
+    return u, state
 
 
 def saturate(spec: Specification, bound: int = DEFAULT_BOUND) -> Congruence:
-    """The bounded congruence of :func:`closure` as classes of paths, each in
-    id order, so its root opens it, and the classes in their roots' order."""
-    u, root = closure(spec, bound)
+    """The bounded congruence of :func:`class_table` as classes of paths, each
+    in id order, so its least id, its root, opens it, and the classes in
+    their roots' order."""
+    u, state = _states(spec, bound)
     groups: dict[int, list[Path]] = {}
-    for p, r in zip(u.paths, root):
-        groups.setdefault(r, []).append(p)
+    for p, s in zip(u.paths, state):
+        groups.setdefault(s, []).append(p)
     return Congruence(graph=spec.graph, bound=bound, classes=tuple(map(tuple, groups.values())))
 
 
@@ -364,8 +345,7 @@ def consequence(spec: Specification, bound: int = DEFAULT_BOUND) -> tuple[Fact, 
     Contains every declared fact that fits the bound, every tautology, and
     everything derivable from them inside the bounded universe.
     """
-    u, root = closure(spec, bound)
-    return _pairs_within(u, root)
+    return _pairs_within(*_states(spec, bound))
 
 
 def spec_leq(e1: Specification, e2: Specification, bound: int = DEFAULT_BOUND) -> bool:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from olog import dsl, instances
+from olog import dsl, entail, instances
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -14,6 +14,13 @@ def load_olog(name: str):
     errors = [d for d in diags if d.severity == dsl.ERROR]
     assert spec is not None and not errors, errors
     return spec
+
+
+def roots(spec, bound: int) -> tuple:
+    """Each path id's root, the least id in its class: the first id of its
+    state in ``entail._states``."""
+    first: dict = {}
+    return tuple(first.setdefault(s, i) for i, s in enumerate(entail._states(spec, bound)[1]))
 
 
 def write_overflowing_system(where: Path) -> Path:

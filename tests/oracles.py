@@ -51,10 +51,11 @@ wording.
 ``path_errors`` and walked again for its end, up to six times per
 declaration, and an unknown aspect in a path was worded ``path mentions
 unknown aspect 'x'``.
-``close_by_union_loop`` is ``entail.closure`` as it was before it read the
-classes of ``entail.class_table``: one worklist of id pairs over a list
-union-find on the whole path universe, whose left extensions it derives from
-the right ones.
+``close_by_union_loop`` is the closure of a path universe's ids as it was
+before ``entail`` read the classes of ``entail.class_table``: one worklist of
+id pairs over a list union-find on the whole path universe, whose left
+extensions it derives from the right ones. It returns the universe and each
+id's root, the least id in its class.
 """
 
 from __future__ import annotations
@@ -76,6 +77,7 @@ from olog.core import (
     Graph,
     ImageDecl,
     Path,
+    PathUniverse,
     ProductDecl,
     PullbackDecl,
     PushoutDecl,
@@ -92,7 +94,7 @@ from olog.core import (
     validate_decls,
 )
 from olog.dsl import SourceSpan, _Parser
-from olog.entail import Closure, Congruence, _check_bound, check_fits, saturate
+from olog.entail import Congruence, _check_bound, check_fits, saturate
 from olog.errors import BoundExceededError, OlogError, SynthesisError
 from olog.flow import GraphMorphism, is_spec_morphism, translate_fact
 from olog.instances import Counterexample, FactCheck, KeyDiagram, eval_path, satisfies_fact
@@ -1372,7 +1374,7 @@ def morphism_errors_by_walks(h: GraphMorphism) -> list[str]:
     return problems
 
 
-def close_by_union_loop(spec: Specification, bound: int) -> Closure:
+def close_by_union_loop(spec: Specification, bound: int) -> tuple[PathUniverse, tuple]:
     g = spec.graph
     for fact in spec.facts:
         errs = fact_errors(g, fact)
@@ -1400,7 +1402,8 @@ def close_by_union_loop(spec: Specification, bound: int) -> Closure:
     # x < y pushes the pairs of their extensions; when y is at the bound its
     # lists are empty and nothing is pushed.
     parent = list(range(n))
-    pending = [(u.index(f.lhs), u.index(f.rhs)) for f in spec.facts]
+    ids = {p: i for i, p in enumerate(u.paths)}
+    pending = [(ids[f.lhs], ids[f.rhs]) for f in spec.facts]
     while pending:
         x, y = pending.pop()
         while parent[x] != x:
@@ -1419,4 +1422,4 @@ def close_by_union_loop(spec: Specification, bound: int) -> Closure:
     # id to its root.
     for i in range(n):
         parent[i] = parent[parent[i]]
-    return Closure(u, tuple(parent))
+    return u, tuple(parent)

@@ -3,8 +3,9 @@
 ``entails``, ``spec_leq``, ``is_spec_morphism``, ``validate_system`` and
 ``olog entail`` compare the states of the table and build no path universe;
 ``olog entail`` builds only the witness it prints, the root of the fact's
-class. ``entail.closure`` fills the roots of a whole universe from the table,
-and they equal the union loop that closed the universe before, kept as
+class. ``saturate`` and ``consequence`` read the state of each id of a path
+universe from the table; each id's root, the first id of its state, equals
+the union loop that closed the universe before, kept as
 ``oracles.close_by_union_loop``.
 """
 
@@ -23,13 +24,13 @@ from hypothesis import strategies as st
 from olog import core, dsl
 from olog.cli import main
 from olog.core import Aspect, Fact, Graph, Path, Specification, TypeNode, format_fact, format_path
-from olog.entail import ENTAILED, NOT_DERIVABLE, closure, entails, saturate, spec_leq
+from olog.entail import ENTAILED, NOT_DERIVABLE, entails, saturate, spec_leq
 from olog.errors import BoundExceededError, OlogError
 from olog.flow import is_spec_morphism
 from olog.system import InformationSystem, validate_system
 
 from . import strategies as sts
-from .conftest import FIXTURES, load_olog
+from .conftest import FIXTURES, load_olog, roots
 from .oracles import close_by_union_loop, saturate_by_rounds
 
 GENS = ("g0", "g1", "g2")
@@ -89,9 +90,13 @@ def test_id_decisions_match_round_loop_on_monoid():
     _check_against_round_loop(MONOID, queries, 5)
 
 
+def _union_loop_roots(spec: Specification, bound: int) -> tuple:
+    return close_by_union_loop(spec, bound)[1]
+
+
 def _outcome(close, spec: Specification, bound: int):
     try:
-        return close(Specification(graph=spec.graph, facts=spec.facts), bound).root
+        return close(Specification(graph=spec.graph, facts=spec.facts), bound)
     except OlogError as exc:
         return type(exc), str(exc)
 
@@ -102,12 +107,12 @@ def test_closure_roots_match_union_loop(data):
     bound = data.draw(st.integers(1, 6))
     graph = data.draw(st.one_of(sts.graphs(), sts.cyclic_graphs()))
     spec = data.draw(sts.specs_on(graph, max_len=min(bound, 3)))
-    want = close_by_union_loop(spec, bound)
-    assert closure(spec, bound).root == want.root
+    universe, root = close_by_union_loop(spec, bound)
+    assert roots(spec, bound) == root
     queries = data.draw(st.lists(sts.parallel_facts(graph, max_len=bound), max_size=3))
-    index, root = want.universe.index, want.root
+    ids = {p: i for i, p in enumerate(universe.paths)}
     for f in queries:
-        same = root[index(f.lhs)] == root[index(f.rhs)]
+        same = root[ids[f.lhs]] == root[ids[f.rhs]]
         assert (entails(spec, f, bound) == ENTAILED) is same
 
 
@@ -115,7 +120,7 @@ def test_closure_roots_match_union_loop(data):
 def test_closure_roots_match_union_loop_on_fixtures(name):
     spec = load_olog(name)
     for bound in range(1, 7):
-        assert _outcome(closure, spec, bound) == _outcome(close_by_union_loop, spec, bound)
+        assert _outcome(roots, spec, bound) == _outcome(_union_loop_roots, spec, bound)
 
 
 def test_decisions_build_no_path_of_the_universe(tmp_path, monkeypatch, capsys):

@@ -412,7 +412,7 @@ def test_saturate_matches_round_loop_on_monoid(k, bound):
 
 
 def test_saturate_runs_without_core_union_find(employee_spec, monkeypatch):
-    # The closure runs on path ids; core.UnionFind serves system and sketch.
+    # Saturation reads the class table; core.UnionFind serves system and sketch.
     want = saturate_by_paths(employee_spec, 4).classes
 
     def refuse(*args, **kwargs):

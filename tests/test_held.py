@@ -1,5 +1,5 @@
 """Structures derived once per value: a graph's path universe, a
-specification's closure, a system's fusion and a diagram's sorted keys.
+specification's class table, a system's fusion and a diagram's sorted keys.
 
 Each is held on the value it is derived from, one slot per structure: asked
 again at the same bound it is the same object, asked at another it is built
@@ -15,14 +15,14 @@ from hypothesis import strategies as st
 
 from olog import core, dsl, entail, system
 from olog.core import Aspect, Fact, Graph, Path, Specification, TypeNode, path_universe
-from olog.entail import closure, saturate
+from olog.entail import class_table, saturate
 from olog.errors import BoundExceededError, OlogError
 from olog.flow import is_spec_morphism
 from olog.instances import KeyDiagram, key_diagram
 from olog.system import fusion, system_consequence
 
 from . import strategies as sts
-from .conftest import FIXTURES
+from .conftest import FIXTURES, roots
 
 LOOPS = Graph(
     types=(TypeNode("m", "a monoid element"),),
@@ -58,19 +58,18 @@ def test_held_structures_equal_a_fresh_build_at_every_bound(data, g, bounds):
         assert _tables(u) == _tables(path_universe(fresh_graph, bound))
         assert path_universe(g, bound) is u
 
-        got, want = _outcome(closure, spec, bound), _outcome(closure, fresh, bound)
+        got, want = _outcome(class_table, spec, bound), _outcome(class_table, fresh, bound)
         if want[0] == "raised":
             assert got == want
-            assert _outcome(closure, spec, bound) == want
+            assert _outcome(class_table, spec, bound) == want
             continue
-        cl = got[1]
-        assert isinstance(cl.root, tuple) and cl.root == want[1].root
-        assert _tables(cl.universe) == _tables(want[1].universe)
-        assert closure(spec, bound) is cl
+        table = got[1]
+        assert roots(spec, bound) == roots(fresh, bound)
+        assert class_table(spec, bound) is table
         assert saturate(spec, bound) == saturate(
             Specification(graph=Graph(g.types, g.aspects), facts=spec.facts), bound
         )
-        assert closure(spec, bound) is cl
+        assert class_table(spec, bound) is table
 
 
 def test_a_budget_refusal_is_raised_on_every_call_and_leaves_the_slot():
@@ -88,21 +87,22 @@ def test_a_bad_fact_and_a_bound_below_one_are_raised_on_every_call():
     long = Specification(graph=LOOPS, facts=(swap,))
     for _ in range(2):
         with pytest.raises(OlogError, match="declared fact"):
-            closure(bad, 3)
+            class_table(bad, 3)
         with pytest.raises(BoundExceededError, match="longer than bound 1"):
-            closure(long, 1)
-    cl = closure(long, 2)
+            class_table(long, 1)
+    table = class_table(long, 2)
     for _ in range(2):
         with pytest.raises(ValueError, match="positive"):
-            closure(long, 0)
-    assert closure(long, 2) is cl
+            class_table(long, 0)
+    assert class_table(long, 2) is table
 
 
 def test_another_bound_replaces_the_held_value():
     spec = Specification(graph=Graph(LOOPS.types, LOOPS.aspects))
-    at2, at3 = closure(spec, 2), closure(spec, 3)
-    assert at3 is not at2 and closure(spec, 3) is at3
-    assert closure(spec, 2) is not at2 and closure(spec, 2).root == at2.root
+    at2, at3 = class_table(spec, 2), class_table(spec, 3)
+    assert at3 is not at2 and class_table(spec, 3) is at3
+    again = class_table(spec, 2)
+    assert again is not at2 and class_table(spec, 2) is again and again.root == at2.root
 
 
 def test_a_network_derives_each_structure_once(monkeypatch):

@@ -1,5 +1,7 @@
 """The numbered path universe of ``core``: its order, its tables, its budget,
-and the consumers that read it instead of enumerating paths themselves."""
+and the consumers that read it instead of enumerating paths themselves. A
+universe only lists paths; the class table of ``entail`` locates one, and
+with no facts its states correspond one to one with the paths."""
 
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from olog.core import (
     path_target,
     path_universe,
 )
-from olog.entail import consequence, saturate
+from olog.entail import class_table, consequence, saturate
 from olog.errors import BoundExceededError, OlogError
 from olog.instances import intent, key_diagram
 
@@ -66,7 +68,6 @@ def _check_universe(g: Graph, bound: int):
         assert u.level[k] == sum(len(p.edges) < k for p in u.paths)
     for i, (src, edges) in enumerate(u.paths):
         assert u.end[i] == path_target(g, u.paths[i])
-        assert u.index(u.paths[i]) == i and u.path(i) == u.paths[i]
         assert u.last[i] == (edges[-1] if edges else None)
         assert u.parent[i] == (ids[Path(src, edges[:-1])] if edges else -1)
         if len(edges) < bound:
@@ -162,21 +163,21 @@ def test_entail_at_a_bound_with_too_many_aspect_ids_exits_2(tmp_path, capsys):
     assert "bound 999999" in err and f"edge budget of {EDGE_BUDGET}" in err
 
 
-def test_index_outside_the_universe_raises_as_representative_does():
-    u = path_universe(LOOPS, 2)
+def test_a_state_outside_the_bound_raises_as_representative_does():
+    table = class_table(Specification(graph=LOOPS), 2)
     with pytest.raises(BoundExceededError, match="path of length 3 exceeds bound 2"):
-        u.index(Path("m", ("g0", "g1", "g2")))
+        table.state(Path("m", ("g0", "g1", "g2")))
     with pytest.raises(OlogError, match="unknown aspect 'nope'") as exc:
-        u.index(Path("m", ("g0", "nope")))
+        table.state(Path("m", ("g0", "nope")))
     assert type(exc.value) is OlogError
     with pytest.raises(OlogError, match="path source 'x' is not a type"):
-        u.index(Path("x", ()))
+        table.state(Path("x", ()))
     # A malformed path past the bound is refused for its length, as before.
     with pytest.raises(BoundExceededError):
-        u.index(Path("m", ("nope", "g0", "g1")))
+        table.state(Path("m", ("nope", "g0", "g1")))
 
 
-def _index_or_error(find, path):
+def _state_or_error(find, path):
     try:
         return find(path)
     except OlogError as exc:
@@ -185,25 +186,29 @@ def _index_or_error(find, path):
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_index_matches_representative_on_any_path(data):
+def test_state_matches_representative_on_any_path(data):
     # Sources and edges drawn from the graph's ids and two unknown ones, so a
     # path may start nowhere, name an unknown aspect, break the chain or pass
     # the bound.
     g = data.draw(st.one_of(sts.graphs(), sts.cyclic_graphs()))
     bound = data.draw(st.integers(1, 3))
-    u, cong = path_universe(g, bound), saturate(Specification(graph=g), bound)
+    spec = Specification(graph=g)
+    table, cong = class_table(spec, bound), saturate(spec, bound)
     path = Path(
         data.draw(st.sampled_from([t.id for t in g.types] + ["x"])),
         tuple(data.draw(st.lists(st.sampled_from([a.id for a in g.aspects] + ["nope"]),
                                  max_size=bound + 2))),
     )
-    got = _index_or_error(lambda p: u.paths[u.index(p)], path)
-    assert got == _index_or_error(cong.representative, path)
+    got = _state_or_error(lambda p: table.path(table.state(p)), path)
+    assert got == _state_or_error(cong.representative, path)
 
 
-def test_index_and_path_read_no_path_list(monkeypatch):
-    # Each step of index reads one right list at the aspect's position, and
-    # path(i) reads one path back through its parents.
+def test_state_and_path_read_no_path_list(monkeypatch):
+    # Each step of state reads one transition at the aspect's position, and
+    # path(s) reads one root back through its parents.
+    paths = list(enumerate_paths_by_levels(UNSORTED, 4))
     monkeypatch.setattr(PathUniverse, "paths", property(lambda self: pytest.fail("paths built")))
-    u = path_universe(UNSORTED, 4)
-    assert [u.index(u.path(i)) for i in range(len(u.end))] == list(range(len(u.end)))
+    table = class_table(Specification(graph=UNSORTED), 4)
+    states = [table.state(p) for p in paths]
+    assert sorted(states) == list(range(len(table.root))) == list(range(len(paths)))
+    assert [table.path(s) for s in states] == paths
