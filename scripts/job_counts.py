@@ -10,7 +10,7 @@ universes were numbered (and their paths in all), class tables built (and
 the states they made in all), universes filled with the states of a table
 (and their ids in all), channels built, key sets sorted (and their keys in
 all) and paths walked by the path rules (and their aspects in all), counted
-by wrapping ``core.PathUniverse``, ``entail._tabulate``, ``entail._states``,
+by wrapping ``core._number``, ``entail._tabulate``, ``entail._states``,
 ``system.optimal_channel``, the ``sorted`` of the modules that sort a
 diagram's key sets and ``core.path_target`` in every module that imports it. A job that derives
 each structure once per value it builds repeats the same counts in every
@@ -38,14 +38,15 @@ def instrument(olog, events: list) -> None:
     """Append one ``(kind, name, size)`` event per structure built."""
     core, entail, system = olog.core, olog.entail, olog.system
 
-    init = core.PathUniverse.__init__
+    number = core._number
 
-    def numbered(self, graph, bound, end, *rest):
+    def numbered(graph, bound):
+        universe = number(graph, bound)
         types = ",".join(t.id for t in graph.types)
-        events.append(("universe", f"graph ({types}) at bound {bound}", len(end)))
-        init(self, graph, bound, end, *rest)
+        events.append(("universe", f"graph ({types}) at bound {bound}", len(universe.paths)))
+        return universe
 
-    core.PathUniverse.__init__ = numbered
+    core._number = numbered
 
     tabulate = entail._tabulate
 

@@ -651,55 +651,30 @@ def count_paths(graph: Graph, bound: int) -> int:
     return total
 
 
-class PathUniverse:
-    """Paths numbered by :func:`path_universe`, held by id. Path i ends at
-    ``end[i]``; dropping its last aspect ``last[i]`` gives path ``parent[i]``
-    (-1 and None for an identity), and ``right[i]`` are the ids of its
-    one-aspect extensions in aspect id order (none at the bound). ``start[t]``
-    is the id of the identity at type t, and ``level[k]`` counts the paths
-    shorter than k, for k up to ``bound + 1``. The ``Path`` objects are built
-    only when ``paths`` asks for them. A universe only lists paths: the class
-    table of :func:`entail.class_table` is what locates one. It is shared by
-    every caller that asks its graph at its bound and must not be mutated."""
+class PathUniverse(NamedTuple):
+    """Paths numbered by :func:`path_universe`: ``paths[i]`` is path i, which
+    ends at ``end[i]``; dropping its last aspect gives path ``parent[i]`` (-1
+    for an identity), and ``right[i]`` are the ids of its one-aspect
+    extensions in aspect id order (none at the bound). ``start[t]`` is the id
+    of the identity at type t. A universe only lists paths: the class table
+    of :func:`entail.class_table` is what locates one. It is shared by every
+    caller that asks its graph at its bound and must not be mutated."""
 
-    def __init__(self, graph, bound, end, parent, last, right, start, level):
-        self.graph, self.bound, self.start, self.level = graph, bound, start, level
-        self.end, self.parent, self.last, self.right = end, parent, last, right
-
-    @cached_property
-    def paths(self) -> list[Path]:
-        """Path i for every id i, in one pass that extends each parent."""
-        steps = {t: [(a.id,) for a in ext] for t, ext in self.graph.aspects_from.items()}
-        end, right, n0 = self.end, self.right, len(self.start)
-        new = tuple.__new__  # Path's own __new__ costs a call per path
-        paths = [new(Path, (t, ())) for t in self.start]
-        paths += [new(Path, (end[q], (e,))) for q, e in
-                  zip(self.parent[n0:self.level[2]], self.last[n0:self.level[2]])]
-        for i in range(n0, self.level[self.bound]):
-            if right[i]:
-                src, edges = paths[i]
-                paths += [new(Path, (src, edges + e)) for e in steps[end[i]]]
-        return paths
-
-    @cached_property
-    def order(self) -> list[int]:
-        """The ids in ``Path`` order, by source and then edges: a preorder walk
-        of ``right``, which is in aspect id order, from each identity."""
-        right, order, stack = self.right, [], [*reversed(self.start.values())]
-        pop, push, add = stack.pop, stack.extend, order.append
-        while stack:
-            add(i := pop())
-            push(reversed(right[i]))
-        return order
+    paths: list[Path]
+    end: list[str]
+    parent: list[int]
+    right: list
+    start: dict[str, int]
 
 
 def path_universe(graph: Graph, bound: int) -> PathUniverse:
     """Number the well-formed paths of ``graph`` up to ``bound``: by length,
     then edge ids, then source. Level 1 is every aspect from a type, in id
     order, and each later level the previous one's right extensions, so no
-    level needs sorting. Only ids are made here. Over :data:`PATH_BUDGET`
-    paths or :data:`EDGE_BUDGET` aspect ids in them, by :func:`count_paths`,
-    it raises :class:`BoundExceededError` instead. It is :func:`held` on the graph.
+    level needs sorting. Each ``Path`` is made as its id is numbered, its
+    parent followed by one aspect. Over :data:`PATH_BUDGET` paths or
+    :data:`EDGE_BUDGET` aspect ids in them, by :func:`count_paths`, it raises
+    :class:`BoundExceededError` instead. It is :func:`held` on the graph.
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
@@ -720,24 +695,24 @@ def check_budget(graph: Graph, bound: int) -> None:
 def _number(graph: Graph, bound: int) -> PathUniverse:
     check_budget(graph, bound)
     out, start = graph.aspects_from, {t: i for i, t in enumerate(graph.type_by_id)}
-    steps = {t: ([a.id for a in ext], [a.tgt for a in ext]) for t, ext in out.items()}
+    steps = {t: ([(a.id,) for a in ext], [a.tgt for a in ext]) for t, ext in out.items()}
     firsts = [a for a in graph.aspect_by_id.values() if a.src in start] if bound else []
     first = {a.id: len(start) + k for k, a in enumerate(firsts)}
+    new = tuple.__new__  # Path's own __new__ costs a call per path
+    paths = [new(Path, (t, ())) for t in start] + [new(Path, (a.src, (a.id,))) for a in firsts]
     end = list(start) + [a.tgt for a in firsts]
     parent = [-1] * len(start) + [start[a.src] for a in firsts]
-    last = [None] * len(start) + [a.id for a in firsts]
     right: list = [[first[a.id] for a in out[t]] for t in start] if bound else []
-    level = [0, len(start), len(end)]
     for _ in range(1, bound):
-        for i in range(level[-2], level[-1]):
-            ids, tgts = steps.get(end[i], ((), ()))
-            right.append(range(len(end), len(end) + len(ids)) if ids else ())
+        for i in range(len(right), len(end)):  # the ids of the last level
+            exts, tgts = steps.get(end[i], ((), ()))
+            right.append(range(len(end), len(end) + len(exts)) if exts else ())
+            src, edges = paths[i]
+            paths += [new(Path, (src, edges + e)) for e in exts]
             end += tgts
-            last += ids
-            parent += [i] * len(ids)
-        level.append(len(end))
+            parent += [i] * len(exts)
     right += [()] * (len(end) - len(right))
-    return PathUniverse(graph, bound, end, parent, last, right, start, level)
+    return PathUniverse(paths, end, parent, right, start)
 
 
 def enumerate_paths(graph: Graph, max_len: int) -> tuple[Path, ...]:

@@ -59,21 +59,38 @@ def check_fits(fact: Fact, bound: int, role: str) -> None:
         )
 
 
-def _pairs_within(u: PathUniverse, keys) -> tuple[Fact, ...]:
+#: Most ordered pairs one emission may make; more are refused unmade.
+PAIR_BUDGET = 5_000_000
+
+
+def _pairs_within(u: PathUniverse, keys, bound: int) -> tuple[Fact, ...]:
     """Every ordered pair of paths of ``u`` that share a key, sorted.
 
     ``keys`` holds one key per id, None for a path in no pair, and paths
-    that share a key are parallel. The ids are walked in ``Path`` order, so
-    each group fills already sorted and the pairs come out sorted: the cost
-    follows the pairs emitted.
+    that share a key are parallel. The ids are walked in ``Path`` order, a
+    preorder walk of ``u.right`` from each identity, so each group fills
+    already sorted and the pairs come out sorted: the cost follows the pairs
+    emitted. Past :data:`PAIR_BUDGET` pairs, the sum of the squared group
+    sizes, it raises :class:`BoundExceededError` naming ``bound`` before
+    making any.
     """
-    paths, groups, rows = u.paths, {}, []
-    for i in u.order:
+    paths, right, groups, rows = u.paths, u.right, {}, []
+    stack = [*reversed(u.start.values())]
+    pop, push = stack.pop, stack.extend
+    while stack:
+        i = pop()
+        push(reversed(right[i]))
         key = keys[i]
         if key is not None:
             group = groups.setdefault(key, [])
             group.append(paths[i])
             rows.append((paths[i], group))
+    count = sum(len(group) ** 2 for group in groups.values())
+    if count > PAIR_BUDGET:
+        raise BoundExceededError(
+            f"bound {bound} gives {count} pairs to emit, more than the pair budget "
+            f"of {PAIR_BUDGET}; lower the bound"
+        )
     new = tuple.__new__  # Fact's own __new__ costs a call per pair
     return tuple([new(Fact, (p, q)) for p, group in rows for q in group])
 
@@ -303,9 +320,9 @@ def _states(spec: Specification, bound: int) -> tuple[PathUniverse, list[int]]:
     state = [0] * len(u.end)
     for t, i in u.start.items():
         state[i] = table.start[t]
-    for q in range(u.level[bound]):  # each path shorter than the bound
-        kids, s = right[q], state[q]
-        if kids:
+    for q, kids in enumerate(right):
+        if kids:  # a path with extensions, so shorter than the bound
+            s = state[q]
             tr = trans[s]
             if -1 in tr:
                 for k in [k for k, t in enumerate(tr) if t < 0]:
@@ -345,7 +362,7 @@ def consequence(spec: Specification, bound: int = DEFAULT_BOUND) -> tuple[Fact, 
     Contains every declared fact that fits the bound, every tautology, and
     everything derivable from them inside the bounded universe.
     """
-    return _pairs_within(*_states(spec, bound))
+    return _pairs_within(*_states(spec, bound), bound)
 
 
 def spec_leq(e1: Specification, e2: Specification, bound: int = DEFAULT_BOUND) -> bool:

@@ -165,12 +165,12 @@ def _flow_back(h: GraphMorphism, table: ClassTable, bound: int) -> tuple[Fact, .
     images: list[int] = []  # each path's image state steps its parent's; -1 past the bound
     lengths: list[int] = []
     keys = []
-    for p, q, e, end in zip(u.paths, u.parent, u.last, u.end):
+    for p, q, end in zip(u.paths, u.parent, u.end):
         try:
             if q < 0:
                 n, s = 0, table.start[h.type_map[p.source]]
             else:
-                edges = h.aspect_map[e].edges
+                edges = h.aspect_map[p.edges[-1]].edges
                 n, s = lengths[q] + len(edges), images[q]
                 if s >= 0:
                     s = table.walk(s, edges) if n <= table.bound else -1
@@ -180,7 +180,7 @@ def _flow_back(h: GraphMorphism, table: ClassTable, bound: int) -> tuple[Fact, .
         images.append(s)
         lengths.append(n)
         keys.append((p.source, end, s) if s >= 0 else None)
-    return _pairs_within(u, keys)
+    return _pairs_within(u, keys, bound)
 
 
 def pullback_instances(h: GraphMorphism, d2: KeyDiagram) -> KeyDiagram:

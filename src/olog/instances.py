@@ -266,4 +266,5 @@ def intent(d: KeyDiagram, graph: Graph, bound: int) -> tuple[Fact, ...]:
             vectors.append(tuple(map(d.funcs[edges[-1]].__getitem__, prefix)) if prefix else ())
         else:
             vectors.append(d.keys(src))
-    return _pairs_within(u, [(p.source, t, v) for p, t, v in zip(u.paths, u.end, vectors)])
+    keys = [(p.source, t, v) for p, t, v in zip(u.paths, u.end, vectors)]
+    return _pairs_within(u, keys, bound)

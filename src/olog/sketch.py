@@ -100,10 +100,9 @@ def _bijection_onto(
                 f"duplicated tuple {tup} from keys '{seen[tup]}' and '{x}'",
             )
         seen[tup] = x
+    # No tuple is extra or repeated, so fewer keys than tuples: one is missing.
     missing = want - set(seen)
-    if missing:
-        return CheckResult(kind, target, False, f"missing tuple {sorted(missing)[0]}")
-    return CheckResult(kind, target, True)
+    return CheckResult(kind, target, False, f"missing tuple {sorted(missing)[0]}")
 
 
 def _limit_tuples(d: KeyDiagram, decl: ProductDecl | PullbackDecl) -> list[tuple[str, ...]]:
@@ -171,13 +170,12 @@ def check_coproduct(d: KeyDiagram, decl: CoproductDecl) -> CheckResult:
                     f"target key '{v}' is hit by both '{covered[v][0]}' and '{aid}'",
                 )
             covered[v] = (aid, k)
+    # No value repeats, so the inclusions miss a target key.
     uncovered = target_keys - set(covered)
-    if uncovered:
-        return CheckResult(
-            decl.kind, decl.target, False,
-            f"target key '{sorted(uncovered)[0]}' is not included from any summand",
-        )
-    return CheckResult(decl.kind, decl.target, True)
+    return CheckResult(
+        decl.kind, decl.target, False,
+        f"target key '{sorted(uncovered)[0]}' is not included from any summand",
+    )
 
 
 def _pushout_quotient(d: KeyDiagram, decl: PushoutDecl) -> UnionFind:
@@ -251,12 +249,11 @@ def check_injective(d: KeyDiagram, graph: Graph, aspect_id: str) -> CheckResult:
     for k in d.keys(src):
         v = fn[k]
         if v in seen:
-            return CheckResult(
-                "injective", aspect_id, False,
-                f"keys '{seen[v]}' and '{k}' share the image '{v}'",
-            )
+            break
         seen[v] = k
-    return CheckResult("injective", aspect_id, True)
+    return CheckResult(
+        "injective", aspect_id, False, f"keys '{seen[v]}' and '{k}' share the image '{v}'"
+    )
 
 
 def check_surjective(d: KeyDiagram, graph: Graph, aspect_id: str) -> CheckResult:

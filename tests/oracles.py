@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import csv
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import product as iter_product
 from pathlib import Path as FsPath
@@ -1383,7 +1384,11 @@ def close_by_union_loop(spec: Specification, bound: int) -> tuple[PathUniverse, 
         check_fits(fact, bound, "declared")
 
     u = path_universe(g, bound)
-    end, right, start, level = u.end, u.right, u.start, u.level
+    end, right, start = u.end, u.right, u.start
+    # level[k]: the paths shorter than k, whose ids come first, for k up to
+    # bound + 1 (bound is at least 1).
+    lengths = [len(p.edges) for p in u.paths]
+    level = [bisect_left(lengths, k) for k in range(bound + 2)]
     n, n0 = len(end), len(start)  # the identities come first
     # left[i]: ids of the one-aspect extensions of path i on the left, in
     # aspect id order; empty at the bound. An identity's are the paths of

@@ -58,7 +58,7 @@ def outcome(fn, *args, **kwargs):
         return ("raised", type(exc), str(exc))
 
 
-def _sorting_emitter(u, keys):
+def _sorting_emitter(u, keys, bound):
     return pairs_within_by_sorting((p, k) for p, k in zip(u.paths, keys) if k is not None)
 
 

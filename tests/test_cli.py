@@ -506,6 +506,22 @@ def test_undecodable_table_is_a_load_error(tmp_path, capsys):
     assert err == ""
 
 
+def test_synth_and_sqlgen_report_a_bad_table_as_a_load_error(tmp_path, capsys):
+    # The synthesis target is removed, and one other table cannot be decoded.
+    for data, bad in (("data_duck", "flyer"), ("data_employee", "department")):
+        shutil.copytree(FIXTURES / data, tmp_path / data)
+        (tmp_path / data / f"{bad}.csv").write_bytes(b"Id\n\xff\n")
+    (tmp_path / "data_duck" / "creature.csv").unlink()
+    for argv in (
+        ["synth", FIXTURES / "duck.olog", "--data", tmp_path / "data_duck", "--decl", "creature"],
+        ["sqlgen", FIXTURES / "employee.olog", "--with-inserts", tmp_path / "data_employee"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("load error: cannot read table '"), err
+        assert "'utf-8' codec" in err
+
+
 def test_an_oversized_cell_is_a_load_error(tmp_path, capsys):
     # csv refuses a field over 131,072 characters; the limit stays as it is.
     for f in (FIXTURES / "data_family").iterdir():

@@ -132,13 +132,13 @@ def test_decisions_build_no_path_of_the_universe(tmp_path, monkeypatch, capsys):
     def refuse(self):
         raise AssertionError("the universe's Path list was built")
 
-    def refuse_universe(self, *args):
+    def refuse_universe(graph, bound):
         raise AssertionError("a path universe was built")
 
     monkeypatch.setattr(core.PathUniverse, "paths", property(refuse))
     with pytest.raises(AssertionError, match="Path list"):
         saturate(MONOID, 2)  # the guard holds where paths are output
-    monkeypatch.setattr(core.PathUniverse, "__init__", refuse_universe)
+    monkeypatch.setattr(core, "_number", refuse_universe)
     with pytest.raises(AssertionError, match="path universe"):
         saturate(MONOID, 3)
 

@@ -4,10 +4,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from olog.core import Fact, Graph, Path, Specification, identity_path, path_target
+from olog.core import (
+    Aspect,
+    Fact,
+    Graph,
+    Path,
+    Specification,
+    TypeNode,
+    identity_path,
+    path_target,
+)
 from olog.entail import consequence, spec_leq
-from olog.errors import GraphMismatchError, LotError, MorphismError
+from olog.errors import GraphMismatchError, LotError, MorphismError, OlogError
 from olog.flow import (
+    GraphMorphism,
     compose_morphisms,
     dir_flow,
     graph_morphism,
@@ -368,3 +378,13 @@ def test_inv_flow_holds_on_pulled_back_models(data):
     facts = data.draw(st.lists(st.sampled_from(proper), max_size=4))
     got = inv_flow(h, facts, bound, bound + 1)
     assert set(got) <= set(intent(pullback_instances(h, d2), h.src, bound))
+
+
+def test_inv_flow_refuses_an_image_off_the_target_graph():
+    # An unvalidated morphism whose aspect image names no target aspect: the
+    # path's state is asked of the table, which refuses it as state does.
+    g = Graph(types=(TypeNode("n", "a node"),), aspects=(Aspect("a", "n", "n", "steps to"),))
+    h = GraphMorphism(src=g, tgt=g, type_map={"n": "n"}, aspect_map={"a": Path("n", ("nope",))})
+    with pytest.raises(OlogError, match="^unknown aspect 'nope'$") as exc:
+        inv_flow(h, (), 2)
+    assert type(exc.value) is OlogError

@@ -31,8 +31,7 @@ LOOPS = Graph(
 
 
 def _tables(u):
-    return (u.bound, u.end, u.parent, u.last, [list(r) for r in u.right], u.start,
-            u.level, u.paths)
+    return u._replace(right=[list(r) for r in u.right])
 
 
 def _outcome(fn, *args):

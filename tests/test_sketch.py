@@ -695,6 +695,20 @@ def test_mediating_identity_cone_behaves_as_identity():
         assert d.funcs["selfpair"][key] == key
 
 
+def test_mediating_aspect_refuses_a_bad_cone():
+    g, pair_decl, _ = furniture_world()
+    spec = Specification(graph=g, sketch=(pair_decl,))
+    pf = Path("pairfs", ("pf",))
+    for cone, why in (
+        ((pf,), "cone has 1 paths for 2 factors"),
+        ((pf, Path("pairfs", ("nope",))), "unknown aspect 'nope'"),
+        ((pf, pf), "cone path pf must run pairfs -> slot"),
+    ):
+        with pytest.raises(SketchError) as exc:
+            derive_mediating_aspect(spec, "pairfs", cone, pair_decl, "med", bound=3)
+        assert str(exc.value) == why
+
+
 def test_mediating_aspect_cannot_be_named_Id():
     g, pair_decl, _ = furniture_world()
     spec = Specification(graph=g, sketch=(pair_decl,))

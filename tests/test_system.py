@@ -18,7 +18,7 @@ from olog.core import (
     path_target,
 )
 from olog.entail import consequence, saturate
-from olog.errors import OlogError, UnsupportedLinkError
+from olog.errors import GraphMismatchError, OlogError, UnsupportedLinkError
 from olog.flow import (
     GraphMorphism,
     dir_flow,
@@ -298,6 +298,24 @@ def test_refinement_identity_and_induced(span_system):
     assert not check_refinement(wrong, opt, other)
 
 
+def test_induced_refinement_refuses_conflicting_images(span_system):
+    # The core glues start0, start1 and start2 into one type and u0, u1 and
+    # u2 into one aspect; a channel that splits either does not cover.
+    opt = optimal_channel(span_system.distributed())
+    other = manual_span_channel(span_system)
+    r2l = other.links["right"]
+    for type_map, aspect_map, what in (
+        ({**r2l.type_map, "start2": "mid1"}, r2l.aspect_map, "core type 'ground__start0'"),
+        (r2l.type_map, {**r2l.aspect_map, "u2": Path("start1", ("w1",))},
+         "core aspect 'ground__u0'"),
+    ):
+        split = GraphMorphism(r2l.src, r2l.tgt, type_map, aspect_map)
+        channel = Channel(core=other.core, links={**other.links, "right": split})
+        with pytest.raises(GraphMismatchError) as exc:
+            induced_refinement(opt, channel)
+        assert str(exc.value) == f"{what} has conflicting images; channel does not cover"
+
+
 # --- fusion ---------------------------------------------------------------------
 
 
@@ -496,6 +514,20 @@ def test_system_morphism_pointwise_order(span_system):
     ok_rev, violations_rev = check_system_morphism(theta, span_system, weaker, 4)
     assert not ok_rev
     assert any("left" in v for v in violations_rev)
+
+
+def test_system_morphism_refuses_a_mismatched_shape_or_component(span_system, constant_system):
+    comps = {n: identity_morphism(s.graph) for n, s in span_system.specs.items()}
+    with pytest.raises(GraphMismatchError, match="^system morphisms need a shared shape$"):
+        check_system_morphism(SystemMorphism(components=comps), span_system, constant_system, 4)
+    missing = SystemMorphism(components={n: h for n, h in comps.items() if n != "left"})
+    assert check_system_morphism(missing, span_system, span_system, 4) == (
+        False, ("node 'left': no component morphism",)
+    )
+    crossed = SystemMorphism(components={**comps, "left": comps["right"]})
+    assert check_system_morphism(crossed, span_system, span_system, 4) == (
+        False, ("node 'left': component endpoints do not match",)
+    )
 
 
 def test_system_morphism_naturality_violation(span_system):

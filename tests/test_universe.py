@@ -5,10 +5,13 @@ with no facts its states correspond one to one with the paths."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from olog import core, dsl, entail
 from olog.cli import main
 from olog.core import (
     EDGE_BUDGET,
@@ -17,7 +20,6 @@ from olog.core import (
     Fact,
     Graph,
     Path,
-    PathUniverse,
     Specification,
     TypeNode,
     count_paths,
@@ -25,8 +27,9 @@ from olog.core import (
     path_target,
     path_universe,
 )
-from olog.entail import class_table, consequence, saturate
+from olog.entail import PAIR_BUDGET, class_table, consequence, saturate
 from olog.errors import BoundExceededError, OlogError
+from olog.flow import identity_morphism, inv_flow
 from olog.instances import intent, key_diagram
 
 from . import strategies as sts
@@ -56,19 +59,20 @@ LOOPS = Graph(
     aspects=tuple(Aspect(f"g{i}", "m", "m", f"acts by {i}") for i in range(3)),
 )
 
+MONOID = Specification(graph=LOOPS, facts=tuple(
+    Fact(Path("m", (f"g{i}", f"g{j}")), Path("m", (f"g{j}", f"g{i}")))
+    for i, j in ((0, 1), (0, 2), (1, 2))
+))
+
 
 def _check_universe(g: Graph, bound: int):
     u = path_universe(g, bound)
     assert u.paths == sorted(enumerate_paths_by_levels(g, bound), key=_canon_key)
     assert enumerate_paths(g, bound) == enumerate_paths_by_levels(g, bound)
     assert count_paths(g, bound) == len(u.paths) == len(u.end) == len(u.parent) == len(u.right)
-    assert u.order == sorted(range(len(u.paths)), key=u.paths.__getitem__)
     ids = {p: i for i, p in enumerate(u.paths)}
-    for k in range(bound + 2):
-        assert u.level[k] == sum(len(p.edges) < k for p in u.paths)
     for i, (src, edges) in enumerate(u.paths):
         assert u.end[i] == path_target(g, u.paths[i])
-        assert u.last[i] == (edges[-1] if edges else None)
         assert u.parent[i] == (ids[Path(src, edges[:-1])] if edges else -1)
         if len(edges) < bound:
             want = [ids[Path(src, edges + (a.id,))] for a in g.aspects_from.get(u.end[i], ())]
@@ -205,10 +209,57 @@ def test_state_matches_representative_on_any_path(data):
 
 def test_state_and_path_read_no_path_list(monkeypatch):
     # Each step of state reads one transition at the aspect's position, and
-    # path(s) reads one root back through its parents.
+    # path(s) reads one root back through its parents. The copy of the graph
+    # holds no universe, so any would be numbered anew.
     paths = list(enumerate_paths_by_levels(UNSORTED, 4))
-    monkeypatch.setattr(PathUniverse, "paths", property(lambda self: pytest.fail("paths built")))
-    table = class_table(Specification(graph=UNSORTED), 4)
+    monkeypatch.setattr(core, "_number", lambda g, b: pytest.fail("a path universe was built"))
+    table = class_table(Specification(graph=Graph(UNSORTED.types, UNSORTED.aspects)), 4)
     states = [table.state(p) for p in paths]
     assert sorted(states) == list(range(len(table.root))) == list(range(len(paths)))
     assert [table.path(s) for s in states] == paths
+
+
+def test_the_pair_budget_refuses_every_emitter_before_it_emits(monkeypatch):
+    d = key_diagram({"m": {"0", "1", "2"}}, {
+        "g0": {"0": "1", "1": "2", "2": "0"}, "g1": {"0": "0", "1": "2", "2": "1"},
+        "g2": {"0": "1", "1": "1", "2": "1"},
+    })
+    emitters = {
+        "consequence": lambda: consequence(MONOID, 3),
+        "inv_flow": lambda: inv_flow(identity_morphism(LOOPS), MONOID.facts, 3),
+        "intent": lambda: intent(d, LOOPS, 3),
+    }
+    for name, emit in emitters.items():
+        monkeypatch.setattr(entail, "PAIR_BUDGET", PAIR_BUDGET)
+        pairs = emit()
+        monkeypatch.setattr(entail, "PAIR_BUDGET", len(pairs))
+        assert emit() == pairs, name
+        monkeypatch.setattr(entail, "PAIR_BUDGET", len(pairs) - 1)
+        with pytest.raises(BoundExceededError) as exc:
+            emit()
+        assert str(exc.value) == (
+            f"bound 3 gives {len(pairs)} pairs to emit, more than the pair budget "
+            f"of {len(pairs) - 1}; lower the bound"
+        ), name
+
+
+def test_flow_inv_past_the_pair_budget_exits_2(tmp_path, capsys):
+    # The monoid at bound 9 has 29,524 paths whose classes hold 19,791,004
+    # ordered pairs. They are counted and refused; none is made.
+    olog, omap = tmp_path / "monoid.olog", tmp_path / "identity.omap"
+    olog.write_text(dsl.print_olog(MONOID))
+    omap.write_text("type m => m\n" + "".join(f"aspect g{i} => g{i}\n" for i in range(3)))
+    argv = ["--bound", "9", "flow", "inv", "--morphism", omap, "--source", olog, "--target", olog]
+    tracemalloc.start()
+    try:
+        code = main([str(a) for a in argv])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"bound 9 gives 19791004 pairs to emit, more than the pair budget of {PAIR_BUDGET}; "
+        "lower the bound\n"
+    )
+    assert 19_791_004 > PAIR_BUDGET >= 2_471_167  # the monoid still answers at bound 8
+    assert peak < 64 * 2**20  # the refused pairs would take gigabytes
