@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from operator import attrgetter, ge, gt, itemgetter, le, lt
-from typing import NamedTuple, NoReturn, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import BoundExceededError, CompositionError, OlogError
 
@@ -256,16 +256,6 @@ def path_target(graph: Graph, path: Path) -> str:
             raise OlogError(f"aspect '{eid}' starts at '{asp.src}' but the path has reached '{at}'")
         at = asp.tgt
     return at
-
-
-def outside(graph: Graph, path: Path, bound: int) -> NoReturn:
-    """Refuse ``path``, which no structure of ``graph``'s paths up to
-    ``bound`` holds: :class:`BoundExceededError` past the bound, else the
-    :class:`OlogError` of :func:`path_target`."""
-    if len(path) > bound:
-        raise BoundExceededError(f"path of length {len(path)} exceeds bound {bound}")
-    path_target(graph, path)
-    raise AssertionError(f"{path} is well formed within bound {bound} but not held")
 
 
 def compose_paths(graph: Graph, p: Path, q: Path) -> Path:

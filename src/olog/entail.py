@@ -17,7 +17,6 @@ each path of a :class:`core.PathUniverse`, which only lists them.
 
 from __future__ import annotations
 
-from functools import cached_property
 from heapq import heappop, heappush
 
 from .core import (
@@ -31,7 +30,7 @@ from .core import (
     fact_errors,
     format_fact,
     held,
-    outside,
+    path_target,
     path_universe,
     record,
 )
@@ -100,8 +99,9 @@ class Congruence:
     """Result of saturating a specification up to a path-length bound.
 
     ``classes`` partitions the bounded path universe; each class holds paths
-    with a common source and target. The representative of a class is its
-    shortest member, ties broken lexicographically by edge ids.
+    with a common source and target and opens with its root, its shortest
+    member, ties broken lexicographically by edge ids. It only lists the
+    classes: :func:`class_table` locates a path.
     """
 
     graph: Graph
@@ -111,21 +111,6 @@ class Congruence:
     @property
     def universe(self) -> tuple[Path, ...]:
         return tuple(sorted(p for cls in self.classes for p in cls))
-
-    @cached_property
-    def _index(self) -> dict[Path, Path]:
-        return {p: cls[0] for cls in self.classes for p in cls}
-
-    def representative(self, path: Path) -> Path:
-        """The representative of ``path``'s class. A path outside the
-        universe is refused by :func:`core.outside`."""
-        idx = self._index
-        if path not in idx:
-            outside(self.graph, path, self.bound)
-        return idx[path]
-
-    def same(self, p: Path, q: Path) -> bool:
-        return self.representative(p) is self.representative(q)
 
 
 class ClassTable:
@@ -259,14 +244,16 @@ class ClassTable:
         return s
 
     def state(self, path: Path) -> int:
-        """The state of ``path``. Outside the bound and the graph it is
-        refused by :func:`core.outside`."""
+        """The state of ``path``. This is the one refusal of a path that no
+        bounded structure holds: past the bound :class:`BoundExceededError`,
+        else the :class:`OlogError` of :func:`core.path_target`."""
+        if len(path) > self.bound:
+            raise BoundExceededError(f"path of length {len(path)} exceeds bound {self.bound}")
         try:
-            if len(path) <= self.bound:
-                return self.walk(self.start[path.source], path.edges)
+            return self.walk(self.start[path.source], path.edges)
         except KeyError:
-            pass
-        outside(self.graph, path, self.bound)
+            path_target(self.graph, path)
+            raise
 
     def same(self, p: Path, q: Path) -> bool:
         return self.state(p) == self.state(q)
@@ -338,7 +325,8 @@ def _states(spec: Specification, bound: int) -> tuple[PathUniverse, list[int]]:
 def saturate(spec: Specification, bound: int = DEFAULT_BOUND) -> Congruence:
     """The bounded congruence of :func:`class_table` as classes of paths, each
     in id order, so its least id, its root, opens it, and the classes in
-    their roots' order."""
+    their roots' order. It only lists paths; to locate one, read the table:
+    ``state(p) == state(q)`` decides and ``path(state(p))`` is the root."""
     u, state = _states(spec, bound)
     groups: dict[int, list[Path]] = {}
     for p, s in zip(u.paths, state):

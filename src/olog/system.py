@@ -357,17 +357,28 @@ def check_system_morphism(
     sys2: InformationSystem,
     bound: int = DEFAULT_BOUND,
 ) -> tuple[bool, tuple[str, ...]]:
-    """Naturality over every shape edge plus entailment preservation per node."""
+    """Naturality over every shape edge plus entailment preservation per node.
+
+    A node without a specification or an edge without a constraint morphism
+    in either system, or a node without a component, is reported, not raised.
+    """
     if sys1.shape != sys2.shape:
         raise GraphMismatchError("system morphisms need a shared shape")
+    systems = (("first", sys1), ("second", sys2))
     violations: list[str] = []
     for n in sys1.shape.nodes:
+        lacking = [f"node '{n}': no specification in the {w} system" for w, s in systems
+                   if n not in s.specs]
         comp = theta.components.get(n)
-        if comp is None:
+        if lacking:
+            violations += lacking
+        elif comp is None:
             violations.append(f"node '{n}': no component morphism")
-            continue
-        if comp.src != sys1.specs[n].graph or comp.tgt != sys2.specs[n].graph:
+        elif comp.src != sys1.specs[n].graph or comp.tgt != sys2.specs[n].graph:
             violations.append(f"node '{n}': component endpoints do not match")
+    for eid, _, _ in sys1.shape.edges:
+        violations += [f"edge '{eid}': no constraint morphism in the {w} system"
+                       for w, s in systems if eid not in s.constraints]
     if violations:
         return (False, tuple(violations))
     for eid, src, tgt in sys1.shape.edges:

@@ -571,10 +571,15 @@ def validate_system_by_edges(sys, bound: int) -> list[str]:
     return problems
 
 
+def representatives(cong: Congruence) -> dict[Path, Path]:
+    """Each path of ``cong``'s universe mapped to its class's first member."""
+    return {p: cls[0] for cls in cong.classes for p in cls}
+
+
 def consequence_by_pairs(spec: Specification, bound: int) -> tuple[Fact, ...]:
     """``entail.consequence`` as every candidate pair tested against the classes."""
-    cong = saturate(spec, bound)
-    out = [f for f in enumerate_equations(spec.graph, bound) if cong.same(f.lhs, f.rhs)]
+    rep = representatives(saturate(spec, bound))
+    out = [f for f in enumerate_equations(spec.graph, bound) if rep[f.lhs] == rep[f.rhs]]
     return tuple(out)
 
 
@@ -591,13 +596,13 @@ def inv_flow_by_pairs(h, target_facts, bound: int, target_bound: int | None = No
     """``flow.inv_flow`` as every candidate pair translated and decided."""
     tb = bound if target_bound is None else target_bound
     target_spec = Specification(graph=h.tgt, facts=tuple(target_facts))
-    cong = saturate(target_spec, tb)
+    rep = representatives(saturate(target_spec, tb))
     out = []
     for fact in enumerate_equations(h.src, bound):
         img = translate_fact(h, fact)
         if len(img.lhs) > tb or len(img.rhs) > tb:
             continue
-        if cong.same(img.lhs, img.rhs):
+        if rep[img.lhs] == rep[img.rhs]:
             out.append(fact)
     return tuple(out)
 
@@ -606,14 +611,14 @@ def system_consequence_by_pairs(sys, bound: int) -> dict[str, Specification]:
     """``system.system_consequence`` as every candidate pair per node."""
     fused = fusion(sys, bound)
     channel = optimal_channel(sys.distributed())
-    cong = saturate(fused, bound)
+    rep = representatives(saturate(fused, bound))
     out: dict[str, Specification] = {}
     for n in sys.shape.nodes:
         g = sys.specs[n].graph
         facts = []
         for fact in enumerate_equations(g, bound):
             img = translate_fact(channel.links[n], fact)
-            if cong.same(img.lhs, img.rhs):
+            if rep[img.lhs] == rep[img.rhs]:
                 facts.append(fact)
         out[n] = Specification(graph=g, facts=tuple(facts), name=n)
     return out

@@ -896,6 +896,11 @@ _MALFORMED = [
     ('osys', 'node n = a.olog\nedge e : n -> n = id.omap\nedge e : n -> n = id.omap', [
         "3:1 edge 'e' declared twice",
     ]),
+    # The aspect stays declared, so the fact that names it adds no error.
+    ('olog', 'aspect h : a -> b "maps" wibble\nfact h = h', [
+        "6:28 unexpected 'wibble' after aspect",
+    ]),
+    ('omap', 'aspect ghost => f', ["1:8 unknown source aspect 'ghost'"]),
 ]
 
 

@@ -196,6 +196,15 @@ def test_is_spec_morphism_detects_dropped_fact(employee_spec):
     assert set(offenders) == set(employee_spec.facts[1:])
 
 
+def test_mismatched_endpoints_are_refused(family_spec, employee_spec):
+    fam, emp = identity_morphism(family_spec.graph), identity_morphism(employee_spec.graph)
+    with pytest.raises(GraphMismatchError, match="^morphisms do not compose: middle graphs differ$"):
+        compose_morphisms(fam, emp)
+    with pytest.raises(GraphMismatchError,
+                       match="^morphism endpoints do not match the specifications$"):
+        is_spec_morphism(fam, family_spec, employee_spec, 3)
+
+
 def test_w_links_are_spec_morphisms():
     from olog import dsl
 

@@ -252,6 +252,15 @@ def test_post_init_canonicalizes_and_graph_caches_its_indexes():
     assert spec.facts == (Fact(Path("a"), Path("a")), Fact(Path("b"), Path("b")))
 
 
+def test_a_required_field_after_a_defaulted_one_is_refused():
+    class Late:
+        early: int = 0
+        late: int
+
+    with pytest.raises(TypeError, match="^Late: fields with defaults must come last$"):
+        core.record(Late)
+
+
 def test_each_system_keeps_its_own_validation_memo():
     spec = Specification(graph=Graph((TypeNode("a", "an a"),)))
     one, two = (InformationSystem(Shape(("n",)), {"n": spec}, {}) for _ in range(2))

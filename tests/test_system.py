@@ -45,7 +45,7 @@ from olog.system import (
 
 from . import strategies as sts
 from .conftest import FIXTURES
-from .oracles import colimit_classes, validate_system_by_edges
+from .oracles import colimit_classes, representatives, validate_system_by_edges
 
 
 @pytest.fixture(scope="module")
@@ -530,6 +530,38 @@ def test_system_morphism_refuses_a_mismatched_shape_or_component(span_system, co
     )
 
 
+def test_system_morphism_reports_a_node_without_a_specification(span_system):
+    comps = {n: identity_morphism(s.graph) for n, s in span_system.specs.items()}
+    specless = InformationSystem(
+        shape=span_system.shape,
+        specs={n: s for n, s in span_system.specs.items() if n != "left"},
+        constraints=span_system.constraints,
+    )
+    theta = SystemMorphism(components=comps)
+    assert check_system_morphism(theta, span_system, specless, 4) == (
+        False, ("node 'left': no specification in the second system",)
+    )
+    assert check_system_morphism(theta, specless, span_system, 4) == (
+        False, ("node 'left': no specification in the first system",)
+    )
+
+
+def test_system_morphism_reports_an_edge_without_a_constraint(span_system):
+    comps = {n: identity_morphism(s.graph) for n, s in span_system.specs.items()}
+    unconstrained = InformationSystem(
+        shape=span_system.shape,
+        specs=span_system.specs,
+        constraints={e: h for e, h in span_system.constraints.items() if e != "gl"},
+    )
+    theta = SystemMorphism(components=comps)
+    assert check_system_morphism(theta, unconstrained, span_system, 4) == (
+        False, ("edge 'gl': no constraint morphism in the first system",)
+    )
+    assert check_system_morphism(theta, span_system, unconstrained, 4) == (
+        False, ("edge 'gl': no constraint morphism in the second system",)
+    )
+
+
 def test_system_morphism_naturality_violation(span_system):
     comps = {n: identity_morphism(s.graph) for n, s in span_system.specs.items()}
     right = span_system.specs["right"].graph
@@ -763,12 +795,12 @@ def _representables(spec: Specification, sources, bound: int) -> KeyDiagram:
     is shorter than ``bound``, so the bounded classes are the unbounded ones.
     """
     g = spec.graph
-    cong = saturate(spec, bound)
+    rep = representatives(saturate(spec, bound))
     paths = [p for p in enumerate_paths(g, bound) if p.source in sources]
     assert all(len(p) < bound for p in paths)
 
     def key(p: Path) -> str:
-        return format_path(cong.representative(p))
+        return format_path(rep[p])
 
     sets = {t.id: set() for t in g.types}
     funcs = {a.id: {} for a in g.aspects}

@@ -167,7 +167,7 @@ def test_entail_at_a_bound_with_too_many_aspect_ids_exits_2(tmp_path, capsys):
     assert "bound 999999" in err and f"edge budget of {EDGE_BUDGET}" in err
 
 
-def test_a_state_outside_the_bound_raises_as_representative_does():
+def test_a_state_outside_the_bound_is_refused():
     table = class_table(Specification(graph=LOOPS), 2)
     with pytest.raises(BoundExceededError, match="path of length 3 exceeds bound 2"):
         table.state(Path("m", ("g0", "g1", "g2")))
@@ -188,23 +188,35 @@ def _state_or_error(find, path):
         return type(exc), str(exc)
 
 
+def _held_or_refused(graph, bound, path):
+    """``path`` itself, its root when no fact is declared, if it fits
+    ``bound`` and ``graph``; else the length rule's refusal, then the first
+    fault :func:`core.path_target` names."""
+    if len(path) > bound:
+        return BoundExceededError, f"path of length {len(path)} exceeds bound {bound}"
+    try:
+        path_target(graph, path)
+    except OlogError as exc:
+        return type(exc), str(exc)
+    return path
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_state_matches_representative_on_any_path(data):
+def test_state_refuses_by_the_length_rule_then_path_target(data):
     # Sources and edges drawn from the graph's ids and two unknown ones, so a
     # path may start nowhere, name an unknown aspect, break the chain or pass
     # the bound.
     g = data.draw(st.one_of(sts.graphs(), sts.cyclic_graphs()))
     bound = data.draw(st.integers(1, 3))
-    spec = Specification(graph=g)
-    table, cong = class_table(spec, bound), saturate(spec, bound)
+    table = class_table(Specification(graph=g), bound)
     path = Path(
         data.draw(st.sampled_from([t.id for t in g.types] + ["x"])),
         tuple(data.draw(st.lists(st.sampled_from([a.id for a in g.aspects] + ["nope"]),
                                  max_size=bound + 2))),
     )
     got = _state_or_error(lambda p: table.path(table.state(p)), path)
-    assert got == _state_or_error(cong.representative, path)
+    assert got == _held_or_refused(g, bound, path)
 
 
 def test_state_and_path_read_no_path_list(monkeypatch):
