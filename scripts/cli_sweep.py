@@ -38,7 +38,9 @@ and every file it wrote. The commands are:
 - ``lot contract``, ``expand``, ``revise`` and ``analogy``.
 
 Then seeded line-level mutants, all made by ``mutate``, go through the
-readers: mutants of the fixture ologs through ``dsl.parse_olog``, of the
+readers; besides line and id edits, a mutant may have a character inserted
+or deleted, which splits an ``->``, drops a ``;`` or a ``)``, or adds a bad
+character: mutants of the fixture ologs through ``dsl.parse_olog``, of the
 fixture morphisms through ``dsl.parse_morphism`` against their source and
 target, and of the ``entail`` fact strings through ``dsl.parse_fact_text``.
 Their lines hold whether the text was accepted, the diagnostics (or the
@@ -86,9 +88,12 @@ from olog.core import KEYWORDS, enumerate_paths, format_fact, format_path, path_
 from olog.errors import OlogError  # noqa: E402
 from revision import extract  # noqa: E402
 
-MUTANTS = 4000
-OMAP_MUTANTS = 1000
-FACT_MUTANTS = 2000
+MUTANTS = 8000
+OMAP_MUTANTS = 2000
+FACT_MUTANTS = 4000
+# Characters a mutant inserts or deletes: operator pieces, an id character,
+# a non-ASCII letter and a tab.
+TOKEN_CHARS = ";:,()=->*+_\u00e9\t"
 BOUNDS = (2, 3, 4, 5, 6)
 FLOW_BOUNDS = (2, 3, 4, 6)
 # Ologs queried again above the default bound: (olog, bound).
@@ -305,12 +310,14 @@ def commands() -> list[list[str]]:
 
 def mutate(text: str, rng: random.Random) -> str:
     """One or two line-level edits: drop, repeat or swap lines, swap ids, add a
-    sketch line, or put a ``#`` or a ``"`` at some column of a line."""
+    sketch line, put a ``#`` or a ``"`` at some column of a line, or insert
+    or delete one character of :data:`TOKEN_CHARS` at some column of a line,
+    which splits or joins tokens."""
     lines = text.splitlines()
     ids = sorted(set(IDENT_RE.findall(text)) - KEYWORDS) or ["x"]
     for _ in range(rng.randint(1, 2)):
         i = rng.randrange(len(lines))
-        op = rng.randrange(7)
+        op = rng.randrange(8)
         if op == 0:
             del lines[i]
         elif op == 1:
@@ -326,7 +333,7 @@ def mutate(text: str, rng: random.Random) -> str:
         elif op == 5:
             col = rng.randrange(len(lines[i]) + 1)
             lines[i] = lines[i][:col] + rng.choice('#"') + lines[i][col:]
-        else:
+        elif op == 6:
             a, b, c, d, e, f = (rng.choice(ids) for _ in range(6))
             lines.insert(max(i, 1), "  " + rng.choice((
                 f"product {a} = {b} * {c} via ({d},{e})",
@@ -337,6 +344,14 @@ def mutate(text: str, rng: random.Random) -> str:
                 f"singleton {a}",
                 f"empty {a}",
             )))
+        else:
+            cols = [k for k, ch in enumerate(lines[i]) if ch in TOKEN_CHARS]
+            if cols and rng.randrange(2):
+                col = rng.choice(cols)
+                lines[i] = lines[i][:col] + lines[i][col + 1:]
+            else:
+                col = rng.randrange(len(lines[i]) + 1)
+                lines[i] = lines[i][:col] + rng.choice(TOKEN_CHARS) + lines[i][col:]
         if not lines:
             break
     return "\n".join(lines) + "\n"

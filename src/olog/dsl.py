@@ -90,82 +90,58 @@ def has_errors(diagnostics) -> bool:
 
 # A `#` outside a string starts a comment, which runs to the end of the text
 # tokenized: one line of a file, or all of a fact given on the command line.
-# Each match is one token after any blanks, of the kind its group names. No
-# kind starts with a blank or a line break, so none is ever a token.
+# Each match is one token after any blanks: a string, a comment, an id or an
+# operator in its one group, or an unexpected character outside it, which
+# ``findall`` gives as "". No token starts with a blank or a line break.
 _TOKEN_RE = re.compile(
     rf"""
-    [ \t]*(?:
-      (?P<STRING>"[^"\n]*")
-    | (?P<COMMENT>\#(?s:.*))
-    | (?P<IDENT>{_ID})
-    | (?P<OP>->|=>|\*_|\+_|[{{}}();,=:*+])
-    | (?P<BAD>[^ \t\n])
-    )
+    [ \t]*(?:("[^"\n]*" | \#(?s:.*) | {_ID} | ->|=>|\*_|\+_|[{{}}();,=:*+]) | [^ \t\n])
     """,
     re.VERBOSE,
 )
 
-
-class _Tok(NamedTuple):
-    """A token and where it starts; its :class:`SourceSpan` is made on demand."""
-
-    kind: str
-    text: str
-    file: str
-    line: int
-    column: int
-
-    @property
-    def span(self) -> SourceSpan:
-        return SourceSpan(self.file, self.line, self.column)
-
-    @property
-    def found(self) -> str:
-        return "end of line" if self.kind == "END" else f"'{self.text}'"
+# The token after a line's last, found as "end of line". A token's kind is
+# read from its text: a string opens with `"`, an id is an identifier, and
+# any other token is an operator.
+END = ""
 
 
 class _Stop(Exception):
-    """A reader reported an error and gives up the rest of its line."""
-
-
-class _Cursor:
-    """One line's tokens, ending in an ``END`` token at column 1 that
-    :meth:`next` never passes."""
-
-    def __init__(self, toks: list[_Tok]):
-        self.toks = toks
-        self.pos = 0
-
-    def peek(self) -> _Tok:
-        return self.toks[self.pos]
-
-    def next(self) -> _Tok:
-        t = self.toks[self.pos]
-        if t.kind != "END":
-            self.pos += 1
-        return t
+    """A reader reported an error and gives up the rest of its line. A reader
+    of tokens gives the index after the token it stopped at, so a caller that
+    checks the rest of the line knows where to go on."""
 
 
 class _Parser:
-    """Shared token-level helpers plus a diagnostics sink."""
+    """A diagnostics sink, and the line being read. Tokens are indexed in
+    their line's list; a diagnostic finds its token's column by scanning the
+    line again."""
 
     def __init__(self, filename: str):
         self.filename = filename
         self.diagnostics: list[ParseDiagnostic] = []
 
-    def tokenize(self, line: str, lineno: int) -> _Cursor:
-        """A cursor over one line's tokens; each unexpected character is an error and dropped."""
-        toks: list[_Tok] = []
-        file, new = self.filename, tuple.__new__  # _Tok's own __new__ costs a call
-        for m in _TOKEN_RE.finditer(line):
-            k, kind = m.lastindex, m.lastgroup
-            if kind == "BAD":
-                at = SourceSpan(file, lineno, m.start(k) + 1)
-                self.error(f"unexpected character '{m[k]}'", at)
-            elif kind != "COMMENT":
-                toks.append(new(_Tok, (kind, m[k], file, lineno, m.start(k) + 1)))
-        toks.append(new(_Tok, ("END", "", file, lineno, 1)))
-        return _Cursor(toks)
+    def tokenize(self, line: str, lineno: int) -> list[str]:
+        """The tokens of ``line`` and then END; it becomes the line being read.
+        Each unexpected character is an error and dropped."""
+        self.line = (line, lineno)
+        toks = _TOKEN_RE.findall(line)
+        if toks and toks[-1][:1] == "#":
+            toks.pop()
+        if END in toks:
+            for m in _TOKEN_RE.finditer(line):
+                if m[1] is None:
+                    at = SourceSpan(self.filename, lineno, m.end())
+                    self.error(f"unexpected character '{m[0][-1]}'", at)
+            toks = [t for t in toks if t]
+        toks.append(END)
+        return toks
+
+    def span(self, k: int) -> SourceSpan:
+        """Where token k of the line being read starts; column 1 for END."""
+        line, lineno = self.line
+        starts = [m.start(1) for m in _TOKEN_RE.finditer(line) if m[1] and m[1][0] != "#"]
+        return SourceSpan(self.filename, lineno, starts[k] + 1 if k < len(starts) else 1)
 
     def error(self, message: str, at: SourceSpan):
         self.diagnostics.append(ParseDiagnostic(ERROR, message, at))
@@ -177,68 +153,73 @@ class _Parser:
         self.error(message, at)
         raise _Stop
 
-    def attempt(self, read, *args, **kwargs):
-        """``read(*args, **kwargs)``, or None if it stopped at an error; for a
-        step after which the rest of the line is still checked."""
+    def missing(self, toks: list[str], k: int, what: str) -> int:
+        """Report that token k is not ``what``; the index after it, or k at END."""
+        t = toks[k]
+        found = "end of line" if t == END else f"'{t}'"
+        self.error(f"expected {what}, found {found}", self.span(k))
+        return k + (t != END)
+
+    def attempt(self, read, *args) -> tuple[int, bool]:
+        """The index ``read(*args)`` stops at, and whether it read all it
+        wanted; for a step after which the rest of the line is still checked."""
         try:
-            return read(*args, **kwargs)
-        except _Stop:
-            return None
+            return read(*args), True
+        except _Stop as stop:
+            return stop.args[0], False
 
-    def expect(
-        self, cur: _Cursor, kind: str, text: str | None = None, what: str | None = None
-    ) -> _Tok:
-        t = cur.next()
-        if t.kind == kind and (text is None or t.text == text):
-            return t
-        if what is None:
-            what = f"'{text}'" if text is not None else kind.lower()
-        self.fail(f"expected {what}, found {t.found}", t.span)
+    def seq(self, toks: list[str], i: int, *wants: str) -> int:
+        """Read ``wants`` from token i on: the index after them. A want with a
+        blank in it names an id, and any other is a token's text."""
+        for want in wants:
+            if toks[i].isidentifier() if " " in want else toks[i] == want:
+                i += 1
+            else:
+                raise _Stop(self.missing(toks, i, want if " " in want else f"'{want}'"))
+        return i
 
-    def expect_end(self, cur: _Cursor):
-        t = cur.peek()
-        if t.kind != "END":
-            self.error(f"unexpected trailing '{t.text}'", t.span)
+    def end(self, toks: list[str], i: int):
+        if toks[i] != END:
+            self.error(f"unexpected trailing '{toks[i]}'", self.span(i))
 
-    def parse_path_tokens(self, cur: _Cursor) -> tuple[list[_Tok], SourceSpan]:
-        """Collect the tokens of one path: `id(T)` or `a;b;c`."""
-        first = cur.next()
-        if first.kind != "IDENT":
-            self.fail(f"expected a path, found {first.found}", first.span)
-        toks = [first]
-        if first.text == "id":
-            self.expect(cur, "OP", "(")
-            toks.append(self.expect(cur, "IDENT", what="a type id"))
-            self.expect(cur, "OP", ")")
-            return toks, first.span
-        while cur.peek().text == ";":
-            cur.next()
-            toks.append(self.expect(cur, "IDENT", what="an aspect id"))
-        return toks, first.span
+    def path(self, toks: list[str], i: int) -> int:
+        """Read one path from token i, `id(T)` or `a;b;c`: the index after it."""
+        if not toks[i].isidentifier():
+            raise _Stop(self.missing(toks, i, "a path"))
+        if toks[i] == "id":
+            return self.seq(toks, i + 1, "(", "a type id", ")")
+        i += 1
+        while toks[i] == ";":
+            i = self.seq(toks, i + 1, "an aspect id")
+        return i
 
 
-def _resolve_path(
-    parser: _Parser, graph: Graph, toks: list[_Tok], span: SourceSpan
-) -> tuple[Path, str]:
-    """The path the tokens name and the type where it ends."""
-    if toks[0].text == "id" and len(toks) == 2:
-        tid = toks[1].text
+def _resolve_path(p: _Parser, graph: Graph, toks: list[str], i: int, j: int) -> tuple[Path, str]:
+    """The path that tokens i to j name and the type where it ends."""
+    if toks[i] == "id":
+        tid = toks[i + 2]
         if not graph.has_type(tid):
-            parser.fail(f"unknown type '{tid}'", toks[1].span)
+            p.fail(f"unknown type '{tid}'", p.span(i + 2))
         return Path(tid, ()), tid
-    for t in toks:
-        if t.text not in graph.aspect_by_id:
-            parser.fail(f"unknown aspect '{t.text}'", t.span)
-    p = Path(graph.aspect_by_id[toks[0].text].src, tuple(t.text for t in toks))
+    edges = toks[i:j:2]
+    for k, a in enumerate(edges):
+        if a not in graph.aspect_by_id:
+            p.fail(f"unknown aspect '{a}'", p.span(i + 2 * k))
+    path = Path(graph.aspect_by_id[edges[0]].src, tuple(edges))
     try:
-        return p, path_target(graph, p)
+        return path, path_target(graph, path)
     except OlogError as exc:
-        parser.fail(str(exc), span)
+        p.fail(str(exc), p.span(i))
 
 
-def _resolve_paths(parser: _Parser, graph: Graph, got) -> list[tuple[Path, str]]:
-    """Resolve each path of a declaration, reporting every one that fails."""
-    paths = [parser.attempt(_resolve_path, parser, graph, *g) for g in got]
+def _resolve_paths(p: _Parser, graph: Graph, toks: list[str], got) -> list[tuple[Path, str]]:
+    """Resolve each (i, j) path of a declaration, reporting every one that fails."""
+    paths = []
+    for i, j in got:
+        try:
+            paths.append(_resolve_path(p, graph, toks, i, j))
+        except _Stop:
+            paths.append(None)
     if None in paths:
         raise _Stop
     return paths
@@ -272,103 +253,102 @@ def parse_olog(
     lines = text.splitlines()
 
     name = "olog"
-    body: list[tuple[str, _Cursor]] = []  # (first ident text, cursor past it)
+    body: list[tuple[list[str], tuple[str, int]]] = []  # (tokens, line)
     opened = closed = False
     for lineno, raw in enumerate(lines, start=1):
-        cur = p.tokenize(raw, lineno)
-        head = cur.next()
-        if head.kind == "END":
+        toks = p.tokenize(raw, lineno)
+        head = toks[0]
+        if head == END:
             continue
         if not opened:
-            if head.text == "olog":
-                t = p.attempt(p.expect, cur, "IDENT", what="the olog name")
-                if t is not None:
-                    name = t.text
-                p.attempt(p.expect, cur, "OP", "{")
-                p.expect_end(cur)
+            if head == "olog":
+                i, named = p.attempt(p.seq, toks, 1, "the olog name")
+                if named:
+                    name = toks[1]
+                p.end(toks, p.attempt(p.seq, toks, i, "{")[0])
                 opened = True
             else:
-                p.error("expected 'olog <Name> {'", head.span)
+                p.error("expected 'olog <Name> {'", p.span(0))
         elif closed:
-            p.error("content after closing '}'", head.span)
-        elif head.text == "}":
-            p.expect_end(cur)
+            p.error("content after closing '}'", p.span(0))
+        elif head == "}":
+            p.end(toks, 1)
             closed = True
         else:
-            body.append((head.text, cur))
+            body.append((toks, p.line))
     if opened and not closed:
         p.error("missing closing '}'", SourceSpan(filename, len(lines) or 1, 1))
     if not opened and not body and not has_errors(p.diagnostics):
         return Specification(Graph(), name=name), p.diagnostics
 
     types: list[TypeNode] = []
-    aspects: list[tuple[Aspect, _Tok]] = []
-    deferred: list[tuple[str, _Cursor]] = []
+    aspects: list[tuple[Aspect, tuple[str, int]]] = []
+    deferred: list[tuple[list[str], tuple[str, int]]] = []
     seen_ids: set[str] = set()
 
-    def declare(kind: str, ident: _Tok):
-        errs = id_errors(kind, ident.text, seen_ids)
+    def declare(kind: str, ident: str):
+        errs = id_errors(kind, ident, seen_ids)
         if errs:
-            p.fail(errs[0], ident.span)
-        seen_ids.add(ident.text)
+            p.fail(errs[0], p.span(1))
+        seen_ids.add(ident)
 
-    for head, cur in body:
+    for toks, line in body:
+        head, p.line = toks[0], line
         try:
             if head == "type":
-                ident = p.expect(cur, "IDENT", what="a type id")
-                label_tok = p.attempt(p.expect, cur, "STRING", what="a quoted label")
-                p.expect_end(cur)
-                if label_tok is None:
+                p.seq(toks, 1, "a type id")
+                ident, label = toks[1], toks[2]
+                if label[:1] != '"':
+                    p.end(toks, p.missing(toks, 2, "a quoted label"))
                     continue
+                p.end(toks, 3)
                 declare("type", ident)
-                label = label_tok.text[1:-1]
-                errs = label_errors("type", ident.text, label)
+                label = label[1:-1]
+                errs = label_errors("type", ident, label)
                 if errs:
-                    p.fail(errs[0], label_tok.span)
+                    p.fail(errs[0], p.span(2))
                 lints = _label_lints(label)
                 for flag in sorted(lints):
-                    p.warn(f"type '{ident.text}': style lint {flag}", label_tok.span)
-                types.append(TypeNode(ident.text, label, lints))
+                    p.warn(f"type '{ident}': style lint {flag}", p.span(2))
+                types.append(TypeNode(ident, label, lints))
             elif head == "aspect":
-                ident = p.expect(cur, "IDENT", what="an aspect id")
-                p.expect(cur, "OP", ":")
-                src = p.expect(cur, "IDENT", what="a source type id")
-                p.expect(cur, "OP", "->")
-                tgt = p.expect(cur, "IDENT", what="a target type id")
-                label = cur.next().text[1:-1] if cur.peek().kind == "STRING" else ""
-                mods = set()
-                while cur.peek().kind != "END":
-                    t = cur.next()
-                    if t.text not in MODIFIERS:
-                        p.error(f"unexpected '{t.text}' after aspect", t.span)
-                        break
-                    mods.add(t.text)
-                declare("aspect", ident)
-                aspect = Aspect(ident.text, src.text, tgt.text, label, frozenset(mods))
-                aspects.append((aspect, ident))
+                i = p.seq(toks, 1, "an aspect id", ":", "a source type id", "->",
+                          "a target type id")
+                quoted = toks[i][:1] == '"'
+                label = toks[i][1:-1] if quoted else ""
+                i = k = i + quoted
+                while toks[k] in MODIFIERS:
+                    k += 1
+                if toks[k] != END:
+                    p.error(f"unexpected '{toks[k]}' after aspect", p.span(k))
+                declare("aspect", toks[1])
+                aspect = Aspect(toks[1], toks[3], toks[5], label, frozenset(toks[i:k]))
+                aspects.append((aspect, p.line))
             elif head in ("fact", "product", "pullback", "coproduct", "pushout",
                           "singleton", "empty", "image"):
-                deferred.append((head, cur))
+                deferred.append((toks, p.line))
             else:
-                p.error(f"unknown declaration '{head}'", cur.toks[0].span)
+                p.error(f"unknown declaration '{head}'", p.span(0))
         except _Stop:
             pass
 
     graph = Graph(types=tuple(types), aspects=tuple(a for a, _ in aspects))
-    for a, ident in aspects:
+    for a, line in aspects:
+        p.line = line
         for msg in endpoint_errors(graph, a):
-            p.error(msg, ident.span)
+            p.error(msg, p.span(1))
 
     facts: list[Fact] = []
     sketch: list = []
-    for head, cur in deferred:
+    for toks, line in deferred:
+        p.line = line
         try:
-            if head == "fact":
-                facts.append(_parse_fact(p, graph, cur))
+            if toks[0] == "fact":
+                facts.append(_parse_fact(p, graph, toks, 1))
             else:
-                decl = _parse_sketch_decl(p, graph, head, cur)
+                decl = _parse_sketch_decl(p, graph, toks)
                 for msg in decl_errors(graph, decl):
-                    p.error(msg, cur.toks[0].span)
+                    p.error(msg, p.span(0))
                 sketch.append(decl)
         except _Stop:
             pass
@@ -384,45 +364,45 @@ def parse_olog(
     return spec, p.diagnostics
 
 
-def _parse_fact(p: _Parser, graph: Graph, cur: _Cursor) -> Fact:
-    """``path = path``; the whole line is read before either side is resolved."""
-    lhs_got = p.parse_path_tokens(cur)
-    p.expect(cur, "OP", "=")
-    rhs_got = p.parse_path_tokens(cur)
-    p.expect_end(cur)
-    (lhs, lhs_end), (rhs, rhs_end) = _resolve_paths(p, graph, (lhs_got, rhs_got))
+def _parse_fact(p: _Parser, graph: Graph, toks: list[str], i: int) -> Fact:
+    """``path = path`` from token i; the whole line is read before either
+    side is resolved."""
+    j = p.path(toks, i)
+    k = p.seq(toks, j, "=")
+    n = p.path(toks, k)
+    p.end(toks, n)
+    (lhs, lhs_end), (rhs, rhs_end) = _resolve_paths(p, graph, toks, ((i, j), (k, n)))
     fact = Fact(lhs, rhs)
     errs = parallel_errors(fact, lhs_end, rhs_end)
     if errs:
-        p.fail(errs[0], lhs_got[1])
+        p.fail(errs[0], p.span(i))
     return fact
 
 
-def _parse_id_tuple(p: _Parser, cur: _Cursor) -> list[_Tok]:
-    p.expect(cur, "OP", "(")
-    out: list[_Tok] = []
-    if cur.peek().text == ")":
-        cur.next()
-        return out
+def _parse_id_tuple(p: _Parser, toks: list[str], i: int) -> int:
+    """``(a,b,...)`` from token i: the index j after it, so its ids are
+    ``toks[i + 1:j - 1:2]``."""
+    i = p.seq(toks, i, "(")
+    if toks[i] == ")":
+        return i + 1
     while True:
-        out.append(p.expect(cur, "IDENT", what="an aspect id"))
-        t = cur.next()
-        if t.text == ")":
-            return out
-        if t.text != ",":
-            p.fail(f"expected ',' or ')', found {t.found}", t.span)
+        i = p.seq(toks, i, "an aspect id")
+        if toks[i] == ")":
+            return i + 1
+        if toks[i] != ",":
+            raise _Stop(p.missing(toks, i, "',' or ')'"))
+        i += 1
 
 
-def _parse_path_tuple(p: _Parser, cur: _Cursor, n: int):
-    """n comma-separated paths in parentheses."""
-    p.expect(cur, "OP", "(")
-    out = []
-    for i in range(n):
-        if i:
-            p.expect(cur, "OP", ",")
-        out.append(p.parse_path_tokens(cur))
-    p.expect(cur, "OP", ")")
-    return out
+def _parse_path_pair(p: _Parser, toks: list[str], i: int, got: list) -> int:
+    """``(path,path)`` from token i: the index after it. Each path's (first,
+    after) token indices go to ``got``."""
+    i = p.seq(toks, i, "(")
+    j = p.path(toks, i)
+    k = p.seq(toks, j, ",")
+    n = p.path(toks, k)
+    got += ((i, j), (k, n))
+    return p.seq(toks, n, ")")
 
 
 # keyword: (declaration, operator, part, arrow from the target or into it)
@@ -432,96 +412,89 @@ _NARY = {
 }
 
 
-def _parse_nary(p: _Parser, head: str, target: _Tok, cur: _Cursor):
-    """``A <op> B ... via (a,b,...)``: one part type and one arrow per part."""
+def _parse_nary(p: _Parser, toks: list[str], i: int):
+    """``A <op> B ... via (a,b,...)`` from token i: one part type and one
+    arrow per part."""
+    head, target = toks[0], toks[1]
     cls, op, part, arrow = _NARY[head]
-    parts = [p.expect(cur, "IDENT", what=f"a {part} type id")]
-    while cur.peek().text == op:
-        cur.next()
-        parts.append(p.expect(cur, "IDENT", what=f"a {part} type id"))
-    p.expect(cur, "IDENT", "via")
-    arrows = p.attempt(_parse_id_tuple, p, cur)
-    p.expect_end(cur)
-    if arrows is None or len(arrows) != len(parts):
-        p.fail(f"{head} needs one {arrow} per {part}", cur.toks[-1].span)
-    return cls(target.text, tuple((t.text, a.text) for t, a in zip(parts, arrows)))
+    what = f"a {part} type id"
+    parts = [toks[i]]
+    i = p.seq(toks, i, what)
+    while toks[i] == op:
+        parts.append(toks[i + 1])
+        i = p.seq(toks, i + 1, what)
+    i = p.seq(toks, i, "via")
+    j, read = p.attempt(_parse_id_tuple, p, toks, i)
+    p.end(toks, j)
+    arrows = toks[i + 1:j - 1:2]
+    if not read or len(arrows) != len(parts):
+        p.fail(f"{head} needs one {arrow} per {part}", p.span(len(toks) - 1))
+    return cls(target, tuple(zip(parts, arrows)))
 
 
-def _parse_square_legs(p: _Parser, cur: _Cursor, op: str, apex_what: str):
-    """``B <op>A C via``: the tokens of B, A and C."""
-    b = p.expect(cur, "IDENT", what="a leg type id")
-    p.expect(cur, "OP", op)
-    apex = p.expect(cur, "IDENT", what=apex_what)
-    c = p.expect(cur, "IDENT", what="a leg type id")
-    p.expect(cur, "IDENT", "via")
-    return b, apex, c
-
-
-def _parse_sketch_decl(p: _Parser, graph: Graph, head: str, cur: _Cursor):
+def _parse_sketch_decl(p: _Parser, graph: Graph, toks: list[str]):
+    head, target = toks[0], toks[1]
     if head in ("singleton", "empty"):
-        ident = p.attempt(p.expect, cur, "IDENT", what="a type id")
-        p.expect_end(cur)
-        if ident is None:
+        i, read = p.attempt(p.seq, toks, 1, "a type id")
+        p.end(toks, i)
+        if not read:
             raise _Stop
-        return (ProductDecl if head == "singleton" else CoproductDecl)(ident.text, ())
+        return (ProductDecl if head == "singleton" else CoproductDecl)(target, ())
 
-    target = p.expect(cur, "IDENT", what="a target type id")
+    i = p.seq(toks, 1, "a target type id")
 
     if head == "image":
-        p.expect(cur, "IDENT", "of")
-        got = p.parse_path_tokens(cur)
-        p.expect(cur, "IDENT", "via")
-        pair = p.attempt(_parse_id_tuple, p, cur)
-        p.expect_end(cur)
-        if pair is None:
+        i = p.seq(toks, i, "of")
+        j = p.path(toks, i)
+        k = p.seq(toks, j, "via")
+        n, read = p.attempt(_parse_id_tuple, p, toks, k)
+        p.end(toks, n)
+        if not read:
             raise _Stop
+        pair = toks[k + 1:n - 1:2]
         if len(pair) != 2:
-            p.fail("image needs exactly two aspects in 'via'", cur.peek().span)
-        of, _ = _resolve_path(p, graph, *got)
-        return ImageDecl(target.text, of, pair[0].text, pair[1].text)
+            p.fail("image needs exactly two aspects in 'via'", p.span(n))
+        of, _ = _resolve_path(p, graph, toks, i, j)
+        return ImageDecl(target, of, pair[0], pair[1])
 
-    p.expect(cur, "OP", "=")
+    i = p.seq(toks, i, "=")
 
     if head in _NARY:
-        return _parse_nary(p, head, target, cur)
+        return _parse_nary(p, toks, i)
 
     if head == "pullback":
-        b, apex, c = _parse_square_legs(p, cur, "*_", "the cospan target type id")
-        cospan = _parse_path_tuple(p, cur, 2)
-        p.expect(cur, "IDENT", "legs")
-        legs = p.attempt(_parse_id_tuple, p, cur)
-        p.expect_end(cur)
-        if legs is None or len(legs) != 2:
-            p.fail("pullback needs exactly two leg projections", cur.toks[-1].span)
-        (pf, pf_end), (pg, pg_end) = _resolve_paths(p, graph, cospan)
-        if pf_end != apex.text or pg_end != apex.text:
-            p.error(f"cospan paths must end at '{apex.text}'", cospan[0][1])
-        return PullbackDecl(
-            target.text,
-            (b.text, legs[0].text),
-            (c.text, legs[1].text),
-            (pf, pg),
-        )
+        i = p.seq(toks, i, "a leg type id", "*_", "the cospan target type id",
+                  "a leg type id", "via")
+        b, apex, c = toks[i - 5], toks[i - 3], toks[i - 2]
+        cospan: list = []
+        i = p.seq(toks, _parse_path_pair(p, toks, i, cospan), "legs")
+        j, read = p.attempt(_parse_id_tuple, p, toks, i)
+        p.end(toks, j)
+        legs = toks[i + 1:j - 1:2]
+        if not read or len(legs) != 2:
+            p.fail("pullback needs exactly two leg projections", p.span(len(toks) - 1))
+        (pf, pf_end), (pg, pg_end) = _resolve_paths(p, graph, toks, cospan)
+        if pf_end != apex or pg_end != apex:
+            p.error(f"cospan paths must end at '{apex}'", p.span(cospan[0][0]))
+        return PullbackDecl(target, (b, legs[0]), (c, legs[1]), (pf, pg))
 
     # pushout
-    b, apex, c = _parse_square_legs(p, cur, "+_", "the span source type id")
-    incls = p.attempt(_parse_id_tuple, p, cur)
-    if incls is None or len(incls) != 2:
-        p.fail("pushout needs exactly two inclusions", cur.toks[-1].span)
-    p.expect(cur, "IDENT", "span")
-    span_paths = p.attempt(_parse_path_tuple, p, cur, 2)
-    p.expect_end(cur)
-    if span_paths is None:
+    i = p.seq(toks, i, "a leg type id", "+_", "the span source type id",
+              "a leg type id", "via")
+    b, apex, c = toks[i - 5], toks[i - 3], toks[i - 2]
+    j, read = p.attempt(_parse_id_tuple, p, toks, i)
+    incls = toks[i + 1:j - 1:2]
+    if not read or len(incls) != 2:
+        p.fail("pushout needs exactly two inclusions", p.span(len(toks) - 1))
+    span: list = []
+    j, read = p.attempt(_parse_path_pair, p, toks, p.seq(toks, j, "span"), span)
+    p.end(toks, j)
+    if not read:
         raise _Stop
-    (pf, _), (pg, _) = _resolve_paths(p, graph, span_paths)
-    if pf.source != apex.text or pg.source != apex.text:
-        p.error(f"span paths must start at '{apex.text}'", span_paths[0][1])
-    return PushoutDecl(
-        target.text,
-        (b.text, incls[0].text),
-        (c.text, incls[1].text),
-        (pf, pg),
-    )
+    (pf, _), (pg, _) = _resolve_paths(p, graph, toks, span)
+    if pf.source != apex or pg.source != apex:
+        p.error(f"span paths must start at '{apex}'", p.span(span[0][0]))
+    return PushoutDecl(target, (b, incls[0]), (c, incls[1]), (pf, pg))
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +556,10 @@ def print_olog(spec: Specification) -> str:
 def parse_fact_text(text: str, graph: Graph) -> Fact:
     """Parse a fact given as ``path = path`` against an existing graph."""
     p = _Parser("<fact>")
-    fact = p.attempt(_parse_fact, p, graph, p.tokenize(text, 1))
+    try:
+        fact = _parse_fact(p, graph, p.tokenize(text, 1), 0)
+    except _Stop:
+        fact = None
     if has_errors(p.diagnostics):
         raise OlogError(
             "bad fact: " + "; ".join(d.message for d in p.diagnostics if d.severity == ERROR)
@@ -614,40 +590,40 @@ def parse_morphism(
     aspect_map: dict[str, Path] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        cur = p.tokenize(raw, lineno)
-        head = cur.next()
-        if head.kind == "END":
+        toks = p.tokenize(raw, lineno)
+        head = toks[0]
+        if head == END:
             continue
         try:
-            if head.text == "type":
-                a = p.expect(cur, "IDENT", what="a source type id")
-                p.expect(cur, "OP", "=>")
-                b = p.attempt(p.expect, cur, "IDENT", what="a target type id")
-                p.expect_end(cur)
-                if b is None:
+            if head == "type":
+                p.seq(toks, 1, "a source type id", "=>")
+                i, read = p.attempt(p.seq, toks, 3, "a target type id")
+                p.end(toks, i)
+                if not read:
                     continue
-                if not src_graph.has_type(a.text):
-                    p.fail(f"unknown source type '{a.text}'", a.span)
-                if not tgt_graph.has_type(b.text):
-                    p.fail(f"unknown target type '{b.text}'", b.span)
-                if a.text in type_map:
-                    p.fail(f"type '{a.text}' mapped twice", a.span)
-                type_map[a.text] = b.text
-            elif head.text == "aspect":
-                a = p.expect(cur, "IDENT", what="a source aspect id")
-                p.expect(cur, "OP", "=>")
-                got = p.attempt(p.parse_path_tokens, cur)
-                p.expect_end(cur)
-                if got is None:
+                a, b = toks[1], toks[3]
+                if not src_graph.has_type(a):
+                    p.fail(f"unknown source type '{a}'", p.span(1))
+                if not tgt_graph.has_type(b):
+                    p.fail(f"unknown target type '{b}'", p.span(3))
+                if a in type_map:
+                    p.fail(f"type '{a}' mapped twice", p.span(1))
+                type_map[a] = b
+            elif head == "aspect":
+                p.seq(toks, 1, "a source aspect id", "=>")
+                i, read = p.attempt(p.path, toks, 3)
+                p.end(toks, i)
+                if not read:
                     continue
-                if not src_graph.has_aspect(a.text):
-                    p.fail(f"unknown source aspect '{a.text}'", a.span)
-                img, _ = _resolve_path(p, tgt_graph, *got)
-                if a.text in aspect_map:
-                    p.fail(f"aspect '{a.text}' mapped twice", a.span)
-                aspect_map[a.text] = img
+                a = toks[1]
+                if not src_graph.has_aspect(a):
+                    p.fail(f"unknown source aspect '{a}'", p.span(1))
+                img, _ = _resolve_path(p, tgt_graph, toks, 3, i)
+                if a in aspect_map:
+                    p.fail(f"aspect '{a}' mapped twice", p.span(1))
+                aspect_map[a] = img
             else:
-                p.error(f"expected 'type' or 'aspect', found '{head.text}'", head.span)
+                p.error(f"expected 'type' or 'aspect', found '{head}'", p.span(0))
         except _Stop:
             pass
 

@@ -69,21 +69,26 @@ def _pairs_within(u: PathUniverse, keys, bound: int) -> tuple[Fact, ...]:
     that share a key are parallel. The ids are walked in ``Path`` order, a
     preorder walk of ``u.right`` from each identity, so each group fills
     already sorted and the pairs come out sorted: the cost follows the pairs
-    emitted. Past :data:`PAIR_BUDGET` pairs, the sum of the squared group
-    sizes, it raises :class:`BoundExceededError` naming ``bound`` before
-    making any.
+    emitted. The walk keeps one iterator per level it is in, and a path
+    without extensions is read in its parent's loop. Past
+    :data:`PAIR_BUDGET` pairs, the sum of the squared group sizes, it raises
+    :class:`BoundExceededError` naming ``bound`` before making any.
     """
     paths, right, groups, rows = u.paths, u.right, {}, []
-    stack = [*reversed(u.start.values())]
-    pop, push = stack.pop, stack.extend
+    stack = [iter(u.start.values())]
+    push, pop = stack.append, stack.pop
     while stack:
-        i = pop()
-        push(reversed(right[i]))
-        key = keys[i]
-        if key is not None:
-            group = groups.setdefault(key, [])
-            group.append(paths[i])
-            rows.append((paths[i], group))
+        for i in stack[-1]:
+            key = keys[i]
+            if key is not None:
+                group = groups.setdefault(key, [])
+                group.append(paths[i])
+                rows.append((paths[i], group))
+            if right[i]:
+                push(iter(right[i]))
+                break
+        else:
+            pop()
     count = sum(len(group) ** 2 for group in groups.values())
     if count > PAIR_BUDGET:
         raise BoundExceededError(

@@ -27,7 +27,13 @@ from .core import (
     record,
 )
 from .entail import DEFAULT_BOUND, check_fits, class_table
-from .errors import BoundExceededError, GraphMismatchError, OlogError, UnsupportedLinkError
+from .errors import (
+    BoundExceededError,
+    GraphMismatchError,
+    MorphismError,
+    OlogError,
+    UnsupportedLinkError,
+)
 from .flow import (
     GraphMorphism,
     _flow_back,
@@ -188,11 +194,13 @@ def optimal_channel(ds: DistributedSystem) -> Channel:
     the link identifications; the class id is the least (node, id) tag joined
     with a double underscore, suffixed only where two classes would share it,
     so cores print deterministically and survive a round trip through the
-    text format. Links whose aspect images are not single aspects cannot be
-    quotiented and are rejected.
+    text format. A shape edge without a link, and links whose aspect images
+    are not single aspects, which cannot be quotiented, are rejected.
     """
     for eid, src, tgt in ds.shape.edges:
-        h = ds.links[eid]
+        h = ds.links.get(eid)
+        if h is None:
+            raise MorphismError(f"edge '{eid}' has no link")
         for aid, img in h.aspect_map.items():
             if len(img.edges) != 1:
                 raise UnsupportedLinkError(
@@ -258,11 +266,17 @@ def _same_maps(h: GraphMorphism, k: GraphMorphism) -> bool:
 
 
 def check_channel_cover(ds: DistributedSystem, ch: Channel) -> tuple[bool, tuple[str, ...]]:
-    """Does the channel respect every constraint edge (link factors through it)?"""
+    """Does the channel respect every constraint edge (link factors through it)?
+
+    An edge is a violation also when the channel has no link for one of its
+    nodes.
+    """
+    links = ch.links
     violations = [
         eid
         for eid, src, tgt in ds.shape.edges
-        if not _same_maps(compose_morphisms(ds.links[eid], ch.links[tgt]), ch.links[src])
+        if src not in links or tgt not in links
+        or not _same_maps(compose_morphisms(ds.links[eid], links[tgt]), links[src])
     ]
     return (not violations, tuple(violations))
 

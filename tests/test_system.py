@@ -251,6 +251,21 @@ def test_perturbed_channel_does_not_cover(span_system):
     assert set(violations) <= {"gl", "gr"} and violations
 
 
+def test_optimal_channel_refuses_an_edge_without_a_link(span_system):
+    ds = span_system.distributed()
+    links = {e: h for e, h in ds.links.items() if e != "gl"}
+    broken = DistributedSystem(shape=ds.shape, graphs=ds.graphs, links=links)
+    with pytest.raises(OlogError, match=r"^edge 'gl' has no link$"):
+        optimal_channel(broken)
+
+
+def test_a_channel_without_a_node_link_does_not_cover_its_edges(span_system):
+    ds = span_system.distributed()
+    ch = optimal_channel(ds)
+    partial = Channel(core=ch.core, links={n: h for n, h in ch.links.items() if n != "left"})
+    assert check_channel_cover(ds, partial) == (False, ("gl",))
+
+
 def manual_span_channel(span_system):
     """Covering channel whose core is the left graph itself."""
     ds = span_system.distributed()
