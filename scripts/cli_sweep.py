@@ -28,6 +28,13 @@ and every file it wrote. The commands are:
 - ``validate`` and ``sqlgen`` on every olog with data (and the mutated and
   triangle data sets), and ``synth`` of every sketch target, with the data
   as shipped and with the target table removed, with and without ``-o``;
+  the same on an olog with a product, a pullback and a pushout, written
+  with its tables into the temporary directory, since no fixture has data
+  for a pushout or a non-empty product; then on seeded row-level mutants of
+  every one of these data sets, each made by ``mutate_rows`` (drop a row
+  that no cell refers to, twin a row under a fresh Id, or redirect a cell
+  to another Id of its column's type), so that every kind of check witness
+  is compared;
 - ``sqlgen`` on small ologs, written into the temporary directory, whose
   ids SQLite folds together: two types ``Employee`` and ``employee``, an
   aspect ``ID`` beside the key column ``Id``, and two aspects ``F`` and
@@ -65,6 +72,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import difflib
 import functools
 import hashlib
@@ -89,6 +97,7 @@ from olog.errors import OlogError  # noqa: E402
 from revision import extract  # noqa: E402
 
 MUTANTS = 8000
+ROW_MUTANTS = 24  # per data set
 OMAP_MUTANTS = 2000
 FACT_MUTANTS = 4000
 # Characters a mutant inserts or deletes: operator pieces, an id character,
@@ -159,6 +168,39 @@ DATA = {
     "metric.olog": ("data_metric",),
     "duck.olog": ("data_duck",),
 }
+# A product, a pullback and a pushout of one left and one right type, an
+# image and an injective aspect, for ``validate``, ``synth`` and ``sqlgen``
+# on data that ``shape_tables`` writes.
+SHAPES = """olog Shapes {
+  type base "a base"
+  type glued "a left or a right item, glued along the links"
+  type left "a left item"
+  type link "a link between a left and a right item"
+  type match "a left and a right item over one base"
+  type pair "a left and a right item"
+  type right "a right item"
+  type used "a base that a left item lies over"
+  aspect k_left : link -> left "has as left item"
+  aspect k_right : link -> right "has as right item"
+  aspect l_base : left -> base "lies over"
+  aspect l_glued : left -> glued "is glued as"
+  aspect l_used : left -> used "lies over"
+  aspect m_left : match -> left "has as left item"
+  aspect m_right : match -> right "has as right item"
+  aspect p_left : pair -> left "has as left item"
+  aspect p_right : pair -> right "has as right item"
+  aspect r_base : right -> base "lies over"
+  aspect r_glued : right -> glued "is glued as" injective
+  aspect u_base : used -> base "is"
+  fact m_left;l_base = m_right;r_base
+  fact k_left;l_glued = k_right;r_glued
+  fact l_base = l_used;u_base
+  product pair = left * right via (p_left,p_right)
+  pullback match = left *_base right via (l_base,r_base) legs (m_left,m_right)
+  pushout glued = left +_link right via (l_glued,r_glued) span (k_left,k_right)
+  image used of l_base via (l_used,u_base)
+}
+"""
 EDGE_RE = re.compile(r"^\s*edge\s+\w+\s*:\s*(\w+)\s*->\s*(\w+)\s*=\s*(\S+)")
 NODE_RE = re.compile(r"^\s*node\s+(\w+)\s*=\s*(\S+)")
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -191,6 +233,98 @@ def run(argv: list[str]) -> dict:
     written = sorted(p for p in Path("out").rglob("*") if p.is_file())
     record["files"] = {str(p): digest(p.read_bytes()) for p in written}
     return record
+
+
+def shape_tables() -> dict[str, list[list[str]]]:
+    """The tables of :data:`SHAPES`, header first: four left items and three
+    right ones over two bases, three links gluing them into four classes,
+    the product and the pullback under Ids that sort apart from their
+    tuples, and both bases used."""
+    left = {"l0": "b0", "l1": "b0", "l2": "b1", "l3": "b1"}
+    right = {"r0": "b0", "r1": "b1", "r2": "b1"}
+    links = {"k0": ("l0", "r0"), "k1": ("l1", "r0"), "k2": ("l3", "r2")}
+    glued = {"l0": "g0", "l1": "g0", "r0": "g0", "l2": "g1", "l3": "g2", "r2": "g2", "r1": "g3"}
+    pairs = [(x, y) for x in left for y in right]
+    matches = [(x, y) for x, y in pairs if left[x] == right[y]]
+    return {
+        "base": [["Id"], ["b0"], ["b1"]],
+        "glued": [["Id"]] + [[g] for g in sorted(set(glued.values()))],
+        "left": [["Id", "l_base", "l_glued", "l_used"]]
+        + [[x, b, glued[x], "u" + b] for x, b in left.items()],
+        "link": [["Id", "k_left", "k_right"]] + [[k, x, y] for k, (x, y) in links.items()],
+        "match": [["Id", "m_left", "m_right"]]
+        + [[f"m{5 * i % len(matches)}", x, y] for i, (x, y) in enumerate(matches)],
+        "pair": [["Id", "p_left", "p_right"]]
+        + [[f"p{7 * i % len(pairs):02d}", x, y] for i, (x, y) in enumerate(pairs)],
+        "right": [["Id", "r_base", "r_glued"]] + [[y, b, glued[y]] for y, b in right.items()],
+        "used": [["Id", "u_base"], ["ub0", "b0"], ["ub1", "b1"]],
+    }
+
+
+def write_tables(directory: Path, tables: dict[str, list[list[str]]]) -> None:
+    directory.mkdir(parents=True)
+    for t, rows in tables.items():
+        with open(directory / f"{t}.csv", "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+def read_tables(directory: Path) -> dict[str, list[list[str]]]:
+    tables = {}
+    for table in sorted(directory.glob("*.csv")):
+        with open(table, newline="", encoding="utf-8") as fh:
+            tables[table.stem] = list(csv.reader(fh))
+    return tables
+
+
+def mutate_rows(spec, tables: dict[str, list[list[str]]], rng: random.Random):
+    """One or two row-level edits of a copy of ``tables``: drop a row whose
+    Id no cell refers to, twin a row under a fresh Id, or redirect a cell to
+    an Id of the type its column refers to."""
+    tables = {t: [list(row) for row in rows] for t, rows in tables.items()}
+    # (table, column, type referred to) of each column that refers to a
+    # type with a table
+    refs = [
+        (a.src, tables[a.src][0].index(a.id), a.tgt)
+        for a in spec.graph.aspects
+        if a.src in tables and a.tgt in tables and a.id in tables[a.src][0]
+    ]
+    for _ in range(rng.randint(1, 2)):
+        op = rng.choice(["drop", "twin", "redirect"])
+        if op == "redirect":
+            choices = [r for r in refs if len(tables[r[0]]) > 1 and len(tables[r[2]]) > 1]
+            if choices:
+                src, col, tgt = rng.choice(choices)
+                row = rng.choice(tables[src][1:])
+                row[col] = rng.choice(tables[tgt][1:])[0]
+            continue
+        referred = {(tgt, row[col]) for src, col, tgt in refs for row in tables[src][1:]}
+        candidates = [
+            (t, i) for t, rows in sorted(tables.items()) for i in range(1, len(rows))
+            if op == "twin" or (t, rows[i][0]) not in referred
+        ]
+        if candidates:
+            t, i = rng.choice(candidates)
+            if op == "drop":
+                del tables[t][i]
+            else:
+                tables[t].append([f"{tables[t][i][0]}~{len(tables[t])}"] + tables[t][i][1:])
+    return tables
+
+
+def data_commands(olog: str, spec, data: str) -> list[list[str]]:
+    """``validate``, ``sqlgen`` and ``synth`` of every sketch target on one
+    data set, as shipped and with the target table removed."""
+    cmds = [["--format", fmt, "validate", olog, "--data", data] for fmt in ("text", "json")]
+    cmds.append(["sqlgen", olog, "--with-inserts", data])
+    for decl in spec.sketch:
+        partial = Path("inputs") / f"{Path(data).name}_without_{decl.target}"
+        if not partial.exists():
+            shutil.copytree(data, partial)
+            (partial / f"{decl.target}.csv").unlink(missing_ok=True)
+        for source in (data, str(partial)):
+            base = ["synth", olog, "--data", source, "--decl", decl.target]
+            cmds += [base, base + ["-o", "out/synth"]]
+    return cmds
 
 
 def entail_queries(spec) -> list[str]:
@@ -256,21 +390,23 @@ def commands() -> list[list[str]]:
     for query in ODD_FACTS:
         for fmt in ("text", "json"):
             cmds.append(["--format", fmt, "entail", "fixtures/family.olog", "--fact", query])
-    for name, datas in sorted(DATA.items()):
-        spec = load(name)
-        for data in datas:
-            for fmt in ("text", "json"):
-                cmds.append(["--format", fmt, "validate", f"fixtures/{name}",
-                             "--data", f"fixtures/{data}"])
-            cmds.append(["sqlgen", f"fixtures/{name}", "--with-inserts", f"fixtures/{data}"])
-            for decl in spec.sketch:
-                partial = Path("inputs") / f"{data}_without_{decl.target}"
-                if not partial.exists():
-                    shutil.copytree(Path("fixtures") / data, partial)
-                    (partial / f"{decl.target}.csv").unlink(missing_ok=True)
-                for source in (f"fixtures/{data}", str(partial)):
-                    base = ["synth", f"fixtures/{name}", "--data", source, "--decl", decl.target]
-                    cmds += [base, base + ["-o", "out/synth"]]
+    data_sets = [
+        (f"fixtures/{name}", load(name), f"fixtures/{data}")
+        for name, datas in sorted(DATA.items()) for data in datas
+    ]
+    for olog, spec, data in data_sets:
+        cmds += data_commands(olog, spec, data)
+    Path("inputs/shapes.olog").write_text(SHAPES, encoding="utf-8")
+    write_tables(Path("inputs/data_shapes"), shape_tables())
+    data_sets.append(("inputs/shapes.olog", dsl.parse_olog(SHAPES, "shapes.olog")[0],
+                      "inputs/data_shapes"))
+    cmds += data_commands(*data_sets[-1])
+    for olog, spec, data in data_sets:
+        tables = read_tables(Path(data))
+        for i in range(ROW_MUTANTS):
+            mutant = f"inputs/{Path(data).name}_rows{i}"
+            write_tables(Path(mutant), mutate_rows(spec, tables, random.Random(f"{data}:{i}")))
+            cmds += data_commands(olog, spec, mutant)
     for fold, lines in FOLDED.items():
         text = f'olog F {{\n  type a "an a"\n{lines}\n}}\n'
         Path(f"inputs/{fold}.olog").write_text(text, encoding="utf-8")

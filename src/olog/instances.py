@@ -232,16 +232,17 @@ class SatisfactionReport:
 def satisfies_fact(d: KeyDiagram, fact: Fact) -> FactCheck:
     """Check one declared equation pointwise over the source key set.
 
-    A fact over an empty source set is vacuously satisfied.
+    The two sides are compared over the unsorted keys; only the
+    counterexamples are sorted by key. A fact over an empty source set is
+    vacuously satisfied.
     """
-    keys = d.keys(fact.lhs.source)
+    keys = d.sets.get(fact.lhs.source, frozenset())
     lhs = eval_column(d, fact.lhs, keys)
     rhs = eval_column(d, fact.rhs, keys)
     if lhs == rhs:
         return FactCheck(fact, ())
-    return FactCheck(fact, tuple(
-        Counterexample(fact, key, lv, rv) for key, lv, rv in zip(keys, lhs, rhs) if lv != rv
-    ))
+    bad = sorted(t for t in zip(keys, lhs, rhs) if t[1] != t[2])
+    return FactCheck(fact, tuple(Counterexample(fact, *t) for t in bad))
 
 
 def satisfies_spec(d: KeyDiagram, spec: Specification) -> SatisfactionReport:

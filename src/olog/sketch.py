@@ -14,7 +14,9 @@ class representatives (the least tagged member).
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product as iter_product
+from math import prod
 
 from .core import (
     DEFAULT_BOUND,
@@ -77,34 +79,6 @@ class CheckResult:
         return "check-passed" if self.passed else "check-failed"
 
 
-def _tupling(d: KeyDiagram, target: str, projections) -> dict[str, tuple[str, ...]]:
-    xs = d.keys(target)
-    columns = [list(map(d.funcs[aid].__getitem__, xs)) for aid in projections]
-    return dict(zip(xs, _rows(columns, len(xs))))
-
-
-def _bijection_onto(
-    kind: str, target: str, got: dict[str, tuple[str, ...]], want: set
-) -> CheckResult:
-    # A bijection exactly when as many keys as tuples hit every tuple; the
-    # loop below only finds the first witness of a failure.
-    if len(got) == len(want) and want == set(got.values()):
-        return CheckResult(kind, target, True)
-    seen: dict[tuple[str, ...], str] = {}
-    for x, tup in got.items():
-        if tup not in want:
-            return CheckResult(kind, target, False, f"extra tuple {tup} from key '{x}'")
-        if tup in seen:
-            return CheckResult(
-                kind, target, False,
-                f"duplicated tuple {tup} from keys '{seen[tup]}' and '{x}'",
-            )
-        seen[tup] = x
-    # No tuple is extra or repeated, so fewer keys than tuples: one is missing.
-    missing = want - set(seen)
-    return CheckResult(kind, target, False, f"missing tuple {sorted(missing)[0]}")
-
-
 def _limit_tuples(d: KeyDiagram, decl: ProductDecl | PullbackDecl) -> list[tuple[str, ...]]:
     """The tuples of leg keys that form the limit of ``decl``, sorted.
 
@@ -130,12 +104,74 @@ def _limit_tuples(d: KeyDiagram, decl: ProductDecl | PullbackDecl) -> list[tuple
 def check_limit(d: KeyDiagram, decl: ProductDecl | PullbackDecl) -> CheckResult:
     """Tupling along the legs must biject onto the limit's tuples.
 
-    A singleton's limit is one empty tuple, so its target must have exactly
-    one key.
+    Decided by counts over the target's unsorted rows, without building the
+    limit: the tupling is a bijection exactly when every row lies in the
+    limit, no two rows agree, and there are as many rows as the limit has
+    tuples. A pullback's limit has Σ_v |f⁻¹(v)|·|g⁻¹(v)| tuples, each leg key
+    evaluated once (none with an empty leg); a product's has the product of
+    the factor sizes, so a singleton's target must have exactly one key.
+
+    Only a failure sorts keys, to name its witness: the first target key, in
+    sorted order, whose tuple lies outside the limit or repeats an earlier
+    key's, else the least limit tuple that no row takes.
     """
-    want = set(_limit_tuples(d, decl))
-    got = _tupling(d, decl.target, [aid for _, aid in legs(decl)])
-    return _bijection_onto(decl.kind, decl.target, got, want)
+    parts = legs(decl)
+    xs = list(d.sets.get(decl.target, frozenset()))
+    cols = [list(map(d.funcs[aid].__getitem__, xs)) for _, aid in parts]
+    if isinstance(decl, PullbackDecl):
+        bs, cs = (d.sets.get(t, frozenset()) for t, _ in parts)
+        fb: dict[str, str] = {}
+        gc: dict[str, str] = {}
+        if bs and cs:
+            pf, pg = decl.cospan
+            gc = dict(zip(cs, eval_column(d, pg, cs)))
+            fb = dict(zip(bs, eval_column(d, pf, bs)))
+        nb, nc = Counter(fb.values()), Counter(gc.values())
+        size = sum(k * nc[v] for v, k in nb.items())
+        vb, vc = list(map(fb.get, cols[0])), list(map(gc.get, cols[1]))
+        all_inside = None not in vb and vb == vc
+
+        def inside(tup):
+            return tup[0] in fb and tup[1] in gc and fb[tup[0]] == gc[tup[1]]
+    else:
+        factors = [d.sets.get(t, frozenset()) for t, _ in parts]
+        size = prod(map(len, factors))
+        all_inside = all(s.issuperset(col) for s, col in zip(factors, cols))
+
+        def inside(tup):
+            return all(k in s for k, s in zip(tup, factors))
+
+    rows = set(_rows(cols, len(xs)))
+    if all_inside and len(rows) == len(xs) == size:
+        return CheckResult(decl.kind, decl.target, True)
+    if not all_inside or len(rows) < len(xs):
+        got = dict(zip(xs, _rows(cols, len(xs))))
+        seen: dict[tuple[str, ...], str] = {}
+        for x in d.keys(decl.target):
+            tup = got[x]
+            if not inside(tup):
+                return CheckResult(decl.kind, decl.target, False,
+                                   f"extra tuple {tup} from key '{x}'")
+            if tup in seen:
+                return CheckResult(
+                    decl.kind, decl.target, False,
+                    f"duplicated tuple {tup} from keys '{seen[tup]}' and '{x}'",
+                )
+            seen[tup] = x
+    # The rows are distinct limit tuples, too few: each sorted run below
+    # holds a tuple that no row takes, and the least of those is named.
+    if isinstance(decl, PullbackDecl):
+        # A pullback's runs are the fibres with fewer rows than pairs.
+        have = Counter(vb)
+        fibres = {v: ([], []) for v, k in nb.items() if have[v] < k * nc[v]}
+        for i, f in enumerate((fb, gc)):
+            for k in sorted(k for k, v in f.items() if v in fibres):
+                fibres[f[k]][i].append(k)
+        runs = [iter_product(*sides) for sides in fibres.values()]
+    else:
+        runs = [iter_product(*(d.keys(t) for t, _ in parts))]
+    missing = min(next(t for t in run if t not in rows) for run in runs)
+    return CheckResult(decl.kind, decl.target, False, f"missing tuple {missing}")
 
 
 check_product = check_pullback = check_limit
@@ -198,23 +234,36 @@ def _pushout_quotient(d: KeyDiagram, decl: PushoutDecl) -> UnionFind:
 
 
 def check_pushout(d: KeyDiagram, decl: PushoutDecl) -> CheckResult:
-    """The map from the span quotient to the target must be a bijection."""
+    """The map from the span quotient to the target must be a bijection.
+
+    Decided by counts, without building the quotient: the map is well
+    defined exactly when the square commutes on the apex keys, and it is
+    then a bijection exactly when it has as many classes as target keys hit
+    and every target key is hit. The classes number |B| + |C| less the
+    merges of a union-find over the keys the span reaches. Only a failure
+    builds the quotient, to name its first witness.
+    """
+    (tb, ab), (tc, ac) = legs(decl)
+    pf, pg = decl.span
+    apex = d.sets.get(pf.source, frozenset())
+    fs, gs = eval_column(d, pf, apex), eval_column(d, pg, apex)
+    into_b, into_c = d.funcs[ab], d.funcs[ac]
+    target_keys = d.sets.get(decl.target, frozenset())
+    if list(map(into_b.__getitem__, fs)) == list(map(into_c.__getitem__, gs)):
+        bs, cs = d.sets.get(tb, frozenset()), d.sets.get(tc, frozenset())
+        ends_b, ends_c = _tag_column(ab, fs), _tag_column(ac, gs)
+        uf = UnionFind(ends_b + ends_c)
+        classes = len(bs) + len(cs) - sum(map(uf.union, ends_b, ends_c))
+        hit = set(map(into_b.__getitem__, bs))
+        hit.update(map(into_c.__getitem__, cs))
+        if classes == len(hit) and hit.issuperset(target_keys):
+            return CheckResult("pushout", decl.target, True)
+
     tagged_val: dict[str, str] = {}
     for tid, aid in legs(decl):
         keys = list(d.sets.get(tid, frozenset()))
         tagged_val.update(zip(_tag_column(aid, keys), map(d.funcs[aid].__getitem__, keys)))
-
-    target_keys = d.sets.get(decl.target, frozenset())
     uf = _pushout_quotient(d, decl)
-    # A bijection exactly when there are as many classes as (class, target)
-    # pairs and as target keys hit, and every target key is hit; the loop
-    # below only finds the first witness of a failure.
-    roots = list(map(uf.find, tagged_val))
-    hit = set(tagged_val.values())
-    n = len(set(roots))
-    if len(set(zip(roots, tagged_val.values()))) == n == len(hit) and hit >= target_keys:
-        return CheckResult("pushout", decl.target, True)
-
     class_of: dict[str, str] = {}  # target key -> the class the induced map sends to it
     for rep, members in uf.classes().items():
         values = set(map(tagged_val.__getitem__, members))

@@ -268,14 +268,14 @@ def _same_maps(h: GraphMorphism, k: GraphMorphism) -> bool:
 def check_channel_cover(ds: DistributedSystem, ch: Channel) -> tuple[bool, tuple[str, ...]]:
     """Does the channel respect every constraint edge (link factors through it)?
 
-    An edge is a violation also when the channel has no link for one of its
-    nodes.
+    An edge is a violation also when the system has no link for it or the
+    channel has no link for one of its nodes.
     """
     links = ch.links
     violations = [
         eid
         for eid, src, tgt in ds.shape.edges
-        if src not in links or tgt not in links
+        if eid not in ds.links or src not in links or tgt not in links
         or not _same_maps(compose_morphisms(ds.links[eid], links[tgt]), links[src])
     ]
     return (not violations, tuple(violations))
@@ -293,12 +293,15 @@ def induced_refinement(optimal: Channel, other: Channel) -> GraphMorphism:
 
     Well-defined because covering makes all members of a core class agree on
     their image; disagreement raises, which signals the other channel does not
-    actually cover the same system.
+    actually cover the same system, as does a node the other channel has no
+    link for.
     """
     type_map: dict[str, str] = {}
     aspect_map: dict[str, Path] = {}
     for n, link in sorted(optimal.links.items()):
-        onto = other.links[n]
+        onto = other.links.get(n)
+        if onto is None:
+            raise GraphMismatchError(f"node '{n}' has no link; channel does not cover")
         for tid, cid in link.type_map.items():
             img = onto.type_map[tid]
             if type_map.setdefault(cid, img) != img:

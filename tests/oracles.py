@@ -101,9 +101,7 @@ from olog.flow import GraphMorphism, is_spec_morphism, translate_fact
 from olog.instances import Counterexample, FactCheck, KeyDiagram, eval_path, satisfies_fact
 from olog.sketch import (
     CheckResult,
-    _bijection_onto,
     _limit_tuples,
-    _tupling,
     check_surjective,
     encode_tagged,
     encode_tuple,
@@ -634,8 +632,8 @@ def check_pullback_by_pairs(d, decl) -> CheckResult:
         for c in sorted(d.sets.get(tc, frozenset()))
         if eval_path(d, pf, b) == eval_path(d, pg, c)
     }
-    got = _tupling(d, decl.target, [ab, ac])
-    return _bijection_onto("pullback", decl.target, got, want)
+    got = tupling_by_keys(d, decl.target, [ab, ac])
+    return bijection_onto_by_keys("pullback", decl.target, got, want)
 
 
 def synthesize_pullback_by_pairs(decl, d) -> KeyDiagram:
@@ -671,8 +669,8 @@ def check_product_by_factors(d: KeyDiagram, decl) -> CheckResult:
     want = set(
         iter_product(*(sorted(d.sets.get(t, frozenset())) for t, _ in decl.factors))
     )
-    got = _tupling(d, decl.target, [aid for _, aid in decl.factors])
-    return _bijection_onto(decl.kind, decl.target, got, want)
+    got = tupling_by_keys(d, decl.target, [aid for _, aid in decl.factors])
+    return bijection_onto_by_keys(decl.kind, decl.target, got, want)
 
 
 def synthesize_product_by_factors(decl, d) -> KeyDiagram:
@@ -921,7 +919,7 @@ def pullback_instances_by_keys(h: GraphMorphism, d2: KeyDiagram) -> KeyDiagram:
 
 
 def tupling_by_keys(d: KeyDiagram, target: str, projections) -> dict[str, tuple[str, ...]]:
-    """``sketch._tupling`` one key at a time."""
+    """Each target key's tuple of leg values, one key at a time, in sorted key order."""
     return {
         x: tuple(d.funcs[aid][x] for aid in projections)
         for x in sorted(d.sets.get(target, frozenset()))
@@ -931,7 +929,8 @@ def tupling_by_keys(d: KeyDiagram, target: str, projections) -> dict[str, tuple[
 def bijection_onto_by_keys(
     kind: str, target: str, got: dict[str, tuple[str, ...]], want: set
 ) -> CheckResult:
-    """``sketch._bijection_onto`` deciding by one loop over the keys."""
+    """Is the tupling ``got`` a bijection onto ``want``? One loop over the keys
+    names the first extra or duplicated tuple, else the least missing one."""
     seen: dict[tuple[str, ...], str] = {}
     for x, tup in got.items():
         if tup not in want:

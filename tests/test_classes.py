@@ -28,12 +28,20 @@ from olog.core import Aspect, Fact, Graph, Path, Specification, TypeNode, path_t
 from olog.entail import consequence
 from olog.errors import OlogError
 from olog.flow import GraphMorphism, dir_flow, inv_flow
-from olog.instances import KeyDiagram, intent
-from olog.sketch import PullbackDecl, check_decl, check_pullback, legs, synthesize
+from olog.instances import KeyDiagram, intent, satisfies_fact
+from olog.sketch import (
+    ProductDecl,
+    PullbackDecl,
+    PushoutDecl,
+    check_decl,
+    check_pullback,
+    legs,
+    synthesize,
+)
 from olog.system import InformationSystem, Shape, system_consequence
 
 from . import strategies as sts
-from .conftest import FIXTURES
+from .conftest import FIXTURES, load_data, load_olog
 from .oracles import (
     check_product_by_factors,
     check_pullback_by_pairs,
@@ -389,6 +397,63 @@ def test_pullback_evaluations_follow_legs_not_leg_pairs():
     assert len(full.sets["T"]) == 200 * 300 // 10
     assert _count_evaluations(check_pullback, full, decl) == 500
     assert check_pullback(full, decl) == check_pullback_by_pairs(full, decl)
+
+
+def _calls(owner, name, fn, *args) -> int:
+    """How many times ``fn(*args)`` calls ``owner.name``."""
+    calls = []
+
+    def counting(*a):
+        calls.append(a)
+        return real(*a)
+
+    real = getattr(owner, name)
+    with mock.patch.object(owner, name, counting):
+        outcome(fn, *args)
+    return len(calls)
+
+
+@pytest.mark.parametrize("kind", ["product", "singleton", "pullback", "pushout"])
+def test_a_passing_check_builds_no_limit_and_no_quotient(kind):
+    builder = "_pushout_quotient" if kind == "pushout" else "_limit_tuples"
+    rng = random.Random(f"passing-{kind}")
+    for _ in range(40):
+        g, decl, empty = random_world(rng, kind)
+        assert _calls(sketch, builder, synthesize, decl, empty) == 1
+        full = synthesize(decl, empty)
+        assert check_decl(full, g, decl).passed
+        assert _calls(sketch, builder, check_decl, full, g, decl) == 0
+
+
+@pytest.mark.parametrize("olog,data", [
+    ("metric.olog", "data_metric"), ("duck.olog", "data_duck"),
+    ("factorial.olog", "data_factorial"), ("family.olog", "data_family"),
+])
+def test_passing_fixture_checks_build_no_limit_and_sort_no_keys(olog, data):
+    spec = load_olog(olog)
+    loaded = load_data(data, spec)
+    d = KeyDiagram(sets=dict(loaded.sets), funcs=loaded.funcs)
+    for decl in spec.sketch:
+        if not isinstance(decl, (ProductDecl, PullbackDecl, PushoutDecl)):
+            continue
+        assert check_decl(d, spec.graph, decl).passed
+        for builder in ("_limit_tuples", "_pushout_quotient"):
+            assert _calls(sketch, builder, check_decl, d, spec.graph, decl) == 0
+    for fact in spec.facts:
+        assert satisfies_fact(d, fact).satisfied
+        assert _calls(KeyDiagram, "keys", satisfies_fact, d, fact) == 0
+    assert "_sorted" not in d.__dict__
+
+
+def test_a_failing_fact_check_sorts_no_key_set(family_spec):
+    loaded = load_data("data_family_mutated", family_spec)
+    d = KeyDiagram(sets=dict(loaded.sets), funcs=loaded.funcs)
+    checks = [satisfies_fact(d, fact) for fact in family_spec.facts]
+    assert not all(c.satisfied for c in checks)
+    for c in checks:
+        keys = [ce.key for ce in c.counterexamples]
+        assert keys == sorted(keys)
+    assert "_sorted" not in d.__dict__
 
 
 # --- one limit for products and pullbacks -------------------------------------

@@ -275,6 +275,17 @@ def test_checks_match_the_key_loops_on_mutated_worlds(kind, seed):
             )
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@SETTINGS
+@given(data=st.data())
+def test_checks_match_the_key_loops_on_drawn_diagrams(kind, data):
+    # Drawn diagrams are far from valid: many extras, duplicates and
+    # identifications at once, not only the few edits of a mutated synthesis.
+    g, decl, _ = random_world(random.Random(data.draw(st.integers(0, 2**32 - 1))), kind)
+    d = data.draw(sts.key_diagrams_on(g))
+    assert same(outcome(check_decl, d, g, decl), outcome(check_by_keys, d, g, decl))
+
+
 def test_mutated_worlds_fail_with_every_kind_of_witness():
     # The drawn mutations reach each check's failure branches, so the
     # comparison above pins first witnesses and not only verdicts.

@@ -266,6 +266,22 @@ def test_a_channel_without_a_node_link_does_not_cover_its_edges(span_system):
     assert check_channel_cover(ds, partial) == (False, ("gl",))
 
 
+def test_a_system_without_an_edge_link_does_not_cover_that_edge(span_system):
+    ds = span_system.distributed()
+    ch = optimal_channel(ds)
+    links = {e: h for e, h in ds.links.items() if e != "gl"}
+    broken = DistributedSystem(shape=ds.shape, graphs=ds.graphs, links=links)
+    assert check_channel_cover(broken, ch) == (False, ("gl",))
+
+
+def test_induced_refinement_refuses_a_channel_without_a_node_link(span_system):
+    opt = optimal_channel(span_system.distributed())
+    partial = Channel(core=opt.core, links={n: h for n, h in opt.links.items() if n != "left"})
+    with pytest.raises(GraphMismatchError) as exc:
+        induced_refinement(opt, partial)
+    assert str(exc.value) == "node 'left' has no link; channel does not cover"
+
+
 def manual_span_channel(span_system):
     """Covering channel whose core is the left graph itself."""
     ds = span_system.distributed()
