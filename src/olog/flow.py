@@ -86,6 +86,15 @@ def morphism_errors(h: GraphMorphism) -> list[str]:
     return problems
 
 
+def _mapped(table: Mapping, kind: str, key: str):
+    """``table[key]``; a key the morphism leaves unmapped raises
+    :class:`MorphismError` in the words of :func:`morphism_errors`."""
+    try:
+        return table[key]
+    except KeyError:
+        raise MorphismError(f"{kind} '{key}' is not mapped") from None
+
+
 def graph_morphism(
     src: Graph, tgt: Graph, type_map: Mapping[str, str], aspect_map: Mapping[str, Path]
 ) -> GraphMorphism:
@@ -113,7 +122,7 @@ def compose_morphisms(h1: GraphMorphism, h2: GraphMorphism) -> GraphMorphism:
     return GraphMorphism(
         src=h1.src,
         tgt=h2.tgt,
-        type_map={t: h2.type_map[v] for t, v in h1.type_map.items()},
+        type_map={t: _mapped(h2.type_map, "type", v) for t, v in h1.type_map.items()},
         aspect_map={a: translate_path(h2, p) for a, p in h1.aspect_map.items()},
     )
 
@@ -122,8 +131,8 @@ def translate_path(h: GraphMorphism, p: Path) -> Path:
     """Concatenate the images of the path's aspects; identities map to identities."""
     edges: tuple[str, ...] = ()
     for eid in p.edges:
-        edges += h.aspect_map[eid].edges
-    return Path(h.type_map[p.source], edges)
+        edges += _mapped(h.aspect_map, "aspect", eid).edges
+    return Path(_mapped(h.type_map, "type", p.source), edges)
 
 
 def translate_fact(h: GraphMorphism, fact: Fact) -> Fact:
@@ -191,11 +200,12 @@ def pullback_instances(h: GraphMorphism, d2: KeyDiagram) -> KeyDiagram:
     """
     from .instances import KeyDiagram, eval_column
 
-    sets = {t.id: d2.sets[h.type_map[t.id]] for t in h.src.types}
+    sets = {t.id: d2.sets[_mapped(h.type_map, "type", t.id)] for t in h.src.types}
     funcs = {}
     for a in h.src.aspects:
         keys = d2.keys(h.type_map[a.src])
-        funcs[a.id] = dict(zip(keys, eval_column(d2, h.aspect_map[a.id], keys)))
+        img = _mapped(h.aspect_map, "aspect", a.id)
+        funcs[a.id] = dict(zip(keys, eval_column(d2, img, keys)))
     return KeyDiagram(sets=sets, funcs=funcs)
 
 

@@ -258,7 +258,7 @@ def intent(d: KeyDiagram, graph: Graph, bound: int) -> tuple[Fact, ...]:
     from .entail import _check_bound, _pairs_within
 
     # Two parallel paths agree exactly when their value vectors over the
-    # source's sorted keys agree; each vector is one step from its parent's.
+    # source's unsorted keys agree; each vector is one step from its parent's.
     u = path_universe(graph, _check_bound(bound))
     vectors: list[tuple[str, ...]] = []
     for (src, edges), q in zip(u.paths, u.parent):
@@ -266,6 +266,6 @@ def intent(d: KeyDiagram, graph: Graph, bound: int) -> tuple[Fact, ...]:
             prefix = vectors[q]
             vectors.append(tuple(map(d.funcs[edges[-1]].__getitem__, prefix)) if prefix else ())
         else:
-            vectors.append(d.keys(src))
+            vectors.append(tuple(d.sets.get(src, ())))
     keys = [(p.source, t, v) for p, t, v in zip(u.paths, u.end, vectors)]
     return _pairs_within(u, keys, bound)

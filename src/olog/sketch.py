@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import product as iter_product
 from math import prod
+from typing import Iterator
 
 from .core import (
     DEFAULT_BOUND,
@@ -79,26 +80,37 @@ class CheckResult:
         return "check-passed" if self.passed else "check-failed"
 
 
-def _limit_tuples(d: KeyDiagram, decl: ProductDecl | PullbackDecl) -> list[tuple[str, ...]]:
-    """The tuples of leg keys that form the limit of ``decl``, sorted.
-
-    A product takes every tuple of factor keys; with zero factors that is
-    one empty tuple. A pullback takes the pairs (b, c) that agree along the
-    cospan, found by a hash join on the cospan value: each key of either leg
-    is evaluated once, so the cost is |B| + |C| + pairs, not |B|·|C|. With
-    an empty leg nothing is evaluated.
-    """
-    key_sets = [d.keys(t) for t, _ in legs(decl)]
-    if isinstance(decl, ProductDecl):
-        return list(iter_product(*key_sets))
-    bs, cs = key_sets
+def _cospan_values(d: KeyDiagram, decl: PullbackDecl) -> tuple[dict[str, str], dict[str, str]]:
+    """Each leg key of a pullback with its cospan value, evaluated once; none if a leg is empty."""
+    bs, cs = (d.sets.get(t, frozenset()) for t, _ in legs(decl))
     if not bs or not cs:
-        return []
+        return {}, {}
     pf, pg = decl.cospan
+    gc = dict(zip(cs, eval_column(d, pg, cs)))
+    return dict(zip(bs, eval_column(d, pf, bs))), gc
+
+
+def _limit(d: KeyDiagram, decl: ProductDecl | PullbackDecl,
+           values: tuple[dict, dict] | None = None) -> Iterator[tuple[str, ...]]:
+    """The tuples of leg keys that form the limit of ``decl``, lazily and sorted.
+
+    A product takes every tuple of sorted factor keys; with zero factors that
+    is one empty tuple. A pullback takes the pairs (b, c) that agree along the
+    cospan, by a hash join on the :func:`_cospan_values`, evaluated here
+    unless ``values`` gives them: the cost is |B| + |C| + pairs, not |B|·|C|.
+    """
+    if isinstance(decl, ProductDecl):
+        return iter_product(*(d.keys(t) for t, _ in legs(decl)))
+    fb, gc = values or _cospan_values(d, decl)
     bucket: dict[str, list[str]] = {}
-    for c, v in zip(cs, eval_column(d, pg, cs)):
-        bucket.setdefault(v, []).append(c)
-    return [(b, c) for b, v in zip(bs, eval_column(d, pf, bs)) for c in bucket.get(v, ())]
+    for c in sorted(gc):
+        bucket.setdefault(gc[c], []).append(c)
+    return ((b, c) for b in sorted(fb) for c in bucket.get(fb[b], ()))
+
+
+def _limit_tuples(d: KeyDiagram, decl: ProductDecl | PullbackDecl) -> list[tuple[str, ...]]:
+    """:func:`_limit` as a list."""
+    return list(_limit(d, decl))
 
 
 def check_limit(d: KeyDiagram, decl: ProductDecl | PullbackDecl) -> CheckResult:
@@ -107,25 +119,20 @@ def check_limit(d: KeyDiagram, decl: ProductDecl | PullbackDecl) -> CheckResult:
     Decided by counts over the target's unsorted rows, without building the
     limit: the tupling is a bijection exactly when every row lies in the
     limit, no two rows agree, and there are as many rows as the limit has
-    tuples. A pullback's limit has Σ_v |f⁻¹(v)|·|g⁻¹(v)| tuples, each leg key
-    evaluated once (none with an empty leg); a product's has the product of
-    the factor sizes, so a singleton's target must have exactly one key.
+    tuples. A pullback's limit has Σ_v |f⁻¹(v)|·|g⁻¹(v)| tuples, from the
+    :func:`_cospan_values`; a product's has the product of the factor sizes,
+    so a singleton's target must have exactly one key.
 
     Only a failure sorts keys, to name its witness: the first target key, in
     sorted order, whose tuple lies outside the limit or repeats an earlier
-    key's, else the least limit tuple that no row takes.
+    key's, else the first tuple of the sorted :func:`_limit` that no row takes.
     """
     parts = legs(decl)
     xs = list(d.sets.get(decl.target, frozenset()))
     cols = [list(map(d.funcs[aid].__getitem__, xs)) for _, aid in parts]
+    values = None
     if isinstance(decl, PullbackDecl):
-        bs, cs = (d.sets.get(t, frozenset()) for t, _ in parts)
-        fb: dict[str, str] = {}
-        gc: dict[str, str] = {}
-        if bs and cs:
-            pf, pg = decl.cospan
-            gc = dict(zip(cs, eval_column(d, pg, cs)))
-            fb = dict(zip(bs, eval_column(d, pf, bs)))
+        values = fb, gc = _cospan_values(d, decl)
         nb, nc = Counter(fb.values()), Counter(gc.values())
         size = sum(k * nc[v] for v, k in nb.items())
         vb, vc = list(map(fb.get, cols[0])), list(map(gc.get, cols[1]))
@@ -158,19 +165,8 @@ def check_limit(d: KeyDiagram, decl: ProductDecl | PullbackDecl) -> CheckResult:
                     f"duplicated tuple {tup} from keys '{seen[tup]}' and '{x}'",
                 )
             seen[tup] = x
-    # The rows are distinct limit tuples, too few: each sorted run below
-    # holds a tuple that no row takes, and the least of those is named.
-    if isinstance(decl, PullbackDecl):
-        # A pullback's runs are the fibres with fewer rows than pairs.
-        have = Counter(vb)
-        fibres = {v: ([], []) for v, k in nb.items() if have[v] < k * nc[v]}
-        for i, f in enumerate((fb, gc)):
-            for k in sorted(k for k, v in f.items() if v in fibres):
-                fibres[f[k]][i].append(k)
-        runs = [iter_product(*sides) for sides in fibres.values()]
-    else:
-        runs = [iter_product(*(d.keys(t) for t, _ in parts))]
-    missing = min(next(t for t in run if t not in rows) for run in runs)
+    # The rows are distinct limit tuples, too few: name the first one missing.
+    missing = next(t for t in _limit(d, decl, values) if t not in rows)
     return CheckResult(decl.kind, decl.target, False, f"missing tuple {missing}")
 
 
@@ -214,21 +210,24 @@ def check_coproduct(d: KeyDiagram, decl: CoproductDecl) -> CheckResult:
     )
 
 
-def _pushout_quotient(d: KeyDiagram, decl: PushoutDecl) -> UnionFind:
+def _pushout_quotient(d: KeyDiagram, decl: PushoutDecl,
+                      ends: tuple[list, list] | None = None) -> UnionFind:
     """Quotient the tagged union of the legs by the span identifications.
 
-    The universe is sorted, so its classes come in the order of their
-    representatives, each with its members sorted.
+    ``ends`` are the span's columns over the unsorted apex keys, evaluated
+    here unless given; roots are least members, so union order is free. The
+    universe is sorted, so classes come in the order of their representatives.
     """
     (_, ab), (_, ac) = legs(decl)
     pf, pg = decl.span
+    if ends is None:
+        apex = d.sets.get(pf.source, frozenset())
+        ends = eval_column(d, pf, apex), eval_column(d, pg, apex)
     universe: list[str] = []
     for tid, aid in legs(decl):
         universe += _tag_column(aid, d.sets.get(tid, frozenset()))
     uf = UnionFind(sorted(universe))
-    akeys = d.keys(pf.source)
-    for b, c in zip(_tag_column(ab, eval_column(d, pf, akeys)),
-                    _tag_column(ac, eval_column(d, pg, akeys))):
+    for b, c in zip(_tag_column(ab, ends[0]), _tag_column(ac, ends[1])):
         uf.union(b, c)
     return uf
 
@@ -241,7 +240,7 @@ def check_pushout(d: KeyDiagram, decl: PushoutDecl) -> CheckResult:
     then a bijection exactly when it has as many classes as target keys hit
     and every target key is hit. The classes number |B| + |C| less the
     merges of a union-find over the keys the span reaches. Only a failure
-    builds the quotient, to name its first witness.
+    builds the quotient, from the same span columns, to name its witness.
     """
     (tb, ab), (tc, ac) = legs(decl)
     pf, pg = decl.span
@@ -263,7 +262,7 @@ def check_pushout(d: KeyDiagram, decl: PushoutDecl) -> CheckResult:
     for tid, aid in legs(decl):
         keys = list(d.sets.get(tid, frozenset()))
         tagged_val.update(zip(_tag_column(aid, keys), map(d.funcs[aid].__getitem__, keys)))
-    uf = _pushout_quotient(d, decl)
+    uf = _pushout_quotient(d, decl, (fs, gs))
     class_of: dict[str, str] = {}  # target key -> the class the induced map sends to it
     for rep, members in uf.classes().items():
         values = set(map(tagged_val.__getitem__, members))
@@ -323,11 +322,11 @@ def check_image(d: KeyDiagram, graph: Graph, decl: ImageDecl) -> CheckResult:
     inj = check_injective(d, graph, decl.injection)
     if not inj.passed:
         return CheckResult("image", decl.target, False, inj.witness)
-    keys = d.keys(decl.of.source)
+    keys = d.sets.get(decl.of.source, frozenset())
     vias = eval_column(d, Path(decl.of.source, (decl.surjection, decl.injection)), keys)
     directs = eval_column(d, decl.of, keys)
     if vias != directs:
-        k, via, direct = next(t for t in zip(keys, vias, directs) if t[1] != t[2])
+        k, via, direct = min(t for t in zip(keys, vias, directs) if t[1] != t[2])
         return CheckResult(
             "image", decl.target, False,
             f"factorization disagrees at '{k}': {via} vs {direct}",

@@ -73,7 +73,7 @@ class InformationSystem:
     """Specifications over a shape, with a constraint morphism per edge.
 
     ``specs`` and ``constraints`` are read-only copies of the given mappings,
-    so the bounds at which :func:`validate_system` has passed stay valid.
+    so the problems that :func:`validate_system` holds stay valid.
     """
 
     shape: Shape
@@ -83,7 +83,6 @@ class InformationSystem:
     def __post_init__(self):
         object.__setattr__(self, "specs", MappingProxyType(dict(self.specs)))
         object.__setattr__(self, "constraints", MappingProxyType(dict(self.constraints)))
-        object.__setattr__(self, "_passed_bounds", set())
 
     def distributed(self) -> DistributedSystem:
         return DistributedSystem(
@@ -109,12 +108,15 @@ def validate_system(sys: InformationSystem, bound: int = DEFAULT_BOUND) -> list[
 
     A fact that overflows the bound is reported, not raised: a node's own
     declared fact as a problem of that node, whose incoming edges are then
-    skipped, and a translated fact as a problem of its edge. Each target node's
-    class table is built once, when its first edge is checked. A system that passed
-    at a bound is not checked again at that bound.
+    skipped, and a translated fact as a problem of its edge, as is an id that
+    its morphism leaves unmapped. Each target node's class table is built once,
+    when its first edge is checked. The problems are :func:`core.held` on
+    ``sys``, so a system is checked once per bound; each call gets a copy.
     """
-    if bound in sys._passed_bounds:
-        return []
+    return list(held(sys, "_problems", bound, lambda: _problems(sys, bound)))
+
+
+def _problems(sys: InformationSystem, bound: int) -> list[str]:
     problems: list[str] = []
     overflowing: set[str] = set()
     for n in sys.shape.nodes:
@@ -142,13 +144,11 @@ def validate_system(sys: InformationSystem, bound: int = DEFAULT_BOUND) -> list[
             continue
         try:
             offenders = _unpreserved(h, sys.specs[src], class_table(sys.specs[tgt], bound))
-        except BoundExceededError as exc:
+        except (BoundExceededError, MorphismError) as exc:
             problems.append(f"edge '{eid}': {exc}")
             continue
         for f in offenders:
             problems.append(f"edge '{eid}': fact {format_fact(f)} is not preserved")
-    if not problems:
-        sys._passed_bounds.add(bound)
     return problems
 
 

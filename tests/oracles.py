@@ -96,12 +96,11 @@ from olog.core import (
 )
 from olog.dsl import SourceSpan, _Parser
 from olog.entail import Congruence, _check_bound, check_fits, saturate
-from olog.errors import BoundExceededError, OlogError, SynthesisError
+from olog.errors import BoundExceededError, MorphismError, OlogError, SynthesisError
 from olog.flow import GraphMorphism, is_spec_morphism, translate_fact
 from olog.instances import Counterexample, FactCheck, KeyDiagram, eval_path, satisfies_fact
 from olog.sketch import (
     CheckResult,
-    _limit_tuples,
     check_surjective,
     encode_tagged,
     encode_tuple,
@@ -307,7 +306,6 @@ class DataclassInformationSystem:
     def __post_init__(self):
         object.__setattr__(self, "specs", MappingProxyType(dict(self.specs)))
         object.__setattr__(self, "constraints", MappingProxyType(dict(self.constraints)))
-        object.__setattr__(self, "_passed_bounds", set())
 
 
 @dataclass(frozen=True)
@@ -529,9 +527,8 @@ def saturate_by_rounds(spec: Specification, bound: int) -> Congruence:
 
 def validate_system_by_edges(sys, bound: int) -> list[str]:
     """``system.validate_system`` with one ``is_spec_morphism`` per edge, so
-    a target with several incoming edges is saturated once per edge."""
-    if bound in sys._passed_bounds:
-        return []
+    a target with several incoming edges is saturated once per edge, and
+    with no memo."""
     problems: list[str] = []
     overflowing: set[str] = set()
     for n in sys.shape.nodes:
@@ -559,13 +556,11 @@ def validate_system_by_edges(sys, bound: int) -> list[str]:
             continue
         try:
             _, offenders = is_spec_morphism(h, sys.specs[src], sys.specs[tgt], bound)
-        except BoundExceededError as exc:
+        except (BoundExceededError, MorphismError) as exc:
             problems.append(f"edge '{eid}': {exc}")
             continue
         for f in offenders:
             problems.append(f"edge '{eid}': fact {format_fact(f)} is not preserved")
-    if not problems:
-        sys._passed_bounds.add(bound)
     return problems
 
 
@@ -947,9 +942,19 @@ def bijection_onto_by_keys(
     return CheckResult(kind, target, True)
 
 
+def limit_by_keys(d: KeyDiagram, decl: ProductDecl | PullbackDecl) -> list[tuple[str, ...]]:
+    """The limit of ``decl``: every tuple of sorted factor keys, or every pair
+    of sorted leg keys whose cospan values agree, in that order."""
+    key_sets = [sorted(d.sets.get(t, frozenset())) for t, _ in legs(decl)]
+    if isinstance(decl, ProductDecl):
+        return list(iter_product(*key_sets))
+    (bs, cs), (pf, pg) = key_sets, decl.cospan
+    return [(b, c) for b in bs for c in cs if eval_path(d, pf, b) == eval_path(d, pg, c)]
+
+
 def check_limit_by_keys(d: KeyDiagram, decl: ProductDecl | PullbackDecl) -> CheckResult:
     """``sketch.check_limit`` with the per-key tupling and bijection test."""
-    want = set(_limit_tuples(d, decl))
+    want = set(limit_by_keys(d, decl))
     got = tupling_by_keys(d, decl.target, [aid for _, aid in legs(decl)])
     return bijection_onto_by_keys(decl.kind, decl.target, got, want)
 
@@ -1081,7 +1086,7 @@ def synthesize_by_keys(decl: SketchDecl, d: KeyDiagram) -> KeyDiagram:
         funcs.setdefault(aid, {})
 
     if isinstance(decl, (ProductDecl, PullbackDecl)):
-        tuples = _limit_tuples(d, decl)
+        tuples = limit_by_keys(d, decl)
         keys = list(map(encode_tuple, tuples))
         for i, (_, aid) in enumerate(legs(decl)):
             funcs[aid].update(zip(keys, [t[i] for t in tuples]))

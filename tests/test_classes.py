@@ -30,9 +30,7 @@ from olog.errors import OlogError
 from olog.flow import GraphMorphism, dir_flow, inv_flow
 from olog.instances import KeyDiagram, intent, satisfies_fact
 from olog.sketch import (
-    ProductDecl,
     PullbackDecl,
-    PushoutDecl,
     check_decl,
     check_pullback,
     legs,
@@ -434,15 +432,39 @@ def test_passing_fixture_checks_build_no_limit_and_sort_no_keys(olog, data):
     loaded = load_data(data, spec)
     d = KeyDiagram(sets=dict(loaded.sets), funcs=loaded.funcs)
     for decl in spec.sketch:
-        if not isinstance(decl, (ProductDecl, PullbackDecl, PushoutDecl)):
-            continue
         assert check_decl(d, spec.graph, decl).passed
-        for builder in ("_limit_tuples", "_pushout_quotient"):
+        assert _calls(KeyDiagram, "keys", check_decl, d, spec.graph, decl) == 0
+        for builder in ("_limit", "_limit_tuples", "_pushout_quotient"):
             assert _calls(sketch, builder, check_decl, d, spec.graph, decl) == 0
     for fact in spec.facts:
         assert satisfies_fact(d, fact).satisfied
         assert _calls(KeyDiagram, "keys", satisfies_fact, d, fact) == 0
+    assert _calls(KeyDiagram, "keys", intent, d, spec.graph, 2) == 0
     assert "_sorted" not in d.__dict__
+
+
+def test_a_passing_image_check_sorts_no_keys():
+    rng = random.Random("passing-image")
+    for _ in range(40):
+        g, decl, empty = random_world(rng, "image")
+        full = synthesize(decl, empty)
+        assert check_decl(full, g, decl).passed
+        assert _calls(KeyDiagram, "keys", check_decl, full, g, decl) == 0
+
+
+def test_a_failing_pushout_evaluates_its_span_once():
+    # One key per apex key and span path; the quotient that names the
+    # witness reuses the columns the check evaluated.
+    rng = random.Random("failing-pushout")
+    for _ in range(40):
+        g, decl, empty = random_world(rng, "pushout")
+        full = synthesize(decl, empty)
+        target = full.sets[decl.target] | {"extra"}
+        d = KeyDiagram(sets={**full.sets, decl.target: target}, funcs=full.funcs)
+        result = check_decl(d, g, decl)
+        assert result.witness == "target key 'extra' is not reached from either leg"
+        apex = d.sets.get(decl.span[0].source, frozenset())
+        assert _count_evaluations(check_decl, d, g, decl) == 2 * len(apex)
 
 
 def test_a_failing_fact_check_sorts_no_key_set(family_spec):

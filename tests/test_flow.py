@@ -32,7 +32,7 @@ from olog.flow import (
     translate_fact,
     translate_path,
 )
-from olog.instances import intent, satisfies_fact
+from olog.instances import KeyDiagram, intent, satisfies_fact
 
 from . import strategies as sts
 from .conftest import FIXTURES, load_olog
@@ -397,3 +397,31 @@ def test_inv_flow_refuses_an_image_off_the_target_graph():
     with pytest.raises(OlogError, match="^unknown aspect 'nope'$") as exc:
         inv_flow(h, (), 2)
     assert type(exc.value) is OlogError
+
+
+# --- a morphism built without graph_morphism may leave ids unmapped -----------
+
+LOOP = Graph((TypeNode("a", "an a"),), (Aspect("f", "a", "a", "is"),))
+INCOMPLETE = {
+    "type 'a' is not mapped": GraphMorphism(LOOP, LOOP, {}, {"f": Path("a", ("f",))}),
+    "aspect 'f' is not mapped": GraphMorphism(LOOP, LOOP, {"a": "a"}, {}),
+}
+
+
+@pytest.mark.parametrize("message", sorted(INCOMPLETE))
+def test_an_unmapped_id_raises_a_morphism_error_not_a_key_error(message):
+    h = INCOMPLETE[message]
+    spec = Specification(LOOP, (Fact(Path("a", ("f", "f")), Path("a", ("f",))),))
+    d = KeyDiagram(sets={"a": frozenset({"x"})}, funcs={"f": {"x": "x"}})
+    calls = [
+        lambda: translate_fact(h, spec.facts[0]),
+        lambda: dir_flow(h, spec.facts),
+        lambda: inv_flow(h, spec.facts, 2),
+        lambda: is_spec_morphism(h, spec, spec, 2),
+        lambda: lot_analogy(h, spec),
+        lambda: pullback_instances(h, d),
+        lambda: compose_morphisms(identity_morphism(LOOP), h),
+    ]
+    for call in calls:
+        with pytest.raises(MorphismError, match=f"^{message}$"):
+            call()

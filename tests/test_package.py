@@ -7,6 +7,8 @@ test imported stay in ``sys.modules`` for the rest of the session. No
 ``olog`` module loads ``dataclasses`` or ``inspect``, whose import costs
 every command; what a bare interpreter of the same environment already
 loads (a ``site`` hook may load ``inspect``) does not count.
+``scripts/fixture_report.py``, which calls the library's main entry points
+on every shipped fixture, must run to the end and pass each data set.
 """
 
 from __future__ import annotations
@@ -177,3 +179,13 @@ def test_json_format_imports_json(bare):
 def test_no_olog_module_loads_dataclasses_or_inspect(bare):
     imports = "".join(f"import olog.{m}\n" for m in MODULES)
     assert set(fresh(f"import sys\n{imports}print({LOADED_HEAVY})\n")) <= bare
+
+
+def test_fixture_report_runs_over_every_shipped_data_set():
+    script = FIXTURES.parent / "scripts" / "fixture_report.py"
+    proc = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    passed = [line.split()[0] for line in proc.stdout.splitlines() if "facts=ok sketch=ok" in line]
+    assert passed == ["family.olog", "employee.olog", "factorial.olog", "metric.olog", "duck.olog"]

@@ -264,9 +264,14 @@ def test_a_required_field_after_a_defaulted_one_is_refused():
 def test_each_system_keeps_its_own_validation_memo():
     spec = Specification(graph=Graph((TypeNode("a", "an a"),)))
     one, two = (InformationSystem(Shape(("n",)), {"n": spec}, {}) for _ in range(2))
-    assert one == two and one._passed_bounds is not two._passed_bounds
-    assert validate_system(one, 2) == []
-    assert one._passed_bounds == {2} and two._passed_bounds == set()
+    assert one == two and "_problems" not in vars(one)
+    problems = validate_system(one, 2)
+    assert problems == [] and vars(one)["_problems"] == (2, [])
+    assert "_problems" not in vars(two)
+    # The slot hands out copies: a caller's edit does not reach the memo.
+    held = vars(one)["_problems"][1]
+    problems.append("edited by the caller")
+    assert validate_system(one, 2) == [] and vars(one)["_problems"][1] is held
     with pytest.raises(TypeError):
         one.specs["m"] = spec
 

@@ -18,7 +18,7 @@ from olog.core import (
     path_target,
 )
 from olog.entail import consequence, saturate
-from olog.errors import GraphMismatchError, OlogError, UnsupportedLinkError
+from olog.errors import GraphMismatchError, MorphismError, OlogError, UnsupportedLinkError
 from olog.flow import (
     GraphMorphism,
     dir_flow,
@@ -729,6 +729,27 @@ def test_validate_system_reports_each_structural_problem():
         "edge 'e2' references unknown nodes",
         "edge 'e3': morphism endpoints do not match the node graphs",
     ]
+
+
+@pytest.mark.parametrize("unmapped", ["type", "aspect"])
+def test_an_incomplete_constraint_is_reported_not_a_key_error(unmapped):
+    loop = Graph((TypeNode("a", "an a"),), (Aspect("f", "a", "a", "is"),))
+    spec = Specification(loop, (Fact(Path("a", ("f", "f")), Path("a", ("f",))),))
+    if unmapped == "type":
+        h, message = GraphMorphism(loop, loop, {}, {"f": Path("a", ("f",))}), "type 'a'"
+    else:
+        h, message = GraphMorphism(loop, loop, {"a": "a"}, {}), "aspect 'f'"
+    message += " is not mapped"
+    sysm = InformationSystem(
+        Shape(("m", "n"), (("e", "m", "n"),)), {"m": spec, "n": spec}, {"e": h}
+    )
+    assert validate_system(sysm, 3) == [f"edge 'e': {message}"]
+    assert validate_system(sysm, 3) == validate_system_by_edges(sysm, 3)
+    with pytest.raises(OlogError, match=f"^invalid information system: edge 'e': {message}$"):
+        fusion(sysm, 3)
+    theta = SystemMorphism({n: identity_morphism(loop) for n in ("m", "n")})
+    with pytest.raises(MorphismError, match=f"^{message}$"):
+        check_system_morphism(theta, sysm, sysm, 3)
 
 
 def _proper_facts(graph: Graph, max_len: int):
