@@ -40,7 +40,10 @@ and every file it wrote. The commands are:
   aspect ``ID`` beside the key column ``Id``, and two aspects ``F`` and
   ``f`` from one type;
 - ``flow dir``, ``flow inv`` and ``morphism check`` on every fixture
-  morphism at bounds 2, 3, 4 and 6, plus a morphism read backwards;
+  morphism at bounds 2, 3, 4 and 6, plus a morphism read backwards, and
+  ``flow inv`` and ``morphism check`` at those bounds along a morphism,
+  written into the temporary directory, that sends an aspect to a path of
+  two aspects, so the bound inverse flow derives for its far side is pinned;
 - ``fuse`` and ``consequence`` on the four fixture systems at bounds 2-6;
 - ``lot contract``, ``expand``, ``revise`` and ``analogy``.
 
@@ -201,6 +204,14 @@ SHAPES = """olog Shapes {
   image used of l_base via (l_used,u_base)
 }
 """
+# A morphism whose aspect image has two aspects: f => g;g, with g;g = id(x)
+# on the far side, so f;f = id(a) flows back only at a derived far bound.
+TWICE = {
+    "twice_src.olog": 'olog Loop {\n  type a "an a"\n  aspect f : a -> a "steps to"\n}\n',
+    "twice_tgt.olog": 'olog Flip {\n  type x "an x"\n  aspect g : x -> x "flips"\n'
+                      '  fact g;g = id(x)\n}\n',
+    "twice.omap": "type a => x\naspect f => g;g\n",
+}
 EDGE_RE = re.compile(r"^\s*edge\s+\w+\s*:\s*(\w+)\s*->\s*(\w+)\s*=\s*(\S+)")
 NODE_RE = re.compile(r"^\s*node\s+(\w+)\s*=\s*(\S+)")
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -424,6 +435,14 @@ def commands() -> list[list[str]]:
             for fmt in ("text", "json"):
                 cmds.append(["--bound", str(bound), "--format", fmt, "morphism", "check", *where])
         cmds.append(["lot", "analogy", src, "--morphism", omap, "--target", tgt])
+    for name, text in TWICE.items():
+        Path(f"inputs/{name}").write_text(text, encoding="utf-8")
+    where = ["--morphism", "inputs/twice.omap", "--source", "inputs/twice_src.olog",
+             "--target", "inputs/twice_tgt.olog"]
+    for bound in FLOW_BOUNDS:
+        cmds.append(["--bound", str(bound), "flow", "inv", *where])
+        for fmt in ("text", "json"):
+            cmds.append(["--bound", str(bound), "--format", fmt, "morphism", "check", *where])
     cmds.append(["flow", "dir", "--morphism", "fixtures/missing.omap",
                  "--source", triples[0][0], "--target", triples[0][1]])
     for osys in sorted(p.name for p in Path("fixtures").glob("*.osys")):

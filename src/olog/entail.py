@@ -65,25 +65,23 @@ PAIR_BUDGET = 5_000_000
 def _pairs_within(u: PathUniverse, keys, bound: int) -> tuple[Fact, ...]:
     """Every ordered pair of paths of ``u`` that share a key, sorted.
 
-    ``keys`` holds one key per id, None for a path in no pair, and paths
-    that share a key are parallel. The ids are walked in ``Path`` order, a
-    preorder walk of ``u.right`` from each identity, so each group fills
-    already sorted and the pairs come out sorted: the cost follows the pairs
-    emitted. The walk keeps one iterator per level it is in, and a path
-    without extensions is read in its parent's loop. Past
-    :data:`PAIR_BUDGET` pairs, the sum of the squared group sizes, it raises
-    :class:`BoundExceededError` naming ``bound`` before making any.
+    ``keys`` holds one key per id, and paths that share a key are parallel.
+    The ids are walked in ``Path`` order, a preorder walk of ``u.right`` from
+    each identity, so each group fills already sorted and the pairs come out
+    sorted: the cost follows the pairs emitted. The walk keeps one iterator
+    per level it is in, and a path without extensions is read in its
+    parent's loop. Past :data:`PAIR_BUDGET` pairs, the sum of the squared
+    group sizes, it raises :class:`BoundExceededError` naming ``bound``
+    before making any.
     """
     paths, right, groups, rows = u.paths, u.right, {}, []
     stack = [iter(u.start.values())]
     push, pop = stack.append, stack.pop
     while stack:
         for i in stack[-1]:
-            key = keys[i]
-            if key is not None:
-                group = groups.setdefault(key, [])
-                group.append(paths[i])
-                rows.append((paths[i], group))
+            group = groups.setdefault(keys[i], [])
+            group.append(paths[i])
+            rows.append((paths[i], group))
             if right[i]:
                 push(iter(right[i]))
                 break

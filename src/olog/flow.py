@@ -144,51 +144,36 @@ def dir_flow(h: GraphMorphism, facts) -> tuple[Fact, ...]:
     return tuple(sorted({translate_fact(h, f) for f in facts}))
 
 
-def inv_flow(
-    h: GraphMorphism,
-    target_facts,
-    bound: int = DEFAULT_BOUND,
-    target_bound: int | None = None,
-) -> tuple[Fact, ...]:
+def inv_flow(h: GraphMorphism, target_facts, bound: int = DEFAULT_BOUND) -> tuple[Fact, ...]:
     """Source facts whose translations are entailed by the target fact set.
 
     Source equations range over paths up to ``bound``. Entailment on the far
-    side runs at ``target_bound`` (defaulting to ``bound``); when the
-    morphism maps aspects to longer paths, give the target side proportionally
-    more room, otherwise equations whose translations overflow cannot be
-    decided and are omitted, consistent with verdicts never overclaiming at a
-    finite bound.
+    side runs at ``bound`` times the longest aspect image (at least 1), so
+    every source path's translation fits it and every equation is decided.
     """
-    tb = bound if target_bound is None else target_bound
+    far = bound * max(1, max(map(len, h.aspect_map.values()), default=0))
     target_spec = Specification(graph=h.tgt, facts=tuple(target_facts))
-    return _flow_back(h, class_table(target_spec, tb), bound)
+    return _flow_back(h, class_table(target_spec, far), bound)
 
 
 def _flow_back(h: GraphMorphism, table: ClassTable, bound: int) -> tuple[Fact, ...]:
     """Source equations up to ``bound`` whose translations ``table`` identifies.
 
-    Source paths are grouped by the state of their translation; a path
-    whose translation is longer than the table's bound joins no group.
+    Source paths are grouped by the state of their translation. The bound of
+    ``table`` must fit the translation of every source path up to ``bound``.
     """
     u = path_universe(h.src, _check_bound(bound))
-    images: list[int] = []  # each path's image state steps its parent's; -1 past the bound
-    lengths: list[int] = []
-    keys = []
-    for p, q, end in zip(u.paths, u.parent, u.end):
+    images: list[int] = []  # each path's image state steps its parent's
+    for p, q in zip(u.paths, u.parent):
         try:
             if q < 0:
-                n, s = 0, table.start[h.type_map[p.source]]
+                s = table.start[h.type_map[p.source]]
             else:
-                edges = h.aspect_map[p.edges[-1]].edges
-                n, s = lengths[q] + len(edges), images[q]
-                if s >= 0:
-                    s = table.walk(s, edges) if n <= table.bound else -1
+                s = table.walk(images[q], h.aspect_map[p.edges[-1]].edges)
         except KeyError:  # an image off the target graph: fail as its state does
-            img = translate_path(h, p)
-            n, s = len(img), -1 if len(img) > table.bound else table.state(img)
+            s = table.state(translate_path(h, p))
         images.append(s)
-        lengths.append(n)
-        keys.append((p.source, end, s) if s >= 0 else None)
+    keys = [(p.source, end, s) for p, end, s in zip(u.paths, u.end, images)]
     return _pairs_within(u, keys, bound)
 
 
@@ -200,7 +185,7 @@ def pullback_instances(h: GraphMorphism, d2: KeyDiagram) -> KeyDiagram:
     """
     from .instances import KeyDiagram, eval_column
 
-    sets = {t.id: d2.sets[_mapped(h.type_map, "type", t.id)] for t in h.src.types}
+    sets = {t.id: d2.sets.get(_mapped(h.type_map, "type", t.id), frozenset()) for t in h.src.types}
     funcs = {}
     for a in h.src.aspects:
         keys = d2.keys(h.type_map[a.src])

@@ -41,6 +41,7 @@ from .flow import (
     compose_morphisms,
     dir_flow,
     is_spec_morphism,
+    morphism_errors,
 )
 
 
@@ -152,50 +153,44 @@ def _problems(sys: InformationSystem, bound: int) -> list[str]:
     return problems
 
 
-def _core_id(tag: tuple[str, str]) -> str:
-    return f"{tag[0]}__{tag[1]}"
+def _core_classes(uf: UnionFind) -> tuple[dict, dict]:
+    """Core id per ``(kind, node, id)`` tag and the member tags per core id.
 
-
-def _core_classes(*ufs: UnionFind) -> list[tuple[dict, dict]]:
-    """Core id per tag and the member tags per core id, for each union-find.
-
-    A class is named by its least tag. Distinct tags can join to one name
-    (``("a_", "b")`` and ``("a", "_b")`` both give ``a___b``); then each later
-    class in tag order, types before aspects, takes the first ``_2``, ``_3``,
-    ... suffix that names no other class, so ids are distinct across all the
-    union-finds and every name that is not contested stays as it is.
+    A class is named ``node__id`` by its least tag. Distinct tags can join to
+    one name (``("a_", "b")`` and ``("a", "_b")`` both give ``a___b``); then
+    each later class in tag order, types (kind 0) before aspects (kind 1),
+    takes the first ``_2``, ``_3``, ... suffix that names no other class, so
+    ids are distinct and every name that is not contested stays as it is.
     """
-    classes = [uf.classes() for uf in ufs]
-    taken = {_core_id(root) for groups in classes for root in groups}
+    groups = uf.classes()
+    taken = {f"{n}__{i}" for _, n, i in groups}
     used: set[str] = set()
-    out = []
-    for groups in classes:
-        core_id: dict[tuple[str, str], str] = {}
-        members: dict[str, list[tuple[str, str]]] = {}
-        for root in sorted(groups):
-            cid = base = _core_id(root)
-            if base in used:
-                n = 2
-                while f"{base}_{n}" in taken:
-                    n += 1
-                cid = f"{base}_{n}"
-                taken.add(cid)
-            used.add(cid)
-            members[cid] = groups[root]
-            core_id.update(dict.fromkeys(groups[root], cid))
-        out.append((core_id, members))
-    return out
+    core_id: dict[tuple, str] = {}
+    members: dict[str, list[tuple]] = {}
+    for root in sorted(groups):
+        cid = base = f"{root[1]}__{root[2]}"
+        if base in used:
+            n = 2
+            while f"{base}_{n}" in taken:
+                n += 1
+            cid = f"{base}_{n}"
+            taken.add(cid)
+        used.add(cid)
+        members[cid] = groups[root]
+        core_id.update(dict.fromkeys(groups[root], cid))
+    return core_id, members
 
 
 def optimal_channel(ds: DistributedSystem) -> Channel:
     """Colimit of the graph diagram, with the induced link per node.
 
-    Types and aspects of all node graphs are tagged by node and quotiented by
-    the link identifications; the class id is the least (node, id) tag joined
-    with a double underscore, suffixed only where two classes would share it,
-    so cores print deterministically and survive a round trip through the
-    text format. A shape edge without a link, and links whose aspect images
-    are not single aspects, which cannot be quotiented, are rejected.
+    Types (kind 0) and aspects (kind 1) of all node graphs are tagged by kind
+    and node and quotiented by the link identifications; the class id is the
+    least (node, id) tag joined with a double underscore, suffixed only where
+    two classes would share it, so cores print deterministically and survive
+    a round trip through the text format. A shape edge without a link, a link
+    whose aspect images are not single aspects, which cannot be quotiented,
+    and a link that is not a morphism are rejected.
     """
     for eid, src, tgt in ds.shape.edges:
         h = ds.links.get(eid)
@@ -207,55 +202,42 @@ def optimal_channel(ds: DistributedSystem) -> Channel:
                     f"edge '{eid}' maps aspect '{aid}' to a path of length "
                     f"{len(img.edges)}; the core colimit needs single-aspect images"
                 )
+        problems = morphism_errors(h)
+        if problems:
+            raise MorphismError(f"edge '{eid}': {problems[0]}")
 
-    types_uf = UnionFind((n, t.id) for n in ds.shape.nodes for t in ds.graphs[n].types)
-    aspects_uf = UnionFind((n, a.id) for n in ds.shape.nodes for a in ds.graphs[n].aspects)
+    graphs = [(n, ds.graphs[n]) for n in ds.shape.nodes]
+    uf = UnionFind([(0, n, t.id) for n, g in graphs for t in g.types]
+                   + [(1, n, a.id) for n, g in graphs for a in g.aspects])
     for eid, src, tgt in ds.shape.edges:
         h = ds.links[eid]
         for tid, img in h.type_map.items():
-            types_uf.union((src, tid), (tgt, img))
+            uf.union((0, src, tid), (0, tgt, img))
         for aid, img in h.aspect_map.items():
-            aspects_uf.union((src, aid), (tgt, img.edges[0]))
+            uf.union((1, src, aid), (1, tgt, img.edges[0]))
+    core_id, members = _core_classes(uf)
 
-    (type_class, type_members), (aspect_class, aspect_members) = _core_classes(
-        types_uf, aspects_uf
-    )
-
-    core_types = []
-    for cid, members in sorted(type_members.items()):
-        rep = min(members)
-        label = ds.graphs[rep[0]].type_by_id[rep[1]].label
-        core_types.append(TypeNode(cid, label))
-
-    core_aspects = []
-    for cid, members in sorted(aspect_members.items()):
-        rep = min(members)
-        rep_aspect = ds.graphs[rep[0]].aspect_by_id[rep[1]]
-        modifiers = frozenset().union(
-            *(ds.graphs[n].aspect_by_id[a].modifiers for n, a in members)
-        )
-        core_aspects.append(
-            Aspect(
-                cid,
-                type_class[(rep[0], rep_aspect.src)],
-                type_class[(rep[0], rep_aspect.tgt)],
-                rep_aspect.label,
-                modifiers,
+    core_types, core_aspects = [], []
+    for cid, tags in sorted(members.items()):
+        kind, n, rep = min(tags)
+        if kind == 0:
+            core_types.append(TypeNode(cid, ds.graphs[n].type_by_id[rep].label))
+        else:
+            a = ds.graphs[n].aspect_by_id[rep]
+            modifiers = frozenset().union(
+                *(ds.graphs[m].aspect_by_id[b].modifiers for _, m, b in tags)
             )
-        )
+            core_aspects.append(Aspect(cid, core_id[(0, n, a.src)], core_id[(0, n, a.tgt)],
+                                       a.label, modifiers))
 
     core = Graph(types=tuple(core_types), aspects=tuple(core_aspects))
     links = {}
-    for n in ds.shape.nodes:
-        g = ds.graphs[n]
+    for n, g in graphs:
         links[n] = GraphMorphism(
             g,
             core,
-            {t.id: type_class[(n, t.id)] for t in g.types},
-            {
-                a.id: Path(type_class[(n, a.src)], (aspect_class[(n, a.id)],))
-                for a in g.aspects
-            },
+            {t.id: core_id[(0, n, t.id)] for t in g.types},
+            {a.id: Path(core_id[(0, n, a.src)], (core_id[(1, n, a.id)],)) for a in g.aspects},
         )
     return Channel(core=core, links=links)
 

@@ -600,6 +600,12 @@ def inv_flow_by_pairs(h, target_facts, bound: int, target_bound: int | None = No
     return tuple(out)
 
 
+def far_bound(h, bound: int) -> int:
+    """The bound of ``flow.inv_flow``'s far side: ``bound`` times the longest
+    aspect image of ``h``, at least 1, so every source path's translation fits."""
+    return bound * max([1] + [len(p.edges) for p in h.aspect_map.values()])
+
+
 def system_consequence_by_pairs(sys, bound: int) -> dict[str, Specification]:
     """``system.system_consequence`` as every candidate pair per node."""
     fused = fusion(sys, bound)

@@ -48,7 +48,7 @@ from olog.sqlgen import emit_ddl, emit_inserts
 from olog.system import fusion, optimal_channel, system_consequence
 
 from .conftest import FIXTURES, load_data, load_olog
-from .oracles import colimit_classes, naive_consequence, simulate_foreign_keys
+from .oracles import colimit_classes, far_bound, naive_consequence, simulate_foreign_keys
 from .worlds import KINDS, random_world
 
 
@@ -283,9 +283,9 @@ def test_criterion_07_flow_laws():
                 e2 = [f for f in (_random_parallel_fact(rng, h.tgt, 2),) if f]
                 s2 = Specification(graph=h.tgt, facts=tuple(e2))
                 left = spec_leq(
-                    s2, Specification(graph=h.tgt, facts=dir_flow(h, e1)), 4
+                    s2, Specification(graph=h.tgt, facts=dir_flow(h, e1)), far_bound(h, 2)
                 )
-                inv = inv_flow(h, tuple(e2), 2, target_bound=4)
+                inv = inv_flow(h, tuple(e2), 2)
                 right = spec_leq(
                     Specification(graph=h.src, facts=inv),
                     Specification(graph=h.src, facts=tuple(e1)),

@@ -36,6 +36,7 @@ from olog.instances import KeyDiagram, intent, satisfies_fact
 
 from . import strategies as sts
 from .conftest import FIXTURES, load_olog
+from .oracles import far_bound
 
 
 @pytest.fixture(scope="module")
@@ -291,9 +292,9 @@ def test_satisfaction_invariant_under_flow(data, h):
 @given(data=st.data(), h=sts.morphisms())
 @settings(max_examples=40, deadline=None)
 def test_dir_inv_adjointness(data, h):
-    # aspect images stretch paths by up to 2, so the target side gets twice
-    # the room: within these bounds neither side of the equivalence is cut off
-    src_bound, tgt_bound = 2, 4
+    # inverse flow decides on the far side at the derived bound, so the
+    # direct-flow side is compared there too
+    src_bound, tgt_bound = 2, far_bound(h, 2)
     e1 = tuple(
         data.draw(sts.parallel_facts(h.src, max_len=2)) for _ in range(data.draw(st.integers(0, 2)))
     )
@@ -302,7 +303,7 @@ def test_dir_inv_adjointness(data, h):
     )
     s2 = Specification(graph=h.tgt, facts=e2)
     left = spec_leq(s2, Specification(graph=h.tgt, facts=dir_flow(h, e1)), tgt_bound)
-    inv = inv_flow(h, e2, src_bound, target_bound=tgt_bound)
+    inv = inv_flow(h, e2, src_bound)
     right = spec_leq(
         Specification(graph=h.src, facts=inv),
         Specification(graph=h.src, facts=e1),
@@ -382,11 +383,30 @@ def test_inv_flow_holds_on_pulled_back_models(data):
     h = data.draw(sts.morphisms())
     bound = data.draw(st.integers(1, 2))
     d2 = data.draw(sts.key_diagrams_on(h.tgt, max_keys=3))
-    holds = intent(d2, h.tgt, bound + 1)
+    holds = intent(d2, h.tgt, far_bound(h, bound))
     proper = [f for f in holds if f.lhs != f.rhs] or holds
     facts = data.draw(st.lists(st.sampled_from(proper), max_size=4))
-    got = inv_flow(h, facts, bound, bound + 1)
+    got = inv_flow(h, facts, bound)
     assert set(got) <= set(intent(pullback_instances(h, d2), h.src, bound))
+
+
+def test_inv_flow_decides_paths_whose_images_are_longer():
+    # f goes to g;g and g;g = id(x), so f;f = id(a) although f;f translates to
+    # a path of length 4; the far side runs at bound 2 x 2.
+    src = Graph((TypeNode("a", "an a"),), (Aspect("f", "a", "a", "steps to"),))
+    tgt = Graph((TypeNode("x", "an x"),), (Aspect("g", "x", "x", "steps to"),))
+    h = graph_morphism(src, tgt, {"a": "x"}, {"f": Path("x", ("g", "g"))})
+    got = inv_flow(h, [Fact(Path("x", ("g", "g")), Path("x"))], 2)
+    assert len(got) == 9
+    ff = Path("a", ("f", "f"))
+    assert Fact(ff, Path("a")) in got and Fact(ff, ff) in got
+
+
+def test_pullback_instances_reads_a_missing_key_set_as_empty():
+    g = Graph((TypeNode("a", "an a"), TypeNode("b", "a b")), (Aspect("f", "a", "b", "has"),))
+    d = KeyDiagram(sets={"a": frozenset()}, funcs={"f": {}})
+    got = pullback_instances(identity_morphism(g), d)
+    assert got.sets == {"a": frozenset(), "b": frozenset()} and got.funcs == {"f": {}}
 
 
 def test_inv_flow_refuses_an_image_off_the_target_graph():

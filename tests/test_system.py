@@ -259,6 +259,26 @@ def test_optimal_channel_refuses_an_edge_without_a_link(span_system):
         optimal_channel(broken)
 
 
+def _one_edge(type_map):
+    """Nodes ``l`` (type ``a``) and ``r`` (type ``x``) and an edge ``e`` whose
+    link has the given type map."""
+    graphs = {"l": Graph(types=(TypeNode("a", "an a"),)),
+              "r": Graph(types=(TypeNode("x", "an x"),))}
+    link = GraphMorphism(graphs["l"], graphs["r"], type_map, {})
+    return DistributedSystem(shape=Shape(("l", "r"), (("e", "l", "r"),)), graphs=graphs,
+                             links={"e": link})
+
+
+def test_optimal_channel_refuses_a_link_that_leaves_a_type_unmapped():
+    with pytest.raises(MorphismError, match=r"^edge 'e': type 'a' is not mapped$"):
+        optimal_channel(_one_edge({}))
+
+
+def test_optimal_channel_refuses_a_link_onto_an_unknown_type():
+    with pytest.raises(MorphismError, match=r"^edge 'e': type 'a' maps to unknown type 'zz'$"):
+        optimal_channel(_one_edge({"a": "zz"}))
+
+
 def test_a_channel_without_a_node_link_does_not_cover_its_edges(span_system):
     ds = span_system.distributed()
     ch = optimal_channel(ds)
