@@ -13,7 +13,9 @@ and every file it wrote. The commands are:
   and text and json on small ologs, written into the temporary directory,
   that each hold one bad declaration: a reserved id, an aspect ``Id``, a
   duplicate id, a type and an aspect of one id, an empty type label or an
-  unknown endpoint;
+  unknown endpoint; and text and json, with and without --quiet, on small
+  ologs whose one extra type label breaks the article rule, the punctuation
+  rule, both or neither, so that every style-lint warning is pinned;
 - ``entail`` text and json at bounds 2-6, for each declared fact, a few
   pairs of parallel paths, an ill-typed fact and an unknown aspect, and the
   same queries at bound 8 on ``employee.olog`` and ``metric.olog``, whose
@@ -145,6 +147,14 @@ FAULTS = {
     "clash": '  aspect a : a -> a "loops"',
     "empty_label": '  type b ""',
     "unknown_end": '  aspect f : a -> z "runs to"',
+}
+# Type labels that break the article rule, the punctuation rule, both rules
+# and neither, for the style-lint warnings of ``check``.
+LINTS = {
+    "lint_article": '  type b "the b"',
+    "lint_punctuation": '  type b "a b."',
+    "lint_both": '  type b "the b!"',
+    "lint_neither": '  type b "an odd b"',
 }
 # Declarations whose ids SQLite folds together, for ``sqlgen``.
 FOLDED = {
@@ -398,6 +408,12 @@ def commands() -> list[list[str]]:
         Path(f"inputs/{fault}.olog").write_text(text, encoding="utf-8")
         for fmt in ("text", "json"):
             cmds.append(["--format", fmt, "check", f"inputs/{fault}.olog"])
+    for lint, line in LINTS.items():
+        text = f'olog L {{\n  type a "an a"\n{line}\n}}\n'
+        Path(f"inputs/{lint}.olog").write_text(text, encoding="utf-8")
+        for fmt in ("text", "json"):
+            cmds.append(["--format", fmt, "check", f"inputs/{lint}.olog"])
+            cmds.append(["--format", fmt, "--quiet", "check", f"inputs/{lint}.olog"])
     for query in ODD_FACTS:
         for fmt in ("text", "json"):
             cmds.append(["--format", fmt, "entail", "fixtures/family.olog", "--fact", query])

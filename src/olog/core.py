@@ -37,7 +37,7 @@ KEYWORDS = frozenset({
 _ID = r"[A-Za-z_][A-Za-z0-9_]*"
 
 
-def record(cls=None, /, *, order: bool = False, uncompared: tuple[str, ...] = ()):
+def record(cls=None, /, *, order: bool = False):
     """Make ``cls`` a frozen record of the fields it annotates, building each
     method from plain functions, not from generated source.
 
@@ -45,13 +45,13 @@ def record(cls=None, /, *, order: bool = False, uncompared: tuple[str, ...] = ()
     order, a class attribute of a field's name being its default, and then
     runs ``__post_init__`` if the class has one. Equality, and with ``order``
     the four comparisons, hold only between instances of one class and
-    compare their fields in order, less those named in ``uncompared``; the
-    hash is over the same fields. ``repr`` is ``Name(field=value, ...)``.
+    compare every field in order; the hash is over every field. ``repr`` is
+    ``Name(field=value, ...)``.
     Assigning or deleting an attribute raises :class:`AttributeError`; the
     fields live in the instance ``__dict__``.
     """
     if cls is None:
-        return lambda c: record(c, order=order, uncompared=uncompared)
+        return lambda c: record(c, order=order)
     names = tuple(cls.__annotations__)
     defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
     required = frozenset(names[: len(names) - len(defaults)])
@@ -76,9 +76,9 @@ def record(cls=None, /, *, order: bool = False, uncompared: tuple[str, ...] = ()
         shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in names)
         return f"{self.__class__.__qualname__}({shown})"
 
-    get = attrgetter(*(n for n in names if n not in uncompared))
+    get = attrgetter(*names)
     # attrgetter of one name gives the value itself, not a 1-tuple.
-    key = get if len(names) - len(uncompared) > 1 else lambda self: (get(self),)
+    key = get if len(names) > 1 else lambda self: (get(self),)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -141,12 +141,10 @@ def _frozen_delattr(self, name):
     raise AttributeError(f"cannot delete field {name!r}")
 
 
-@record(uncompared=("lint_flags",))
+@record
 class TypeNode:
     id: str
     label: str = ""
-    # style-lint results are derived metadata, not part of the value
-    lint_flags: frozenset[str] = frozenset()
 
 
 @record

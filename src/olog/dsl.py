@@ -307,10 +307,9 @@ def parse_olog(
                 errs = label_errors("type", ident, label)
                 if errs:
                     p.fail(errs[0], p.span(2))
-                lints = _label_lints(label)
-                for flag in sorted(lints):
+                for flag in sorted(_label_lints(label)):
                     p.warn(f"type '{ident}': style lint {flag}", p.span(2))
-                types.append(TypeNode(ident, label, lints))
+                types.append(TypeNode(ident, label))
             elif head == "aspect":
                 i = p.seq(toks, 1, "an aspect id", ":", "a source type id", "->",
                           "a target type id")

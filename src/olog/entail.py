@@ -53,8 +53,7 @@ def check_fits(fact: Fact, bound: int, role: str) -> None:
     """
     if len(fact.lhs) > bound or len(fact.rhs) > bound:
         raise BoundExceededError(
-            f"{role} fact '{format_fact(fact)}' has a side longer than bound {bound}",
-            fact=fact,
+            f"{role} fact '{format_fact(fact)}' has a side longer than bound {bound}"
         )
 
 

@@ -12,11 +12,7 @@ class CompositionError(OlogError):
 
 
 class BoundExceededError(OlogError):
-    """A declared or queried fact has a side longer than the path-length bound."""
-
-    def __init__(self, message: str, fact=None):
-        super().__init__(message)
-        self.fact = fact
+    """A fact, a path or a bounded structure does not fit the path-length bound."""
 
 
 class GraphMismatchError(OlogError):

@@ -37,6 +37,7 @@ from .errors import (
 from .flow import (
     GraphMorphism,
     _flow_back,
+    _mapped,
     _unpreserved,
     compose_morphisms,
     dir_flow,
@@ -109,9 +110,10 @@ def validate_system(sys: InformationSystem, bound: int = DEFAULT_BOUND) -> list[
 
     A fact that overflows the bound is reported, not raised: a node's own
     declared fact as a problem of that node, whose incoming edges are then
-    skipped, and a translated fact as a problem of its edge, as is an id that
-    its morphism leaves unmapped. Each target node's class table is built once,
-    when its first edge is checked. The problems are :func:`core.held` on
+    skipped, and a translated fact as a problem of its edge, as is any other
+    fault of its translation: an id the morphism leaves unmapped or an image
+    that is not a path of the target. Each target node's class table is built
+    once, when its first edge is checked. The problems are :func:`core.held` on
     ``sys``, so a system is checked once per bound; each call gets a copy.
     """
     return list(held(sys, "_problems", bound, lambda: _problems(sys, bound)))
@@ -145,7 +147,7 @@ def _problems(sys: InformationSystem, bound: int) -> list[str]:
             continue
         try:
             offenders = _unpreserved(h, sys.specs[src], class_table(sys.specs[tgt], bound))
-        except (BoundExceededError, MorphismError) as exc:
+        except OlogError as exc:
             problems.append(f"edge '{eid}': {exc}")
             continue
         for f in offenders:
@@ -266,7 +268,8 @@ def check_channel_cover(ds: DistributedSystem, ch: Channel) -> tuple[bool, tuple
 def check_refinement(h: GraphMorphism, frm: Channel, to: Channel) -> bool:
     """Is ``h`` a core map making the finer channel factor the coarser one?"""
     return all(
-        _same_maps(compose_morphisms(link, h), to.links[n]) for n, link in frm.links.items()
+        n in to.links and _same_maps(compose_morphisms(link, h), to.links[n])
+        for n, link in frm.links.items()
     )
 
 
@@ -276,7 +279,8 @@ def induced_refinement(optimal: Channel, other: Channel) -> GraphMorphism:
     Well-defined because covering makes all members of a core class agree on
     their image; disagreement raises, which signals the other channel does not
     actually cover the same system, as does a node the other channel has no
-    link for.
+    link for. An id that a link of the other channel leaves unmapped raises
+    :class:`MorphismError`.
     """
     type_map: dict[str, str] = {}
     aspect_map: dict[str, Path] = {}
@@ -285,14 +289,14 @@ def induced_refinement(optimal: Channel, other: Channel) -> GraphMorphism:
         if onto is None:
             raise GraphMismatchError(f"node '{n}' has no link; channel does not cover")
         for tid, cid in link.type_map.items():
-            img = onto.type_map[tid]
+            img = _mapped(onto.type_map, "type", tid)
             if type_map.setdefault(cid, img) != img:
                 raise GraphMismatchError(
                     f"core type '{cid}' has conflicting images; channel does not cover"
                 )
         for aid, cpath in link.aspect_map.items():
             cid = cpath.edges[0]
-            img = onto.aspect_map[aid]
+            img = _mapped(onto.aspect_map, "aspect", aid)
             if aspect_map.setdefault(cid, img) != img:
                 raise GraphMismatchError(
                     f"core aspect '{cid}' has conflicting images; channel does not cover"

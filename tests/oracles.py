@@ -63,7 +63,7 @@ from __future__ import annotations
 import csv
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product as iter_product
 from pathlib import Path as FsPath
 from types import MappingProxyType
@@ -96,7 +96,7 @@ from olog.core import (
 )
 from olog.dsl import SourceSpan, _Parser
 from olog.entail import Congruence, _check_bound, check_fits, saturate
-from olog.errors import BoundExceededError, MorphismError, OlogError, SynthesisError
+from olog.errors import BoundExceededError, OlogError, SynthesisError
 from olog.flow import GraphMorphism, is_spec_morphism, translate_fact
 from olog.instances import Counterexample, FactCheck, KeyDiagram, eval_path, satisfies_fact
 from olog.sketch import (
@@ -161,7 +161,6 @@ class DataclassParseDiagnostic:
 class DataclassTypeNode:
     id: str
     label: str = ""
-    lint_flags: frozenset[str] = field(default=frozenset(), compare=False)
 
 
 @dataclass(frozen=True)
@@ -483,8 +482,7 @@ def saturate_by_rounds(spec: Specification, bound: int) -> Congruence:
             raise OlogError(f"declared fact {format_fact(fact)}: {errs[0]}")
         if fact.lhs not in in_universe or fact.rhs not in in_universe:
             raise BoundExceededError(
-                f"declared fact '{format_fact(fact)}' has a side longer than bound {bound}",
-                fact=fact,
+                f"declared fact '{format_fact(fact)}' has a side longer than bound {bound}"
             )
         uf.union(fact.lhs, fact.rhs)
 
@@ -556,7 +554,7 @@ def validate_system_by_edges(sys, bound: int) -> list[str]:
             continue
         try:
             _, offenders = is_spec_morphism(h, sys.specs[src], sys.specs[tgt], bound)
-        except (BoundExceededError, MorphismError) as exc:
+        except OlogError as exc:
             problems.append(f"edge '{eid}': {exc}")
             continue
         for f in offenders:

@@ -137,11 +137,17 @@ def test_style_lints_are_warnings_not_errors():
     text = 'olog X {\n  type x "the thing."\n}\n'
     spec, diags = dsl.parse_olog(text)
     assert spec is not None
-    warnings = [d for d in diags if d.severity == dsl.WARNING]
-    assert {"label-article", "label-punctuation"} == set(
-        flag for t in spec.graph.types for flag in t.lint_flags
-    )
-    assert len(warnings) == 2
+    assert [d.message for d in diags if d.severity == dsl.WARNING] == [
+        "type 'x': style lint label-article",
+        "type 'x': style lint label-punctuation",
+    ]
+
+
+def test_a_parsed_type_node_is_its_id_and_label():
+    spec, _ = dsl.parse_olog('olog X {\n  type x "the thing."\n}\n')
+    (node,) = spec.graph.types
+    assert node == TypeNode("x", "the thing.")
+    assert repr(node) == repr(TypeNode("x", "the thing.")) == "TypeNode(id='x', label='the thing.')"
 
 
 def test_missing_square_fact_is_lint():

@@ -125,7 +125,7 @@ def test_saturate_rejects_oversized_fact(family_spec):
     spec = Specification(graph=family_spec.graph, facts=(big,))
     with pytest.raises(BoundExceededError) as exc:
         saturate(spec, 1)
-    assert exc.value.fact == big
+    assert str(exc.value) == "declared fact 'parents;w = mother' has a side longer than bound 1"
 
 
 def test_state_of_an_ill_formed_path_names_its_fault(family_spec):
@@ -235,8 +235,6 @@ def test_spec_leq_names_a_bad_fact_on_either_side(fact, messages, e2_first):
     with pytest.raises(OlogError) as exc:
         spec_leq(*((e2, e1) if e2_first else (e1, e2)), 3)
     assert str(exc.value) == messages[e2_first]
-    if isinstance(exc.value, BoundExceededError):
-        assert exc.value.fact == fact
 
 
 # --- consequence ------------------------------------------------------------

@@ -64,8 +64,7 @@ labels = st.sampled_from(["", "x"])
 paths = st.builds(Path, ids, st.lists(st.sampled_from(["f", "g"]), max_size=2).map(tuple))
 facts = st.builds(Fact, paths, paths)
 legs = st.tuples(ids, st.sampled_from(["p", "q"]))
-flags = st.sampled_from([frozenset(), frozenset({"w"})])
-type_nodes = st.builds(TypeNode, ids, labels, flags)
+type_nodes = st.builds(TypeNode, ids, labels)
 modifiers = st.sampled_from([frozenset(), frozenset({"injective"})])
 aspects = st.builds(Aspect, ids, ids, ids, labels, modifiers)
 graphs = st.builds(Graph, tuples_of(type_nodes, 3), tuples_of(aspects, 3))
@@ -86,7 +85,7 @@ morphisms = st.builds(GraphMorphism, graphs, graphs, id_maps, path_maps)
 
 # Each class: its dataclass twin and a strategy for each of its fields.
 RECORDS = {
-    TypeNode: (oracles.DataclassTypeNode, (ids, labels, flags)),
+    TypeNode: (oracles.DataclassTypeNode, (ids, labels)),
     Aspect: (oracles.DataclassAspect, (ids, ids, ids, labels, modifiers)),
     Graph: (oracles.DataclassGraph, (tuples_of(type_nodes, 3), tuples_of(aspects, 3))),
     ProductDecl: (oracles.DataclassProductDecl, (ids, tuples_of(legs))),
@@ -210,13 +209,6 @@ def test_a_record_binds_arguments_as_its_dataclass(cls, data):
             assert got[0] == "ok" and vars(got[1]) == vars(want[1])
         else:
             assert got == want == ("raised", TypeError)
-
-
-def test_lint_flags_take_no_part_in_equality_or_hash():
-    plain, flagged = TypeNode("a", "an a"), TypeNode("a", "an a", frozenset({"plural"}))
-    assert plain == flagged and hash(plain) == hash(flagged)
-    assert flagged.lint_flags == {"plural"} and plain.lint_flags == frozenset()
-    assert "lint_flags=frozenset({'plural'})" in repr(flagged)
 
 
 def test_declarations_of_different_kinds_stay_apart():

@@ -302,6 +302,28 @@ def test_induced_refinement_refuses_a_channel_without_a_node_link(span_system):
     assert str(exc.value) == "node 'left' has no link; channel does not cover"
 
 
+def test_refinement_fails_where_the_coarser_channel_lacks_a_node_link(span_system):
+    opt = optimal_channel(span_system.distributed())
+    partial = Channel(core=opt.core, links={n: h for n, h in opt.links.items() if n != "left"})
+    assert not check_refinement(identity_morphism(opt.core), opt, partial)
+
+
+@pytest.mark.parametrize("unmapped", ["type", "aspect"])
+def test_induced_refinement_refuses_a_link_that_leaves_an_id_unmapped(span_system, unmapped):
+    opt = optimal_channel(span_system.distributed())
+    link = opt.links["left"]
+    if unmapped == "type":
+        type_map, aspect_map, message = {**link.type_map}, link.aspect_map, "type 'mid1'"
+        del type_map["mid1"]
+    else:
+        type_map, aspect_map, message = link.type_map, {**link.aspect_map}, "aspect 'v1'"
+        del aspect_map["v1"]
+    gappy = GraphMorphism(link.src, link.tgt, type_map, aspect_map)
+    channel = Channel(core=opt.core, links={**opt.links, "left": gappy})
+    with pytest.raises(MorphismError, match=f"^{message} is not mapped$"):
+        induced_refinement(opt, channel)
+
+
 def manual_span_channel(span_system):
     """Covering channel whose core is the left graph itself."""
     ds = span_system.distributed()
@@ -647,6 +669,30 @@ def test_validate_system_reports_unpreserved_edge(span_system):
     assert any("gr" in p and "not preserved" in p for p in problems)
     assert not any("gl" in p for p in problems)
     assert problems == validate_system_by_edges(bad, 4)
+
+
+def test_validate_system_reports_an_aspect_image_that_is_not_a_path(span_system):
+    g = span_system.specs["ground"].graph
+    chatty = Specification(
+        graph=g, facts=(Fact(Path("start0", ("u0", "v0")), Path("start0", ("w0",))),)
+    )
+    gl = span_system.constraints["gl"]
+    broken = GraphMorphism(
+        gl.src, gl.tgt, gl.type_map, {**gl.aspect_map, "u0": Path("start1", ("v1",))}
+    )
+    bad = InformationSystem(
+        shape=span_system.shape,
+        specs={**dict(span_system.specs), "ground": chatty},
+        constraints={**dict(span_system.constraints), "gl": broken},
+    )
+    problems = [
+        "edge 'gl': aspect 'v1' starts at 'mid1' but the path has reached 'start1'",
+        "edge 'gr': fact u0;v0 = w0 is not preserved",
+    ]
+    assert validate_system(bad, 4) == problems == validate_system_by_edges(bad, 4)
+    with pytest.raises(OlogError) as exc:
+        fusion(bad, 4)
+    assert str(exc.value) == "invalid information system: " + "; ".join(problems)
 
 
 def test_fused_and_consequence_ologs_reparse(span_system, constant_system, w_system):
